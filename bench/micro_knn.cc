@@ -39,7 +39,9 @@ void BM_BruteAllPoints(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BruteAllPoints)
+    ->Arg(16)
     ->Arg(64)
+    ->Arg(96)
     ->Arg(256)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
@@ -116,30 +118,6 @@ BENCHMARK(BM_KernelChebyshevToProbe<&simd::ChebyshevToProbe>)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_KernelChebyshevToProbe<&simd::ChebyshevToProbeScalar>)
     ->Name("BM_KernelChebyshevToProbe/scalar")
-    ->Arg(256)
-    ->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
-
-template <size_t (*Fn)(const double*, size_t, double, double, double,
-                       int32_t*, double*)>
-void BM_KernelChebyshevWithin(benchmark::State& state) {
-  const auto xy = MakeInterleaved(state.range(0));
-  std::vector<int32_t> idx(static_cast<size_t>(state.range(0)));
-  std::vector<double> dist(static_cast<size_t>(state.range(0)));
-  // ~1% survivors: the filter regime the blocked kNN threshold scan runs
-  // in once the heap has warmed up.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Fn(xy.data(), dist.size(), 0.25, -0.5, 0.03,
-                                idx.data(), dist.data()));
-  }
-}
-BENCHMARK(BM_KernelChebyshevWithin<&simd::ChebyshevWithin>)
-    ->Name("BM_KernelChebyshevWithin/simd")
-    ->Arg(256)
-    ->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_KernelChebyshevWithin<&simd::ChebyshevWithinScalar>)
-    ->Name("BM_KernelChebyshevWithin/scalar")
     ->Arg(256)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);

@@ -43,22 +43,6 @@ void ChebyshevToProbeIdxScalar(const double* xy, const int32_t* idx, size_t n,
   }
 }
 
-size_t ChebyshevWithinScalar(const double* xy, size_t n, double px, double py,
-                             double thresh, int32_t* out_idx,
-                             double* out_dist) {
-  size_t cnt = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d =
-        std::max(std::fabs(xy[2 * i] - px), std::fabs(xy[2 * i + 1] - py));
-    if (d <= thresh) {
-      out_idx[cnt] = static_cast<int32_t>(i);
-      out_dist[cnt] = d;
-      ++cnt;
-    }
-  }
-  return cnt;
-}
-
 size_t CountWithinInterleavedScalar(const double* base, size_t n,
                                     double center, double d) {
   size_t count = 0;
@@ -153,49 +137,6 @@ void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
     _mm_storeu_pd(out + i, MaxStd128(dx, dy));
   }
   if (i < n) ChebyshevToProbeIdxScalar(xy, idx + i, n - i, px, py, out + i);
-}
-
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist) {
-  // Per-coordinate test, no max/shuffle work: a point is within iff
-  // |x - px| <= t and |y - py| <= t. A NaN x-delta never passes (ordered
-  // compare), but a NaN y-delta must DEFER to the re-test: the twin's
-  // d = std::max(dx, dy) ignores a NaN second operand (d becomes dx), so
-  // the y lane passes on unordered and the exact scalar math decides.
-  const __m128d probe = _mm_setr_pd(px, py);
-  const __m128d tv = _mm_set1_pd(thresh);
-  size_t cnt = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d a = _mm_loadu_pd(xy + 2 * i);
-    const __m128d b = _mm_loadu_pd(xy + 2 * i + 2);
-    const __m128d da = Abs128(_mm_sub_pd(a, probe));
-    const __m128d db = Abs128(_mm_sub_pd(b, probe));
-    const int ca = _mm_movemask_pd(_mm_cmple_pd(da, tv)) |
-                   (_mm_movemask_pd(_mm_cmpunord_pd(da, da)) & 0x2);
-    const int cb = _mm_movemask_pd(_mm_cmple_pd(db, tv)) |
-                   (_mm_movemask_pd(_mm_cmpunord_pd(db, db)) & 0x2);
-    if ((ca & (ca >> 1) & 0x1) == 0 && (cb & (cb >> 1) & 0x1) == 0) continue;
-    for (size_t j = 0; j < 2; ++j) {
-      const double d = std::max(std::fabs(xy[2 * (i + j)] - px),
-                                std::fabs(xy[2 * (i + j) + 1] - py));
-      if (d <= thresh) {
-        out_idx[cnt] = static_cast<int32_t>(i + j);
-        out_dist[cnt] = d;
-        ++cnt;
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    const double d =
-        std::max(std::fabs(xy[2 * i] - px), std::fabs(xy[2 * i + 1] - py));
-    if (d <= thresh) {
-      out_idx[cnt] = static_cast<int32_t>(i);
-      out_dist[cnt] = d;
-      ++cnt;
-    }
-  }
-  return cnt;
 }
 
 size_t CountWithinInterleaved(const double* base, size_t n, double center,
@@ -386,53 +327,6 @@ void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
   if (i < n) ChebyshevToProbeIdxScalar(xy, idx + i, n - i, px, py, out + i);
 }
 
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist) {
-  // Per-coordinate test, no max/shuffle work: a point is within iff
-  // |x - px| <= t and |y - py| <= t. ca bits are (x0, y0, x1, y1), so
-  // ca & (ca >> 1) & 0x5 has a bit set per surviving point. A NaN x-delta
-  // never passes (ordered compare), but a NaN y-delta must DEFER to the
-  // re-test: the twin's d = std::max(dx, dy) ignores a NaN second operand
-  // (d becomes dx), so the y lanes pass on unordered and the exact scalar
-  // math on the hit block decides.
-  const __m256d probe = _mm256_setr_pd(px, py, px, py);
-  const __m256d tv = _mm256_set1_pd(thresh);
-  size_t cnt = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(xy + 2 * i);
-    const __m256d b = _mm256_loadu_pd(xy + 2 * i + 4);
-    const __m256d da = Abs256(_mm256_sub_pd(a, probe));
-    const __m256d db = Abs256(_mm256_sub_pd(b, probe));
-    const int ca =
-        _mm256_movemask_pd(_mm256_cmp_pd(da, tv, _CMP_LE_OQ)) |
-        (_mm256_movemask_pd(_mm256_cmp_pd(da, da, _CMP_UNORD_Q)) & 0xA);
-    const int cb =
-        _mm256_movemask_pd(_mm256_cmp_pd(db, tv, _CMP_LE_OQ)) |
-        (_mm256_movemask_pd(_mm256_cmp_pd(db, db, _CMP_UNORD_Q)) & 0xA);
-    if (((ca & (ca >> 1) & 0x5) | (cb & (cb >> 1) & 0x5)) == 0) continue;
-    for (size_t j = 0; j < 4; ++j) {
-      const double d = std::max(std::fabs(xy[2 * (i + j)] - px),
-                                std::fabs(xy[2 * (i + j) + 1] - py));
-      if (d <= thresh) {
-        out_idx[cnt] = static_cast<int32_t>(i + j);
-        out_dist[cnt] = d;
-        ++cnt;
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    const double d =
-        std::max(std::fabs(xy[2 * i] - px), std::fabs(xy[2 * i + 1] - py));
-    if (d <= thresh) {
-      out_idx[cnt] = static_cast<int32_t>(i);
-      out_dist[cnt] = d;
-      ++cnt;
-    }
-  }
-  return cnt;
-}
-
 size_t CountWithinInterleaved(const double* base, size_t n, double center,
                               double d) {
   const __m256d c = _mm256_set1_pd(center);
@@ -610,11 +504,6 @@ void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
   active::ChebyshevToProbeIdx(xy, idx, n, px, py, out);
 }
 
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist) {
-  return active::ChebyshevWithin(xy, n, px, py, thresh, out_idx, out_dist);
-}
-
 size_t CountWithinInterleaved(const double* base, size_t n, double center,
                               double d) {
   return active::CountWithinInterleaved(base, n, center, d);
@@ -646,11 +535,6 @@ void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
 void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
                          double px, double py, double* out) {
   ChebyshevToProbeIdxScalar(xy, idx, n, px, py, out);
-}
-
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist) {
-  return ChebyshevWithinScalar(xy, n, px, py, thresh, out_idx, out_dist);
 }
 
 size_t CountWithinInterleaved(const double* base, size_t n, double center,

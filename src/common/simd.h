@@ -55,21 +55,6 @@ void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
 void ChebyshevToProbeIdxScalar(const double* xy, const int32_t* idx, size_t n,
                                double px, double py, double* out);
 
-// Fused distance scan + threshold filter — the kNN scan hot path. Appends
-// (index, distance) of every point whose L∞ distance from the probe is
-// <= thresh to the out arrays IN INDEX ORDER and returns the survivor
-// count (out arrays must have room for n entries). The caller keeps the
-// exact heap logic but only runs it on survivors; a vector block with no
-// survivor costs two compares+movemasks. The distance follows std::max
-// semantics exactly (a NaN x-delta poisons d, a NaN y-delta is ignored),
-// so a NaN distance never survives — callers pass finite points anyway,
-// as the estimators guarantee.
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist);
-size_t ChebyshevWithinScalar(const double* xy, size_t n, double px, double py,
-                             double thresh, int32_t* out_idx,
-                             double* out_dist);
-
 // --- Marginal range counts -------------------------------------------------
 
 // #{ i in [0, n) : |base[2i] - center| <= d }. Reads every other double
@@ -133,8 +118,6 @@ void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
                       double* out);
 void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
                          double px, double py, double* out);
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist);
 size_t CountWithinInterleaved(const double* base, size_t n, double center,
                               double d);
 size_t LowerBound(const double* v, size_t n, double key);
@@ -149,8 +132,6 @@ void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
                       double* out);
 void ChebyshevToProbeIdx(const double* xy, const int32_t* idx, size_t n,
                          double px, double py, double* out);
-size_t ChebyshevWithin(const double* xy, size_t n, double px, double py,
-                       double thresh, int32_t* out_idx, double* out_dist);
 size_t CountWithinInterleaved(const double* base, size_t n, double center,
                               double d);
 size_t LowerBound(const double* v, size_t n, double key);

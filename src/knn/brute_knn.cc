@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "audit/audit.h"
@@ -17,83 +16,39 @@ namespace {
 static_assert(sizeof(Point2) == 2 * sizeof(double),
               "Point2 must be two packed doubles");
 
-// Collects the k nearest candidates (L∞) to `probe`, skipping `exclude`.
-// Ties on distance break on index for determinism. Returns extents over the
-// selected neighbours. After a scalar warmup fills the heap, the scan runs
-// in blocks through the fused simd::ChebyshevWithin filter: the heap
-// maximum only DECREASES, so the block-start threshold is conservative —
-// anything the filter drops has d > thresh >= the final heap front, ties at
-// d == thresh survive the <= filter, and survivors are re-tested with the
-// exact pair compare in index order. Selection and tie-breaks are therefore
-// identical to the plain scan.
+// Collects the k nearest candidates (L∞) to `probe`, skipping `exclude`,
+// and returns their extents. One vectorized distance row per query, then one
+// `d < worst` compare per candidate: the row is scanned in index order, so
+// KnnSelector::OfferAscending keeps the (distance, index) tie-break with no
+// pair compare. The row lives in thread_local scratch, bounded by the largest
+// window a thread has queried.
 KnnExtents ExtentsOfKnn(const std::vector<Point2>& points, const Point2& probe,
                         int k, size_t exclude) {
   TYCOS_CHECK_GE(k, 1);
   const size_t n = points.size();
   const double* xy = reinterpret_cast<const double*>(points.data());
-  using Cand = std::pair<double, size_t>;  // (distance, index)
-  std::vector<Cand> heap;                  // max-heap of the best k
-  heap.reserve(static_cast<size_t>(k) + 1);
-  size_t j = 0;
-  for (; j < n && heap.size() < static_cast<size_t>(k); ++j) {
-    if (j == exclude) continue;
-    const double d = std::max(std::fabs(points[j].x - probe.x),
-                              std::fabs(points[j].y - probe.y));
-    heap.emplace_back(d, j);
-    std::push_heap(heap.begin(), heap.end());
-  }
-  constexpr size_t kBlock = 256;
-  thread_local std::vector<int32_t> idx_buf;
-  thread_local std::vector<double> dist_buf;
-  idx_buf.resize(std::min(n, kBlock));
-  dist_buf.resize(std::min(n, kBlock));
-  while (j < n) {
-    const size_t len = std::min(kBlock, n - j);
-    const double thresh = heap.front().first;
-    const size_t cnt =
-        simd::ChebyshevWithin(xy + 2 * j, len, probe.x, probe.y, thresh,
-                              idx_buf.data(), dist_buf.data());
+  thread_local std::vector<double> dist;
+  if (dist.size() < n) dist.resize(n);
+  simd::ChebyshevToProbe(xy, n, probe.x, probe.y, dist.data());
 #if TYCOS_AUDIT_ENABLED
-    {
-      static audit::Auditor* simd_audit = audit::Get("simd_vs_scalar");
-      if (simd_audit->ShouldSample(64)) {
-        std::vector<int32_t> ref_idx(len);
-        std::vector<double> ref_dist(len);
-        const size_t ref_cnt = simd::ChebyshevWithinScalar(
-            xy + 2 * j, len, probe.x, probe.y, thresh, ref_idx.data(),
-            ref_dist.data());
-        const bool same =
-            ref_cnt == cnt &&
-            std::equal(ref_idx.begin(),
-                       ref_idx.begin() + static_cast<ptrdiff_t>(ref_cnt),
-                       idx_buf.begin()) &&
-            std::equal(ref_dist.begin(),
-                       ref_dist.begin() + static_cast<ptrdiff_t>(ref_cnt),
-                       dist_buf.begin());
-        TYCOS_AUDIT_CHECK(simd_audit, same,
-                          "brute kNN filter scan: SIMD != scalar at len=" +
-                              std::to_string(len));
-      }
+  {
+    static audit::Auditor* simd_audit = audit::Get("simd_vs_scalar");
+    if (simd_audit->ShouldSample(64)) {
+      std::vector<double> ref(n);
+      simd::ChebyshevToProbeScalar(xy, n, probe.x, probe.y, ref.data());
+      TYCOS_AUDIT_CHECK(simd_audit,
+                        std::equal(ref.begin(), ref.end(), dist.begin()),
+                        "brute kNN distance row: SIMD != scalar at n=" +
+                            std::to_string(n));
     }
+  }
 #endif
-    for (size_t t = 0; t < cnt; ++t) {
-      const size_t g = j + static_cast<size_t>(idx_buf[t]);
-      if (g == exclude) continue;
-      if (Cand(dist_buf[t], g) < heap.front()) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = Cand(dist_buf[t], g);
-        std::push_heap(heap.begin(), heap.end());
-      }
-    }
-    j += len;
+  KnnSelector selector(k);
+  for (size_t j = 0; j < n; ++j) {
+    if (j != exclude) selector.OfferAscending(dist[j], j);
   }
-  TYCOS_CHECK_EQ(heap.size(), static_cast<size_t>(k));
-  KnnExtents e;
-  for (const Cand& c : heap) {
-    e.dx = std::max(e.dx, std::fabs(points[c.second].x - probe.x));
-    e.dy = std::max(e.dy, std::fabs(points[c.second].y - probe.y));
-  }
-  return e;
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
+  return selector.Extents(points, probe);
 }
 
 // Marginal count over one interleaved lane with the `exclude` element

@@ -80,9 +80,7 @@ const std::vector<int32_t>& GridIndex::Cell(int64_t cx, int64_t cy) const {
 KnnExtents GridIndex::Query(const Point2& probe, int k,
                             size_t exclude) const {
   TYCOS_CHECK_GE(k, 1);
-  using Cand = std::pair<double, int32_t>;  // same tie-break as brute/kd
-  std::vector<Cand> heap;
-  heap.reserve(static_cast<size_t>(k) + 1);
+  KnnSelector selector(k);
 
   // The ring walk stays scalar on purpose: cells hold ~4 points, and a
   // batched gather pass (simd::ChebyshevToProbeIdx over the ring's
@@ -92,16 +90,8 @@ KnnExtents GridIndex::Query(const Point2& probe, int k,
   // is the constructor's bounds pass.
   auto push = [&](int32_t idx) {
     if (static_cast<size_t>(idx) == exclude) return;
-    const double d =
-        ChebyshevDistance(points_[static_cast<size_t>(idx)], probe);
-    if (heap.size() < static_cast<size_t>(k)) {
-      heap.emplace_back(d, idx);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (Cand(d, idx) < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = Cand(d, idx);
-      std::push_heap(heap.begin(), heap.end());
-    }
+    selector.Offer(ChebyshevDistance(points_[static_cast<size_t>(idx)], probe),
+                   static_cast<size_t>(idx));
   };
 
   const int64_t pcx = CellX(probe.x);
@@ -113,12 +103,12 @@ KnnExtents GridIndex::Query(const Point2& probe, int k,
     // exactly `ring`; every point in farther rings is at L∞ distance
     // > (ring - 1) * cell_size_ from anywhere in the probe's cell, but we
     // can bound tighter against the probe itself below.
-    if (heap.size() == static_cast<size_t>(k)) {
+    if (selector.full()) {
       // Points in this ring are at least (ring - 1) * cell_size_ away from
       // the probe (the probe sits somewhere inside its own cell).
       const double ring_lower =
           static_cast<double>(ring - 1) * cell_size_;
-      if (ring_lower > heap.front().first) break;
+      if (ring_lower > selector.worst()) break;
     }
     ++rings_scanned;
     const int64_t x_lo = pcx - ring, x_hi = pcx + ring;
@@ -133,20 +123,14 @@ KnnExtents GridIndex::Query(const Point2& probe, int k,
       }
     }
   }
-  TYCOS_CHECK_EQ(heap.size(), static_cast<size_t>(k));
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
   // Expansions = rings beyond the probe's own cell. Plain-int tallies here
   // (flushed by the destructor) keep the query loop registry-free.
   const int64_t ring_expansions = rings_scanned > 0 ? rings_scanned - 1 : 0;
   obs_ring_expansions_ += ring_expansions;
   ++obs_ring_counts_[std::min<size_t>(static_cast<size_t>(ring_expansions),
                                       kObsRingBuckets - 1)];
-  KnnExtents e;
-  for (const Cand& c : heap) {
-    const Point2& p = points_[static_cast<size_t>(c.second)];
-    e.dx = std::max(e.dx, std::fabs(p.x - probe.x));
-    e.dy = std::max(e.dy, std::fabs(p.y - probe.y));
-  }
-  return e;
+  return selector.Extents(points_, probe);
 }
 
 KnnExtents GridIndex::QueryExtents(size_t query, int k) const {

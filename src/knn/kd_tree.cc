@@ -41,45 +41,24 @@ int32_t KdTree::Build(std::vector<int32_t>& ids, size_t lo, size_t hi,
   return id;
 }
 
-namespace {
-
-// Max-heap entry ordered by (distance, index), matching brute_knn's
-// tie-break so both backends return identical neighbour sets.
-using Cand = std::pair<double, int32_t>;
-
-void PushCandidate(std::vector<Cand>& heap, int k, Cand c) {
-  if (heap.size() < static_cast<size_t>(k)) {
-    heap.push_back(c);
-    std::push_heap(heap.begin(), heap.end());
-  } else if (c < heap.front()) {
-    std::pop_heap(heap.begin(), heap.end());
-    heap.back() = c;
-    std::push_heap(heap.begin(), heap.end());
-  }
-}
-
-}  // namespace
-
 KnnExtents KdTree::Query(const Point2& probe, int k, size_t exclude) const {
   TYCOS_CHECK_GE(k, 1);
-  std::vector<Cand> heap;
-  heap.reserve(static_cast<size_t>(k) + 1);
+  KnnSelector selector(k);
 
   // Iterative depth-first traversal with pruning on the splitting plane.
-  struct Frame {
-    int32_t node;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({root_});
+  // The node stack is thread_local scratch, so a query allocates nothing.
+  thread_local std::vector<int32_t> stack;
+  stack.clear();
+  stack.push_back(root_);
   while (!stack.empty()) {
-    const int32_t id = stack.back().node;
+    const int32_t id = stack.back();
     stack.pop_back();
     if (id < 0) continue;
     const Node& node = nodes_[static_cast<size_t>(id)];
     const Point2& p = points_[static_cast<size_t>(node.point)];
     if (static_cast<size_t>(node.point) != exclude) {
-      PushCandidate(heap, k,
-                    Cand(ChebyshevDistance(p, probe), node.point));
+      selector.Offer(ChebyshevDistance(p, probe),
+                     static_cast<size_t>(node.point));
     }
     const double diff =
         node.axis ? (probe.y - p.y) : (probe.x - p.x);
@@ -87,20 +66,14 @@ KnnExtents KdTree::Query(const Point2& probe, int k, size_t exclude) const {
     const int32_t far = diff < 0 ? node.right : node.left;
     // The far subtree can only contain closer points when the plane distance
     // beats the current kth distance (L∞: plane distance lower-bounds it).
-    const bool heap_full = heap.size() == static_cast<size_t>(k);
-    if (far >= 0 && (!heap_full || std::fabs(diff) <= heap.front().first)) {
-      stack.push_back({far});
+    if (far >= 0 &&
+        (!selector.full() || std::fabs(diff) <= selector.worst())) {
+      stack.push_back(far);
     }
-    if (near >= 0) stack.push_back({near});
+    if (near >= 0) stack.push_back(near);
   }
-  TYCOS_CHECK_EQ(heap.size(), static_cast<size_t>(k));
-  KnnExtents e;
-  for (const Cand& c : heap) {
-    const Point2& p = points_[static_cast<size_t>(c.second)];
-    e.dx = std::max(e.dx, std::fabs(p.x - probe.x));
-    e.dy = std::max(e.dy, std::fabs(p.y - probe.y));
-  }
-  return e;
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
+  return selector.Extents(points_, probe);
 }
 
 KnnExtents KdTree::QueryExtents(size_t query, int k) const {

@@ -108,31 +108,18 @@ int64_t IncrementalKsg::CountMarginalY(double y, double dy) const {
 
 KnnExtents IncrementalKsg::ScanKnn(const Point2& probe,
                                    size_t exclude_slot) const {
-  // Max-heap of the best k candidates ordered by (distance, slot) — the same
-  // deterministic tie-break as the batch backends.
-  using Cand = std::pair<double, size_t>;
-  std::vector<Cand>& heap = knn_scratch_;
-  heap.clear();
-  heap.reserve(static_cast<size_t>(k_) + 1);
-  for (size_t j = 0; j < points_.size(); ++j) {
-    if (j == exclude_slot) continue;
-    const double d = ChebyshevDistance(points_[j].p, probe);
-    if (heap.size() < static_cast<size_t>(k_)) {
-      heap.emplace_back(d, j);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (Cand(d, j) < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = Cand(d, j);
-      std::push_heap(heap.begin(), heap.end());
+  // Slots are scanned in order, so the selector's one-compare path keeps
+  // the (distance, slot) tie-break of the batch backends.
+  KnnSelector selector(k_);
+  size_t j = 0;
+  for (const PointState& st : points_) {
+    if (j != exclude_slot) {
+      selector.OfferAscending(ChebyshevDistance(st.p, probe), j);
     }
+    ++j;
   }
-  TYCOS_CHECK_EQ(heap.size(), static_cast<size_t>(k_));
-  KnnExtents e;
-  for (const Cand& c : heap) {
-    e.dx = std::max(e.dx, std::fabs(points_[c.second].p.x - probe.x));
-    e.dy = std::max(e.dy, std::fabs(points_[c.second].p.y - probe.y));
-  }
-  return e;
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k_));
+  return selector.Extents(points_, probe, &PointState::p);
 }
 
 void IncrementalKsg::RecomputePoint(size_t slot) {

@@ -73,6 +73,13 @@ class IncrementalKsg {
   // boundaries — never per slide, so the hot path stays atomic-free.
   void FlushObsCounters();
 
+  // kNN extents held for the current window's slot-th point (slot 0 is the
+  // window start); lets reference-model tests check the maintained state
+  // exactly, where the running ψ-sum only matches to rounding.
+  KnnExtents PointExtents(size_t slot) const {
+    return {points_.at(slot).dx, points_.at(slot).dy};
+  }
+
   // Test-only fault hook for the audit selftest: perturbs the running ψ-sum
   // the way a real bookkeeping bug would (a missed IMR update, a stale
   // extent), so the incremental-vs-batch differential auditor has a
@@ -147,11 +154,9 @@ class IncrementalKsg {
 
   // Reusable scratch, hoisted out of the per-slide hot path so steady-state
   // add/remove/scan cycles allocate nothing. Each buffer is cleared (never
-  // shrunk) at its use site; knn_scratch_ is mutable because the const
-  // ScanKnn uses it as its candidate heap.
-  std::vector<size_t> recompute_scratch_;            // IR-hit slots
-  mutable std::vector<std::pair<double, size_t>> knn_scratch_;
-  std::vector<Point2> rebuild_scratch_;              // window points
+  // shrunk) at its use site.
+  std::vector<size_t> recompute_scratch_;  // IR-hit slots
+  std::vector<Point2> rebuild_scratch_;    // window points
 
   IncrementalKsgStats stats_;
   // Watermark of the last FlushObsCounters(): only field deltas are

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <utility>
+#include <string>
 
 #include "audit/audit.h"
 #include "common/math.h"
@@ -76,30 +75,22 @@ const double* AsXy(const std::vector<Point2>& points) {
 // Theiler-corrected KSG: every count excludes samples within
 // `theiler` steps of the query index. Brute-force O(m(m + T)) — this mode
 // is an accuracy feature for autocorrelated data, not a fast path.
-double KsgMiTheiler(const std::vector<double>& x, const std::vector<double>& y,
-                    int k, int64_t theiler) {
-  const int64_t m = static_cast<int64_t>(x.size());
+double KsgMiTheiler(const std::vector<Point2>& points, int k,
+                    int64_t theiler, DigammaTable& psi) {
+  const int64_t m = static_cast<int64_t>(points.size());
   // Need at least k eligible candidates for every point.
   if (m - 2 * theiler - 1 < k + 1) return 0.0;
 
-  std::vector<Point2> points(static_cast<size_t>(m));
-  for (int64_t i = 0; i < m; ++i) {
-    points[static_cast<size_t>(i)] = {x[static_cast<size_t>(i)],
-                                      y[static_cast<size_t>(i)]};
-  }
-
   const double* xy = AsXy(points);
-  DigammaTable psi;
   double marginal_sum = 0.0;
   double pool_sum = 0.0;
-  using Cand = std::pair<double, int64_t>;
-  std::vector<Cand> heap;
-  std::vector<double> dist(static_cast<size_t>(m));
+  thread_local std::vector<double> dist;
+  dist.resize(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
     const Point2& probe = points[static_cast<size_t>(i)];
     // One vectorized distance pass over every point; the Theiler
-    // eligibility mask is applied in the scalar heap loop below, so the
-    // candidate order and (distance, index) tie-breaks are unchanged.
+    // eligibility mask is applied by the scan ranges below, which run in
+    // index order, so the (distance, index) tie-break is unchanged.
     simd::ChebyshevToProbe(xy, static_cast<size_t>(m), probe.x, probe.y,
                            dist.data());
 #if TYCOS_AUDIT_ENABLED
@@ -115,43 +106,33 @@ double KsgMiTheiler(const std::vector<double>& x, const std::vector<double>& y,
       }
     }
 #endif
-    heap.clear();
     const int64_t lo_n = std::max<int64_t>(0, i - theiler);
     const int64_t hi_start = std::min<int64_t>(m, i + theiler + 1);
     const int64_t pool = lo_n + (m - hi_start);
-    for (int64_t j = 0; j < m; ++j) {
-      if (std::llabs(i - j) <= theiler) continue;
-      const double d = dist[static_cast<size_t>(j)];
-      if (heap.size() < static_cast<size_t>(k)) {
-        heap.emplace_back(d, j);
-        std::push_heap(heap.begin(), heap.end());
-      } else if (Cand(d, j) < heap.front()) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = Cand(d, j);
-        std::push_heap(heap.begin(), heap.end());
-      }
+    KnnSelector selector(k);
+    for (int64_t j = 0; j < lo_n; ++j) {
+      selector.OfferAscending(dist[static_cast<size_t>(j)],
+                              static_cast<size_t>(j));
     }
-    double dx = 0.0, dy = 0.0;
-    for (const Cand& c : heap) {
-      dx = std::max(dx, std::fabs(points[static_cast<size_t>(c.second)].x -
-                                  probe.x));
-      dy = std::max(dy, std::fabs(points[static_cast<size_t>(c.second)].y -
-                                  probe.y));
+    for (int64_t j = hi_start; j < m; ++j) {
+      selector.OfferAscending(dist[static_cast<size_t>(j)],
+                              static_cast<size_t>(j));
     }
+    const KnnExtents e = selector.Extents(points, probe);
     // Marginal counts over the same eligible pool: one strided range count
     // per marginal on each side of the Theiler exclusion zone.
     const int64_t nx =
         static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy, static_cast<size_t>(lo_n), probe.x, dx)) +
+            xy, static_cast<size_t>(lo_n), probe.x, e.dx)) +
         static_cast<int64_t>(simd::CountWithinInterleaved(
             xy + 2 * hi_start, static_cast<size_t>(m - hi_start), probe.x,
-            dx));
+            e.dx));
     const int64_t ny =
         static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy + 1, static_cast<size_t>(lo_n), probe.y, dy)) +
+            xy + 1, static_cast<size_t>(lo_n), probe.y, e.dy)) +
         static_cast<int64_t>(simd::CountWithinInterleaved(
             xy + 1 + 2 * hi_start, static_cast<size_t>(m - hi_start), probe.y,
-            dy));
+            e.dy));
     marginal_sum += psi(static_cast<size_t>(std::max<int64_t>(nx, 1))) +
                     psi(static_cast<size_t>(std::max<int64_t>(ny, 1)));
     pool_sum += psi(static_cast<size_t>(pool));
@@ -205,24 +186,35 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
       return 0.0;
   }
 
-  std::vector<double> x = xs;
-  std::vector<double> y = ys;
-  if (options.tie_jitter > 0.0) {
-    internal::ApplyTieJitter(&x, options.tie_jitter, /*salt=*/1);
-    internal::ApplyTieJitter(&y, options.tie_jitter, /*salt=*/2);
+  // Per-thread scratch: each buffer is resized, never shrunk, so a thread
+  // in steady state allocates nothing; memory is bounded by the largest
+  // window the thread has scored. The inputs are used in place unless
+  // jitter has to perturb a copy.
+  thread_local std::vector<double> jittered_x, jittered_y, sorted_x, sorted_y;
+  thread_local std::vector<Point2> points;
+  thread_local std::vector<int64_t> nxs, nys;
+  thread_local DigammaTable psi;
+  const bool jitter = options.tie_jitter > 0.0;
+  if (jitter) {
+    jittered_x.assign(xs.begin(), xs.end());
+    jittered_y.assign(ys.begin(), ys.end());
+    internal::ApplyTieJitter(&jittered_x, options.tie_jitter, /*salt=*/1);
+    internal::ApplyTieJitter(&jittered_y, options.tie_jitter, /*salt=*/2);
   }
+  const std::vector<double>& x = jitter ? jittered_x : xs;
+  const std::vector<double>& y = jitter ? jittered_y : ys;
 
-  if (options.theiler_window > 0) {
-    return KsgMiTheiler(x, y, k, options.theiler_window);
-  }
-
-  std::vector<Point2> points(static_cast<size_t>(m));
+  points.resize(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
     points[static_cast<size_t>(i)] = {x[static_cast<size_t>(i)],
                                       y[static_cast<size_t>(i)]};
   }
-  std::vector<double> sorted_x = x;
-  std::vector<double> sorted_y = y;
+  if (options.theiler_window > 0) {
+    return KsgMiTheiler(points, k, options.theiler_window, psi);
+  }
+
+  sorted_x.assign(x.begin(), x.end());
+  sorted_y.assign(y.begin(), y.end());
   std::sort(sorted_x.begin(), sorted_x.end());
   std::sort(sorted_y.begin(), sorted_y.end());
 
@@ -265,9 +257,8 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   // Marginal counts are collected per query and the digamma sum is batched
   // into one table walk afterwards (DigammaTable::SumPairs) — same addition
   // order and grouping as the old per-query accumulation, bit-identical.
-  DigammaTable psi;
-  std::vector<int64_t> nxs(static_cast<size_t>(m));
-  std::vector<int64_t> nys(static_cast<size_t>(m));
+  nxs.resize(static_cast<size_t>(m));
+  nys.resize(static_cast<size_t>(m));
   auto accumulate = [&](int64_t i, const KnnExtents& e) {
     nxs[static_cast<size_t>(i)] = std::max<int64_t>(
         1, CountClosed(sorted_x, x[static_cast<size_t>(i)], e.dx));
@@ -309,7 +300,7 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
 
 double KsgMi(const SeriesPair& pair, const Window& w,
              const KsgOptions& options) {
-  std::vector<double> xs, ys;
+  thread_local std::vector<double> xs, ys;
   ExtractSamples(pair, w, &xs, &ys);
   return KsgMi(xs, ys, options);
 }

@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "knn/grid_index.h"
 #include "knn/kd_tree.h"
 #include "knn/rank_index.h"
+#include "mi/incremental_ksg.h"
 
 namespace tycos {
 namespace {
@@ -298,6 +302,185 @@ TEST(RankIndexTest, MatchesNaiveCountingUnderRandomOps) {
       }
       ASSERT_EQ(idx.CountInRange(lo, hi), naive) << "op " << op;
     }
+  }
+}
+
+// --- Reference model -------------------------------------------------------
+//
+// The oracle sorts every candidate by (distance, index) and takes the first
+// k: the tie-break the backends promise, with no pruning, heap or selector
+// involved. Every backend must match its extents exactly.
+
+KnnExtents OracleExtents(const std::vector<Point2>& pts, const Point2& probe,
+                         int k, size_t exclude) {
+  std::vector<std::pair<double, size_t>> all;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    if (i != exclude) all.emplace_back(ChebyshevDistance(pts[i], probe), i);
+  }
+  std::sort(all.begin(), all.end());
+  KnnExtents e;
+  for (size_t t = 0; t < static_cast<size_t>(k); ++t) {
+    const Point2& p = pts[all[t].second];
+    e.dx = std::max(e.dx, std::fabs(p.x - probe.x));
+    e.dy = std::max(e.dy, std::fabs(p.y - probe.y));
+  }
+  return e;
+}
+
+enum class Cloud { kLattice, kGaussian };
+
+// Lattice points sit on a 5x5 integer grid, so nearly every query has
+// distance ties at its k-th neighbour and the tie-break decides the extents.
+std::vector<Point2> MakeCloud(Cloud cloud, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point2> pts(n);
+  for (Point2& p : pts) {
+    if (cloud == Cloud::kLattice) {
+      p.x = static_cast<double>(rng.UniformInt(0, 4));
+      p.y = static_cast<double>(rng.UniformInt(0, 4));
+    } else {
+      p.x = rng.Normal(0.0, 1.0);
+      p.y = rng.Normal(0.0, 1.0);
+    }
+  }
+  return pts;
+}
+
+void ExpectSameExtents(const KnnExtents& got, const KnnExtents& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.dx, want.dx) << where;
+  EXPECT_EQ(got.dy, want.dy) << where;
+}
+
+class KnnReferenceTest
+    : public ::testing::TestWithParam<std::tuple<Cloud, int, int>> {};
+
+TEST_P(KnnReferenceTest, BackendsMatchSortedOracle) {
+  const auto [cloud, k, n_param] = GetParam();
+  // n_param 0 stands for the smallest legal set, k + 1 points.
+  const size_t n = static_cast<size_t>(n_param == 0 ? k + 1 : n_param);
+  const std::vector<Point2> pts =
+      MakeCloud(cloud, n, 7 * n + static_cast<uint64_t>(k));
+  KdTree tree(pts);
+  GridIndex grid(pts);
+  for (size_t i = 0; i < n; ++i) {
+    const KnnExtents want = OracleExtents(pts, pts[i], k, i);
+    const std::string at = "query " + std::to_string(i);
+    ExpectSameExtents(BruteKnnExtents(pts, i, k), want, "brute " + at);
+    ExpectSameExtents(tree.QueryExtents(i, k), want, "kd " + at);
+    ExpectSameExtents(grid.QueryExtents(i, k), want, "grid " + at);
+  }
+  // Probes not in the set: on-lattice points (ties again), half-steps and
+  // points outside the cloud's hull.
+  Rng rng(n + 11);
+  for (int t = 0; t < 24; ++t) {
+    const double scale = t % 3 == 2 ? 9.0 : 3.0;
+    Point2 probe{rng.Uniform(-scale, scale), rng.Uniform(-scale, scale)};
+    if (t % 3 == 0) probe = {std::round(probe.x), std::round(probe.y)};
+    if (t % 3 == 1) probe = {std::round(probe.x) + 0.5, std::round(probe.y)};
+    const KnnExtents want = OracleExtents(pts, probe, k, n);
+    const std::string at = "probe " + std::to_string(t);
+    ExpectSameExtents(BruteKnnExtentsAt(pts, probe, k), want, "brute " + at);
+    ExpectSameExtents(tree.QueryExtentsAt(probe, k), want, "kd " + at);
+    ExpectSameExtents(grid.QueryExtentsAt(probe, k), want, "grid " + at);
+  }
+}
+
+class IncrementalKnnReferenceTest
+    : public ::testing::TestWithParam<std::tuple<Cloud, int>> {};
+
+TEST_P(IncrementalKnnReferenceTest, EditWalkMatchesSortedOracle) {
+  const auto [cloud, k] = GetParam();
+  const std::vector<Point2> pts = MakeCloud(cloud, 400, 31 + k);
+  std::vector<double> xs, ys;
+  for (const Point2& p : pts) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
+  const SeriesPair pair{TimeSeries(xs), TimeSeries(ys)};
+  IncrementalKsg inc(pair, k);
+  // Delay 0: window slot j holds pts[start + j]. Grow, shrink, slide, jump,
+  // and a rebuild above the k-d tree threshold (m > 256).
+  const Window walk[] = {
+      Window(40, 80, 0),   Window(40, 95, 0),   Window(30, 95, 0),
+      Window(35, 90, 0),   Window(50, 105, 0),  Window(52, 104, 0),
+      Window(45, 120, 0),  Window(60, 340, 0),  Window(62, 345, 0),
+      Window(200, 230, 0), Window(190, 235, 0), Window(205, 232, 0),
+  };
+  for (const Window& w : walk) {
+    inc.SetWindow(w);
+    ASSERT_EQ(inc.stats().degenerate_windows, 0) << w.ToString();
+    const std::vector<Point2> active(pts.begin() + w.start,
+                                     pts.begin() + w.end + 1);
+    for (size_t j = 0; j < active.size(); ++j) {
+      ExpectSameExtents(inc.PointExtents(j),
+                        OracleExtents(active, active[j], k, j),
+                        w.ToString() + " slot " + std::to_string(j));
+    }
+  }
+  EXPECT_GT(inc.stats().incremental_moves, 0);
+  EXPECT_GT(inc.stats().knn_recomputes, 0);
+}
+
+std::string ReferenceCaseName(
+    const ::testing::TestParamInfo<KnnReferenceTest::ParamType>& info) {
+  const Cloud cloud = std::get<0>(info.param);
+  const int n = std::get<2>(info.param);
+  return std::string(cloud == Cloud::kLattice ? "Lattice" : "Gaussian") +
+         "_k" + std::to_string(std::get<1>(info.param)) + "_n" +
+         (n == 0 ? std::string("kPlus1") : std::to_string(n));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CloudsKs, KnnReferenceTest,
+    ::testing::Combine(::testing::Values(Cloud::kLattice, Cloud::kGaussian),
+                       ::testing::Values(1, 3, 4, 8),
+                       ::testing::Values(0, 16, 96, 300)),
+    ReferenceCaseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    CloudsKs, IncrementalKnnReferenceTest,
+    ::testing::Combine(::testing::Values(Cloud::kLattice, Cloud::kGaussian),
+                       ::testing::Values(1, 3, 4, 8)),
+    [](const ::testing::TestParamInfo<IncrementalKnnReferenceTest::ParamType>&
+           info) {
+      return std::string(std::get<0>(info.param) == Cloud::kLattice
+                             ? "Lattice"
+                             : "Gaussian") +
+             "_k" + std::to_string(std::get<1>(info.param));
+    });
+
+TEST(KnnSelectorTest, KeepsFirstKUnderDistanceThenIndex) {
+  // Offered out of index order, with ties: (1, 2) beats (1, 5), and the
+  // later (1, 0) displaces (1, 2) from the k-th slot.
+  KnnSelector selector(2);
+  const std::vector<Point2> pts = {{0, 1}, {0, 3}, {1, 0}, {0, 0}, {9, 9},
+                                   {0.5, 1}};
+  selector.Offer(1.0, 5);
+  selector.Offer(1.0, 2);
+  EXPECT_TRUE(selector.full());
+  EXPECT_EQ(selector.worst(), 1.0);
+  selector.Offer(0.0, 3);
+  selector.Offer(1.0, 0);
+  selector.Offer(3.0, 1);
+  const KnnExtents e = selector.Extents(pts, Point2{0, 0});
+  EXPECT_EQ(e.dx, 0.0);  // {0,0} (index 3) and {0,1} (index 0)
+  EXPECT_EQ(e.dy, 1.0);
+}
+
+TEST(KnnSelectorTest, LargeKBeyondInlineCapacity) {
+  const std::vector<Point2> pts = MakeCloud(Cloud::kLattice, 200, 5);
+  for (const int k : {17, 40}) {
+    KnnSelector selector(k);
+    for (size_t j = 1; j < pts.size(); ++j) {
+      selector.OfferAscending(ChebyshevDistance(pts[j], pts[0]), j);
+    }
+    ExpectSameExtents(selector.Extents(pts, pts[0]),
+                      OracleExtents(pts, pts[0], k, 0),
+                      "k=" + std::to_string(k));
+    ExpectSameExtents(BruteKnnExtents(pts, 0, k),
+                      OracleExtents(pts, pts[0], k, 0),
+                      "brute k=" + std::to_string(k));
   }
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "datagen/energy_sim.h"
 #include "mi/histogram_mi.h"
+#include "mi/incremental_ksg.h"
 
 namespace tycos {
 namespace {
@@ -191,6 +193,117 @@ TEST(ApplyTieJitterTest, ZeroAmplitudeIsNoOp) {
   std::vector<double> a = {1.0, 2.0};
   internal::ApplyTieJitter(&a, 0.0, 1);
   EXPECT_EQ(a, (std::vector<double>{1.0, 2.0}));
+}
+
+// Golden values: KsgMi on fixed windows of the simulated energy data
+// (default EnergySimOptions), recorded as hexfloats from the estimator
+// before the kNN selector and scratch rework, and asserted bit for bit.
+// A kernel change that moves any of them breaks the determinism contract,
+// even when it would pass a tolerance test.
+using datagen::EnergyChannel;
+
+struct GoldenKsgCase {
+  EnergyChannel leader;
+  EnergyChannel follower;
+  Window window;
+  int k;
+  double tie_jitter;
+  int64_t theiler;
+  double mi[4];  // kAuto, kBrute, kKdTree, kGrid
+};
+
+const datagen::EnergySimulator& GoldenSim() {
+  static const datagen::EnergySimulator sim{datagen::EnergySimOptions{}};
+  return sim;
+}
+
+TEST(KsgGoldenTest, EnergyWindowsBitExactUnderEveryBackend) {
+  constexpr EnergyChannel kKitchen = EnergyChannel::kKitchen;
+  constexpr EnergyChannel kLight = EnergyChannel::kKitchenLight;
+  constexpr EnergyChannel kMicro = EnergyChannel::kMicrowave;
+  const GoldenKsgCase cases[] = {
+      {kLight, kMicro, Window(100, 105, 0), 4, 0.0, 0,
+       {-0x1.99999999999ap-5, -0x1.99999999999ap-5, -0x1.99999999999ap-5,
+        -0x1.99999999999ap-5}},
+      {EnergyChannel::kBathroomLight, kLight, Window(500, 515, -3), 4, 0.0, 0,
+       {-0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5,
+        -0x1.caf90ca8104cp-5}},
+      {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1247, 2), 4, 0.0, 0,
+       {0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6,
+        0x1.3e850b887f3p-6}},
+      {EnergyChannel::kClothesWasher, EnergyChannel::kDryer,
+       Window(2000, 2095, 5), 4, 0.0, 0,
+       {0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4,
+        0x1.7d6d17b86aa4p-4}},
+      {EnergyChannel::kChildrenRoomLight, EnergyChannel::kLivingRoomLight,
+       Window(2600, 2799, -1), 4, 0.0, 0,
+       {-0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7,
+        -0x1.e88bf97b8ccp-7}},
+      // m = 300 > 256: kAuto takes the k-d tree.
+      {kKitchen, kMicro, Window(3100, 3399, 3), 4, 0.0, 0,
+       {0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4,
+        0x1.3d9054e77aecp-4}},
+      {kLight, kMicro, Window(700, 795, 1), 1, 0.0, 0,
+       {0x1.65611018ddfp-4, 0x1.65611018ddfp-4, 0x1.65611018ddfp-4,
+        0x1.65611018ddfp-4}},
+      {kLight, kMicro, Window(700, 795, 1), 8, 0.0, 0,
+       {-0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4,
+        -0x1.05ab466a3a4p-4}},
+      {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1247, 2), 4, 1e-6,
+       0,
+       {0x1.64721503c1ap-6, 0x1.64721503c1ap-6, 0x1.64721503c1ap-6,
+        0x1.64721503c1ap-6}},
+      // Theiler path (brute scan whatever the backend).
+      {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1295, 2), 3, 0.0, 4,
+       {-0x1.54385626034cp-4, -0x1.54385626034cp-4, -0x1.54385626034cp-4,
+        -0x1.54385626034cp-4}},
+  };
+  const KnnBackend backends[4] = {KnnBackend::kAuto, KnnBackend::kBrute,
+                                  KnnBackend::kKdTree, KnnBackend::kGrid};
+  for (const GoldenKsgCase& c : cases) {
+    const SeriesPair pair = GoldenSim().Pair(c.leader, c.follower);
+    for (int b = 0; b < 4; ++b) {
+      KsgOptions o;
+      o.k = c.k;
+      o.backend = backends[b];
+      o.tie_jitter = c.tie_jitter;
+      o.theiler_window = c.theiler;
+      EXPECT_EQ(KsgMi(pair, c.window, o), c.mi[b])
+          << c.window.ToString() << " k=" << c.k << " backend=" << b;
+    }
+  }
+}
+
+TEST(KsgGoldenTest, IncrementalWalkBitExact) {
+  // Grow, shrink, slide, a delay change (rebuild), a 300-sample rebuild on
+  // the k-d tree, and a jump to a small window.
+  struct Step {
+    Window window;
+    double mi;
+  };
+  const Step walk[] = {
+      {Window(1000, 1099, 1), 0x1.4d498550c1p-6},
+      {Window(1000, 1110, 1), 0x1.dc268e19d11p-5},
+      {Window(1005, 1110, 1), 0x1.2d984a8ef428p-5},
+      {Window(1020, 1125, 1), 0x1.a8ae319b38ccp-4},
+      {Window(1010, 1115, 1), 0x1.8dcc1d5ae1ccp-4},
+      {Window(1010, 1115, 2), -0x1.288ef64c1c5p-5},
+      {Window(1012, 1113, 2), -0x1.d13d8c46942p-6},
+      {Window(1000, 1299, 2), 0x1.021fbecf48a8p-4},
+      {Window(1004, 1303, 2), 0x1.ccaacc98ca9p-5},
+      {Window(1400, 1405, 0), -0x1.111111111118p-7},
+      {Window(1400, 1420, 0), 0x1.20415a905c74p-4},
+      {Window(1390, 1420, 0), 0x1.86ac00f941dp-6},
+  };
+  const SeriesPair pair =
+      GoldenSim().Pair(EnergyChannel::kKitchenLight, EnergyChannel::kMicrowave);
+  IncrementalKsg inc(pair, 4);
+  for (const Step& s : walk) {
+    EXPECT_EQ(inc.SetWindow(s.window), s.mi) << s.window.ToString();
+  }
+  EXPECT_EQ(inc.stats().full_rebuilds, 3);
+  EXPECT_EQ(inc.stats().incremental_moves, 9);
+  EXPECT_EQ(inc.stats().knn_recomputes, 1195);
 }
 
 }  // namespace

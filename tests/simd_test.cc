@@ -38,8 +38,6 @@ struct Kernels {
   void (*cheb)(const double*, size_t, double, double, double*);
   void (*cheb_idx)(const double*, const int32_t*, size_t, double, double,
                    double*);
-  size_t (*cheb_within)(const double*, size_t, double, double, double,
-                        int32_t*, double*);
   size_t (*count)(const double*, size_t, double, double);
   size_t (*lower)(const double*, size_t, double);
   size_t (*upper)(const double*, size_t, double);
@@ -50,20 +48,19 @@ struct Kernels {
 std::vector<Kernels> AllLevels() {
   std::vector<Kernels> v;
   v.push_back({"dispatch", &simd::ChebyshevToProbe,
-               &simd::ChebyshevToProbeIdx, &simd::ChebyshevWithin,
-               &simd::CountWithinInterleaved, &simd::LowerBound,
-               &simd::UpperBound, &simd::MinMaxXY, &simd::MinMaxFinite});
+               &simd::ChebyshevToProbeIdx, &simd::CountWithinInterleaved,
+               &simd::LowerBound, &simd::UpperBound, &simd::MinMaxXY,
+               &simd::MinMaxFinite});
 #if TYCOS_SIMD_LEVEL >= 1
   v.push_back({"sse4.2", &simd::sse42::ChebyshevToProbe,
                &simd::sse42::ChebyshevToProbeIdx,
-               &simd::sse42::ChebyshevWithin,
                &simd::sse42::CountWithinInterleaved, &simd::sse42::LowerBound,
                &simd::sse42::UpperBound, &simd::sse42::MinMaxXY,
                &simd::sse42::MinMaxFinite});
 #endif
 #if TYCOS_SIMD_LEVEL >= 2
   v.push_back({"avx2", &simd::avx2::ChebyshevToProbe,
-               &simd::avx2::ChebyshevToProbeIdx, &simd::avx2::ChebyshevWithin,
+               &simd::avx2::ChebyshevToProbeIdx,
                &simd::avx2::CountWithinInterleaved, &simd::avx2::LowerBound,
                &simd::avx2::UpperBound, &simd::avx2::MinMaxXY,
                &simd::avx2::MinMaxFinite});
@@ -176,53 +173,6 @@ TEST(SimdTest, ChebyshevToProbeIdxBitExact) {
                                         want.data());
         for (size_t i = 0; i < n; ++i) {
           EXPECT_EQ(Bits(got[i]), Bits(want[i])) << "i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdTest, ChebyshevWithinMatchesScalarFilter) {
-  for (const Kernels& k : AllLevels()) {
-    for (Mix mix : {Mix::kUniform, Mix::kDenormal, Mix::kHostile}) {
-      for (size_t n : kSizes) {
-        const std::vector<double> xy =
-            MakeArray(2 * n, mix, 29 * n + static_cast<size_t>(mix));
-        std::mt19937_64 rng(41 + n);
-        for (int rep = 0; rep < 4; ++rep) {
-          const double px = Draw(rng, mix);
-          const double py = Draw(rng, mix);
-          // Thresholds from tight to permissive, plus exact-tie hits:
-          // the distance of a real point as the threshold forces the
-          // d == thresh boundary that kNN tie-breaks depend on.
-          std::vector<double> threshes = {0.0, std::fabs(Draw(rng, mix)),
-                                          std::numeric_limits<double>::
-                                              infinity()};
-          if (n > 0) {
-            const size_t pick = rng() % n;
-            threshes.push_back(std::max(std::fabs(xy[2 * pick] - px),
-                                        std::fabs(xy[2 * pick + 1] - py)));
-          }
-          for (double thresh : threshes) {
-            SCOPED_TRACE(testing::Message()
-                         << k.name << " mix=" << static_cast<int>(mix)
-                         << " n=" << n << " thresh=" << thresh);
-            std::vector<int32_t> got_idx(n + 1, -7), want_idx(n + 1, -7);
-            std::vector<double> got_d(n + 1, -7.0), want_d(n + 1, -7.0);
-            const size_t got = k.cheb_within(xy.data(), n, px, py, thresh,
-                                             got_idx.data(), got_d.data());
-            const size_t want = simd::ChebyshevWithinScalar(
-                xy.data(), n, px, py, thresh, want_idx.data(), want_d.data());
-            ASSERT_EQ(got, want);
-            for (size_t i = 0; i < got; ++i) {
-              EXPECT_EQ(got_idx[i], want_idx[i]) << "i=" << i;
-              EXPECT_EQ(Bits(got_d[i]), Bits(want_d[i])) << "i=" << i;
-            }
-            // No survivor may be NaN and all must satisfy the filter.
-            for (size_t i = 0; i < got; ++i) {
-              EXPECT_TRUE(got_d[i] <= thresh);
-            }
-          }
         }
       }
     }
