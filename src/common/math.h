@@ -31,12 +31,15 @@ class DigammaTable {
   // ψ(n) for integer n ≥ 1.
   double operator()(size_t n);
 
-  // Batched Σᵢ (ψ(nx[i]) + ψ(ny[i])) over m pairs of integer arguments
-  // (each ≥ 1). The table is grown ONCE to the largest argument, then the
+  // Batched Σᵢ (ψ(max(nx[i], 1)) + ψ(max(ny[i], 1))) over m pairs of
+  // integer arguments. The clamp is the KSG one: a marginal count can only
+  // reach 0 through floating-point rounding at the strip edge, and it reads
+  // ψ(1). The table is grown ONCE to the largest argument, then the
   // accumulation is a pure in-order table walk — bit-identical to the
   // per-call loop `sum += (*this)(nx[i]) + (*this)(ny[i])` (same addition
   // order and grouping; no reassociation), but without the per-element
-  // grow-check. This is the KSG estimator's digamma hot path.
+  // grow-check. Both KSG estimators read their MI through it, which is what
+  // makes the incremental one bit-identical to the batch one.
   double SumPairs(const int64_t* nx, const int64_t* ny, size_t m);
 
  private:

@@ -16,15 +16,31 @@ namespace {
 static_assert(sizeof(Point2) == 2 * sizeof(double),
               "Point2 must be two packed doubles");
 
-// Collects the k nearest candidates (L∞) to `probe`, skipping `exclude`,
-// and returns their extents. One vectorized distance row per query, then one
-// `d < worst` compare per candidate: the row is scanned in index order, so
-// KnnSelector::OfferAscending keeps the (distance, index) tie-break with no
-// pair compare. The row lives in thread_local scratch, bounded by the largest
-// window a thread has queried.
+// Extents of the k nearest candidates (L∞) to `probe`, skipping `exclude`.
 KnnExtents ExtentsOfKnn(const std::vector<Point2>& points, const Point2& probe,
                         int k, size_t exclude) {
   TYCOS_CHECK_GE(k, 1);
+  KnnSelector selector(k);
+  BruteKnnSelect(points, probe, exclude, &selector);
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
+  return selector.Extents(points, probe);
+}
+
+// Marginal count over one interleaved lane with the `exclude` element
+// subtracted afterwards (cheaper than masking it out of the vector scan;
+// NaN-safe because a NaN coordinate never passes either the vector or the
+// scalar re-test).
+size_t CountWithinLane(const double* base, size_t n, double center, double d,
+                       size_t exclude) {
+  size_t count = simd::CountWithinInterleaved(base, n, center, d);
+  if (exclude < n && std::fabs(base[2 * exclude] - center) <= d) --count;
+  return count;
+}
+
+}  // namespace
+
+void BruteKnnSelect(std::span<const Point2> points, const Point2& probe,
+                    size_t exclude, KnnSelector* selector) {
   const size_t n = points.size();
   const double* xy = reinterpret_cast<const double*>(points.data());
   thread_local std::vector<double> dist;
@@ -43,26 +59,10 @@ KnnExtents ExtentsOfKnn(const std::vector<Point2>& points, const Point2& probe,
     }
   }
 #endif
-  KnnSelector selector(k);
   for (size_t j = 0; j < n; ++j) {
-    if (j != exclude) selector.OfferAscending(dist[j], j);
+    if (j != exclude) selector->OfferAscending(dist[j], j);
   }
-  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
-  return selector.Extents(points, probe);
 }
-
-// Marginal count over one interleaved lane with the `exclude` element
-// subtracted afterwards (cheaper than masking it out of the vector scan;
-// NaN-safe because a NaN coordinate never passes either the vector or the
-// scalar re-test).
-size_t CountWithinLane(const double* base, size_t n, double center, double d,
-                       size_t exclude) {
-  size_t count = simd::CountWithinInterleaved(base, n, center, d);
-  if (exclude < n && std::fabs(base[2 * exclude] - center) <= d) --count;
-  return count;
-}
-
-}  // namespace
 
 KnnExtents BruteKnnExtents(const std::vector<Point2>& points, size_t query,
                            int k) {

@@ -41,10 +41,8 @@ int32_t KdTree::Build(std::vector<int32_t>& ids, size_t lo, size_t hi,
   return id;
 }
 
-KnnExtents KdTree::Query(const Point2& probe, int k, size_t exclude) const {
-  TYCOS_CHECK_GE(k, 1);
-  KnnSelector selector(k);
-
+void KdTree::Select(const Point2& probe, size_t exclude,
+                    KnnSelector* selector) const {
   // Iterative depth-first traversal with pruning on the splitting plane.
   // The node stack is thread_local scratch, so a query allocates nothing.
   thread_local std::vector<int32_t> stack;
@@ -57,8 +55,8 @@ KnnExtents KdTree::Query(const Point2& probe, int k, size_t exclude) const {
     const Node& node = nodes_[static_cast<size_t>(id)];
     const Point2& p = points_[static_cast<size_t>(node.point)];
     if (static_cast<size_t>(node.point) != exclude) {
-      selector.Offer(ChebyshevDistance(p, probe),
-                     static_cast<size_t>(node.point));
+      selector->Offer(ChebyshevDistance(p, probe),
+                      static_cast<size_t>(node.point));
     }
     const double diff =
         node.axis ? (probe.y - p.y) : (probe.x - p.x);
@@ -67,11 +65,17 @@ KnnExtents KdTree::Query(const Point2& probe, int k, size_t exclude) const {
     // The far subtree can only contain closer points when the plane distance
     // beats the current kth distance (L∞: plane distance lower-bounds it).
     if (far >= 0 &&
-        (!selector.full() || std::fabs(diff) <= selector.worst())) {
+        (!selector->full() || std::fabs(diff) <= selector->worst())) {
       stack.push_back(far);
     }
     if (near >= 0) stack.push_back(near);
   }
+}
+
+KnnExtents KdTree::Query(const Point2& probe, int k, size_t exclude) const {
+  TYCOS_CHECK_GE(k, 1);
+  KnnSelector selector(k);
+  Select(probe, exclude, &selector);
   TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
   return selector.Extents(points_, probe);
 }

@@ -22,6 +22,14 @@ class KdTree {
 
   size_t size() const { return points_.size(); }
 
+  // The query body the extents queries wrap: offers `selector` every
+  // point except points[exclude] (pass size() to exclude nothing) that
+  // could still be among its k nearest to `probe`. `selector` must not
+  // have been offered anything yet; its indices refer to positions in the
+  // constructor's `points`.
+  void Select(const Point2& probe, size_t exclude,
+              KnnSelector* selector) const;
+
   // Extents of the k nearest neighbours of points[query] (self excluded).
   // Requires size() >= k + 1.
   KnnExtents QueryExtents(size_t query, int k) const;

@@ -8,8 +8,8 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace tycos {
@@ -36,11 +36,48 @@ struct KnnExtents {
   double radius() const { return dx > dy ? dx : dy; }
 };
 
-// Keeps the k smallest candidates under the lexicographic (distance, index)
-// order — the single home of the kNN tie-break, so every backend selects
-// the same set and reports bit-identical extents. A sorted insertion buffer:
-// k is small (2–10 in practice), so shifting a few entries beats a heap,
-// and k <= kInline needs no allocation at all.
+// One kNN candidate: its L∞ distance to the probe and its index.
+struct KnnEntry {
+  double d;
+  size_t index;
+};
+
+// The kNN tie order — by distance, then by index: true when a sorts before b.
+inline bool KnnBefore(const KnnEntry& a, const KnnEntry& b) {
+  return a.d < b.d || (a.d == b.d && a.index < b.index);
+}
+
+// Writes `e` into the sorted list[0, last], shifting the entries it precedes
+// up by one and overwriting list[last]: one step of a sorted insertion
+// buffer, shared by KnnSelector and the incremental estimator's stored
+// neighbour lists.
+inline void InsertSorted(KnnEntry* list, size_t last, const KnnEntry& e) {
+  size_t pos = last;
+  for (; pos > 0 && KnnBefore(e, list[pos - 1]); --pos) {
+    list[pos] = list[pos - 1];
+  }
+  list[pos] = e;
+}
+
+// Extents of the neighbours in `list` around `probe`; at(i) is the
+// location of candidate i.
+template <typename At>
+KnnExtents ExtentsOf(std::span<const KnnEntry> list, const Point2& probe,
+                     At at) {
+  KnnExtents e;
+  for (const KnnEntry& n : list) {
+    const Point2& p = at(n.index);
+    e.dx = std::max(e.dx, std::fabs(p.x - probe.x));
+    e.dy = std::max(e.dy, std::fabs(p.y - probe.y));
+  }
+  return e;
+}
+
+// Keeps the k smallest candidates under the KnnBefore order — the single
+// home of the kNN tie-break, so every backend selects the same set and
+// reports bit-identical extents. A sorted insertion buffer: k is small
+// (2–10 in practice), so shifting a few entries beats a heap, and
+// k <= kInline needs no allocation at all.
 class KnnSelector {
  public:
   explicit KnnSelector(int k) : k_(static_cast<size_t>(k)) {
@@ -53,12 +90,12 @@ class KnnSelector {
   // Distance of the k-th entry; +inf until k candidates have been seen.
   double worst() const { return worst_; }
 
+  // The selected candidates, sorted in KnnBefore order.
+  std::span<const KnnEntry> selected() const { return {data(), size_}; }
+
   // Offers one candidate, in any index order.
   void Offer(double d, size_t index) {
-    if (full()) {
-      const Entry& w = entries()[k_ - 1];
-      if (!(d < w.d || (d == w.d && index < w.index))) return;
-    }
+    if (full() && !KnnBefore({d, index}, data()[k_ - 1])) return;
     Insert(d, index);
   }
 
@@ -69,51 +106,34 @@ class KnnSelector {
     if (d < worst_ || !full()) Insert(d, index);
   }
 
-  // Extents of the selected candidates around `probe`; proj(points[i]) is
-  // the location of candidate i.
-  template <typename Points, typename Proj = std::identity>
-  KnnExtents Extents(const Points& points, const Point2& probe,
-                     Proj proj = {}) const {
-    KnnExtents e;
-    for (size_t t = 0; t < size_; ++t) {
-      const Point2& p = std::invoke(proj, points[entries()[t].index]);
-      e.dx = std::max(e.dx, std::fabs(p.x - probe.x));
-      e.dy = std::max(e.dy, std::fabs(p.y - probe.y));
-    }
-    return e;
+  // Extents of the selected candidates around `probe`; points[i] is the
+  // location of candidate i.
+  template <typename Points>
+  KnnExtents Extents(const Points& points, const Point2& probe) const {
+    return ExtentsOf(selected(), probe,
+                     [&](size_t i) -> const Point2& { return points[i]; });
   }
 
  private:
-  struct Entry {
-    double d;
-    size_t index;
-  };
   static constexpr size_t kInline = 16;
 
-  Entry* entries() { return k_ > kInline ? overflow_.data() : inline_.data(); }
-  const Entry* entries() const {
+  KnnEntry* data() { return k_ > kInline ? overflow_.data() : inline_.data(); }
+  const KnnEntry* data() const {
     return k_ > kInline ? overflow_.data() : inline_.data();
   }
 
   // Places (d, index) in sorted position; when full, the caller has checked
   // that it beats the k-th entry, which it replaces.
   void Insert(double d, size_t index) {
-    Entry* e = entries();
-    size_t pos = full() ? k_ - 1 : size_++;
-    for (; pos > 0; --pos) {
-      const Entry& prev = e[pos - 1];
-      if (!(d < prev.d || (d == prev.d && index < prev.index))) break;
-      e[pos] = prev;
-    }
-    e[pos] = {d, index};
-    if (full()) worst_ = e[k_ - 1].d;
+    InsertSorted(data(), full() ? k_ - 1 : size_++, {d, index});
+    if (full()) worst_ = data()[k_ - 1].d;
   }
 
   size_t k_;
   size_t size_ = 0;
   double worst_ = std::numeric_limits<double>::infinity();
-  std::array<Entry, kInline> inline_;
-  std::vector<Entry> overflow_;
+  std::array<KnnEntry, kInline> inline_;
+  std::vector<KnnEntry> overflow_;
 };
 
 }  // namespace tycos

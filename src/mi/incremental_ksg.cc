@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <span>
 
 #include "audit/audit.h"
+#include "common/simd.h"
 #include "knn/brute_knn.h"
 #include "knn/kd_tree.h"
 #include "obs/metrics.h"
@@ -13,16 +17,6 @@
 #endif
 
 namespace tycos {
-
-namespace {
-
-// ψ(max(n, 1)): the same clamp the batch estimator applies before the
-// digamma so degenerate floating-point counts cannot reach ψ(0).
-double PsiClamped(DigammaTable& psi, int64_t n) {
-  return psi(static_cast<size_t>(n < 1 ? 1 : n));
-}
-
-}  // namespace
 
 namespace {
 
@@ -54,6 +48,34 @@ void BuildHostileTables(const std::vector<double>& values,
         (*nonfinite_prefix)[static_cast<size_t>(i)] +
         (std::isfinite(values[static_cast<size_t>(i)]) ? 0 : 1);
   }
+}
+
+// Moves `count` slots of `stride` elements from slot `from` to slot `to`
+// (the ranges may overlap), first growing the buffer to exactly `cap`
+// slots.
+template <typename T>
+void MoveSlots(std::vector<T>* v, size_t stride, size_t cap, size_t from,
+               size_t to, size_t count) {
+  if (v->size() < cap * stride) {
+    v->reserve(cap * stride);
+    v->resize(cap * stride);
+  }
+  if (count > 0 && from != to) {
+    std::memmove(v->data() + to * stride, v->data() + from * stride,
+                 count * stride * sizeof(T));
+  }
+}
+
+// The L∞ distances from `probe` to the m points at `window`, in
+// thread_local scratch shared by every estimator on the thread (bounded by
+// the largest window the thread has edited).
+const double* DistanceRow(const Point2* window, size_t m,
+                          const Point2& probe) {
+  thread_local std::vector<double> row;
+  if (row.size() < m) row.resize(m);
+  simd::ChebyshevToProbe(reinterpret_cast<const double*>(window), m, probe.x,
+                         probe.y, row.data());
+  return row.data();
 }
 
 }  // namespace
@@ -106,99 +128,119 @@ int64_t IncrementalKsg::CountMarginalY(double y, double dy) const {
   return y_index_.CountInRange(y - dy, y + dy) - 1;
 }
 
-KnnExtents IncrementalKsg::ScanKnn(const Point2& probe,
-                                   size_t exclude_slot) const {
-  // Slots are scanned in order, so the selector's one-compare path keeps
-  // the (distance, slot) tie-break of the batch backends.
-  KnnSelector selector(k_);
-  size_t j = 0;
-  for (const PointState& st : points_) {
-    if (j != exclude_slot) {
-      selector.OfferAscending(ChebyshevDistance(st.p, probe), j);
-    }
-    ++j;
-  }
-  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k_));
-  return selector.Extents(points_, probe, &PointState::p);
+int64_t IncrementalKsg::BumpMarginals(size_t slot, const Point2& q,
+                                      int64_t delta) {
+  // Branch-free: whether q falls in a strip is data-dependent and
+  // unpredictable. The bounds are the ones CountMarginalX/Y count with.
+  const Point2& p = pts_[slot];
+  const KnnExtents& e = ext_[slot];
+  const int64_t in_x = int64_t{q.x >= p.x - e.dx} & int64_t{q.x <= p.x + e.dx};
+  const int64_t in_y = int64_t{q.y >= p.y - e.dy} & int64_t{q.y <= p.y + e.dy};
+  nx_[slot] += in_x * delta;
+  ny_[slot] += in_y * delta;
+  return in_x + in_y;
 }
 
-void IncrementalKsg::RecomputePoint(size_t slot) {
-  PointState& st = points_[slot];
-  sum_psi_ -= PsiClamped(psi_, st.nx) + PsiClamped(psi_, st.ny);
-  const KnnExtents e = ScanKnn(st.p, slot);
-  st.dx = e.dx;
-  st.dy = e.dy;
-  st.nx = CountMarginalX(st.p.x, st.dx);
-  st.ny = CountMarginalY(st.p.y, st.dy);
-  sum_psi_ += PsiClamped(psi_, st.nx) + PsiClamped(psi_, st.ny);
-  ++stats_.knn_recomputes;
+void IncrementalKsg::StoreNeighbours(size_t slot, const KnnSelector& selector,
+                                     int64_t first) {
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k_));
+  KnnEntry* list = Neighbours(slot);
+  for (const KnnEntry& n : selector.selected()) {
+    *list++ = {n.d, n.index + static_cast<size_t>(first)};
+  }
+  RefreshFromNeighbours(slot);
+}
+
+void IncrementalKsg::RefreshFromNeighbours(size_t slot) {
+  const Point2& p = pts_[slot];
+  const KnnExtents e = ExtentsOf(
+      {Neighbours(slot), static_cast<size_t>(k_)}, p,
+      [this](size_t g) -> const Point2& {
+        return pts_[Slot(static_cast<int64_t>(g))];
+      });
+  ext_[slot] = e;
+  nx_[slot] = CountMarginalX(p.x, e.dx);
+  ny_[slot] = CountMarginalY(p.y, e.dy);
+}
+
+void IncrementalKsg::Place(int64_t lo, int64_t hi, bool keep_live) {
+  const int64_t span = hi - lo + 1;
+  const int64_t want = std::min<int64_t>(span + span / 4 + 32, pair_.size());
+  const int64_t cap = std::max(static_cast<int64_t>(pts_.size()), want);
+  const int64_t base =
+      std::clamp<int64_t>(lo - (cap - span) / 2, 0, pair_.size() - cap);
+  const size_t ucap = static_cast<size_t>(cap);
+  const size_t from = keep_live ? Slot(start_) : 0;
+  const size_t to = static_cast<size_t>(start_ - base);
+  const size_t count = keep_live ? static_cast<size_t>(WindowSizeNow()) : 0;
+  MoveSlots(&pts_, 1, ucap, from, to, count);
+  MoveSlots(&ext_, 1, ucap, from, to, count);
+  MoveSlots(&nx_, 1, ucap, from, to, count);
+  MoveSlots(&ny_, 1, ucap, from, to, count);
+  MoveSlots(&knn_, static_cast<size_t>(k_), ucap, from, to, count);
+  base_ = base;
 }
 
 void IncrementalKsg::Rebuild(const Window& w) {
   TYCOS_SPAN("ksg_rebuild");
-  // Erase by precomputed rank: slot j holds global X index start_ + j (the
-  // OLD start_/delay_, still current at this point).
-  for (size_t j = 0; j < points_.size(); ++j) {
-    const int64_t gx = start_ + static_cast<int64_t>(j);
-    x_index_.EraseAtRank(rank_x_[static_cast<size_t>(gx)]);
-    y_index_.EraseAtRank(rank_y_[static_cast<size_t>(gx + delay_)]);
+  if (has_window_) {
+    for (int64_t g = start_; g <= end_; ++g) {
+      x_index_.EraseAtRank(rank_x_[static_cast<size_t>(g)]);
+      y_index_.EraseAtRank(rank_y_[static_cast<size_t>(g + delay_)]);
+    }
   }
-  points_.clear();
-  sum_psi_ = 0.0;
-
   start_ = w.start;
   end_ = w.end;
   delay_ = w.delay;
   const int64_t m = w.size();
-  if (m < k_ + 2) {
-    has_window_ = false;  // too small to estimate; force rebuild next time
-    return;
-  }
-  has_window_ = true;
+  // Too small to estimate: no state, so the next window rebuilds.
+  has_window_ = m >= k_ + 2;
+  if (!has_window_) return;
 
-  std::vector<Point2>& pts = rebuild_scratch_;
-  pts.clear();
-  pts.resize(static_cast<size_t>(m));
+  Place(start_, end_, /*keep_live=*/false);
+  const size_t first = Slot(start_);
   for (int64_t i = 0; i < m; ++i) {
-    pts[static_cast<size_t>(i)] = PointAt(start_ + i, delay_);
+    pts_[first + static_cast<size_t>(i)] = PointAt(start_ + i, delay_);
     x_index_.InsertAtRank(rank_x_[static_cast<size_t>(start_ + i)]);
     y_index_.InsertAtRank(rank_y_[static_cast<size_t>(start_ + i + delay_)]);
   }
+  const std::span<const Point2> window(pts_.data() + first,
+                                       static_cast<size_t>(m));
 
   const bool use_tree = m > 256;
-  KdTree tree(use_tree ? pts : std::vector<Point2>{});
+  const KdTree tree(use_tree ? std::vector<Point2>(window.begin(), window.end())
+                             : std::vector<Point2>{});
 #if TYCOS_AUDIT_ENABLED
-  // Backend-agreement audit: the k-d tree fast path must return extents
-  // bit-identical to the brute reference (same deterministic tie-break).
+  // Backend-agreement audit: the k-d tree fast path must select exactly the
+  // brute reference's neighbour list (same deterministic tie-break).
   // Sampled per rebuild, strided within it, to bound the O(m) brute scans.
   static audit::Auditor* knn_audit = audit::Get("knn_backend_agreement");
   const bool audit_rebuild = use_tree && knn_audit->ShouldSample(16);
   const int64_t audit_stride = std::max<int64_t>(1, m / 8);
 #endif
-  for (int64_t i = 0; i < m; ++i) {
-    PointState st;
-    st.p = pts[static_cast<size_t>(i)];
-    const KnnExtents e =
-        use_tree ? tree.QueryExtents(static_cast<size_t>(i), k_)
-                 : BruteKnnExtents(pts, static_cast<size_t>(i), k_);
+  for (size_t i = 0; i < window.size(); ++i) {
+    KnnSelector selector(k_);
+    if (use_tree) {
+      tree.Select(window[i], i, &selector);
+    } else {
+      BruteKnnSelect(window, window[i], i, &selector);
+    }
 #if TYCOS_AUDIT_ENABLED
-    if (audit_rebuild && i % audit_stride == 0) {
-      const KnnExtents b = BruteKnnExtents(pts, static_cast<size_t>(i), k_);
-      TYCOS_AUDIT_CHECK(knn_audit, e.dx == b.dx && e.dy == b.dy,
-                        "kd-tree extents diverge from brute at point " +
-                            std::to_string(i) + " of m=" + std::to_string(m) +
-                            ": kd=(" + std::to_string(e.dx) + "," +
-                            std::to_string(e.dy) + ") brute=(" +
-                            std::to_string(b.dx) + "," + std::to_string(b.dy) +
-                            ")");
+    if (audit_rebuild && static_cast<int64_t>(i) % audit_stride == 0) {
+      KnnSelector brute(k_);
+      BruteKnnSelect(window, window[i], i, &brute);
+      const auto same = [](const KnnEntry& a, const KnnEntry& b) {
+        return a.d == b.d && a.index == b.index;
+      };
+      TYCOS_AUDIT_CHECK(
+          knn_audit,
+          std::equal(selector.selected().begin(), selector.selected().end(),
+                     brute.selected().begin(), brute.selected().end(), same),
+          "kd-tree neighbour list diverges from brute at point " +
+              std::to_string(i) + " of m=" + std::to_string(m));
     }
 #endif
-    st.dx = e.dx;
-    st.dy = e.dy;
-    st.nx = CountMarginalX(st.p.x, st.dx);
-    st.ny = CountMarginalY(st.p.y, st.dy);
-    sum_psi_ += PsiClamped(psi_, st.nx) + PsiClamped(psi_, st.ny);
-    points_.push_back(st);
+    StoreNeighbours(first + i, selector, start_);
   }
   ++stats_.full_rebuilds;
   // One registry write per rebuild (not per query): the backend answered m
@@ -208,116 +250,88 @@ void IncrementalKsg::Rebuild(const Window& w) {
   (use_tree ? kd_queries : brute_queries)->Add(m);
 }
 
-void IncrementalKsg::AddPoint(int64_t global_index) {
-  TYCOS_CHECK(global_index == start_ - 1 || global_index == end_ + 1);
-  const bool at_front = global_index == start_ - 1;
-  const Point2 o = PointAt(global_index, delay_);
-
-  // Classify existing points: IR hit -> kNN recompute; IMR hit -> count bump
-  // (Lemmas 3 and 5).
-  std::vector<size_t>& to_recompute = recompute_scratch_;
-  to_recompute.clear();
-  for (size_t j = 0; j < points_.size(); ++j) {
-    PointState& p = points_[j];
-    // IR membership is tested with the same ChebyshevDistance computation
-    // the kNN search uses, so a point exactly at the k-th distance (e.g. the
-    // defining neighbour) is classified identically — reconstructing box
-    // bounds as p.x ± d would round differently and miss it.
-    const double d = std::max(p.dx, p.dy);
-    const bool in_ir = ChebyshevDistance(o, p.p) <= d;
-    if (in_ir) {
-      to_recompute.push_back(j);
-      continue;
-    }
-    if (o.x >= p.p.x - p.dx && o.x <= p.p.x + p.dx) {
-      sum_psi_ -= PsiClamped(psi_, p.nx);
-      ++p.nx;
-      sum_psi_ += PsiClamped(psi_, p.nx);
-      ++stats_.marginal_updates;
-    }
-    if (o.y >= p.p.y - p.dy && o.y <= p.p.y + p.dy) {
-      sum_psi_ -= PsiClamped(psi_, p.ny);
-      ++p.ny;
-      sum_psi_ += PsiClamped(psi_, p.ny);
-      ++stats_.marginal_updates;
-    }
+void IncrementalKsg::AddPoint(bool at_front) {
+  const int64_t global_index = at_front ? start_ - 1 : end_ + 1;
+  if (global_index < base_ ||
+      global_index >= base_ + static_cast<int64_t>(pts_.size())) {
+    Place(std::min(global_index, start_), std::max(global_index, end_),
+          /*keep_live=*/true);
   }
-
-  // Insert the new point (by precomputed rank).
+  const Point2 o = PointAt(global_index, delay_);
+  const size_t own_slot = Slot(global_index);
+  pts_[own_slot] = o;
   x_index_.InsertAtRank(rank_x_[static_cast<size_t>(global_index)]);
   y_index_.InsertAtRank(rank_y_[static_cast<size_t>(global_index + delay_)]);
-  PointState st;
-  st.p = o;
+
+  // One distance row from o to the window feeds the IR/IMR pass and o's own
+  // kNN selection.
+  const size_t first = Slot(start_);
+  const size_t m = static_cast<size_t>(WindowSizeNow());
+  const double* row = DistanceRow(&pts_[first], m, o);
+  const size_t k = static_cast<size_t>(k_);
+  for (size_t j = 0; j < m; ++j) {
+    const size_t slot = first + j;
+    // IR test (Lemma 3) against max(dx, dy), which is exactly the k-th
+    // neighbour's distance: a point at the k-th distance counts as hit.
+    const bool in_ir = row[j] <= ext_[slot].radius();
+    // Every point whose marginal strips contain o gains it (Lemma 5). For
+    // an IR hit that changes the neighbour list the counts are re-derived
+    // below; otherwise the list and so the extents stand.
+    const int64_t hits = BumpMarginals(slot, o, +1);
+    stats_.marginal_updates += in_ir ? 0 : hits;
+    if (!in_ir) continue;
+    ++stats_.knn_list_inserts;
+    KnnEntry* list = Neighbours(slot);
+    const KnnEntry cand{row[j], static_cast<size_t>(global_index)};
+    // A tie at the k-th distance that loses on index leaves the list as is.
+    if (KnnBefore(cand, list[k - 1])) {
+      InsertSorted(list, k - 1, cand);
+      RefreshFromNeighbours(slot);
+    }
+  }
+
+  KnnSelector selector(k_);
+  for (size_t j = 0; j < m; ++j) selector.OfferAscending(row[j], j);
+  StoreNeighbours(own_slot, selector, start_);
   if (at_front) {
-    points_.push_front(st);
-    --start_;
-    // Slots shifted by one.
-    for (size_t& j : to_recompute) ++j;
+    start_ = global_index;
   } else {
-    points_.push_back(st);
-    ++end_;
+    end_ = global_index;
   }
-  const size_t own_slot = at_front ? 0 : points_.size() - 1;
-
-  // The new point's own state.
-  {
-    PointState& self = points_[own_slot];
-    const KnnExtents e = ScanKnn(self.p, own_slot);
-    self.dx = e.dx;
-    self.dy = e.dy;
-    self.nx = CountMarginalX(self.p.x, self.dx);
-    self.ny = CountMarginalY(self.p.y, self.dy);
-    sum_psi_ += PsiClamped(psi_, self.nx) + PsiClamped(psi_, self.ny);
-  }
-
-  // Re-derive state for IR-hit points now that o is in the window.
-  for (size_t j : to_recompute) RecomputePoint(j);
   ++stats_.points_added;
 }
 
-void IncrementalKsg::RemovePoint(int64_t global_index) {
-  TYCOS_CHECK(global_index == start_ || global_index == end_);
-  const bool at_front = global_index == start_;
-  const size_t slot = at_front ? 0 : points_.size() - 1;
-  const PointState removed = points_[slot];
-
-  sum_psi_ -= PsiClamped(psi_, removed.nx) + PsiClamped(psi_, removed.ny);
+void IncrementalKsg::RemovePoint(bool at_front) {
+  const int64_t global_index = at_front ? start_ : end_;
+  const Point2 r = pts_[Slot(global_index)];
   x_index_.EraseAtRank(rank_x_[static_cast<size_t>(global_index)]);
   y_index_.EraseAtRank(rank_y_[static_cast<size_t>(global_index + delay_)]);
   if (at_front) {
-    points_.pop_front();
     ++start_;
   } else {
-    points_.pop_back();
     --end_;
   }
 
-  // Classify survivors against the removed point (Lemmas 4 and 6).
-  std::vector<size_t>& to_recompute = recompute_scratch_;
-  to_recompute.clear();
-  for (size_t j = 0; j < points_.size(); ++j) {
-    PointState& p = points_[j];
-    // Same exact-distance IR test as in AddPoint (see comment there).
-    const double d = std::max(p.dx, p.dy);
-    const bool in_ir = ChebyshevDistance(removed.p, p.p) <= d;
-    if (in_ir) {
-      to_recompute.push_back(j);
-      continue;
-    }
-    if (removed.p.x >= p.p.x - p.dx && removed.p.x <= p.p.x + p.dx) {
-      sum_psi_ -= PsiClamped(psi_, p.nx);
-      --p.nx;
-      sum_psi_ += PsiClamped(psi_, p.nx);
-      ++stats_.marginal_updates;
-    }
-    if (removed.p.y >= p.p.y - p.dy && removed.p.y <= p.p.y + p.dy) {
-      sum_psi_ -= PsiClamped(psi_, p.ny);
-      --p.ny;
-      sum_psi_ += PsiClamped(psi_, p.ny);
-      ++stats_.marginal_updates;
-    }
+  const size_t first = Slot(start_);
+  const size_t m = static_cast<size_t>(WindowSizeNow());
+  const std::span<const Point2> window(pts_.data() + first, m);
+  const double* row = DistanceRow(window.data(), m, r);
+  const size_t k = static_cast<size_t>(k_);
+  for (size_t j = 0; j < m; ++j) {
+    const size_t slot = first + j;
+    const bool in_ir = row[j] <= ext_[slot].radius();  // Lemma 4
+    const int64_t hits = BumpMarginals(slot, r, -1);    // Lemma 6
+    stats_.marginal_updates += in_ir ? 0 : hits;
+    if (!in_ir) continue;
+    // An IR hit held r among its k neighbours unless r ties the k-th
+    // distance and loses on index. A point that held r searches again.
+    const KnnEntry cand{row[j], static_cast<size_t>(global_index)};
+    if (KnnBefore(Neighbours(slot)[k - 1], cand)) continue;
+    KnnSelector selector(k_);
+    BruteKnnSelect(window, window[j], j, &selector);
+    StoreNeighbours(slot, selector, start_);
+    ++stats_.knn_recomputes;
   }
-  for (size_t j : to_recompute) RecomputePoint(j);
   ++stats_.points_removed;
 }
 
@@ -361,19 +375,19 @@ double IncrementalKsg::SetWindow(const Window& w) {
 
   // Shrink first (front then back), then grow, so the active set is always
   // a valid window between edits.
-  while (start_ < w.start) RemovePoint(start_);
-  while (end_ > w.end) RemovePoint(end_);
-  while (start_ > w.start) AddPoint(start_ - 1);
-  while (end_ < w.end) AddPoint(end_ + 1);
+  while (start_ < w.start) RemovePoint(/*at_front=*/true);
+  while (end_ > w.end) RemovePoint(/*at_front=*/false);
+  while (start_ > w.start) AddPoint(/*at_front=*/true);
+  while (end_ < w.end) AddPoint(/*at_front=*/false);
   ++stats_.incremental_moves;
 
 #if TYCOS_AUDIT_ENABLED
   {
     // Differential audit (the paper's core equivalence, Eq. 2 / Sec. 7):
     // after an incremental move, the maintained state must reproduce the
-    // batch estimator's MI for the same window. Sampled because the batch
-    // recompute is O(m log m) — exactly the cost the incremental path
-    // exists to avoid.
+    // batch estimator's MI for the same window, bit for bit. Sampled
+    // because the batch recompute is O(m log m) — exactly the cost the
+    // incremental path exists to avoid.
     static audit::Auditor* diff_audit = audit::Get("incremental_vs_batch");
     if (diff_audit->ShouldSample(32)) {
       std::vector<double> xs, ys;
@@ -386,16 +400,27 @@ double IncrementalKsg::SetWindow(const Window& w) {
       opts.publish_obs = false;
       const double batch = KsgMi(xs, ys, opts);
       const double inc = CurrentMi();
+      // Hexfloats: a one-ULP divergence must be visible in the report.
+      char values[96];
+      std::snprintf(values, sizeof(values), ": incremental=%a batch=%a", inc,
+                    batch);
       TYCOS_AUDIT_CHECK(
-          diff_audit, std::fabs(inc - batch) <= 1e-7,
-          "incremental MI diverged from batch on " + w.ToString() +
-              ": incremental=" + std::to_string(inc) +
-              " batch=" + std::to_string(batch) +
-              " diff=" + std::to_string(inc - batch));
+          diff_audit, inc == batch,
+          "incremental MI diverged from batch on " + w.ToString() + values);
     }
   }
 #endif
   return CurrentMi();
+}
+
+KnnExtents IncrementalKsg::PointExtents(size_t slot) const {
+  TYCOS_CHECK(has_window_ && static_cast<int64_t>(slot) < WindowSizeNow());
+  return ext_[Slot(start_) + slot];
+}
+
+void IncrementalKsg::InjectStateDriftForTest() {
+  TYCOS_CHECK(has_window_);
+  ++nx_[Slot(start_ + WindowSizeNow() / 2)];
 }
 
 void IncrementalKsg::FlushObsCounters() {
@@ -408,6 +433,8 @@ void IncrementalKsg::FlushObsCounters() {
       obs::GetCounter("incremental.points_removed");
   static obs::Counter* recomputes =
       obs::GetCounter("incremental.knn_recomputes");
+  static obs::Counter* list_inserts =
+      obs::GetCounter("incremental.knn_list_inserts");
   static obs::Counter* marginals =
       obs::GetCounter("incremental.marginal_updates");
   const auto flush = [](obs::Counter* counter, int64_t now,
@@ -421,6 +448,8 @@ void IncrementalKsg::FlushObsCounters() {
   flush(added, stats_.points_added, &flushed_stats_.points_added);
   flush(removed, stats_.points_removed, &flushed_stats_.points_removed);
   flush(recomputes, stats_.knn_recomputes, &flushed_stats_.knn_recomputes);
+  flush(list_inserts, stats_.knn_list_inserts,
+        &flushed_stats_.knn_list_inserts);
   flush(marginals, stats_.marginal_updates, &flushed_stats_.marginal_updates);
   // stats_.degenerate_windows is deliberately absent: IncrementalEvaluator
   // folds it into mi.degenerate_windows alongside its stateless path.
@@ -428,10 +457,13 @@ void IncrementalKsg::FlushObsCounters() {
 
 double IncrementalKsg::CurrentMi() const {
   if (!has_window_) return 0.0;
+  // The batch estimator's exact expression and summation order.
   const int64_t m = WindowSizeNow();
-  if (m < k_ + 2) return 0.0;
+  const size_t first = Slot(start_);
+  const double marginal_sum = psi_.SumPairs(
+      nx_.data() + first, ny_.data() + first, static_cast<size_t>(m));
   return psi_(static_cast<size_t>(k_)) - 1.0 / k_ -
-         sum_psi_ / static_cast<double>(m) + psi_(static_cast<size_t>(m));
+         marginal_sum / static_cast<double>(m) + psi_(static_cast<size_t>(m));
 }
 
 }  // namespace tycos

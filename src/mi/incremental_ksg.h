@@ -1,27 +1,29 @@
 // Incremental KSG estimator — the paper's "efficient MI computation"
-// (Section 7). Maintains per-point kNN extents and marginal counts for a
+// (Section 7). Maintains per-point kNN state and marginal counts for a
 // current window and updates them under window edits (grow / shrink / slide)
 // instead of recomputing from scratch:
 //
 //  * Influenced region (IR, Definition 7.1): the L∞ ball of radius
 //    d = max(dx, dy) around a point. A point added to / removed from the
-//    window changes p's k nearest neighbours iff it lies in IR(p)
-//    (Lemmas 3–4) — only then is p's kNN search redone.
+//    window can change p's k nearest neighbours only if it lies in IR(p)
+//    (Lemmas 3–4). Every point stores its k nearest neighbours as
+//    (distance, global X index) entries in the kNN tie order, so an added
+//    point that precedes p's k-th entry is inserted in O(k) with no search;
+//    only the removal of one of p's k neighbours makes p search again.
 //  * Influenced marginal regions (IMR, Definition 7.2): the value strips
 //    |x − x_p| <= dx and |y − y_p| <= dy. A point entering/leaving an IMR
-//    only bumps the marginal count n_x / n_y (Lemmas 5–6) — an O(1) digamma
-//    adjustment, no kNN search.
+//    only moves the integer marginal count n_x / n_y by ±1 (Lemmas 5–6).
 //
-// The running sum Σ[ψ(n_x)+ψ(n_y)] makes the window MI an O(1) read.
-// Results are bit-compatible with the batch estimator KsgMi (same
-// closed-interval counting semantics and deterministic kNN tie-break).
+// Each edit computes one vectorized distance row from the edited point to
+// the window, which feeds both the IR/IMR pass and the added point's own
+// kNN selection. CurrentMi() sums ψ(n_x)+ψ(n_y) over the window in the batch
+// estimator's order, so SetWindow(w) equals KsgMi(w) bit for bit (same
+// closed-interval counting, deterministic kNN tie-break and digamma sum).
 
 #ifndef TYCOS_MI_INCREMENTAL_KSG_H_
 #define TYCOS_MI_INCREMENTAL_KSG_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/math.h"
@@ -39,7 +41,10 @@ struct IncrementalKsgStats {
   int64_t incremental_moves = 0;   // windows updated via add/remove deltas
   int64_t points_added = 0;
   int64_t points_removed = 0;
-  int64_t knn_recomputes = 0;      // per-point kNN searches from IR hits
+  int64_t knn_recomputes = 0;      // full kNN searches: a point lost one
+                                   // of its k neighbours to a removal
+  int64_t knn_list_inserts = 0;    // IR hits of an added point, resolved
+                                   // on the stored list in O(k)
   int64_t marginal_updates = 0;    // O(1) IMR count adjustments
   int64_t degenerate_windows = 0;  // constant/non-finite windows scored as 0
 };
@@ -62,7 +67,7 @@ class IncrementalKsg {
   // describing the last healthy window.
   double SetWindow(const Window& w);
 
-  // MI of the current window (O(1)).
+  // MI of the current window: one in-order ψ sum over its marginal counts.
   double CurrentMi() const;
 
   const IncrementalKsgStats& stats() const { return stats_; }
@@ -75,55 +80,66 @@ class IncrementalKsg {
 
   // kNN extents held for the current window's slot-th point (slot 0 is the
   // window start); lets reference-model tests check the maintained state
-  // exactly, where the running ψ-sum only matches to rounding.
-  KnnExtents PointExtents(size_t slot) const {
-    return {points_.at(slot).dx, points_.at(slot).dy};
-  }
+  // point by point.
+  KnnExtents PointExtents(size_t slot) const;
 
-  // Test-only fault hook for the audit selftest: perturbs the running ψ-sum
-  // the way a real bookkeeping bug would (a missed IMR update, a stale
-  // extent), so the incremental-vs-batch differential auditor has a
+  // Test-only fault hook for the audit selftest: drops one IMR update the
+  // way a real bookkeeping bug would, by bumping the n_x of the window's
+  // middle point, so the incremental-vs-batch differential auditor has a
   // deliberately broken estimator to catch. Never call outside tests.
-  void InjectStateDriftForTest(double delta) { sum_psi_ += delta; }
+  void InjectStateDriftForTest();
 
  private:
-  struct PointState {
-    Point2 p;
-    double dx = 0.0;   // kNN extents of this point
-    double dy = 0.0;
-    int64_t nx = 0;    // marginal counts (self excluded, clamped >= 1)
-    int64_t ny = 0;
-  };
-
   int64_t WindowSizeNow() const { return end_ - start_ + 1; }
   Point2 PointAt(int64_t global_index, int64_t delay) const;
+
+  // Slot of global X index g in the window-state buffers.
+  size_t Slot(int64_t g) const { return static_cast<size_t>(g - base_); }
+  // The stored neighbour list of the point in `slot`: k entries in the kNN
+  // tie order, indexed by global X index.
+  KnnEntry* Neighbours(size_t slot) {
+    return knn_.data() + slot * static_cast<size_t>(k_);
+  }
+
+  // Adds `delta` to each marginal count of the point in `slot` whose IMR
+  // strip contains q (Lemmas 5–6); returns how many strips did.
+  int64_t BumpMarginals(size_t slot, const Point2& q, int64_t delta);
 
   // O(1) hostile-window test against the precomputed per-series tables:
   // true when w selects a constant marginal or any non-finite sample.
   bool DegenerateWindow(const Window& w) const;
 
+  // Re-places the window-state buffers so that global X indices [lo, hi]
+  // have slots, centred with equal slack on both sides, first growing them
+  // to 1.25x the span plus 32 slots when they are smaller. With keep_live,
+  // the current window's state moves to its new slots.
+  void Place(int64_t lo, int64_t hi, bool keep_live);
+
   // Full O(m log m) recompute of all state for window w.
   void Rebuild(const Window& w);
 
-  // Incremental edge edits (same delay as current window).
-  void AddPoint(int64_t global_index);
-  void RemovePoint(int64_t global_index);
+  // Incremental edge edits (same delay as current window): add the sample
+  // just outside the window, or remove the window's edge sample.
+  void AddPoint(bool at_front);
+  void RemovePoint(bool at_front);
 
-  // Recomputes extents + marginals of the point stored at deque slot `slot`
-  // against the current active set, adjusting sum_psi_.
-  void RecomputePoint(size_t slot);
+  // Makes `selector`'s picks the neighbour list of the point in `slot`
+  // (selector index i is global X index first + i), then derives the
+  // point's extents and marginal counts from it.
+  void StoreNeighbours(size_t slot, const KnnSelector& selector,
+                       int64_t first);
+
+  // Re-derives extents and marginal counts of the point in `slot` from its
+  // stored neighbour list.
+  void RefreshFromNeighbours(size_t slot);
 
   // Marginal counts for a probe via the rank indexes (self excluded).
   int64_t CountMarginalX(double x, double dx) const;
   int64_t CountMarginalY(double y, double dy) const;
 
-  // kNN extents of `probe` against all active points, excluding slot
-  // `exclude_slot` (pass points_.size() to exclude nothing).
-  KnnExtents ScanKnn(const Point2& probe, size_t exclude_slot) const;
-
   const SeriesPair& pair_;
   const int k_;
-  // Lazily grown lookup table; mutable so the O(1) CurrentMi() stays const.
+  // Lazily grown lookup table; mutable so CurrentMi() stays const.
   mutable DigammaTable psi_;
 
   // Hostile-input tables, one entry per sample: run_start_*_[i] is the
@@ -140,8 +156,6 @@ class IncrementalKsg {
   int64_t end_ = -1;
   int64_t delay_ = 0;
 
-  // points_[i] corresponds to global X index start_ + i.
-  std::deque<PointState> points_;
   RankIndex x_index_;
   RankIndex y_index_;
   // Universe rank of every sample, precomputed once: window edits insert /
@@ -150,13 +164,18 @@ class IncrementalKsg {
   // window delay to reach the y sample).
   std::vector<size_t> rank_x_;
   std::vector<size_t> rank_y_;
-  double sum_psi_ = 0.0;  // Σ ψ(nx_i) + ψ(ny_i) over active points
 
-  // Reusable scratch, hoisted out of the per-slide hot path so steady-state
-  // add/remove/scan cycles allocate nothing. Each buffer is cleared (never
-  // shrunk) at its use site.
-  std::vector<size_t> recompute_scratch_;  // IR-hit slots
-  std::vector<Point2> rebuild_scratch_;    // window points
+  // Window state as struct-of-arrays buffers: slot s describes global X
+  // index base_ + s, so the live window is one contiguous run of slots that
+  // a front insert extends without renumbering anything. The buffers are
+  // sized to the window on first use — never to the series — and only
+  // grow; steady-state edits allocate nothing.
+  int64_t base_ = 0;
+  std::vector<Point2> pts_;      // the point (x_g, y_{g+delay})
+  std::vector<KnnExtents> ext_;  // its kNN extents
+  std::vector<int64_t> nx_;      // marginal counts, self excluded; ψ reads
+  std::vector<int64_t> ny_;      // clamp them to >= 1 (DigammaTable)
+  std::vector<KnnEntry> knn_;    // k neighbour entries per slot
 
   IncrementalKsgStats stats_;
   // Watermark of the last FlushObsCounters(): only field deltas are

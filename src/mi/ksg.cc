@@ -255,15 +255,16 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
 #endif
 
   // Marginal counts are collected per query and the digamma sum is batched
-  // into one table walk afterwards (DigammaTable::SumPairs) — same addition
-  // order and grouping as the old per-query accumulation, bit-identical.
+  // into one table walk afterwards (DigammaTable::SumPairs, which also
+  // clamps each count to >= 1) — same addition order and grouping as the
+  // old per-query accumulation, bit-identical.
   nxs.resize(static_cast<size_t>(m));
   nys.resize(static_cast<size_t>(m));
   auto accumulate = [&](int64_t i, const KnnExtents& e) {
-    nxs[static_cast<size_t>(i)] = std::max<int64_t>(
-        1, CountClosed(sorted_x, x[static_cast<size_t>(i)], e.dx));
-    nys[static_cast<size_t>(i)] = std::max<int64_t>(
-        1, CountClosed(sorted_y, y[static_cast<size_t>(i)], e.dy));
+    nxs[static_cast<size_t>(i)] =
+        CountClosed(sorted_x, x[static_cast<size_t>(i)], e.dx);
+    nys[static_cast<size_t>(i)] =
+        CountClosed(sorted_y, y[static_cast<size_t>(i)], e.dy);
   };
   // Each backend answers m queries; the counter is bumped once per call
   // (outside the query loop) so the per-point kernel stays registry-free.

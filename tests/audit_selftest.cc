@@ -122,9 +122,9 @@ void RunBrokenEstimatorScenario() {
   Expect(diff->checks() > 0, "differential auditor sampled healthy slides");
   Expect(diff->failures() == 0, "healthy estimator audits clean");
 
-  // Break the estimator the way a bookkeeping bug would (a lost ψ-sum
-  // contribution), then keep sliding; sampled differentials must now fail.
-  inc.InjectStateDriftForTest(0.5);
+  // Break the estimator the way a bookkeeping bug would (a dropped IMR
+  // update), then keep sliding; sampled differentials must now fail.
+  inc.InjectStateDriftForTest();
   for (int64_t s = 181; s <= 320; ++s) {
     inc.SetWindow(Window(s, s + 120, 0));
   }

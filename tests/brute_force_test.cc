@@ -91,7 +91,7 @@ TEST(BruteForceTest, IncrementalAndBatchModesAgree) {
   ASSERT_EQ(inc.raw.size(), batch.raw.size());
   for (size_t i = 0; i < inc.raw.size(); ++i) {
     EXPECT_TRUE(inc.raw[i].SameSpan(batch.raw[i]));
-    EXPECT_NEAR(inc.raw[i].mi, batch.raw[i].mi, 1e-9);
+    EXPECT_EQ(inc.raw[i].mi, batch.raw[i].mi);
   }
 }
 

@@ -1,5 +1,9 @@
 #include "search/evaluator.h"
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -56,9 +60,118 @@ TEST(IncrementalEvaluatorTest, MatchesBatchAboveAndBelowThreshold) {
   for (const Window w : {Window(10, 60, 1), Window(100, 350, -2),
                          Window(120, 380, -2), Window(40, 80, 0),
                          Window(130, 390, -2)}) {
-    EXPECT_NEAR(inc.Score(w), batch.Score(w), 1e-9) << w.ToString();
+    EXPECT_EQ(inc.Score(w), batch.Score(w)) << w.ToString();
   }
 }
+
+enum class WalkData { kGaussian, kLattice };
+
+// A coupled pair with a constant 160-sample stretch in x at [600, 760):
+// windows inside it are degenerate probes. Lattice values sit on a 7-level
+// grid, so kNN distances tie at nearly every point.
+SeriesPair WalkPair(WalkData data, uint64_t seed) {
+  constexpr int64_t kN = 1400;
+  Rng rng(seed);
+  std::vector<double> x(static_cast<size_t>(kN)), y(x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (data == WalkData::kLattice) {
+      x[i] = static_cast<double>(rng.UniformInt(0, 6));
+      y[i] = static_cast<double>((static_cast<int64_t>(x[i]) +
+                                  rng.UniformInt(0, 2)) % 7);
+    } else {
+      x[i] = rng.Normal();
+      y[i] = 0.6 * x[i] + rng.Normal();
+    }
+  }
+  for (size_t i = 600; i < 760; ++i) x[i] = 2.0;
+  return SeriesPair(TimeSeries(std::move(x)), TimeSeries(std::move(y)));
+}
+
+class EvaluatorWalkTest
+    : public ::testing::TestWithParam<std::tuple<WalkData, int>> {};
+
+// The search's edit mix, replayed through both evaluators: 64-sample growth
+// at either end (noise pruning's block growth), ±δ slides (LAHC moves),
+// delay changes, shrinks back towards 96 samples, small stateless probes
+// and degenerate probes. Every score must be identical, not just close.
+TEST_P(EvaluatorWalkTest, IncrementalScoresEqualBatchScores) {
+  const auto [data, k] = GetParam();
+  const SeriesPair pair = WalkPair(data, 40 + static_cast<uint64_t>(k));
+  const int64_t n = pair.size();
+  TycosParams params = Params();
+  params.k = k;
+  BatchEvaluator batch(pair, params);
+  IncrementalEvaluator inc(pair, params, /*small_window_threshold=*/96);
+  Rng rng(static_cast<uint64_t>(k) * 131 + (data == WalkData::kLattice));
+
+  int64_t start = 100;
+  int64_t end = 195;
+  int64_t delay = 0;
+  for (int step = 0; step < 160; ++step) {
+    Window probe(0, 0, 0);
+    bool moves = true;
+    switch (rng.UniformInt(0, 7)) {
+      case 0:
+        start = std::max<int64_t>(start - 64, 8);
+        break;
+      case 1:
+        end = std::min<int64_t>(end + 64, n - 9);
+        break;
+      case 2:
+      case 3: {
+        const int64_t d = rng.UniformInt(1, 6) * (rng.Bernoulli(0.5) ? 1 : -1);
+        if (start + d >= 8 && end + d <= n - 9) {
+          start += d;
+          end += d;
+        }
+        break;
+      }
+      case 4:
+        delay = rng.UniformInt(-8, 8);
+        break;
+      case 5:
+        // Shrink back towards 96 samples from a random end.
+        if (rng.Bernoulli(0.5)) {
+          start = std::min(start + 64, end - 95);
+        } else {
+          end = std::max(end - 64, start + 95);
+        }
+        break;
+      case 6: {
+        const int64_t s = rng.UniformInt(8, n - 80);
+        probe = Window(s, s + rng.UniformInt(k + 2, 60), delay);
+        moves = false;
+        break;
+      }
+      default: {
+        const int64_t s = rng.UniformInt(600, 640);
+        probe = Window(s, s + rng.UniformInt(96, 118), 0);
+        moves = false;
+        break;
+      }
+    }
+    const Window w = moves ? Window(start, end, delay) : probe;
+    ASSERT_EQ(inc.Score(w), batch.Score(w))
+        << "step " << step << " window " << w.ToString();
+  }
+  const IncrementalKsgStats& st = inc.incremental_stats();
+  EXPECT_GT(st.incremental_moves, 0);
+  EXPECT_GT(st.knn_list_inserts, 0);
+  EXPECT_GT(st.knn_recomputes, 0);
+  EXPECT_GT(st.degenerate_windows, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DataKs, EvaluatorWalkTest,
+    ::testing::Combine(::testing::Values(WalkData::kGaussian,
+                                         WalkData::kLattice),
+                       ::testing::Values(1, 4, 8, 20)),
+    [](const ::testing::TestParamInfo<EvaluatorWalkTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == WalkData::kLattice
+                             ? "Lattice"
+                             : "Gaussian") +
+             "_k" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(IncrementalEvaluatorTest, SmallWindowsDoNotDisturbLargeState) {
   const SeriesPair pair = MakePair(800, 4, 0.5);

@@ -400,12 +400,16 @@ TEST_P(IncrementalKnnReferenceTest, EditWalkMatchesSortedOracle) {
   const SeriesPair pair{TimeSeries(xs), TimeSeries(ys)};
   IncrementalKsg inc(pair, k);
   // Delay 0: window slot j holds pts[start + j]. Grow, shrink, slide, jump,
-  // and a rebuild above the k-d tree threshold (m > 256).
+  // a rebuild above the k-d tree threshold (m > 256), then growth by 64 at
+  // the front, at the back and at both ends at once (noise pruning's block
+  // growth).
   const Window walk[] = {
       Window(40, 80, 0),   Window(40, 95, 0),   Window(30, 95, 0),
       Window(35, 90, 0),   Window(50, 105, 0),  Window(52, 104, 0),
       Window(45, 120, 0),  Window(60, 340, 0),  Window(62, 345, 0),
       Window(200, 230, 0), Window(190, 235, 0), Window(205, 232, 0),
+      Window(141, 232, 0), Window(141, 296, 0), Window(77, 360, 0),
+      Window(80, 362, 0),
   };
   for (const Window& w : walk) {
     inc.SetWindow(w);
@@ -420,6 +424,7 @@ TEST_P(IncrementalKnnReferenceTest, EditWalkMatchesSortedOracle) {
   }
   EXPECT_GT(inc.stats().incremental_moves, 0);
   EXPECT_GT(inc.stats().knn_recomputes, 0);
+  EXPECT_GT(inc.stats().knn_list_inserts, 0);
 }
 
 std::string ReferenceCaseName(

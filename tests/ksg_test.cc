@@ -276,34 +276,46 @@ TEST(KsgGoldenTest, EnergyWindowsBitExactUnderEveryBackend) {
 
 TEST(KsgGoldenTest, IncrementalWalkBitExact) {
   // Grow, shrink, slide, a delay change (rebuild), a 300-sample rebuild on
-  // the k-d tree, and a jump to a small window.
+  // the k-d tree, and a jump to a small window. Each value is the batch
+  // KsgMi(pair, window, {k = 4, kBrute}), recorded as a hexfloat before the
+  // incremental estimator kept neighbour lists; the incremental walk must
+  // reproduce it bit for bit.
   struct Step {
     Window window;
     double mi;
   };
   const Step walk[] = {
       {Window(1000, 1099, 1), 0x1.4d498550c1p-6},
-      {Window(1000, 1110, 1), 0x1.dc268e19d11p-5},
-      {Window(1005, 1110, 1), 0x1.2d984a8ef428p-5},
-      {Window(1020, 1125, 1), 0x1.a8ae319b38ccp-4},
-      {Window(1010, 1115, 1), 0x1.8dcc1d5ae1ccp-4},
+      {Window(1000, 1110, 1), 0x1.dc268e19d0fp-5},
+      {Window(1005, 1110, 1), 0x1.2d984a8ef3fp-5},
+      {Window(1020, 1125, 1), 0x1.a8ae319b38fcp-4},
+      {Window(1010, 1115, 1), 0x1.8dcc1d5ae1ecp-4},
       {Window(1010, 1115, 2), -0x1.288ef64c1c5p-5},
-      {Window(1012, 1113, 2), -0x1.d13d8c46942p-6},
-      {Window(1000, 1299, 2), 0x1.021fbecf48a8p-4},
-      {Window(1004, 1303, 2), 0x1.ccaacc98ca9p-5},
+      {Window(1012, 1113, 2), -0x1.d13d8c4693cp-6},
+      {Window(1000, 1299, 2), 0x1.021fbecf489p-4},
+      {Window(1004, 1303, 2), 0x1.ccaacc98ca88p-5},
       {Window(1400, 1405, 0), -0x1.111111111118p-7},
-      {Window(1400, 1420, 0), 0x1.20415a905c74p-4},
-      {Window(1390, 1420, 0), 0x1.86ac00f941dp-6},
+      {Window(1400, 1420, 0), 0x1.20415a905c6cp-4},
+      {Window(1390, 1420, 0), 0x1.86ac00f941ep-6},
   };
   const SeriesPair pair =
       GoldenSim().Pair(EnergyChannel::kKitchenLight, EnergyChannel::kMicrowave);
   IncrementalKsg inc(pair, 4);
+  KsgOptions brute;
+  brute.k = 4;
+  brute.backend = KnnBackend::kBrute;
   for (const Step& s : walk) {
+    EXPECT_EQ(KsgMi(pair, s.window, brute), s.mi) << s.window.ToString();
     EXPECT_EQ(inc.SetWindow(s.window), s.mi) << s.window.ToString();
   }
   EXPECT_EQ(inc.stats().full_rebuilds, 3);
   EXPECT_EQ(inc.stats().incremental_moves, 9);
-  EXPECT_EQ(inc.stats().knn_recomputes, 1195);
+  // Full kNN searches only: an added point's IR hits are O(k) list
+  // inserts. The IR/IMR classification itself is the one the running-sum
+  // estimator made: 1195 IR hits, 12545 IMR count updates.
+  EXPECT_EQ(inc.stats().knn_recomputes, 163);
+  EXPECT_EQ(inc.stats().knn_list_inserts, 1195 - 163);
+  EXPECT_EQ(inc.stats().marginal_updates, 12545);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include "search/pairwise.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "datagen/energy_sim.h"
 #include "datagen/relations.h"
 
 namespace tycos {
@@ -78,6 +82,63 @@ TEST(PairwiseSearchTest, DeterministicForFixedSeed) {
     EXPECT_EQ(r1.entries[i].b, r2.entries[i].b);
     EXPECT_DOUBLE_EQ(r1.entries[i].best_score, r2.entries[i].best_score);
   }
+}
+
+// Entries in the same order, over the same pairs, with the same windows and
+// scores, compared bit for bit.
+void ExpectIdenticalResults(const PairwiseResult& got,
+                            const PairwiseResult& want) {
+  ASSERT_EQ(got.entries.size(), want.entries.size());
+  for (size_t i = 0; i < got.entries.size(); ++i) {
+    const PairwiseEntry& g = got.entries[i];
+    const PairwiseEntry& w = want.entries[i];
+    const std::string at =
+        "entry " + std::to_string(i) + " pair (" + std::to_string(w.a) + "," +
+        std::to_string(w.b) + ")";
+    EXPECT_EQ(g.a, w.a) << at;
+    EXPECT_EQ(g.b, w.b) << at;
+    EXPECT_EQ(g.best_score, w.best_score) << at;
+    ASSERT_EQ(g.windows.size(), w.windows.size()) << at;
+    for (size_t j = 0; j < w.windows.size(); ++j) {
+      const Window& gw = g.windows.windows()[j];
+      const Window& ww = w.windows.windows()[j];
+      EXPECT_EQ(gw.start, ww.start) << at;
+      EXPECT_EQ(gw.end, ww.end) << at;
+      EXPECT_EQ(gw.delay, ww.delay) << at;
+      EXPECT_EQ(gw.mi, ww.mi) << at;
+    }
+  }
+}
+
+TEST(PairwiseSearchTest, IncrementalVariantsMatchBatchBitForBit) {
+  // The long-window energy sweep: 2 days of every simulated channel,
+  // windows of 64-512 samples, so most scores go through the incremental
+  // estimator. Incremental MI is an optimisation only: TYCOS_LMN must
+  // return exactly TYCOS_LN's result, and TYCOS_LM exactly TYCOS_L's.
+  datagen::EnergySimOptions o;
+  o.days = 2;
+  o.seed = 7;
+  const datagen::EnergySimulator sim(o);
+  std::vector<TimeSeries> channels;
+  for (int ch = 0; ch < datagen::kNumEnergyChannels; ++ch) {
+    channels.push_back(sim.Channel(static_cast<datagen::EnergyChannel>(ch)));
+  }
+  TycosParams p;
+  p.sigma = 0.55;
+  p.td_max = 6;
+  p.delta = 2;
+  p.num_restarts = 4;
+  p.s_min = 64;
+  p.s_max = 512;
+  p.num_threads = 4;
+  const PairwiseResult lmn = PairwiseSearch(channels, p, TycosVariant::kLMN);
+  const PairwiseResult ln = PairwiseSearch(channels, p, TycosVariant::kLN);
+  ASSERT_EQ(lmn.entries.size(), 36u);
+  EXPECT_FALSE(lmn.Correlated().empty());
+  ExpectIdenticalResults(lmn, ln);
+  const PairwiseResult lm = PairwiseSearch(channels, p, TycosVariant::kLM);
+  const PairwiseResult l = PairwiseSearch(channels, p, TycosVariant::kL);
+  ExpectIdenticalResults(lm, l);
 }
 
 }  // namespace

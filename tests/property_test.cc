@@ -224,7 +224,7 @@ TEST(HostileInputTest, IncrementalSkipsDegenerateWindowsAndStaysExact) {
     const Window w(start, start + 39, 0);
     const double got = inc.SetWindow(w);
     const double want = KsgMi(pair, w, options);
-    ASSERT_NEAR(got, want, 1e-9) << w.ToString();
+    ASSERT_EQ(got, want) << w.ToString();
     if (start >= 150 && start + 39 < 250) {
       ASSERT_EQ(got, 0.0) << w.ToString();
       ++degenerate_seen;
@@ -390,7 +390,7 @@ TEST(BruteForcePropertyTest, LargeWindowIncrementalAgreesWithBatch) {
   ASSERT_EQ(inc.raw.size(), batch.raw.size());
   for (size_t i = 0; i < inc.raw.size(); ++i) {
     ASSERT_TRUE(inc.raw[i].SameSpan(batch.raw[i]));
-    ASSERT_NEAR(inc.raw[i].mi, batch.raw[i].mi, 1e-9);
+    ASSERT_EQ(inc.raw[i].mi, batch.raw[i].mi);
   }
   ASSERT_EQ(inc.windows_evaluated, batch.windows_evaluated);
 }
