@@ -1,9 +1,11 @@
-// Parallel scaling of the pairwise fan-out: runs the full 9-channel energy
+// Parallel scaling of the pair sweep: runs the full 9-channel energy
 // simulation sweep (fig. 10-scale params, ~2000 samples/channel, 36 pairs)
-// at 1/2/4/8 threads — once through the pair-level fan-out and once with
-// num_restarts > 0 through the flattened (pair x climb) scheduler — then
-// verifies every run is bit-identical to its sequential reference and
-// writes a machine-readable BENCH_parallel.json.
+// at 1/2/4/8 threads — once with one unit per pair (num_restarts = 0) and
+// once with num_restarts > 0, where every restart climb is its own unit of
+// the same (pair x climb) scheduler — then times the durable runner
+// against the plain sweep at both settings, verifies every run is
+// bit-identical to its sequential reference, and writes a machine-readable
+// BENCH_parallel.json.
 //
 // Speedup is bounded by the host's core count (recorded in the JSON's
 // "host" block along with the SIMD level); on a single-core container all
@@ -173,42 +175,55 @@ int main(int argc, char** argv) {
   }
 
   // Durable-job overhead: the same sweep through ResumePairwiseSearch with a
-  // fresh checkpoint, vs the plain engine at the same thread count. Best of
+  // fresh checkpoint, vs the plain engine at the same thread count and
+  // restart setting — both run on the one (pair x climb) scheduler. Best of
   // three reps each so a single scheduler hiccup does not dominate; the
   // target is < 2% overhead (one small fwrite per pair, no fsync).
   const int ckpt_threads = 4;
   const std::string ckpt_path = out_path + ".ckpt";
-  double plain_s = 1e100;
-  double durable_s = 1e100;
-  bool ckpt_identical = true;
-  {
+  struct Checkpointed {
+    int restarts = 0;
+    double plain_s = 1e100;
+    double durable_s = 1e100;
+    bool identical = true;
+    double overhead() const {
+      return plain_s > 0 ? durable_s / plain_s - 1.0 : 0.0;
+    }
+  };
+  const auto checkpointed = [&](int restarts, const PairwiseResult& want) {
+    Checkpointed c;
+    c.restarts = restarts;
     TycosParams p = Params();
     p.num_threads = ckpt_threads;
+    p.num_restarts = restarts;
     for (int rep = 0; rep < 3; ++rep) {
       PairwiseResult plain;
-      plain_s = std::min(plain_s, TimeIt([&] {
+      c.plain_s = std::min(c.plain_s, TimeIt([&] {
         plain = PairwiseSearch(channels, p, TycosVariant::kLMN, 7);
       }));
       std::remove(ckpt_path.c_str());
       jobs::DurableJobOptions dopts;
       dopts.checkpoint_path = ckpt_path;
       Result<jobs::DurableOutcome> durable = Status::Internal("unrun");
-      durable_s = std::min(durable_s, TimeIt([&] {
+      c.durable_s = std::min(c.durable_s, TimeIt([&] {
         durable = jobs::ResumePairwiseSearch(channels, p, TycosVariant::kLMN,
                                              7, RunContext::None(), dopts);
       }));
       std::remove(ckpt_path.c_str());
-      ckpt_identical = ckpt_identical && durable.ok() &&
-                       SameResults(reference, durable.value().result);
+      c.identical = c.identical && durable.ok() &&
+                    SameResults(want, durable.value().result) &&
+                    SameResults(want, plain);
     }
-  }
-  const double ckpt_overhead =
-      plain_s > 0 ? durable_s / plain_s - 1.0 : 0.0;
-  std::printf("\ncheckpointed run (%d threads): plain %.3fs, durable %.3fs, "
-              "overhead %+.2f%%, identical %s\n",
-              ckpt_threads, plain_s, durable_s, ckpt_overhead * 100.0,
-              ckpt_identical ? "yes" : "NO");
-  all_identical = all_identical && ckpt_identical;
+    std::printf("checkpointed run (%d threads, num_restarts = %d): plain "
+                "%.3fs, durable %.3fs, overhead %+.2f%%, identical %s\n",
+                ckpt_threads, restarts, c.plain_s, c.durable_s,
+                c.overhead() * 100.0, c.identical ? "yes" : "NO");
+    all_identical = all_identical && c.identical;
+    return c;
+  };
+  std::printf("\n");
+  const Checkpointed ckpt = checkpointed(0, reference);
+  const Checkpointed ckpt_restarts = checkpointed(kRestarts, restart_reference);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -232,14 +247,19 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"identical_results\": %s,\n",
                all_identical ? "true" : "false");
-  std::fprintf(f, "  \"checkpoint\": {\n");
-  std::fprintf(f, "    \"threads\": %d,\n", ckpt_threads);
-  std::fprintf(f, "    \"plain_ms\": %.1f,\n", plain_s * 1000.0);
-  std::fprintf(f, "    \"durable_ms\": %.1f,\n", durable_s * 1000.0);
-  std::fprintf(f, "    \"checkpoint_overhead\": %.4f,\n", ckpt_overhead);
-  std::fprintf(f, "    \"identical\": %s\n",
-               ckpt_identical ? "true" : "false");
-  std::fprintf(f, "  },\n");
+  for (const auto& [key, c] :
+       {std::pair{"checkpoint", ckpt},
+        std::pair{"checkpoint_restarts", ckpt_restarts}}) {
+    std::fprintf(f, "  \"%s\": {\n", key);
+    std::fprintf(f, "    \"threads\": %d,\n", ckpt_threads);
+    std::fprintf(f, "    \"num_restarts\": %d,\n", c.restarts);
+    std::fprintf(f, "    \"plain_ms\": %.1f,\n", c.plain_s * 1000.0);
+    std::fprintf(f, "    \"durable_ms\": %.1f,\n", c.durable_s * 1000.0);
+    std::fprintf(f, "    \"checkpoint_overhead\": %.4f,\n", c.overhead());
+    std::fprintf(f, "    \"identical\": %s\n",
+                 c.identical ? "true" : "false");
+    std::fprintf(f, "  },\n");
+  }
   std::fprintf(f, "  \"runs\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -37,6 +37,22 @@ enum class StopReason {
 // Human-readable name ("completed", "deadline_exceeded", ...).
 const char* StopReasonName(StopReason reason);
 
+// `seconds` after `now`, saturating where a plain duration_cast would be
+// undefined (past ~9.2e9 s): +inf or a span past the clock's range never
+// arrives (time_point::max()); NaN or a span <= 0 has already expired.
+inline std::chrono::steady_clock::time_point DeadlineAfter(
+    std::chrono::steady_clock::time_point now, double seconds) {
+  using Clock = std::chrono::steady_clock;
+  if (!(seconds > 0)) return now;
+  // 1 s of slack absorbs the rounding of `room` to double.
+  const Clock::duration room = Clock::time_point::max() - now;
+  if (seconds >= std::chrono::duration<double>(room).count() - 1.0) {
+    return Clock::time_point::max();
+  }
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
 class RunContext {
  public:
   RunContext() = default;
@@ -66,10 +82,10 @@ class RunContext {
     return ctx;
   }
 
-  // Sets the deadline `seconds` from now on the monotonic clock.
+  // Sets the deadline `seconds` from now on the monotonic clock (see
+  // DeadlineAfter: +inf never fires, NaN has already expired).
   void SetDeadlineAfter(double seconds) {
-    deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(seconds));
+    deadline_ = DeadlineAfter(Clock::now(), seconds);
   }
   void ClearDeadline() { deadline_.reset(); }
 

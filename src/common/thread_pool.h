@@ -49,16 +49,14 @@ class ThreadPool {
   // >= 1 is taken as given, <= 0 means one executor per hardware thread.
   static int ResolveThreadCount(int requested);
 
-  // Executor width for an engine pool nested INSIDE another pool's worker
-  // (per-pair multi-restart climbs under a pair-level fan-out, say). The
-  // flattened (pair × climb) scheduler in PairwiseSearch avoids nesting
-  // entirely; any remaining nested site must size its inner pools with
-  // this: `requested` resolves as ResolveThreadCount, then the product
-  // outer_executors × inner width is capped at the hardware thread count,
-  // so enabling nested parallelism can never oversubscribe the host (at
-  // most max(1, hw / outer_executors) inner executors). Results are
-  // unaffected — engines are bit-identical at any thread count — only
-  // wall-clock. See DESIGN.md "Threading model".
+  // Executor width for an engine pool nested INSIDE another pool's worker.
+  // The one nested site is the service (service/server.cc): each scheduler
+  // worker runs one engine, whose multi-restart pool is sized with this;
+  // pair sweeps never nest (SweepPairs). `requested` resolves as
+  // ResolveThreadCount, then outer_executors × inner width is capped at the
+  // hardware thread count (at most max(1, hw / outer_executors) inner
+  // executors). Results are unaffected, only wall-clock. See DESIGN.md
+  // "Threading model".
   static int ResolveNestedThreadCount(int requested, int outer_executors);
 
   struct ForStatus {

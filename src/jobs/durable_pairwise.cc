@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <optional>
 #include <utility>
 
 #include "common/annotations.h"
-#include "common/thread_pool.h"
 #include "jobs/checkpoint.h"
 #include "search/allpairs.h"
 #include "obs/metrics.h"
@@ -15,129 +15,116 @@
 namespace tycos {
 namespace jobs {
 
+Status DurableJobOptions::Validate() const {
+  if (checkpoint_path.empty()) {
+    return Status::InvalidArgument(
+        "DurableJobOptions.checkpoint_path must be set: a durable job "
+        "without a checkpoint cannot resume");
+  }
+  if (!(pair_time_slice_s >= 0)) {
+    return Status::InvalidArgument(
+        "DurableJobOptions.pair_time_slice_s must be >= 0 (0 = none), got " +
+        std::to_string(pair_time_slice_s));
+  }
+  if (pair_evaluation_budget < 0) {
+    return Status::InvalidArgument(
+        "DurableJobOptions.pair_evaluation_budget must be >= 0 (0 = none), "
+        "got " + std::to_string(pair_evaluation_budget));
+  }
+  if (max_pairs_this_run < 0) {
+    return Status::InvalidArgument(
+        "DurableJobOptions.max_pairs_this_run must be >= 0 (0 = "
+        "unlimited), got " + std::to_string(max_pairs_this_run));
+  }
+  if (const Status st = retry.Validate(); !st.ok()) return st;
+  return shed.Validate();
+}
+
 namespace {
 
-// One unit of not-yet-checkpointed work. `global_index` is the pair's
-// position in the full (a, b) enumeration — stable across resumes, so the
-// fault schedule and backoff jitter see the same stream no matter how many
-// invocations it takes to finish the job.
-struct TodoPair {
-  int a = 0;
-  int b = 0;
-  int64_t global_index = 0;
-};
-
-// Per-pair scratch written only by the executor that claimed the pair and
-// read only after the join (the ThreadPool prefix-claim contract).
-struct PairSlot {
-  PairwiseEntry entry;
-  StopReason finished_reason = StopReason::kCompleted;
-  bool include = false;   // entry belongs in the result
-  bool finished = false;  // deterministic outcome, safe to checkpoint
-  bool refused = false;   // shed at level 3
-  bool failed = false;
-  bool degraded = false;  // ran at shed level 1 or 2
-  Status fail_status = Status::Ok();
-  int attempts = 0;
-  int64_t retries = 0;
-  int64_t watchdog_timeouts = 0;
-  // Set when the global context fired while this pair was in flight; the
-  // best-so-far partial entry (if any) rides along in `entry`/`include`.
-  std::optional<StopReason> global_stop;
-};
-
-// Serializes checkpoint appends from concurrent pair bodies and latches the
-// first append error. Once an append fails the sink stops touching the
-// file: durability degrades (this and later pairs rerun on resume) rather
-// than the whole run dying on a full disk.
-class CheckpointSink {
+// The durable hooks' shared state: serializes checkpoint appends and
+// folds the per-pair stats that concurrent units report. Once an append
+// fails the ledger stops touching the file: durability degrades (this and
+// later pairs rerun on resume) rather than the whole run dying on a full
+// disk.
+class JobLedger {
  public:
-  explicit CheckpointSink(CheckpointWriter* writer) : writer_(writer) {}
+  explicit JobLedger(CheckpointWriter* writer) : writer_(writer) {}
 
-  CheckpointSink(const CheckpointSink&) = delete;
-  CheckpointSink& operator=(const CheckpointSink&) = delete;
+  JobLedger(const JobLedger&) = delete;
+  JobLedger& operator=(const JobLedger&) = delete;
 
   void Append(const CheckpointedPair& record) TYCOS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    if (!ok_) return;
-    const Status st = writer_->Append(record);
-    if (!st.ok()) {
-      ok_ = false;
-      error_ = st;
-    }
+    if (!stats_.checkpoint_error.ok()) return;
+    stats_.checkpoint_error = writer_->Append(record);
   }
 
-  // The first append error, Ok() while the sink is still writing.
-  Status first_error() const TYCOS_EXCLUDES(mu_) {
+  // Runs `update` on the stats under the ledger's lock.
+  template <typename Update>
+  void Fold(const Update& update) TYCOS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return error_;
+    update(stats_);
+  }
+
+  // Records a failed unit. A pair fails once: its lowest failing unit is
+  // the one reported, whatever order the units ended in.
+  void Fail(int64_t pair, int unit, PairFailure failure)
+      TYCOS_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    auto [it, added] = failures_.try_emplace(pair, unit, failure);
+    if (!added && unit < it->second.first) it->second = {unit, failure};
+  }
+
+  // The folded stats, failures in pair order.
+  DurableJobStats Take() TYCOS_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    for (const auto& [pair, failure] : failures_) {
+      stats_.failures.push_back(failure.second);
+    }
+    stats_.pairs_failed = static_cast<int64_t>(failures_.size());
+    return std::move(stats_);
   }
 
  private:
-  mutable Mutex mu_;
+  Mutex mu_;
   CheckpointWriter* const writer_ TYCOS_PT_GUARDED_BY(mu_);
-  bool ok_ TYCOS_GUARDED_BY(mu_) = true;
-  Status error_ TYCOS_GUARDED_BY(mu_) = Status::Ok();
+  DurableJobStats stats_ TYCOS_GUARDED_BY(mu_);
+  std::map<int64_t, std::pair<int, PairFailure>> failures_
+      TYCOS_GUARDED_BY(mu_);
 };
 
-// Decrements the in-flight gauge on every exit path of the pair body.
-class InFlightGuard {
- public:
-  explicit InFlightGuard(std::atomic<int64_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_relaxed);
-  }
-  ~InFlightGuard() { counter_->fetch_sub(1, std::memory_order_relaxed); }
-  InFlightGuard(const InFlightGuard&) = delete;
-  InFlightGuard& operator=(const InFlightGuard&) = delete;
-
- private:
-  std::atomic<int64_t>* counter_;
-};
-
-// The shared durable runner. `universe` is the pair universe to search:
-// nullptr means every unordered (a, b) pair; otherwise a strictly
-// (a, b)-sorted subset (the prefilter's survivors). Checkpoint records
+// The shared durable runner over `universe`, a strictly (a, b)-sorted pair
+// list: every pair, or the prefilter's survivors. Checkpoint records
 // for pairs outside the universe are skipped — a plain full-sweep
 // checkpoint shares the same config hash, so encountering them is
-// legitimate, not corruption. `global_index` stays the pair's position in
+// legitimate, not corruption. A pair's global index stays its position in
 // the FULL enumeration either way, so fault schedules and backoff jitter
 // see the same per-pair stream whether or not a cascade ran in front.
 Result<DurableOutcome> RunDurableJob(
     const std::vector<TimeSeries>& channels, const TycosParams& params,
     TycosVariant variant, uint64_t seed, const RunContext& ctx,
     const DurableJobOptions& options,
-    const std::vector<std::pair<int, int>>* universe) {
+    const std::vector<std::pair<int, int>>& universe) {
   TYCOS_SPAN("durable_pairwise");
-  if (options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "DurableJobOptions.checkpoint_path must be set: a durable job "
-        "without a checkpoint cannot resume");
-  }
-  if (const Status st = options.shed.Validate(); !st.ok()) return st;
+  if (const Status st = options.Validate(); !st.ok()) return st;
 
   const uint64_t config_hash = HashSearchConfig(params, variant, seed);
   const uint64_t fingerprint = FingerprintChannels(channels);
   const int n = static_cast<int>(channels.size());
-  const int64_t total_pairs =
-      universe != nullptr ? static_cast<int64_t>(universe->size())
-                          : static_cast<int64_t>(n) * (n - 1) / 2;
+  const int64_t total_pairs = static_cast<int64_t>(universe.size());
 
-  DurableOutcome out;
-  DurableJobStats& stats = out.stats;
-  stats.pairs_total = total_pairs;
-
+  // Pair index in the full (a, b) enumeration: pairs with first index < a,
+  // then the offset within a's row.
+  const auto full_index = [n](int a, int b) -> int64_t {
+    return static_cast<int64_t>(a) * (2 * n - a - 1) / 2 + (b - a - 1);
+  };
   // Maps a pair to its position in the universe, or -1 when outside it.
   const auto universe_pos = [&](int a, int b) -> int64_t {
-    // Pair index in the full (a, b) enumeration: pairs with first index
-    // < a, then the offset within a's row.
-    const int64_t full_idx =
-        static_cast<int64_t>(a) * (2 * n - a - 1) / 2 + (b - a - 1);
-    if (universe == nullptr) return full_idx;
     const std::pair<int, int> key(a, b);
-    const auto it =
-        std::lower_bound(universe->begin(), universe->end(), key);
-    if (it == universe->end() || *it != key) return -1;
-    return it - universe->begin();
+    const auto it = std::lower_bound(universe.begin(), universe.end(), key);
+    if (it == universe.end() || *it != key) return -1;
+    return it - universe.begin();
   };
 
   // --- Load the checkpoint and partition finished vs. todo ---------------
@@ -174,32 +161,19 @@ Result<DurableOutcome> RunDurableJob(
       done[static_cast<size_t>(idx)] = 1;
       entries.push_back(cp.entry);
     }
-    stats.pairs_resumed = static_cast<int64_t>(entries.size());
   } else if (loaded.status().code() != StatusCode::kNotFound) {
     return loaded.status();  // corrupt: never silently restart over it
   }
-
-  std::vector<TodoPair> todo;
+  // The not-yet-checkpointed pairs, in universe order.
+  std::vector<std::pair<int, int>> todo;
   todo.reserve(static_cast<size_t>(total_pairs) - entries.size());
-  if (universe != nullptr) {
-    for (int64_t i = 0; i < total_pairs; ++i) {
-      if (done[static_cast<size_t>(i)]) continue;
-      const std::pair<int, int>& p = (*universe)[static_cast<size_t>(i)];
-      const int64_t full_idx =
-          static_cast<int64_t>(p.first) * (2 * n - p.first - 1) / 2 +
-          (p.second - p.first - 1);
-      todo.push_back({p.first, p.second, full_idx});
-    }
-  } else {
-    int64_t idx = 0;
-    for (int a = 0; a < n; ++a) {
-      for (int b = a + 1; b < n; ++b, ++idx) {
-        if (!done[static_cast<size_t>(idx)]) todo.push_back({a, b, idx});
-      }
+  for (int64_t i = 0; i < total_pairs; ++i) {
+    if (!done[static_cast<size_t>(i)]) {
+      todo.push_back(universe[static_cast<size_t>(i)]);
     }
   }
 
-  // Voluntary pause: only take on the first max_pairs_this_run units.
+  // Voluntary pause: only take on the first max_pairs_this_run pairs.
   bool paused = false;
   if (options.max_pairs_this_run > 0 &&
       static_cast<int64_t>(todo.size()) > options.max_pairs_this_run) {
@@ -219,14 +193,10 @@ Result<DurableOutcome> RunDurableJob(
   static obs::Counter* ckpt_bytes_counter =
       obs::GetCounter("jobs.checkpoint_bytes");
   static obs::Gauge* rss_gauge = obs::GetGauge("process.rss_bytes");
-  resumed_counter->Add(stats.pairs_resumed);
+  resumed_counter->Add(static_cast<int64_t>(entries.size()));
 
-  // --- Run the remaining pairs under supervision --------------------------
-  std::optional<ThreadPool::ForStatus> fs;
-  std::vector<PairSlot> slots(todo.size());
+  // --- Sweep the remaining pairs under supervision ------------------------
   std::optional<CheckpointWriter> writer;
-  std::optional<CheckpointSink> sink;
-
   if (!todo.empty()) {
     CheckpointWriter::Options wopts;
     wopts.config_hash = config_hash;
@@ -239,149 +209,139 @@ Result<DurableOutcome> RunDurableJob(
         CheckpointWriter::Open(options.checkpoint_path, wopts);
     if (!opened.ok()) return opened.status();
     writer.emplace(std::move(opened.value()));
-    sink.emplace(&*writer);
+  }
+  JobLedger ledger(writer.has_value() ? &*writer : nullptr);
+  LoadProbe* probe =
+      options.probe != nullptr ? options.probe : LoadProbe::System();
+  BackoffSleeper* sleeper = options.sleeper != nullptr
+                                ? options.sleeper
+                                : BackoffSleeper::Default();
+  // Pairs admitted and not yet finished, overlaid on the probe's queue
+  // depth.
+  std::atomic<int64_t> in_flight{0};
 
-    LoadProbe* probe =
-        options.probe != nullptr ? options.probe : LoadProbe::System();
-    BackoffSleeper* sleeper = options.sleeper != nullptr
-                                  ? options.sleeper
-                                  : BackoffSleeper::Default();
+  PairSweepHooks hooks;
+  // Admission: probe load and pick this pair's shed level.
+  hooks.admit = [&](int64_t) -> std::optional<PairAdmission> {
+    in_flight.fetch_add(1, std::memory_order_relaxed);
+    LoadSample sample = probe->Sample();
+    sample.queue_depth += in_flight.load(std::memory_order_relaxed);
+    rss_gauge->Set(sample.rss_bytes);
+    const int level =
+        options.shed.enabled() ? ShedLevel(options.shed, sample) : 0;
+    if (level >= 3) {
+      // Refused, not failed: the pair stays un-checkpointed and a later,
+      // less-loaded resume picks it up.
+      in_flight.fetch_sub(1, std::memory_order_relaxed);
+      shed_counter->Add(1);
+      ledger.Fold([](DurableJobStats& s) { ++s.pairs_refused; });
+      return std::nullopt;
+    }
+    run_counter->Add(1);
+    ledger.Fold([level](DurableJobStats& s) {
+      ++s.pairs_run;
+      if (level > 0) ++s.pairs_degraded;
+    });
+    return PairAdmission{DegradeParams(params, level), level};
+  };
 
-    std::atomic<int64_t> in_flight{0};
+  // Supervision: each unit runs under retry-with-backoff, every attempt
+  // under its own watchdog slice and evaluation budget.
+  hooks.run_unit = [&](int64_t i, int unit, const PairAdmission& admission,
+                       const PairUnitWork& work) {
+    const auto [a, b] = todo[static_cast<size_t>(i)];
+    const int64_t global_index = full_index(a, b);
+    // Budget: the tighter of the shed-scaled per-pair budget and the
+    // caller's global budget wins. Parent chaining skips budgets by design
+    // (they count against the poller's own evaluation counter), so the
+    // global one is folded in here — per unit, exactly as PairwiseSearch
+    // applies a budgeted ctx.
+    int64_t budget = 0;
+    if (options.pair_evaluation_budget > 0) {
+      const double scaled =
+          static_cast<double>(options.pair_evaluation_budget) *
+          ShedBudgetScale(admission.shed_level);
+      budget = std::max<int64_t>(1, static_cast<int64_t>(scaled));
+    }
+    const int64_t global_budget = ctx.evaluation_budget();
+    if (global_budget > 0) {
+      budget = budget > 0 ? std::min(budget, global_budget) : global_budget;
+    }
 
-    const int threads = static_cast<int>(
-        std::min<int64_t>(ThreadPool::ResolveThreadCount(params.num_threads),
-                          static_cast<int64_t>(todo.size())));
+    bool kept = false;
+    int64_t watchdog_timeouts = 0;
+    const auto attempt = [&](int attempt_no) -> Status {
+      attempts_counter->Add(1);
+      if (options.faults != nullptr) {
+        const FaultClass fc = options.faults->At(global_index, attempt_no);
+        if (fc != FaultClass::kNone) {
+          return PairFaultSchedule::MakeStatus(fc, global_index, attempt_no);
+        }
+      }
+      // Watchdog slice + budget, chained under the global context so a
+      // global stop still reaches the inner search.
+      RunContext child;
+      child.SetParent(&ctx);
+      if (options.pair_time_slice_s > 0) {
+        child.SetDeadlineAfter(options.pair_time_slice_s);
+      }
+      if (budget > 0) child.SetEvaluationBudget(budget);
+      const Result<StopReason> reason = work(child);
+      if (!reason.ok()) return reason.status();
+      // A deterministic outcome is final (and checkpointed). A cut one is
+      // kept only when the global context fired: the sweep is ending, and
+      // the partial output rides along (never checkpointed — it is
+      // timing-dependent).
+      kept = reason.value() == StopReason::kCompleted ||
+             reason.value() == StopReason::kBudgetExhausted ||
+             ctx.ShouldStop(0).has_value();
+      if (kept) return Status::Ok();
+      // Otherwise our own watchdog slice expired: transiently retry (a
+      // fresh attempt may land on a quieter machine moment).
+      ++watchdog_timeouts;
+      watchdog_counter->Add(1);
+      return Status::Unavailable(
+          "pair (" + std::to_string(a) + ", " + std::to_string(b) +
+          ") exceeded its " + std::to_string(options.pair_time_slice_s) +
+          "s watchdog time slice");
+    };
 
-    // Each worker runs a whole engine per pair, so an engine with
-    // multi-restart enabled would nest a climb pool inside this pool.
-    // Results are thread-count invariant either way; the nested width is
-    // capped so pair-level executors × per-engine climb executors never
-    // exceeds the hardware (DESIGN.md "Threading model").
-    TycosParams inner = params;
-    inner.num_threads =
-        ThreadPool::ResolveNestedThreadCount(params.num_threads, threads);
-    ThreadPool pool(threads - 1);
-    fs = pool.ParallelFor(
-        static_cast<int64_t>(todo.size()), ctx,
-        [&](int64_t i) -> std::optional<StopReason> {
-          PairSlot& slot = slots[static_cast<size_t>(i)];
-          const TodoPair& td = todo[static_cast<size_t>(i)];
-          InFlightGuard guard(&in_flight);
+    const SuperviseResult sres =
+        Supervise(options.retry, seed, global_index, ctx, sleeper, attempt);
+    ledger.Fold([&](DurableJobStats& s) {
+      s.retries += sres.transient_failures;
+      s.watchdog_timeouts += watchdog_timeouts;
+    });
+    // A global stop between attempts or during backoff leaves no output.
+    // A permanent or retry-exhausted failure is isolated to this pair and
+    // the sweep goes on; un-checkpointed, the pair reruns on resume.
+    if (!sres.stopped.has_value() && !sres.final_status.ok()) {
+      ledger.Fail(i, unit, {a, b, sres.final_status, sres.attempts});
+    }
+    return kept;
+  };
 
-          // Admission: probe load (overlaying our own in-flight count on
-          // the probe's queue depth) and pick this pair's shed level.
-          LoadSample sample = probe->Sample();
-          sample.queue_depth += in_flight.load(std::memory_order_relaxed);
-          rss_gauge->Set(sample.rss_bytes);
-          const int level =
-              options.shed.enabled() ? ShedLevel(options.shed, sample) : 0;
-          if (level >= 3) {
-            // Refused, not failed: the pair stays un-checkpointed and a
-            // later, less-loaded resume picks it up.
-            slot.refused = true;
-            shed_counter->Add(1);
-            return std::nullopt;
-          }
-          slot.degraded = level > 0;
-          const TycosParams run_params = DegradeParams(inner, level);
+  // Checkpointing: only deterministic outcomes persist.
+  hooks.finish = [&](int64_t, const PairOutcome* outcome) {
+    in_flight.fetch_sub(1, std::memory_order_relaxed);
+    if (outcome != nullptr &&
+        (outcome->stop_reason == StopReason::kCompleted ||
+         outcome->stop_reason == StopReason::kBudgetExhausted)) {
+      ledger.Append({outcome->entry, outcome->stop_reason});
+    }
+  };
 
-          const auto attempt = [&](int attempt_no) -> Status {
-            slot.attempts = attempt_no;
-            attempts_counter->Add(1);
-            if (options.faults != nullptr) {
-              const FaultClass fc =
-                  options.faults->At(td.global_index, attempt_no);
-              if (fc != FaultClass::kNone) {
-                return PairFaultSchedule::MakeStatus(fc, td.global_index,
-                                                     attempt_no);
-              }
-            }
-            // Watchdog slice + scaled budget, chained under the global
-            // context so a global stop still reaches the inner search.
-            RunContext child;
-            child.SetParent(&ctx);
-            if (options.pair_time_slice_s > 0) {
-              child.SetDeadlineAfter(options.pair_time_slice_s);
-            }
-            // Budget: the tighter of the shed-scaled per-pair budget and
-            // the caller's global budget wins. Parent chaining skips
-            // budgets by design (they count against the poller's own
-            // evaluation counter), so the global one is folded in here —
-            // per pair, exactly as PairwiseSearch applies a budgeted ctx.
-            int64_t budget = 0;
-            if (options.pair_evaluation_budget > 0) {
-              const double scaled = static_cast<double>(
-                                        options.pair_evaluation_budget) *
-                                    ShedBudgetScale(level);
-              budget = std::max<int64_t>(1, static_cast<int64_t>(scaled));
-            }
-            const int64_t global_budget = ctx.evaluation_budget();
-            if (global_budget > 0) {
-              budget = budget > 0 ? std::min(budget, global_budget)
-                                  : global_budget;
-            }
-            if (budget > 0) child.SetEvaluationBudget(budget);
-            Result<PairOutcome> outcome = SearchPair(
-                channels, td.a, td.b, run_params, variant, seed, child);
-            if (!outcome.ok()) return outcome.status();
-            const StopReason reason = outcome.value().stop_reason;
-            if (reason == StopReason::kCompleted ||
-                reason == StopReason::kBudgetExhausted) {
-              // Deterministic outcome: final, and safe to checkpoint.
-              slot.entry = std::move(outcome.value().entry);
-              slot.entry.shed_level = level;
-              slot.finished_reason = reason;
-              slot.include = true;
-              slot.finished = true;
-              return Status::Ok();
-            }
-            // The search was cut by a deadline or cancellation. If the
-            // global context fired, the sweep is ending: keep the partial
-            // entry (never checkpointed — it is timing-dependent) and stop.
-            if (const std::optional<StopReason> g = ctx.ShouldStop(0)) {
-              slot.entry = std::move(outcome.value().entry);
-              slot.entry.shed_level = level;
-              slot.include = true;
-              slot.global_stop = *g;
-              return Status::Ok();
-            }
-            // Otherwise our own watchdog slice expired: transiently retry
-            // (a fresh attempt may land on a quieter machine moment).
-            ++slot.watchdog_timeouts;
-            watchdog_counter->Add(1);
-            return Status::Unavailable(
-                "pair (" + std::to_string(td.a) + ", " +
-                std::to_string(td.b) + ") exceeded its " +
-                std::to_string(options.pair_time_slice_s) +
-                "s watchdog time slice");
-          };
+  Result<PairwiseResult> swept =
+      SweepPairs(channels, todo, params, variant, seed, ctx, hooks);
+  if (!swept.ok()) return swept.status();
 
-          const SuperviseResult sres = Supervise(
-              options.retry, seed, td.global_index, ctx, sleeper, attempt);
-          slot.attempts = sres.attempts;
-          slot.retries = sres.transient_failures;
-          run_counter->Add(1);
-          if (sres.stopped.has_value()) {
-            // Global stop between attempts or during backoff; no entry.
-            slot.global_stop = sres.stopped;
-            return sres.stopped;
-          }
-          if (!sres.final_status.ok()) {
-            // Permanent or retry-exhausted: isolate to this pair, keep
-            // sweeping. It stays un-checkpointed, so a resume retries it.
-            slot.failed = true;
-            slot.fail_status = sres.final_status;
-            return std::nullopt;
-          }
-          if (slot.global_stop.has_value()) return slot.global_stop;
-          if (slot.finished) {
-            sink->Append({slot.entry, slot.finished_reason});
-          }
-          return std::nullopt;
-        });
-
-    stats.checkpoint_error = sink->first_error();
+  // --- Fold the stats and merge with the resumed entries -----------------
+  DurableOutcome out;
+  DurableJobStats& stats = out.stats;
+  stats = ledger.Take();
+  stats.pairs_total = total_pairs;
+  stats.pairs_resumed = static_cast<int64_t>(entries.size());
+  if (writer.has_value()) {
     const Status close_st = writer->Close();
     if (!close_st.ok() && stats.checkpoint_error.ok()) {
       stats.checkpoint_error = close_st;
@@ -392,38 +352,14 @@ Result<DurableOutcome> RunDurableJob(
     ckpt_bytes_counter->Add(writer->bytes_written());
   }
 
-  // --- Merge, in pair order, then sort ------------------------------------
-  const int64_t claimed = fs.has_value() ? fs->claimed : 0;
-  for (int64_t i = 0; i < claimed; ++i) {
-    PairSlot& slot = slots[static_cast<size_t>(i)];
-    const TodoPair& td = todo[static_cast<size_t>(i)];
-    if (slot.refused) {
-      ++stats.pairs_refused;
-      continue;
-    }
-    ++stats.pairs_run;
-    if (slot.degraded) ++stats.pairs_degraded;
-    stats.retries += slot.retries;
-    stats.watchdog_timeouts += slot.watchdog_timeouts;
-    if (slot.failed) {
-      ++stats.pairs_failed;
-      stats.failures.push_back(
-          {td.a, td.b, slot.fail_status, slot.attempts});
-    }
-    if (slot.include) entries.push_back(std::move(slot.entry));
-  }
-
   PairwiseResult& result = out.result;
-  result.entries = std::move(entries);
+  result = std::move(swept.value());
+  result.entries.insert(result.entries.end(), entries.begin(), entries.end());
   SortPairwiseEntries(&result.entries);
   result.pairs_searched = static_cast<int64_t>(result.entries.size());
   result.pairs_skipped = total_pairs - result.pairs_searched;
-  if (fs.has_value() && fs->stop.has_value()) {
-    result.stop_reason = *fs->stop;
-  } else if (paused) {
+  if (paused && result.stop_reason == StopReason::kCompleted) {
     result.stop_reason = StopReason::kPaused;
-  } else {
-    result.stop_reason = StopReason::kCompleted;
   }
   result.partial = result.stop_reason != StopReason::kCompleted ||
                    result.pairs_skipped > 0 || stats.pairs_failed > 0;
@@ -441,7 +377,7 @@ Result<DurableOutcome> ResumePairwiseSearch(
   st = params.Validate(channels[0].size());
   if (!st.ok()) return st;
   return RunDurableJob(channels, params, variant, seed, ctx, options,
-                       /*universe=*/nullptr);
+                       AllChannelPairs(static_cast<int>(channels.size())));
 }
 
 Result<AllPairsJobOutcome> ResumeAllPairsSearch(
@@ -449,12 +385,9 @@ Result<AllPairsJobOutcome> ResumeAllPairsSearch(
     TycosVariant variant, uint64_t seed, const RunContext& ctx,
     const AllPairsJobOptions& options) {
   TYCOS_SPAN("durable_allpairs");
-  if (options.durable.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "DurableJobOptions.checkpoint_path must be set: a durable job "
-        "without a checkpoint cannot resume");
-  }
-  Status st = ValidatePairwiseChannels(channels);
+  Status st = options.durable.Validate();
+  if (!st.ok()) return st;
+  st = ValidatePairwiseChannels(channels);
   if (!st.ok()) return st;
   st = params.Validate(channels[0].size());
   if (!st.ok()) return st;
@@ -547,7 +480,7 @@ Result<AllPairsJobOutcome> ResumeAllPairsSearch(
 
   Result<DurableOutcome> durable =
       RunDurableJob(channels, params, variant, seed, ctx, options.durable,
-                    &out.survivors);
+                    out.survivors);
   if (!durable.ok()) return durable.status();
   out.durable = std::move(durable.value());
   return out;

@@ -1,6 +1,6 @@
-// Durable pairwise search: PairwiseSearch wrapped in the checkpoint,
-// supervision, and admission layers so a multi-million-pair discovery run
-// survives crashes, transient faults, and overload.
+// Durable pairwise search: PairwiseSearch's sweep (SweepPairs) with
+// checkpoint, supervision, and admission hooks, so a multi-million-pair
+// discovery run survives crashes, transient faults, and overload.
 //
 //   * Checkpointing — every finished pair is appended to a crash-safe
 //     checkpoint (checkpoint.h); ResumePairwiseSearch skips pairs the
@@ -8,12 +8,13 @@
 //     its own derived seed (PairwiseSeed), a resumed run's final result is
 //     bit-identical to an uninterrupted one, at any interrupt point and
 //     thread count.
-//   * Supervision — each pair runs under retry-with-backoff (supervisor.h).
-//     Transient failures heal within the retry bound; permanent failures
-//     are isolated to their pair (recorded, excluded from the result) and
-//     the run continues. A watchdog time slice, carved from the global
-//     RunContext deadline via parent chaining, stops one pathological pair
-//     from starving the rest.
+//   * Supervision — each unit of the sweep (a pair, or one restart climb)
+//     runs under retry-with-backoff (supervisor.h). Transient failures
+//     heal within the retry bound; permanent failures are isolated to
+//     their pair (recorded, excluded from the result) and the run
+//     continues. A watchdog time slice, carved from the global RunContext
+//     deadline via parent chaining, stops one pathological pair from
+//     starving the rest.
 //   * Shedding — an admission gate (admission.h) degrades params under
 //     memory/queue pressure before refusing work; the level is recorded in
 //     each entry and checkpoint record.
@@ -65,7 +66,8 @@ struct DurableJobOptions {
   // run.
   double pair_time_slice_s = 0.0;
 
-  // Per-pair evaluation budget (0 = none); scaled down by the shed ladder.
+  // Per-unit evaluation budget (0 = none): per pair, or per climb with
+  // restarts (the plain sweep's rule); scaled down by the shed ladder.
   // An evaluation budget set on the global RunContext also applies, per
   // pair (the tighter of the two wins), exactly as PairwiseSearch applies
   // a budgeted ctx to each pair's own evaluation counter.
@@ -86,6 +88,12 @@ struct DurableJobOptions {
   LoadProbe* probe = nullptr;
   BackoffSleeper* sleeper = nullptr;
   const PairFaultSchedule* faults = nullptr;
+
+  // InvalidArgument naming the field for a missing checkpoint_path, a
+  // negative or NaN pair_time_slice_s, a negative pair_evaluation_budget or
+  // max_pairs_this_run, or an invalid retry policy or shed ladder. The
+  // durable runners call this before touching the checkpoint.
+  Status Validate() const;
 };
 
 // A pair that ended in a permanent (or retry-exhausted) failure, isolated

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <string>
 
 #include "common/annotations.h"
 #include "common/rng.h"
@@ -35,6 +37,32 @@ ErrorClass ClassifyStatus(const Status& status) {
   return ErrorClass::kPermanent;
 }
 
+Status RetryPolicy::Validate() const {
+  if (max_attempts < 1) {
+    return Status::InvalidArgument(
+        "RetryPolicy.max_attempts must be >= 1, got " +
+        std::to_string(max_attempts));
+  }
+  const auto bad = [](const std::string& field, double value,
+                      const char* want) {
+    return Status::InvalidArgument("RetryPolicy." + field + " must be " +
+                                   want + ", got " + std::to_string(value));
+  };
+  if (!std::isfinite(initial_backoff_s) || initial_backoff_s < 0) {
+    return bad("initial_backoff_s", initial_backoff_s, "finite and >= 0");
+  }
+  if (!std::isfinite(max_backoff_s) || max_backoff_s < 0) {
+    return bad("max_backoff_s", max_backoff_s, "finite and >= 0");
+  }
+  if (!std::isfinite(backoff_multiplier) || backoff_multiplier < 1) {
+    return bad("backoff_multiplier", backoff_multiplier, "finite and >= 1");
+  }
+  if (!(jitter_ratio >= 0 && jitter_ratio <= 1)) {
+    return bad("jitter_ratio", jitter_ratio, "in [0, 1]");
+  }
+  return Status::Ok();
+}
+
 double BackoffSeconds(const RetryPolicy& policy, uint64_t seed, int64_t unit,
                       int attempt) {
   double backoff = policy.initial_backoff_s;
@@ -63,9 +91,7 @@ class RealSleeper : public BackoffSleeper {
   std::optional<StopReason> Sleep(double seconds, const RunContext& ctx)
       override TYCOS_EXCLUDES(mu_) {
     using Clock = std::chrono::steady_clock;
-    const Clock::time_point until =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(seconds));
+    const Clock::time_point until = DeadlineAfter(Clock::now(), seconds);
     MutexLock lock(&mu_);
     while (Clock::now() < until) {
       if (const std::optional<StopReason> stop = ctx.ShouldStop()) {

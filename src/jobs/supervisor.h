@@ -40,6 +40,12 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
   double max_backoff_s = 2.0;
   double jitter_ratio = 0.25;     // backoff scaled by 1 ± jitter_ratio
+
+  // InvalidArgument naming the field unless max_attempts >= 1, both
+  // backoffs are finite and >= 0, backoff_multiplier is finite and >= 1,
+  // and jitter_ratio is in [0, 1] — the bounds under which every wait is
+  // finite, non-negative and non-shrinking before the cap.
+  Status Validate() const;
 };
 
 // The wait before attempt `attempt + 1` (attempt is 1-based, so the wait

@@ -34,6 +34,14 @@ Status ValidatePairwiseChannels(const std::vector<TimeSeries>& channels) {
   return Status::Ok();
 }
 
+std::vector<std::pair<int, int>> AllChannelPairs(int num_channels) {
+  std::vector<std::pair<int, int>> pairs;
+  for (int a = 0; a < num_channels; ++a) {
+    for (int b = a + 1; b < num_channels; ++b) pairs.emplace_back(a, b);
+  }
+  return pairs;
+}
+
 uint64_t PairwiseSeed(uint64_t seed, int a, int b) {
   return seed + static_cast<uint64_t>(a) * 1000003u + static_cast<uint64_t>(b);
 }
@@ -52,14 +60,29 @@ void SortPairwiseEntries(std::vector<PairwiseEntry>* entries) {
             });
 }
 
+namespace {
+
+// A pair's finished search as the entry PairwiseSearch reports.
+PairOutcome ToPairOutcome(int a, int b, SearchOutcome outcome) {
+  PairOutcome out;
+  out.entry.a = a;
+  out.entry.b = b;
+  out.entry.windows = std::move(outcome.windows);
+  out.entry.partial = outcome.partial;
+  for (const Window& w : out.entry.windows.windows()) {
+    out.entry.best_score = std::max(out.entry.best_score, w.mi);
+  }
+  out.stop_reason = outcome.stop_reason;
+  return out;
+}
+
+}  // namespace
+
 Result<PairOutcome> SearchPair(const std::vector<TimeSeries>& channels, int a,
                                int b, const TycosParams& params,
                                TycosVariant variant, uint64_t seed,
                                const RunContext& ctx) {
   TYCOS_SPAN("pairwise_pair");
-  PairOutcome out;
-  out.entry.a = a;
-  out.entry.b = b;
   const SeriesPair pair(channels[static_cast<size_t>(a)],
                         channels[static_cast<size_t>(b)]);
   Result<std::unique_ptr<Tycos>> search =
@@ -67,13 +90,7 @@ Result<PairOutcome> SearchPair(const std::vector<TimeSeries>& channels, int a,
   if (!search.ok()) return search.status();
   Result<SearchOutcome> outcome = search.value()->Run(ctx);
   if (!outcome.ok()) return outcome.status();
-  out.entry.windows = std::move(outcome.value().windows);
-  out.entry.partial = outcome.value().partial;
-  for (const Window& w : out.entry.windows.windows()) {
-    out.entry.best_score = std::max(out.entry.best_score, w.mi);
-  }
-  out.stop_reason = outcome.value().stop_reason;
-  return out;
+  return ToPairOutcome(a, b, std::move(outcome.value()));
 }
 
 std::vector<size_t> PairwiseResult::Correlated() const {
@@ -99,57 +116,39 @@ PairwiseResult PairwiseSearch(const std::vector<TimeSeries>& channels,
   return std::move(result.value());
 }
 
-namespace {
-
-// The flattened (pair × climb) scheduler behind PairwiseSearch when
-// multi-restart is enabled: every climb of every pair is one unit on a
-// SINGLE ParallelFor — unit p * R + r runs restart climb r of pair p — so
-// a few hot pairs can still saturate the pool (sub-pair parallelism) and
-// worker counts never multiply across nesting levels (the oversubscription
-// a pair-level pool of engines each spawning a restart-level pool would
-// cause; see DESIGN.md "Threading model").
-//
-// Per-pair setup (series copy, grid/index build, initial noise scan) runs
-// inside worker units too: the first unit of a pair to run constructs the
-// engine under std::call_once, and climbs derive everything else from
-// (pair seed, r) alone. The LAST unit of a pair to finish (atomic
-// countdown, acq_rel so climb writes are visible) merges that pair's
-// climbs in-worker — merging overlaps remaining search work instead of
-// serializing after the join — and frees the engine early.
-//
-// Determinism: units claim in index order (prefix [0, claimed)), climbs
-// are pure functions of (pair seed, r) plus deterministic budget cuts
-// (budgets count per-climb local evaluations), and each pair merges its
-// climbs in climb-index order, so complete pairs are bit-identical at any
-// thread count. A stop mid-pair discards that pair's finished climbs: the
-// boundary pair counts as skipped, exactly like an unclaimed pair.
-Result<PairwiseResult> PairwiseSearchFlattened(
+Result<PairwiseResult> SweepPairs(
     const std::vector<TimeSeries>& channels,
     const std::vector<std::pair<int, int>>& pairs, const TycosParams& params,
-    TycosVariant variant, uint64_t seed, const RunContext& ctx) {
-  const int64_t total_pairs = static_cast<int64_t>(pairs.size());
-  const int64_t restarts = params.num_restarts;
-  const int64_t units = total_pairs * restarts;
+    TycosVariant variant, uint64_t seed, const RunContext& ctx,
+    const PairSweepHooks& hooks) {
+  const int per_pair = std::max(1, params.num_restarts);
+  const int64_t units = static_cast<int64_t>(pairs.size()) * per_pair;
+  if (units == 0) return PairwiseResult{};  // e.g. all pairs prefiltered
 
-  // One slot per pair; `once`/`engine`/`status` are written under
-  // call_once, `climbs[r]` only by the unit that ran climb r, and
-  // `entry`/`merged` only by the last unit of the pair to finish. No
-  // mutex anywhere on this path — once_flag + the acq_rel countdown are
-  // the whole synchronization story, so there is nothing here for the
-  // common/annotations.h capability analysis to annotate (and the
-  // --mutex-annotations ratchet deliberately leaves call_once alone).
+  // Determinism: units claim in index order, a unit is a pure function of
+  // (pair seed, unit) plus deterministic budget cuts, and a pair merges its
+  // climbs in climb-index order, so every reported pair is bit-identical
+  // at any thread count.
+  // One slot per pair. `admission`, `engine` and a restart pair's `status`
+  // are written under call_once; `climbs[r]` only by unit r; a whole
+  // pair's `outcome` and `status` only by its unit 0; the merged `outcome`
+  // and `reported` only by the pair's last unit to end. once_flag + the
+  // acq_rel countdown are the whole synchronization story: no mutex, so
+  // nothing for the common/annotations.h capability analysis to annotate.
   struct PairState {
     std::once_flag once;
+    std::optional<PairAdmission> admission;  // nullopt: refused
     std::unique_ptr<Tycos> engine;
     Status status = Status::Ok();
     std::vector<Tycos::RestartClimbResult> climbs;
-    std::atomic<int64_t> remaining{0};
-    PairwiseEntry entry;
-    bool merged = false;
+    PairOutcome outcome;
+    std::atomic<bool> dropped{false};
+    std::atomic<int> remaining{0};
+    bool reported = false;
   };
-  std::vector<PairState> states(static_cast<size_t>(total_pairs));
+  std::vector<PairState> states(pairs.size());
   for (PairState& st : states) {
-    st.remaining.store(restarts, std::memory_order_relaxed);
+    st.remaining.store(per_pair, std::memory_order_relaxed);
   }
 
   static obs::Counter* pairs_searched =
@@ -160,168 +159,119 @@ Result<PairwiseResult> PairwiseSearchFlattened(
   ThreadPool pool(threads - 1);
   const ThreadPool::ForStatus fs = pool.ParallelFor(
       units, ctx, [&](int64_t u) -> std::optional<StopReason> {
-        const int64_t p = u / restarts;
-        const int r = static_cast<int>(u % restarts);
+        const int64_t p = u / per_pair;
+        const int r = static_cast<int>(u % per_pair);
         PairState& st = states[static_cast<size_t>(p)];
-        if (r == 0) pairs_searched->Add(1);
+        const auto [a, b] = pairs[static_cast<size_t>(p)];
         std::call_once(st.once, [&] {
+          st.admission = hooks.admit ? hooks.admit(p)
+                                     : PairAdmission{params, 0};
+          if (!st.admission.has_value()) return;
+          st.admission->params.num_threads = 1;
+          if (st.admission->params.num_restarts == 0) return;
           TYCOS_SPAN("pairwise_pair_setup");
-          const auto [a, b] = pairs[static_cast<size_t>(p)];
           const SeriesPair sp(channels[static_cast<size_t>(a)],
                               channels[static_cast<size_t>(b)]);
           Result<std::unique_ptr<Tycos>> engine =
-              Tycos::Create(sp, params, variant, PairwiseSeed(seed, a, b));
+              Tycos::Create(sp, st.admission->params, variant,
+                            PairwiseSeed(seed, a, b));
           if (!engine.ok()) {
             st.status = engine.status();
           } else {
             st.engine = std::move(engine.value());
-            st.climbs.resize(static_cast<size_t>(restarts));
+            st.climbs.resize(static_cast<size_t>(per_pair));
           }
         });
-        if (!st.status.ok()) {
-          // Halt further claims; the recorded status (not this reason) is
-          // what the caller sees.
-          return StopReason::kCancelled;
-        }
-        st.climbs[static_cast<size_t>(r)] = st.engine->RunRestartClimb(r, ctx);
-        const std::optional<StopReason> stop =
-            st.climbs[static_cast<size_t>(r)].stop;
-        if (st.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          TYCOS_SPAN("pairwise_pair_merge");
-          const auto [a, b] = pairs[static_cast<size_t>(p)];
-          SearchOutcome outcome = st.engine->MergeRestartClimbs(
-              st.climbs, restarts, std::nullopt);
-          st.entry.a = a;
-          st.entry.b = b;
-          st.entry.windows = std::move(outcome.windows);
-          st.entry.partial = outcome.partial;
-          for (const Window& w : st.entry.windows.windows()) {
-            st.entry.best_score = std::max(st.entry.best_score, w.mi);
+        const bool whole = st.admission.has_value() &&
+                           st.admission->params.num_restarts == 0;
+
+        std::optional<StopReason> halt;
+        if (st.admission.has_value() && (r == 0 || !whole)) {
+          const PairUnitWork work =
+              [&](const RunContext& unit_ctx) -> Result<StopReason> {
+            if (whole) {
+              Result<PairOutcome> out = SearchPair(
+                  channels, a, b, st.admission->params, variant, seed,
+                  unit_ctx);
+              st.status = out.status();
+              if (!out.ok()) return st.status;
+              st.outcome = std::move(out.value());
+              return st.outcome.stop_reason;
+            }
+            if (!st.status.ok()) return st.status;  // the engine build
+            Tycos::RestartClimbResult& climb =
+                st.climbs[static_cast<size_t>(r)];
+            climb = st.engine->RunRestartClimb(r, unit_ctx);
+            return climb.stop.value_or(StopReason::kCompleted);
+          };
+          const bool kept = hooks.run_unit
+                                ? hooks.run_unit(p, r, *st.admission, work)
+                                : work(ctx).ok();
+          if (!kept) {
+            st.dropped.store(true, std::memory_order_relaxed);
+            // Without hooks a drop is an error: halt further claims; the
+            // recorded status (not this reason) is what the caller sees.
+            if (!hooks.run_unit) halt = StopReason::kCancelled;
           }
-          st.merged = true;
-          st.engine.reset();  // frees the pair's series copy early
         }
-        // A per-climb budget exhausting is local; only global limits end
-        // the sweep.
-        if (stop == StopReason::kDeadlineExceeded ||
-            stop == StopReason::kCancelled) {
-          return stop;
+
+        // The last unit of the pair to end (acq_rel, so every unit's writes
+        // are visible) finishes it in-worker — merging overlaps remaining
+        // search work instead of serializing after the join — and frees
+        // the engine early.
+        if (st.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1 ||
+            !st.admission.has_value()) {
+          return halt;
         }
-        return std::nullopt;
+        const bool keep = !st.dropped.load(std::memory_order_relaxed);
+        if (keep && !whole) {
+          TYCOS_SPAN("pairwise_pair_merge");
+          st.outcome = ToPairOutcome(
+              a, b,
+              st.engine->MergeRestartClimbs(st.climbs, per_pair,
+                                            std::nullopt));
+          // A climb cut by a global stop makes the pair timing-dependent.
+          for (const Tycos::RestartClimbResult& climb : st.climbs) {
+            if (climb.stop == StopReason::kDeadlineExceeded ||
+                climb.stop == StopReason::kCancelled) {
+              st.outcome.stop_reason = *climb.stop;
+              break;
+            }
+          }
+        }
+        st.engine.reset();  // frees the pair's series copy early
+        if (keep) st.outcome.entry.shed_level = st.admission->shed_level;
+        if (hooks.finish) hooks.finish(p, keep ? &st.outcome : nullptr);
+        if (keep) {
+          st.reported = true;
+          pairs_searched->Add(1);
+        }
+        return halt;
       });
 
-  // First error in pair order wins (deterministic at any thread count once
-  // the error itself is deterministic). A pair's creation error is visible
-  // iff its first unit was claimed.
-  for (int64_t p = 0; p * restarts < fs.claimed; ++p) {
-    if (!states[static_cast<size_t>(p)].status.ok()) {
-      return states[static_cast<size_t>(p)].status;
+  if (!hooks.run_unit) {
+    // First error in pair order wins (deterministic at any thread count
+    // once the error itself is deterministic). A pair's error is visible
+    // iff its first unit was claimed.
+    for (int64_t p = 0; p * per_pair < fs.claimed; ++p) {
+      if (!states[static_cast<size_t>(p)].status.ok()) {
+        return states[static_cast<size_t>(p)].status;
+      }
     }
   }
 
   PairwiseResult result;
-  for (int64_t p = 0; p < total_pairs; ++p) {
-    PairState& st = states[static_cast<size_t>(p)];
-    if (st.merged) result.entries.push_back(std::move(st.entry));
+  for (PairState& st : states) {
+    if (st.reported) result.entries.push_back(std::move(st.outcome.entry));
   }
   SortPairwiseEntries(&result.entries);
   result.pairs_searched = static_cast<int64_t>(result.entries.size());
-  result.pairs_skipped = total_pairs - result.pairs_searched;
+  result.pairs_skipped =
+      static_cast<int64_t>(pairs.size()) - result.pairs_searched;
   result.partial = fs.stop.has_value() || result.pairs_skipped > 0;
   result.stop_reason = fs.stop.value_or(StopReason::kCompleted);
   return result;
 }
-
-// The validated core shared by PairwiseSearch (full enumeration) and
-// SearchPairList (an explicit subset, e.g. prefilter survivors): dispatch
-// to the flattened scheduler when multi-restart is on, else the pair-level
-// slot fan-out. `pairs` is the entire universe this run knows about, so
-// pairs_skipped counts list entries not reached before a stop.
-Result<PairwiseResult> RunPairList(
-    const std::vector<TimeSeries>& channels,
-    const std::vector<std::pair<int, int>>& pairs, const TycosParams& params,
-    TycosVariant variant, uint64_t seed, const RunContext& ctx) {
-  const int64_t total_pairs = static_cast<int64_t>(pairs.size());
-  if (total_pairs == 0) {
-    // An empty universe (every pair prefiltered away) completes trivially.
-    return PairwiseResult{};
-  }
-
-  if (params.num_restarts > 0) {
-    return PairwiseSearchFlattened(channels, pairs, params, variant, seed,
-                                   ctx);
-  }
-
-  // Each slot is written only by the executor that claimed its pair and read
-  // only after the join; claimed slots are always fully written (a stop
-  // never leaves one torn).
-  struct Slot {
-    PairwiseEntry entry;
-    Status status = Status::Ok();
-  };
-  std::vector<Slot> slots(static_cast<size_t>(total_pairs));
-
-  // Inner searches stay sequential: the pair level is where the parallelism
-  // lives, and nested pools would oversubscribe (results are thread-count
-  // invariant either way).
-  TycosParams inner = params;
-  inner.num_threads = 1;
-
-  // Counted here, once per distinct pair, not in SearchPair: the durable
-  // runner calls SearchPair once per retry attempt, which would inflate a
-  // pairs metric (it has its own jobs.pairs_run / jobs.pair_attempts).
-  static obs::Counter* pairs_searched =
-      obs::GetCounter("pairwise.pairs_searched");
-
-  const int threads = static_cast<int>(std::min<int64_t>(
-      ThreadPool::ResolveThreadCount(params.num_threads), total_pairs));
-  ThreadPool pool(threads - 1);
-  const ThreadPool::ForStatus fs = pool.ParallelFor(
-      total_pairs, ctx, [&](int64_t p) -> std::optional<StopReason> {
-        pairs_searched->Add(1);
-        Slot& slot = slots[static_cast<size_t>(p)];
-        const auto [a, b] = pairs[static_cast<size_t>(p)];
-        Result<PairOutcome> outcome =
-            SearchPair(channels, a, b, inner, variant, seed, ctx);
-        if (!outcome.ok()) {
-          // Halt further claims; the recorded status (not this reason) is
-          // what the caller sees.
-          slot.status = outcome.status();
-          return StopReason::kCancelled;
-        }
-        slot.entry = std::move(outcome.value().entry);
-        // A per-pair budget exhausting is expected on every pair; only
-        // global limits (deadline, cancellation) end the whole sweep.
-        const StopReason reason = outcome.value().stop_reason;
-        if (slot.entry.partial && (reason == StopReason::kDeadlineExceeded ||
-                                   reason == StopReason::kCancelled)) {
-          return reason;
-        }
-        return std::nullopt;
-      });
-
-  // First error in pair order wins (deterministic at any thread count once
-  // the error itself is deterministic).
-  for (int64_t p = 0; p < fs.claimed; ++p) {
-    if (!slots[static_cast<size_t>(p)].status.ok()) {
-      return slots[static_cast<size_t>(p)].status;
-    }
-  }
-
-  PairwiseResult result;
-  result.entries.reserve(static_cast<size_t>(fs.claimed));
-  for (int64_t p = 0; p < fs.claimed; ++p) {
-    result.entries.push_back(std::move(slots[static_cast<size_t>(p)].entry));
-  }
-  SortPairwiseEntries(&result.entries);
-  result.pairs_searched = static_cast<int64_t>(result.entries.size());
-  result.pairs_skipped = total_pairs - result.pairs_searched;
-  result.partial = fs.stop.has_value() || result.pairs_skipped > 0;
-  result.stop_reason = fs.stop.value_or(StopReason::kCompleted);
-  return result;
-}
-
-}  // namespace
 
 Result<PairwiseResult> PairwiseSearch(const std::vector<TimeSeries>& channels,
                                       const TycosParams& params,
@@ -333,15 +283,9 @@ Result<PairwiseResult> PairwiseSearch(const std::vector<TimeSeries>& channels,
   // fan-out free of per-pair construction failures.
   st = params.Validate(channels[0].size());
   if (!st.ok()) return st;
-
-  const int n = static_cast<int>(channels.size());
-  const int64_t total_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(static_cast<size_t>(total_pairs));
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) pairs.emplace_back(a, b);
-  }
-  return RunPairList(channels, pairs, params, variant, seed, ctx);
+  return SweepPairs(channels,
+                    AllChannelPairs(static_cast<int>(channels.size())),
+                    params, variant, seed, ctx);
 }
 
 Result<PairwiseResult> SearchPairList(
@@ -368,7 +312,7 @@ Result<PairwiseResult> SearchPairList(
           "entry " + std::to_string(i) + " violates the order");
     }
   }
-  return RunPairList(channels, pairs, params, variant, seed, ctx);
+  return SweepPairs(channels, pairs, params, variant, seed, ctx);
 }
 
 }  // namespace tycos

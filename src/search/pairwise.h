@@ -8,6 +8,8 @@
 #define TYCOS_SEARCH_PAIRWISE_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -35,9 +37,8 @@ struct PairwiseEntry {
   int64_t window_count() const { return static_cast<int64_t>(windows.size()); }
 };
 
-// One pair's finished search as a self-contained unit: the entry plus how
-// the inner search ended. This is the unit of work the durable-job layer
-// (src/jobs/) supervises, retries, and checkpoints.
+// One pair's finished search: the entry plus how the inner search ended.
+// This is what the durable-job layer (src/jobs/) checkpoints.
 struct PairOutcome {
   PairwiseEntry entry;
   StopReason stop_reason = StopReason::kCompleted;
@@ -65,11 +66,12 @@ struct PairwiseResult {
 // length). Seeds are derived per pair for reproducibility. CHECKs on
 // invalid input; prefer the RunContext overload where input is untrusted.
 //
-// When params.num_threads != 1 the pairs are fanned across a thread pool.
-// Each pair owns its search (seed, evaluator, incremental-KSG state), pairs
-// are claimed in (a, b) order, and entries are merged in pair order before
-// the final sort — so the result is bit-identical to the sequential run at
-// any thread count.
+// When params.num_threads != 1 the sweep's units (whole pairs, or single
+// restart climbs when params.num_restarts > 0; see SweepPairs) are fanned
+// across a thread pool. Each pair owns its search (seed, evaluator,
+// incremental-KSG state), units are claimed in (a, b) order, and entries
+// are merged in pair order before the final sort — so the result is
+// bit-identical to the sequential run at any thread count.
 PairwiseResult PairwiseSearch(const std::vector<TimeSeries>& channels,
                               const TycosParams& params, TycosVariant variant,
                               uint64_t seed = 42);
@@ -88,15 +90,18 @@ Result<PairwiseResult> PairwiseSearch(const std::vector<TimeSeries>& channels,
 
 // --- Building blocks shared with the durable-job layer (src/jobs/) ---
 //
-// PairwiseSearch is exactly: ValidatePairwiseChannels, SearchPair on every
-// (a, b) with a < b, SortPairwiseEntries on the collected entries. The
-// durable runner replays the identical recipe over the not-yet-checkpointed
-// subset, which is what makes a resumed run bit-identical to an
-// uninterrupted one.
+// PairwiseSearch is exactly: ValidatePairwiseChannels, then SweepPairs over
+// every (a, b) with a < b. The durable runner sweeps the
+// not-yet-checkpointed subset with the same core plus per-pair hooks, which
+// is what makes a resumed run bit-identical to an uninterrupted one.
 
 // The channel-level validation PairwiseSearch performs (>= 2 channels,
 // equal lengths, finite values).
 Status ValidatePairwiseChannels(const std::vector<TimeSeries>& channels);
+
+// Every unordered channel pair (a, b), a < b, in (a, b) order: the
+// universe PairwiseSearch sweeps.
+std::vector<std::pair<int, int>> AllChannelPairs(int num_channels);
 
 // The per-pair seed stream. Kept stable across releases so stored results
 // (and checkpoints) stay reproducible.
@@ -112,9 +117,64 @@ Result<PairOutcome> SearchPair(const std::vector<TimeSeries>& channels, int a,
                                TycosVariant variant, uint64_t seed,
                                const RunContext& ctx);
 
-// The result ordering PairwiseSearch applies: best_score descending, ties
-// by window count, then (a, b).
+// The result ordering every sweep applies: best_score descending, ties by
+// window count, then (a, b).
 void SortPairwiseEntries(std::vector<PairwiseEntry>* entries);
+
+// How admit lets a pair into a sweep.
+struct PairAdmission {
+  // May turn restarts off (the pair then runs whole in its unit 0), but
+  // must not otherwise change num_restarts.
+  TycosParams params;
+  int shed_level = 0;  // stamped into the pair's entry
+};
+
+// Runs a unit once under `unit_ctx`, replacing its stored output, and
+// returns how its search ended. Every call replays the unit bit for bit.
+using PairUnitWork =
+    std::function<Result<StopReason>(const RunContext& unit_ctx)>;
+
+// Optional per-pair hooks (the durable runner's admission, supervision and
+// checkpointing). They run on the sweep's workers: concurrently for
+// different pairs and, with restarts, for different units of one pair.
+struct PairSweepHooks {
+  // Once per pair, before its units run: nullopt refuses the pair (it is
+  // never run, reported or finished). Unset: the sweep's params, level 0.
+  std::function<std::optional<PairAdmission>(int64_t pair)> admit;
+  // Runs a unit by calling `work` as often as it likes; returns whether
+  // the last call's output stands (false drops the pair unreported). A
+  // global stop needs no report: the sweep's own poll of ctx ends it.
+  // Unset: the sweep calls work(ctx) once, and an error ends the sweep.
+  std::function<bool(int64_t pair, int unit, const PairAdmission&,
+                     const PairUnitWork& work)>
+      run_unit;
+  // Once per admitted pair after its last unit, with its outcome (nullptr
+  // if dropped) before the entry is reported. A pair a stop left with
+  // unclaimed units is never finished.
+  std::function<void(int64_t pair, const PairOutcome* outcome)> finish;
+};
+
+// The one pair sweep behind PairwiseSearch, SearchPairList (so also
+// AllPairsSearch) and the durable runner: a single prefix-claim
+// ParallelFor over pairs.size() × max(1, num_restarts) units; unit u is
+// unit u % U of pair u / U. Without restarts a pair is one unit, which
+// calls SearchPair (a fresh engine per call, so a retry replays bit for
+// bit). With restarts, unit r runs RunRestartClimb(r) on the pair's engine,
+// built once under std::call_once, and the pair's last unit to end merges
+// the climbs with MergeRestartClimbs; the pair's stop_reason is a global
+// stop (deadline, cancel) if any climb hit one. Sweeps never nest pools:
+// pairs run with num_threads = 1.
+//
+// A pair is reported once all of its units ran and kept their output; a
+// stop that leaves some unclaimed drops it as skipped, so `pairs` is the
+// universe pairs_skipped counts against. Without a run_unit hook the first
+// unit error in pair order is returned. `pairwise.pairs_searched` counts
+// each reported pair once. The caller validates channels, params, pairs.
+Result<PairwiseResult> SweepPairs(
+    const std::vector<TimeSeries>& channels,
+    const std::vector<std::pair<int, int>>& pairs, const TycosParams& params,
+    TycosVariant variant, uint64_t seed, const RunContext& ctx,
+    const PairSweepHooks& hooks = {});
 
 // PairwiseSearch over an EXPLICIT pair universe instead of the full (a, b)
 // enumeration — the all-pairs prefilter path (search/allpairs.h) searches

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "jobs/checkpoint.h"
 #include "jobs/durable_pairwise.h"
 #include "jobs/supervisor.h"
+#include "obs/metrics.h"
 #include "search/fault_injector.h"
 #include "search/pairwise.h"
 
@@ -596,6 +598,21 @@ TEST(SupervisorTest, CancellationInterruptsBackoff) {
   EXPECT_EQ(*r.stopped, StopReason::kCancelled);
 }
 
+TEST(SupervisorTest, RealSleeperSaturatesHugeAndNanWaits) {
+  jobs::BackoffSleeper* real = jobs::BackoffSleeper::Default();
+  // NaN has already expired: no wait at all.
+  EXPECT_FALSE(
+      real->Sleep(std::numeric_limits<double>::quiet_NaN(), RunContext::None())
+          .has_value());
+  // Waits past the clock's range saturate instead of overflowing, and still
+  // honor the context.
+  RunContext cancelled;
+  cancelled.RequestCancel();
+  EXPECT_EQ(real->Sleep(1e12, cancelled), StopReason::kCancelled);
+  EXPECT_EQ(real->Sleep(std::numeric_limits<double>::infinity(), cancelled),
+            StopReason::kCancelled);
+}
+
 // --- Fault schedule ---------------------------------------------------------
 
 TEST(PairFaultScheduleTest, DeterministicAndHealing) {
@@ -726,6 +743,86 @@ TEST(DurablePairwiseTest, RejectsMisconfiguredShedPolicy) {
                                       42, RunContext::None(), opts);
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(opts.checkpoint_path.c_str());
+}
+
+// Runs both durable entry points with `opts` (checkpoint path filled in)
+// and expects InvalidArgument naming `field`, before any checkpoint exists.
+void ExpectRejected(DurableJobOptions opts, const std::string& field) {
+  const auto channels = MakeChannels(1);
+  opts.checkpoint_path = TempCheckpoint("invalid_" + field);
+  const auto r = ResumePairwiseSearch(channels, Params(), TycosVariant::kLMN,
+                                      42, RunContext::None(), opts);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find(field), std::string::npos)
+      << r.status().message();
+  jobs::AllPairsJobOptions all;
+  all.durable = opts;
+  const auto ar = jobs::ResumeAllPairsSearch(
+      channels, Params(), TycosVariant::kLMN, 42, RunContext::None(), all);
+  EXPECT_EQ(ar.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadCheckpoint(opts.checkpoint_path).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(DurablePairwiseTest, DefaultOptionsAreValid) {
+  EXPECT_TRUE(jobs::RetryPolicy{}.Validate().ok());
+  DurableJobOptions opts;
+  opts.checkpoint_path = "unused.ckpt";
+  EXPECT_TRUE(opts.Validate().ok());
+}
+
+TEST(DurablePairwiseTest, RejectsNegativeMaxPairsThisRun) {
+  DurableJobOptions opts;
+  opts.max_pairs_this_run = -1;
+  ExpectRejected(opts, "max_pairs_this_run");
+}
+
+TEST(DurablePairwiseTest, RejectsNegativePairEvaluationBudget) {
+  DurableJobOptions opts;
+  opts.pair_evaluation_budget = -5;
+  ExpectRejected(opts, "pair_evaluation_budget");
+}
+
+TEST(DurablePairwiseTest, RejectsNegativePairTimeSlice) {
+  DurableJobOptions opts;
+  opts.pair_time_slice_s = -0.5;
+  ExpectRejected(opts, "pair_time_slice_s");
+}
+
+TEST(DurablePairwiseTest, RejectsNanPairTimeSlice) {
+  DurableJobOptions opts;
+  opts.pair_time_slice_s = std::numeric_limits<double>::quiet_NaN();
+  ExpectRejected(opts, "pair_time_slice_s");
+}
+
+TEST(DurablePairwiseTest, RejectsNonPositiveMaxAttempts) {
+  DurableJobOptions opts;
+  opts.retry.max_attempts = 0;
+  ExpectRejected(opts, "max_attempts");
+}
+
+TEST(DurablePairwiseTest, RejectsJitterRatioAboveOne) {
+  DurableJobOptions opts;
+  opts.retry.jitter_ratio = 1.5;  // would make some backoffs negative
+  ExpectRejected(opts, "jitter_ratio");
+}
+
+TEST(DurablePairwiseTest, RejectsShrinkingBackoffMultiplier) {
+  DurableJobOptions opts;
+  opts.retry.backoff_multiplier = 0.5;
+  ExpectRejected(opts, "backoff_multiplier");
+}
+
+TEST(DurablePairwiseTest, RejectsNanInitialBackoff) {
+  DurableJobOptions opts;
+  opts.retry.initial_backoff_s = std::numeric_limits<double>::quiet_NaN();
+  ExpectRejected(opts, "initial_backoff_s");
+}
+
+TEST(DurablePairwiseTest, RejectsInfiniteMaxBackoff) {
+  DurableJobOptions opts;
+  opts.retry.max_backoff_s = std::numeric_limits<double>::infinity();
+  ExpectRejected(opts, "max_backoff_s");
 }
 
 TEST(AdmissionTest, DegradeParamsLadderIsDeterministic) {
@@ -1103,6 +1200,124 @@ TEST(DurablePairwiseTest, GlobalContextBudgetAppliesPerPair) {
   ASSERT_TRUE(r.ok()) << r.status().message();
   ExpectBitIdentical(r.value().result, plain.value());
   std::remove(opts.checkpoint_path.c_str());
+}
+
+// --- Durable sweeps with restarts -------------------------------------------
+
+// Interrupts a num_restarts = 4 durable sweep at every pair boundary
+// (max_pairs_this_run), resumes it, at 1/2/8 threads, and checks the final
+// result bit-identical to plain PairwiseSearch with the same params under
+// `plain_ctx`. Each climb is its own supervised unit, so a run's retries are
+// `retries_per_climb` per climb it ran.
+void ExpectRestartResumeMatchesPlain(const std::string& name,
+                                     DurableJobOptions opts,
+                                     const RunContext& plain_ctx,
+                                     int64_t retries_per_climb) {
+  const auto channels = MakeChannels(3);
+  const int64_t total = 3;  // C(3, 2)
+  const int restarts = 4;
+  TycosParams base = Params();
+  base.num_restarts = restarts;
+  const auto want =
+      PairwiseSearch(channels, base, TycosVariant::kLMN, 7, plain_ctx);
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  for (int64_t boundary = 0; boundary <= total; ++boundary) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE("boundary " + std::to_string(boundary) + ", threads " +
+                   std::to_string(threads));
+      TycosParams p = base;
+      p.num_threads = threads;
+      opts.checkpoint_path =
+          TempCheckpoint(name + "_" + std::to_string(boundary) + "_" +
+                         std::to_string(threads));
+
+      if (boundary > 0) {
+        opts.max_pairs_this_run = boundary;
+        const auto first = ResumePairwiseSearch(
+            channels, p, TycosVariant::kLMN, 7, RunContext::None(), opts);
+        ASSERT_TRUE(first.ok()) << first.status().message();
+        EXPECT_EQ(first.value().stats.pairs_run, boundary);
+        EXPECT_EQ(first.value().stats.checkpoint_records_written, boundary);
+        EXPECT_EQ(first.value().stats.retries,
+                  boundary * restarts * retries_per_climb);
+        if (boundary < total) {
+          EXPECT_EQ(first.value().result.stop_reason, StopReason::kPaused);
+        }
+      }
+
+      opts.max_pairs_this_run = 0;
+      const auto resumed = ResumePairwiseSearch(
+          channels, p, TycosVariant::kLMN, 7, RunContext::None(), opts);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+      EXPECT_EQ(resumed.value().stats.pairs_resumed, boundary);
+      EXPECT_EQ(resumed.value().stats.pairs_run, total - boundary);
+      EXPECT_EQ(resumed.value().stats.pairs_failed, 0);
+      EXPECT_EQ(resumed.value().stats.retries,
+                (total - boundary) * restarts * retries_per_climb);
+      EXPECT_EQ(resumed.value().result.stop_reason, StopReason::kCompleted);
+      ExpectBitIdentical(resumed.value().result, want.value());
+      std::remove(opts.checkpoint_path.c_str());
+    }
+  }
+}
+
+TEST(DurablePairwiseTest, RestartSweepResumesBitIdenticallyToPlain) {
+  ExpectRestartResumeMatchesPlain("restart", DurableJobOptions{},
+                                  RunContext::None(), 0);
+}
+
+TEST(DurablePairwiseTest, RestartSweepHealsTransientFaultsPerClimb) {
+  PairFaultSchedule::Spec spec;
+  spec.transient_rate = 1.0;  // every climb's first attempt fails...
+  spec.heal_at_attempt = 2;   // ...and its retry succeeds
+  const PairFaultSchedule faults(11, spec);
+  FakeSleeper sleeper;
+  DurableJobOptions opts;
+  opts.faults = &faults;
+  opts.sleeper = &sleeper;
+  ExpectRestartResumeMatchesPlain("restart_faults", opts, RunContext::None(),
+                                  1);
+}
+
+TEST(DurablePairwiseTest, RestartSweepAppliesThePairBudgetPerClimb) {
+  // The plain sweep applies a budgeted context per climb; the durable
+  // per-pair budget must land the same way, and its stops checkpoint.
+  DurableJobOptions opts;
+  opts.pair_evaluation_budget = 50;
+  const RunContext plain_ctx = RunContext::WithEvaluationBudget(50);
+  ExpectRestartResumeMatchesPlain("restart_budget", opts, plain_ctx, 0);
+}
+
+TEST(DurablePairwiseTest, PairsSearchedCounterCountsDurablePairs) {
+  const auto channels = MakeChannels(1);
+  const auto searched = [] {
+    return obs::Snapshot().CounterValue("pairwise.pairs_searched");
+  };
+  for (const int restarts : {0, 4}) {
+    SCOPED_TRACE("num_restarts " + std::to_string(restarts));
+    TycosParams p = Params();
+    p.num_restarts = restarts;
+    p.num_threads = 2;
+    DurableJobOptions opts;
+    opts.checkpoint_path =
+        TempCheckpoint("pairs_searched_" + std::to_string(restarts));
+    opts.max_pairs_this_run = 1;
+    int64_t before = searched();
+    const auto first = ResumePairwiseSearch(channels, p, TycosVariant::kLMN,
+                                            42, RunContext::None(), opts);
+    ASSERT_TRUE(first.ok()) << first.status().message();
+    EXPECT_EQ(searched() - before, first.value().result.pairs_searched);
+
+    // A resume counts only the pairs it searched, not the resumed ones.
+    opts.max_pairs_this_run = 0;
+    before = searched();
+    const auto second = ResumePairwiseSearch(channels, p, TycosVariant::kLMN,
+                                             42, RunContext::None(), opts);
+    ASSERT_TRUE(second.ok()) << second.status().message();
+    EXPECT_EQ(searched() - before, second.value().result.pairs_searched -
+                                       second.value().stats.pairs_resumed);
+    std::remove(opts.checkpoint_path.c_str());
+  }
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // σ-respecting window set — and reports how it stopped, instead of
 // crashing, hanging, or emitting poisoned windows.
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,6 +116,28 @@ TEST(RunContextTest, BudgetTriggersAtTheBoundary) {
 TEST(RunContextTest, ExpiredDeadlineStops) {
   RunContext ctx = RunContext::WithDeadline(-1.0);  // already in the past
   auto stop = ctx.ShouldStop();
+  ASSERT_TRUE(stop.has_value());
+  EXPECT_EQ(*stop, StopReason::kDeadlineExceeded);
+}
+
+TEST(RunContextTest, HugeAndInfiniteDeadlinesNeverFire) {
+  // Past the clock's range (~9.2e9 s) a plain cast would overflow; the
+  // deadline must saturate to "never" instead.
+  for (const double seconds :
+       {1e12, std::numeric_limits<double>::infinity()}) {
+    RunContext ctx;
+    ctx.SetDeadlineAfter(seconds);
+    EXPECT_FALSE(ctx.ShouldStop(0).has_value()) << seconds;
+    EXPECT_EQ(DeadlineAfter(std::chrono::steady_clock::now(), seconds),
+              std::chrono::steady_clock::time_point::max())
+        << seconds;
+  }
+}
+
+TEST(RunContextTest, NanDeadlineHasExpired) {
+  RunContext ctx;
+  ctx.SetDeadlineAfter(std::numeric_limits<double>::quiet_NaN());
+  const std::optional<StopReason> stop = ctx.ShouldStop(0);
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(*stop, StopReason::kDeadlineExceeded);
 }

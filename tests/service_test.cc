@@ -251,6 +251,26 @@ TEST(ServiceTest, DeadlinedRequestStillCompletesPartial) {
   EXPECT_EQ(done.value().outcome.stop_reason, StopReason::kDeadlineExceeded);
 }
 
+TEST(ServiceTest, HugeDeadlineNeverFires) {
+  // 1e12 s is past the steady clock's range: it must saturate to "never",
+  // not overflow into a deadline that has already passed.
+  const auto ds = Data();
+  auto server = MakeServer(ServiceOptions{}, ds);
+  SearchRequest req = Request();
+  req.deadline_seconds = 1e12;
+  const auto far = server->Wait(server->Submit(req).value());
+  ASSERT_TRUE(far.ok());
+  ASSERT_EQ(far.value().state, RequestState::kDone);
+  EXPECT_FALSE(far.value().from_cache);
+  EXPECT_FALSE(far.value().outcome.partial);
+  EXPECT_EQ(far.value().outcome.stop_reason, StopReason::kCompleted);
+  const auto none = server->Wait(server->Submit(Request("t1")).value());
+  ASSERT_TRUE(none.ok());
+  ASSERT_EQ(none.value().state, RequestState::kDone);
+  ExpectSameWindows(far.value().outcome.windows, none.value().outcome.windows);
+  ExpectSameWindows(far.value().outcome.windows, DirectSearch(ds, Params()));
+}
+
 TEST(ServiceTest, CancelIsGraceful) {
   const auto ds = Data();
   ServiceOptions opts;
