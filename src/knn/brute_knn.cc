@@ -1,7 +1,6 @@
 #include "knn/brute_knn.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -24,17 +23,6 @@ KnnExtents ExtentsOfKnn(const std::vector<Point2>& points, const Point2& probe,
   BruteKnnSelect(points, probe, exclude, &selector);
   TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
   return selector.Extents(points, probe);
-}
-
-// Marginal count over one interleaved lane with the `exclude` element
-// subtracted afterwards (cheaper than masking it out of the vector scan;
-// NaN-safe because a NaN coordinate never passes either the vector or the
-// scalar re-test).
-size_t CountWithinLane(const double* base, size_t n, double center, double d,
-                       size_t exclude) {
-  size_t count = simd::CountWithinInterleaved(base, n, center, d);
-  if (exclude < n && std::fabs(base[2 * exclude] - center) <= d) --count;
-  return count;
 }
 
 }  // namespace
@@ -75,18 +63,6 @@ KnnExtents BruteKnnExtentsAt(const std::vector<Point2>& points,
                              const Point2& probe, int k) {
   TYCOS_CHECK_GE(points.size(), static_cast<size_t>(k));
   return ExtentsOfKnn(points, probe, k, points.size());
-}
-
-size_t CountWithinX(const std::vector<Point2>& points, double x, double dx,
-                    size_t exclude) {
-  const double* xy = reinterpret_cast<const double*>(points.data());
-  return CountWithinLane(xy, points.size(), x, dx, exclude);
-}
-
-size_t CountWithinY(const std::vector<Point2>& points, double y, double dy,
-                    size_t exclude) {
-  const double* xy = reinterpret_cast<const double*>(points.data());
-  return CountWithinLane(xy + 1, points.size(), y, dy, exclude);
 }
 
 }  // namespace tycos

@@ -35,15 +35,6 @@ KnnExtents BruteKnnExtents(const std::vector<Point2>& points, size_t query,
 KnnExtents BruteKnnExtentsAt(const std::vector<Point2>& points,
                              const Point2& probe, int k);
 
-// Number of i with |points[i].x - x| <= dx, excluding index `exclude`
-// (pass points.size() to exclude nothing).
-size_t CountWithinX(const std::vector<Point2>& points, double x, double dx,
-                    size_t exclude);
-
-// Number of i with |points[i].y - y| <= dy, excluding index `exclude`.
-size_t CountWithinY(const std::vector<Point2>& points, double y, double dy,
-                    size_t exclude);
-
 }  // namespace tycos
 
 #endif  // TYCOS_KNN_BRUTE_KNN_H_

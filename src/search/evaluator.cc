@@ -150,7 +150,7 @@ std::unique_ptr<WindowEvaluator> MakeEvaluator(const SeriesPair& pair,
                                                const TycosParams& params,
                                                bool incremental) {
   std::unique_ptr<WindowEvaluator> core;
-  if (incremental) {
+  if (incremental && params.theiler_window == 0) {
     core = std::make_unique<IncrementalEvaluator>(pair, params);
   } else {
     core = std::make_unique<BatchEvaluator>(pair, params);

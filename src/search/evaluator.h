@@ -38,6 +38,9 @@ class WindowEvaluator {
   // Number of degenerate windows scored 0 by the estimator guard.
   virtual int64_t degenerate_windows() const { return 0; }
 
+  // Number of Score() calls answered from a memo table.
+  virtual int64_t cache_hits() const { return 0; }
+
   // Publishes this evaluator's locally accumulated work counters to the
   // obs registry (mi.evaluations, mi.cache_hits, mi.degenerate_windows,
   // incremental.*) as deltas since the previous flush. Searches call it at
@@ -113,9 +116,8 @@ class CachingEvaluator : public WindowEvaluator {
   int64_t degenerate_windows() const override {
     return inner_->degenerate_windows();
   }
+  int64_t cache_hits() const override { return hits_; }
   void FlushObsCounters() override;
-
-  int64_t cache_hits() const { return hits_; }
 
  private:
   std::unique_ptr<WindowEvaluator> inner_;
@@ -125,8 +127,10 @@ class CachingEvaluator : public WindowEvaluator {
   int64_t flushed_hits_ = 0;
 };
 
-// Builds the evaluator stack for a search: incremental or batch core,
-// optionally wrapped in a cache, honoring params.cache_evaluations.
+// Builds the evaluator stack for a search: the incremental core when
+// `incremental` is set and params.theiler_window == 0 (temporal exclusion
+// exists only in the batch estimator), else the batch core; wrapped in the
+// memo cache when params.cache_evaluations is set.
 std::unique_ptr<WindowEvaluator> MakeEvaluator(const SeriesPair& pair,
                                                const TycosParams& params,
                                                bool incremental);

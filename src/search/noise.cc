@@ -11,11 +11,9 @@ namespace tycos {
 namespace {
 
 // Delay candidates for placing an initial block: τ = 0 plus a grid of
-// params.initial_delay_step out to ±td_max (only when scanning is
-// requested).
-std::vector<int64_t> DelayGrid(const TycosParams& params, bool scan_delays) {
+// params.initial_delay_step out to ±td_max.
+std::vector<int64_t> DelayGrid(const TycosParams& params) {
   std::vector<int64_t> delays = {0};
-  if (!scan_delays) return delays;
   // Default to exhaustive τ probing: on serially-uncorrelated data a lagged
   // correlation only lights up at its exact delay, so any coarser grid can
   // miss it outright. Autocorrelated data has wider basins; callers can
@@ -60,7 +58,7 @@ bool BestPlacement(const SeriesPair& pair, WindowEvaluator& evaluator,
 std::optional<Window> InitialNoisePruning(const SeriesPair& pair,
                                           WindowEvaluator& evaluator,
                                           const TycosParams& params,
-                                          int64_t from, bool scan_delays) {
+                                          int64_t from) {
   TYCOS_SPAN("noise_initial");
   static obs::Counter* scans = obs::GetCounter("noise.initial_scans");
   scans->Add(1);
@@ -72,7 +70,7 @@ std::optional<Window> InitialNoisePruning(const SeriesPair& pair,
   // noise prefix can dilute a genuine event below ε forever.
   const int64_t acc_cap =
       std::min(params.s_max, std::max<int64_t>(8 * block, 64));
-  const std::vector<int64_t> delays = DelayGrid(params, scan_delays);
+  const std::vector<int64_t> delays = DelayGrid(params);
 
   std::optional<Window> acc;
   int64_t pos = std::max<int64_t>(from, 0);

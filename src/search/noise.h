@@ -28,15 +28,15 @@ struct DirectionMask {
 //
 // Starting at X index `from`, combines consecutive s_min blocks, discarding
 // accumulations whose next block is noise (Definition 6.4), until a window
-// scoring >= ε is found. When `scan_delays` is true, every block is probed
-// on a coarse delay grid (step s_min, clipped to ±td_max) as well as τ = 0,
+// scoring >= ε is found. Every block is probed at τ = 0 and at each delay
+// out to ±td_max (step params.initial_delay_step; 0 probes every delay),
 // and the best-scoring placement is used — this lets the search start in
 // the basin of a delayed correlation. Returns nullopt when the rest of the
 // series contains no window above ε.
 std::optional<Window> InitialNoisePruning(const SeriesPair& pair,
                                           WindowEvaluator& evaluator,
                                           const TycosParams& params,
-                                          int64_t from, bool scan_delays);
+                                          int64_t from);
 
 // Subsequent noise detection (Section 6.2.2) for the current window w.
 //

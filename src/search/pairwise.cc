@@ -127,20 +127,20 @@ Result<PairwiseResult> SweepPairs(
 
   // Determinism: units claim in index order, a unit is a pure function of
   // (pair seed, unit) plus deterministic budget cuts, and a pair merges its
-  // climbs in climb-index order, so every reported pair is bit-identical
-  // at any thread count.
-  // One slot per pair. `admission`, `engine` and a restart pair's `status`
-  // are written under call_once; `climbs[r]` only by unit r; a whole
-  // pair's `outcome` and `status` only by its unit 0; the merged `outcome`
-  // and `reported` only by the pair's last unit to end. once_flag + the
-  // acq_rel countdown are the whole synchronization story: no mutex, so
-  // nothing for the common/annotations.h capability analysis to annotate.
+  // units in unit order, so every reported pair is bit-identical at any
+  // thread count.
+  // One slot per pair. `admission`, `engine`, `status` and the size of
+  // `units` are written under call_once; `units[r]` only by unit r; the
+  // merged `outcome` and `reported` only by the pair's last unit to end.
+  // once_flag + the acq_rel countdown are the whole synchronization story:
+  // no mutex, so nothing for the common/annotations.h capability analysis
+  // to annotate.
   struct PairState {
     std::once_flag once;
     std::optional<PairAdmission> admission;  // nullopt: refused
     std::unique_ptr<Tycos> engine;
     Status status = Status::Ok();
-    std::vector<Tycos::RestartClimbResult> climbs;
+    std::vector<Tycos::UnitResult> units;
     PairOutcome outcome;
     std::atomic<bool> dropped{false};
     std::atomic<int> remaining{0};
@@ -168,7 +168,6 @@ Result<PairwiseResult> SweepPairs(
                                      : PairAdmission{params, 0};
           if (!st.admission.has_value()) return;
           st.admission->params.num_threads = 1;
-          if (st.admission->params.num_restarts == 0) return;
           TYCOS_SPAN("pairwise_pair_setup");
           const SeriesPair sp(channels[static_cast<size_t>(a)],
                               channels[static_cast<size_t>(b)]);
@@ -177,32 +176,25 @@ Result<PairwiseResult> SweepPairs(
                             PairwiseSeed(seed, a, b));
           if (!engine.ok()) {
             st.status = engine.status();
+            st.units.resize(1);  // unit 0 reports the failure
           } else {
             st.engine = std::move(engine.value());
-            st.climbs.resize(static_cast<size_t>(per_pair));
+            st.units.resize(static_cast<size_t>(st.engine->num_units()));
           }
         });
-        const bool whole = st.admission.has_value() &&
-                           st.admission->params.num_restarts == 0;
 
+        // A pair the shed ladder degraded to fewer units leaves its other
+        // unit slots idle.
+        const bool active = st.admission.has_value() &&
+                            r < static_cast<int>(st.units.size());
         std::optional<StopReason> halt;
-        if (st.admission.has_value() && (r == 0 || !whole)) {
+        if (active) {
           const PairUnitWork work =
               [&](const RunContext& unit_ctx) -> Result<StopReason> {
-            if (whole) {
-              Result<PairOutcome> out = SearchPair(
-                  channels, a, b, st.admission->params, variant, seed,
-                  unit_ctx);
-              st.status = out.status();
-              if (!out.ok()) return st.status;
-              st.outcome = std::move(out.value());
-              return st.outcome.stop_reason;
-            }
             if (!st.status.ok()) return st.status;  // the engine build
-            Tycos::RestartClimbResult& climb =
-                st.climbs[static_cast<size_t>(r)];
-            climb = st.engine->RunRestartClimb(r, unit_ctx);
-            return climb.stop.value_or(StopReason::kCompleted);
+            Tycos::UnitResult& unit = st.units[static_cast<size_t>(r)];
+            unit = st.engine->RunUnit(r, unit_ctx);
+            return unit.stop.value_or(StopReason::kCompleted);
           };
           const bool kept = hooks.run_unit
                                 ? hooks.run_unit(p, r, *st.admission, work)
@@ -224,23 +216,22 @@ Result<PairwiseResult> SweepPairs(
           return halt;
         }
         const bool keep = !st.dropped.load(std::memory_order_relaxed);
-        if (keep && !whole) {
+        if (keep) {
           TYCOS_SPAN("pairwise_pair_merge");
+          const int64_t all = static_cast<int64_t>(st.units.size());
           st.outcome = ToPairOutcome(
-              a, b,
-              st.engine->MergeRestartClimbs(st.climbs, per_pair,
-                                            std::nullopt));
-          // A climb cut by a global stop makes the pair timing-dependent.
-          for (const Tycos::RestartClimbResult& climb : st.climbs) {
-            if (climb.stop == StopReason::kDeadlineExceeded ||
-                climb.stop == StopReason::kCancelled) {
-              st.outcome.stop_reason = *climb.stop;
+              a, b, st.engine->MergeUnits(st.units, all, std::nullopt));
+          // A unit cut by a global stop makes the pair timing-dependent.
+          for (const Tycos::UnitResult& unit : st.units) {
+            if (unit.stop == StopReason::kDeadlineExceeded ||
+                unit.stop == StopReason::kCancelled) {
+              st.outcome.stop_reason = *unit.stop;
               break;
             }
           }
+          st.outcome.entry.shed_level = st.admission->shed_level;
         }
         st.engine.reset();  // frees the pair's series copy early
-        if (keep) st.outcome.entry.shed_level = st.admission->shed_level;
         if (hooks.finish) hooks.finish(p, keep ? &st.outcome : nullptr);
         if (keep) {
           st.reported = true;

@@ -66,9 +66,9 @@ struct PairwiseResult {
 // length). Seeds are derived per pair for reproducibility. CHECKs on
 // invalid input; prefer the RunContext overload where input is untrusted.
 //
-// When params.num_threads != 1 the sweep's units (whole pairs, or single
-// restart climbs when params.num_restarts > 0; see SweepPairs) are fanned
-// across a thread pool. Each pair owns its search (seed, evaluator,
+// When params.num_threads != 1 the sweep's units (a pair's scan, or its
+// single restart climbs when params.num_restarts > 0; see SweepPairs) are
+// fanned across a thread pool. Each pair owns its search (seed, evaluator,
 // incremental-KSG state), units are claimed in (a, b) order, and entries
 // are merged in pair order before the final sort — so the result is
 // bit-identical to the sequential run at any thread count.
@@ -123,7 +123,7 @@ void SortPairwiseEntries(std::vector<PairwiseEntry>* entries);
 
 // How admit lets a pair into a sweep.
 struct PairAdmission {
-  // May turn restarts off (the pair then runs whole in its unit 0), but
+  // May turn restarts off (the pair's scan then runs in its unit 0), but
   // must not otherwise change num_restarts.
   TycosParams params;
   int shed_level = 0;  // stamped into the pair's entry
@@ -157,13 +157,13 @@ struct PairSweepHooks {
 // The one pair sweep behind PairwiseSearch, SearchPairList (so also
 // AllPairsSearch) and the durable runner: a single prefix-claim
 // ParallelFor over pairs.size() × max(1, num_restarts) units; unit u is
-// unit u % U of pair u / U. Without restarts a pair is one unit, which
-// calls SearchPair (a fresh engine per call, so a retry replays bit for
-// bit). With restarts, unit r runs RunRestartClimb(r) on the pair's engine,
-// built once under std::call_once, and the pair's last unit to end merges
-// the climbs with MergeRestartClimbs; the pair's stop_reason is a global
-// stop (deadline, cancel) if any climb hit one. Sweeps never nest pools:
-// pairs run with num_threads = 1.
+// unit u % U of pair u / U. Each admitted pair builds its engine once
+// under std::call_once and runs Tycos::RunUnit for each of the engine's
+// num_units() (a fresh evaluator stack and RNG per call, so a retry
+// replays bit for bit); the pair's last unit to end merges them with
+// Tycos::MergeUnits. The pair's stop_reason is a global stop (deadline,
+// cancel) if any unit hit one. Sweeps never nest pools: pairs run with
+// num_threads = 1.
 //
 // A pair is reported once all of its units ran and kept their output; a
 // stop that leaves some unclaimed drops it as skipped, so `pairs` is the

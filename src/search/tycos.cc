@@ -45,54 +45,67 @@ Status ValidateForSearch(const SeriesPair& pair, const TycosParams& params) {
   return pair.y().Validate();
 }
 
-// The registry counters Run(ctx) folds back into TycosStats. Resolved once;
+// The registry counters FlushClimbCounters publishes to. Resolved once;
 // the registry owns the counters for the process lifetime.
-struct RunCounterBindings {
+struct ClimbCounterBindings {
   obs::Counter* climbs = obs::GetCounter("tycos.climbs");
   obs::Counter* accepted = obs::GetCounter("tycos.accepted_moves");
   obs::Counter* rejected = obs::GetCounter("tycos.rejected_moves");
   obs::Counter* noise_blocked = obs::GetCounter("tycos.noise_blocked");
   obs::Counter* non_finite = obs::GetCounter("tycos.non_finite_scores");
-  obs::Counter* evaluations = obs::GetCounter("mi.evaluations");
-  obs::Counter* cache_hits = obs::GetCounter("mi.cache_hits");
-  obs::Counter* degenerate = obs::GetCounter("mi.degenerate_windows");
 };
 
-const RunCounterBindings& Bindings() {
-  static const RunCounterBindings b;
+const ClimbCounterBindings& Bindings() {
+  static const ClimbCounterBindings b;
   return b;
 }
 
-// Point-in-time values of the bound counters, for before/after run deltas.
-struct RunCounterValues {
-  int64_t climbs = 0;
-  int64_t accepted = 0;
-  int64_t rejected = 0;
-  int64_t noise_blocked = 0;
-  int64_t non_finite = 0;
-  int64_t evaluations = 0;
-  int64_t cache_hits = 0;
-  int64_t degenerate = 0;
+// The result set S (Algorithm 1) that climbed windows are offered to:
+// σ-gated non-nested inserts, or with params.top_k > 0 the top-K list and
+// its dynamic σ (Section 6.3.2). The final set is a pure function of the
+// offer sequence, which is what lets MergeUnits replay a unit's climbs.
+class ResultCollector {
+ public:
+  explicit ResultCollector(const TycosParams& params)
+      : sigma_(params.sigma),
+        dynamic_sigma_(params.top_k > 0),
+        top_k_(params.top_k > 0 ? params.top_k : 1) {}
+
+  // Returns whether w is in the result afterwards.
+  bool Offer(const Window& w) {
+    if (dynamic_sigma_) return top_k_.Offer(w);
+    return w.mi >= sigma_ && windows_.Insert(w);
+  }
+
+  WindowSet Take() {
+    if (dynamic_sigma_) {
+      for (const Window& w : top_k_.windows()) windows_.Insert(w);
+    }
+    return std::move(windows_);
+  }
+
+ private:
+  double sigma_;
+  bool dynamic_sigma_;
+  TopKFilter top_k_;
+  WindowSet windows_;
 };
 
-RunCounterValues CaptureRunCounters() {
-  const RunCounterBindings& b = Bindings();
-  RunCounterValues v;
-  v.climbs = b.climbs->Value();
-  v.accepted = b.accepted->Value();
-  v.rejected = b.rejected->Value();
-  v.noise_blocked = b.noise_blocked->Value();
-  v.non_finite = b.non_finite->Value();
-  v.evaluations = b.evaluations->Value();
-  v.cache_hits = b.cache_hits->Value();
-  v.degenerate = b.degenerate->Value();
-  return v;
+void AddWork(const TycosStats& unit, TycosStats* total) {
+  total->climbs += unit.climbs;
+  total->accepted_moves += unit.accepted_moves;
+  total->rejected_moves += unit.rejected_moves;
+  total->noise_blocked += unit.noise_blocked;
+  total->non_finite_scores += unit.non_finite_scores;
+  total->mi_evaluations += unit.mi_evaluations;
+  total->cache_hits += unit.cache_hits;
+  total->degenerate_windows += unit.degenerate_windows;
 }
 
 }  // namespace
 
 void Tycos::FlushClimbCounters(const ClimbCounters& c) {
-  const RunCounterBindings& b = Bindings();
+  const ClimbCounterBindings& b = Bindings();
   b.climbs->Add(1);
   if (c.accepted_moves > 0) b.accepted->Add(c.accepted_moves);
   if (c.rejected_moves > 0) b.rejected->Add(c.rejected_moves);
@@ -108,37 +121,12 @@ void Tycos::FlushClimbCounters(const ClimbCounters& c) {
   }
 }
 
-Tycos::EvaluatorStack Tycos::BuildEvaluator() const {
-  EvaluatorStack stack;
-  std::unique_ptr<WindowEvaluator> core;
-  // Temporal (Theiler) exclusion is only implemented in the batch
-  // estimator, so it overrides the M variants' incremental evaluator.
-  if (use_incremental() && params_.theiler_window == 0) {
-    core = std::make_unique<IncrementalEvaluator>(pair_, params_);
-  } else {
-    core = std::make_unique<BatchEvaluator>(pair_, params_);
-  }
-  if (params_.cache_evaluations) {
-    auto caching = std::make_unique<CachingEvaluator>(std::move(core));
-    stack.cache = caching.get();
-    stack.evaluator = std::move(caching);
-  } else {
-    stack.evaluator = std::move(core);
-  }
-  return stack;
-}
-
 Tycos::Tycos(Validated, const SeriesPair& pair, const TycosParams& params,
              TycosVariant variant, uint64_t seed)
     : pair_(PreparePair(pair, params)),
       params_(params),
       variant_(variant),
-      seed_(seed),
-      rng_(seed) {
-  EvaluatorStack stack = BuildEvaluator();
-  cache_ = stack.cache;
-  evaluator_ = std::move(stack.evaluator);
-}
+      seed_(seed) {}
 
 Tycos::Tycos(const SeriesPair& pair, const TycosParams& params,
              TycosVariant variant, uint64_t seed)
@@ -165,11 +153,14 @@ Result<std::unique_ptr<Tycos>> Tycos::Create(const SeriesPair& pair,
 }
 
 void Tycos::WrapEvaluatorForTest(const EvaluatorWrapper& wrap) {
-  evaluator_ = wrap(std::move(evaluator_));
-  // The cache (if any) now lives somewhere inside the wrapped stack; the
-  // raw pointer stays valid for stats reads. Multi-restart climbs each call
-  // the wrapper again on their private stack.
   test_wrapper_ = wrap;
+  test_stacks_.resize(static_cast<size_t>(num_units()));
+}
+
+uint64_t Tycos::UnitSeed(int u) const {
+  return params_.num_restarts > 0
+             ? DeriveStreamSeed(seed_, static_cast<uint64_t>(u))
+             : seed_;
 }
 
 double Tycos::SafeScore(const ClimbContext& cc, const Window& w) const {
@@ -280,13 +271,7 @@ WindowSet Tycos::Run() {
 
 Result<SearchOutcome> Tycos::Run(const RunContext& ctx) {
   TYCOS_SPAN("tycos_run");
-  // The registry is the source of truth for work counters; stats_ is this
-  // engine's view of it, maintained as the delta observed across the
-  // dispatch (climbs and evaluators publish at climb/run boundaries, so the
-  // counters are settled by the time the dispatch returns). Same windowing
-  // caveat as the audit block below: concurrent runs in other threads can
-  // inflate a delta.
-  const RunCounterValues counters_before = CaptureRunCounters();
+  const int units = num_units();
 #if TYCOS_AUDIT_ENABLED
   // Surface the audit activity of this run through stats(): record the
   // process-wide registry delta across the dispatch. Concurrent runs in
@@ -294,54 +279,89 @@ Result<SearchOutcome> Tycos::Run(const RunContext& ctx) {
   // diagnostic whose zero/non-zero failure signal is what matters.
   const int64_t checks_before = audit::Registry::Instance().TotalChecks();
   const int64_t failures_before = audit::Registry::Instance().TotalFailures();
+  {
+    // RNG stream-derivation audit: multi-unit determinism rests on every
+    // unit owning a seed that (a) is reproducible from (seed, unit) alone
+    // and (b) never collides with a sibling unit's. A collision would make
+    // two climbs sample identical LAHC histories; a non-reproducible
+    // derivation would break bit-identity across runs.
+    static audit::Auditor* rng_audit = audit::Get("rng_stream_derivation");
+    std::vector<uint64_t> seeds(static_cast<size_t>(units));
+    for (int u = 0; u < units; ++u) {
+      seeds[static_cast<size_t>(u)] = UnitSeed(u);
+      TYCOS_AUDIT_CHECK(
+          rng_audit, seeds[static_cast<size_t>(u)] == UnitSeed(u),
+          "unit seed not reproducible for unit " + std::to_string(u));
+    }
+    std::sort(seeds.begin(), seeds.end());
+    const bool distinct =
+        std::adjacent_find(seeds.begin(), seeds.end()) == seeds.end();
+    TYCOS_AUDIT_CHECK(rng_audit, distinct,
+                      "seed collision across " + std::to_string(units) +
+                          " units of seed " + std::to_string(seed_));
+  }
 #endif
-  Result<SearchOutcome> out = params_.num_restarts > 0
-                                  ? RunMultiRestart(ctx)
-                                  : RunSequential(ctx);
+
+  std::vector<UnitResult> results(static_cast<size_t>(units));
+  const int threads = static_cast<int>(std::min<int64_t>(
+      ThreadPool::ResolveThreadCount(params_.num_threads), units));
+  ThreadPool pool(threads - 1);
+  const ThreadPool::ForStatus fs = pool.ParallelFor(
+      units, ctx, [&](int64_t u) -> std::optional<StopReason> {
+        UnitResult& out = results[static_cast<size_t>(u)];
+        out = RunUnit(static_cast<int>(u), ctx);
+        // A per-unit budget exhausting is local (every unit carries the
+        // same budget); only global limits end the whole run.
+        if (out.stop == StopReason::kDeadlineExceeded ||
+            out.stop == StopReason::kCancelled) {
+          return out.stop;
+        }
+        return std::nullopt;
+      });
+  SearchOutcome outcome = MergeUnits(results, fs.claimed, fs.stop);
+
+  TycosStats total;
+  for (int64_t u = 0; u < fs.claimed; ++u) {
+    AddWork(results[static_cast<size_t>(u)].work, &total);
+  }
+  total.stop_reason = outcome.stop_reason;
+  total.windows_found = static_cast<int64_t>(outcome.windows.size());
 #if TYCOS_AUDIT_ENABLED
-  stats_.audit_checks +=
+  total.audit_checks =
       audit::Registry::Instance().TotalChecks() - checks_before;
-  stats_.audit_failures +=
+  total.audit_failures =
       audit::Registry::Instance().TotalFailures() - failures_before;
 #endif
-  const RunCounterValues counters_after = CaptureRunCounters();
-  stats_.climbs += counters_after.climbs - counters_before.climbs;
-  stats_.accepted_moves += counters_after.accepted - counters_before.accepted;
-  stats_.rejected_moves += counters_after.rejected - counters_before.rejected;
-  stats_.noise_blocked +=
-      counters_after.noise_blocked - counters_before.noise_blocked;
-  stats_.non_finite_scores +=
-      counters_after.non_finite - counters_before.non_finite;
-  stats_.mi_evaluations +=
-      counters_after.evaluations - counters_before.evaluations;
-  stats_.cache_hits += counters_after.cache_hits - counters_before.cache_hits;
-  stats_.degenerate_windows +=
-      counters_after.degenerate - counters_before.degenerate;
-  if (out.ok()) {
-    static obs::Gauge* last_windows =
-        obs::GetGauge("tycos.last_windows_found");
-    last_windows->Set(stats_.windows_found);
-  }
-  return out;
+  stats_ = total;
+  static obs::Gauge* last_windows = obs::GetGauge("tycos.last_windows_found");
+  last_windows->Set(stats_.windows_found);
+  return outcome;
 }
 
-Result<SearchOutcome> Tycos::RunSequential(const RunContext& ctx) {
-  SearchOutcome outcome;
-  WindowSet& results = outcome.windows;
-  TopKFilter top_k(params_.top_k > 0 ? params_.top_k : 1);
-  const bool dynamic_sigma = params_.top_k > 0;
-  const int64_t n = pair_.size();
+Tycos::UnitResult Tycos::RunUnit(int u, const RunContext& ctx) const {
+  UnitResult out;
+  std::unique_ptr<WindowEvaluator> evaluator =
+      MakeEvaluator(pair_, params_, use_incremental());
+  // The work tallies read the stack itself, beneath any test wrapper.
+  const WindowEvaluator& stack = *evaluator;
+  if (test_wrapper_) evaluator = test_wrapper_(std::move(evaluator));
+  Rng rng(UnitSeed(u));
 
-  std::optional<StopReason> stop;
-  int64_t cursor = 0;
+  const bool scan = params_.num_restarts == 0;
+  const int64_t n = pair_.size();
+  // Valid start cursors are [0, n - s_min]; params validation guarantees
+  // s_min <= s_max <= n, so there is at least one.
+  const int64_t usable = n - params_.s_min + 1;
+  int64_t cursor = scan ? 0 : u * usable / params_.num_restarts;
+  ResultCollector results(params_);
   while (cursor + params_.s_min <= n) {
-    if ((stop = ctx.ShouldStop(evaluator_->evaluations()))) break;
+    if ((out.stop = ctx.ShouldStop(evaluator->evaluations()))) break;
     ClimbCounters counters;
-    const ClimbContext cc{evaluator_.get(), &rng_, &counters};
+    const ClimbContext cc{evaluator.get(), &rng, &counters};
     Window w0;
     if (use_noise()) {
-      std::optional<Window> init = InitialNoisePruning(
-          pair_, *evaluator_, params_, cursor, /*scan_delays=*/true);
+      std::optional<Window> init =
+          InitialNoisePruning(pair_, *evaluator, params_, cursor);
       if (!init.has_value()) break;  // nothing above ε remains
       w0 = *init;
       if (!std::isfinite(w0.mi)) {
@@ -352,173 +372,55 @@ Result<SearchOutcome> Tycos::RunSequential(const RunContext& ctx) {
       w0 = Window(cursor, cursor + params_.s_min - 1, 0);
       w0.mi = SafeScore(cc, w0);
     }
-    const Window w = Climb(cc, w0, ctx, &stop);
-    FlushClimbCounters(counters);
-
     // Even when the climb was interrupted, its best-so-far window is a
     // genuinely evaluated candidate: offering it through the normal accept
-    // path keeps the partial result a valid non-nested, σ-respecting set.
-    bool accepted = false;
-    if (dynamic_sigma) {
-      accepted = top_k.Offer(w);
-    } else if (w.mi >= params_.sigma) {
-      accepted = results.Insert(w);
-    }
-    if (stop.has_value()) break;
-    // Restart on the remaining data (Algorithm 1 line 21). The cursor always
-    // advances by at least s_min so the scan terminates.
-    const int64_t resume_after = accepted ? std::max(w.end, w0.end) : w0.end;
+    // path keeps a partial result a valid non-nested, σ-respecting set.
+    const Window w = Climb(cc, w0, ctx, &out.stop);
+    FlushClimbCounters(counters);
+    ++out.work.climbs;
+    out.work.accepted_moves += counters.accepted_moves;
+    out.work.rejected_moves += counters.rejected_moves;
+    out.work.noise_blocked += counters.noise_blocked;
+    out.work.non_finite_scores += counters.non_finite_scores;
+    out.windows.push_back(w);
+    // A restart climbs once. The scan restarts on the remaining data
+    // (Algorithm 1 line 21), advancing at least s_min so it terminates.
+    if (!scan || out.stop.has_value()) break;
+    const int64_t resume_after =
+        results.Offer(w) ? std::max(w.end, w0.end) : w0.end;
     cursor = std::max(cursor + params_.s_min, resume_after + 1);
   }
 
-  if (dynamic_sigma) {
-    TYCOS_SPAN("extract");
-    for (const Window& w : top_k.windows()) results.Insert(w);
-  }
-  outcome.partial = stop.has_value();
-  outcome.stop_reason = stop.value_or(StopReason::kCompleted);
-  stats_.stop_reason = outcome.stop_reason;
-  stats_.windows_found = static_cast<int64_t>(results.size());
-  // Settle the evaluator stack's locally tallied work (mi.*, incremental.*)
-  // so the caller's registry delta covers this run in full.
-  evaluator_->FlushObsCounters();
-  return outcome;
-}
-
-Tycos::RestartClimbResult Tycos::RunRestartClimb(int r,
-                                                 const RunContext& ctx) const {
-  // Valid start cursors are [0, n - s_min]; params validation guarantees
-  // s_min <= s_max <= n, so there is at least one.
-  const int64_t usable = pair_.size() - params_.s_min + 1;
-  const int restarts = params_.num_restarts;
-  RestartClimbResult out;
-
-  EvaluatorStack stack = BuildEvaluator();
+  // Settle the stack's locally tallied work (mi.*, incremental.*) in the
+  // registry before it is destroyed.
+  evaluator->FlushObsCounters();
+  out.work.mi_evaluations = stack.evaluations();
+  out.work.cache_hits = stack.cache_hits();
+  out.work.degenerate_windows = stack.degenerate_windows();
   if (test_wrapper_) {
-    stack.evaluator = test_wrapper_(std::move(stack.evaluator));
+    test_stacks_[static_cast<size_t>(u)] = std::move(evaluator);
   }
-  Rng rng(DeriveStreamSeed(seed_, static_cast<uint64_t>(r)));
-  const int64_t cursor = r * usable / restarts;
-  ClimbCounters counters;
-  const ClimbContext cc{stack.evaluator.get(), &rng, &counters};
-
-  Window w0;
-  bool have_start = false;
-  if (use_noise()) {
-    std::optional<Window> init = InitialNoisePruning(
-        pair_, *stack.evaluator, params_, cursor, /*scan_delays=*/true);
-    if (init.has_value()) {
-      w0 = *init;
-      if (!std::isfinite(w0.mi)) {
-        ++counters.non_finite_scores;
-        w0.mi = 0.0;
-      }
-      have_start = true;
-    }
-  } else {
-    w0 = Window(cursor, cursor + params_.s_min - 1, 0);
-    w0.mi = SafeScore(cc, w0);
-    have_start = true;
-  }
-
-  if (have_start) {
-    out.window = Climb(cc, w0, ctx, &out.stop);
-    out.has_window = true;
-    FlushClimbCounters(counters);
-  }
-  // Settle this climb's evaluator stack before it is destroyed; the
-  // registry sums are per-climb integers, so the run total is
-  // bit-identical at any thread count.
-  stack.evaluator->FlushObsCounters();
   return out;
 }
 
-SearchOutcome Tycos::MergeRestartClimbs(
-    const std::vector<RestartClimbResult>& climbs, int64_t claimed,
-    std::optional<StopReason> pool_stop) {
-  // Merge in climb-index order — never completion order — so the result set
-  // is bit-identical at every thread count. (The registry counters need no
-  // ordering: integer sums commute.)
+SearchOutcome Tycos::MergeUnits(const std::vector<UnitResult>& units,
+                                int64_t claimed,
+                                std::optional<StopReason> pool_stop) const {
   TYCOS_SPAN("extract");
-  SearchOutcome outcome;
-  TopKFilter top_k(params_.top_k > 0 ? params_.top_k : 1);
-  const bool dynamic_sigma = params_.top_k > 0;
+  ResultCollector results(params_);
   std::optional<StopReason> stop;
-  for (int64_t r = 0; r < claimed; ++r) {
-    const RestartClimbResult& c = climbs[static_cast<size_t>(r)];
-    if (c.stop.has_value() && !stop.has_value()) stop = c.stop;
-    if (!c.has_window) continue;
-    if (dynamic_sigma) {
-      top_k.Offer(c.window);
-    } else if (c.window.mi >= params_.sigma) {
-      outcome.windows.Insert(c.window);
-    }
+  for (int64_t u = 0; u < claimed; ++u) {
+    const UnitResult& unit = units[static_cast<size_t>(u)];
+    if (unit.stop.has_value() && !stop.has_value()) stop = unit.stop;
+    for (const Window& w : unit.windows) results.Offer(w);
   }
-  if (dynamic_sigma) {
-    for (const Window& w : top_k.windows()) outcome.windows.Insert(w);
-  }
-
-  // Reasons recorded by climbs are taken in index order; a stop only the
-  // claim-level poll observed (no climb ran into it) comes last.
-  if (!stop.has_value()) stop = pool_stop;
-  outcome.partial =
-      stop.has_value() || claimed < params_.num_restarts;
+  const bool cut = claimed < static_cast<int64_t>(units.size());
+  if (!stop.has_value() && cut) stop = pool_stop;
+  SearchOutcome outcome;
+  outcome.windows = results.Take();
+  outcome.partial = stop.has_value() || cut;
   outcome.stop_reason = stop.value_or(StopReason::kCompleted);
-  stats_.stop_reason = outcome.stop_reason;
-  stats_.windows_found = static_cast<int64_t>(outcome.windows.size());
   return outcome;
-}
-
-Result<SearchOutcome> Tycos::RunMultiRestart(const RunContext& ctx) {
-  const int restarts = params_.num_restarts;
-  std::vector<RestartClimbResult> climbs(static_cast<size_t>(restarts));
-
-#if TYCOS_AUDIT_ENABLED
-  {
-    // RNG stream-derivation audit: multi-restart determinism rests on every
-    // climb owning a seed stream that (a) is reproducible from (seed, index)
-    // alone and (b) never collides with a sibling climb's stream. A
-    // collision would make two climbs sample identical LAHC histories; a
-    // non-reproducible derivation would break bit-identity across runs.
-    static audit::Auditor* rng_audit = audit::Get("rng_stream_derivation");
-    std::vector<uint64_t> seeds(static_cast<size_t>(restarts));
-    for (int r = 0; r < restarts; ++r) {
-      const auto stream = static_cast<uint64_t>(r);
-      seeds[static_cast<size_t>(r)] = DeriveStreamSeed(seed_, stream);
-      TYCOS_AUDIT_CHECK(
-          rng_audit,
-          seeds[static_cast<size_t>(r)] == DeriveStreamSeed(seed_, stream),
-          "DeriveStreamSeed not reproducible for stream " + std::to_string(r));
-    }
-    std::vector<uint64_t> sorted_seeds = seeds;
-    std::sort(sorted_seeds.begin(), sorted_seeds.end());
-    const bool distinct = std::adjacent_find(sorted_seeds.begin(),
-                                             sorted_seeds.end()) ==
-                          sorted_seeds.end();
-    TYCOS_AUDIT_CHECK(rng_audit, distinct,
-                      "seed stream collision across " +
-                          std::to_string(restarts) + " restarts of seed " +
-                          std::to_string(seed_));
-  }
-#endif
-
-  const int threads = static_cast<int>(std::min<int64_t>(
-      ThreadPool::ResolveThreadCount(params_.num_threads), restarts));
-  ThreadPool pool(threads - 1);
-  const ThreadPool::ForStatus fs = pool.ParallelFor(
-      restarts, ctx, [&](int64_t r) -> std::optional<StopReason> {
-        RestartClimbResult& out = climbs[static_cast<size_t>(r)];
-        out = RunRestartClimb(static_cast<int>(r), ctx);
-        // A per-climb budget exhausting is local (every climb carries the
-        // same budget); only global limits end the whole run.
-        if (out.stop == StopReason::kDeadlineExceeded ||
-            out.stop == StopReason::kCancelled) {
-          return out.stop;
-        }
-        return std::nullopt;
-      });
-
-  return MergeRestartClimbs(climbs, fs.claimed, fs.stop);
 }
 
 }  // namespace tycos

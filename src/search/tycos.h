@@ -9,6 +9,7 @@
 #ifndef TYCOS_SEARCH_TYCOS_H_
 #define TYCOS_SEARCH_TYCOS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,15 +32,12 @@ enum class TycosVariant { kL, kLN, kLM, kLMN };
 
 const char* TycosVariantName(TycosVariant v);
 
-// Per-run work summary. The counter-like fields are no longer incremented
-// directly: climbs and their evaluators tally work in plain locals, publish
-// to the obs metrics registry (src/obs/metrics.h) at climb/run boundaries,
-// and Run(ctx) folds the registry delta observed across the dispatch into
-// these fields — the registry is the source of truth and this struct is a
-// per-engine view of it. Concurrent runs in other threads can inflate a
-// delta (as with the audit counters below); within one run the totals are
-// sums of per-climb integers, so they stay bit-identical at any thread
-// count.
+// Per-run work summary. Each search unit tallies its climbs and its own
+// evaluator stack in plain integers, and Run(ctx) sums the units in unit
+// order, so the counters cover this engine alone (never another engine
+// running beside it) and are bit-identical at any thread count. The obs
+// metrics registry (src/obs/metrics.h) receives the same counters, which
+// units publish at climb and unit boundaries.
 struct TycosStats {
   int64_t climbs = 0;            // local searches (restarts included)
   int64_t accepted_moves = 0;
@@ -51,9 +49,10 @@ struct TycosStats {
   int64_t non_finite_scores = 0;   // evaluator outputs sanitized to 0
   int64_t degenerate_windows = 0;  // constant/hostile windows scored 0
   // Invariant-audit counters covering this run (builds with TYCOS_AUDIT=ON
-  // only; both stay 0 otherwise). The counts are the process-wide registry
-  // delta observed across Run(ctx) — estimator differentials, kNN backend
+  // only; both stay 0 otherwise): estimator differentials, kNN backend
   // agreement, WindowSet and thread-pool invariants, RNG stream derivation.
+  // Unlike the counters above they are the process-wide registry delta
+  // observed across Run(ctx), which a concurrent run can inflate.
   // audit_failures > 0 means a correctness invariant was violated; see
   // audit::Snapshot() for the per-auditor breakdown.
   int64_t audit_checks = 0;
@@ -92,8 +91,8 @@ class Tycos {
 
   // Runs the search over the whole pair and returns the result set S of
   // non-nested windows scoring >= σ (or the top-K list when params.top_k is
-  // set). Run() can be called repeatedly; each call restarts from scratch
-  // with the same seed-derived RNG state continuing.
+  // set). The engine keeps no run state, so calling Run() again replays
+  // the same result.
   WindowSet Run();
 
   // Limit-aware variant: polls `ctx` at climb and neighbourhood boundaries.
@@ -101,27 +100,55 @@ class Tycos {
   // window set flagged partial, with the stop reason recorded both in the
   // outcome and in stats().stop_reason.
   //
-  // When params.num_restarts > 0 this dispatches to the multi-restart
-  // engine: independent climbs from stratified start positions, fanned
-  // across params.num_threads executors, each climb owning its evaluator
-  // stack and a SplitMix-derived RNG stream. Candidate windows are merged
-  // into the result set in climb-index order, and each climb publishes its
-  // work tallies to the obs registry before finishing (integer sums
-  // commute), so the outcome (windows *and* stats) is bit-identical at any
-  // thread count. The evaluation budget then applies per climb;
-  // deadline/cancel stop every climb.
+  // The search is num_units() units fanned across params.num_threads
+  // executors and merged in unit order, so the outcome (windows *and*
+  // stats) is bit-identical at any thread count. The evaluation budget
+  // applies per unit; deadline/cancel stop every unit.
   Result<SearchOutcome> Run(const RunContext& ctx);
 
   const TycosStats& stats() const { return stats_; }
   const TycosParams& params() const { return params_; }
   TycosVariant variant() const { return variant_; }
 
-  // Test-only: replaces the evaluator stack with `wrap(current_stack)`,
-  // letting tests splice in a FaultInjector between the search and the
-  // estimators. See search/fault_injector.h.
+  // Test-only: every unit replaces its evaluator stack with
+  // `wrap(stack)`, letting tests splice in a FaultInjector between the
+  // search and the estimators (see search/fault_injector.h). The wrapper
+  // must keep the stack it wraps. Wrapped stacks live until the engine
+  // does, so a test can read its wrapper after Run.
   using EvaluatorWrapper = std::function<std::unique_ptr<WindowEvaluator>(
       std::unique_ptr<WindowEvaluator>)>;
   void WrapEvaluatorForTest(const EvaluatorWrapper& wrap);
+
+  // --- Search units: the one execution body of Run(ctx) and SweepPairs ---
+  //
+  // Without restarts a search is one unit: Algorithm 1's left-to-right
+  // scan, seeded with the engine seed. With params.num_restarts = U > 0 it
+  // is U units; unit r is one climb from the stratified cursor r·usable/U
+  // on RNG stream DeriveStreamSeed(seed, r).
+  int num_units() const { return std::max(1, params_.num_restarts); }
+
+  // Everything one unit produces. Written only by the executor that ran
+  // the unit and read only after the scheduler's join / countdown.
+  struct UnitResult {
+    std::vector<Window> windows;  // each climb's best window, in climb order
+    std::optional<StopReason> stop;
+    TycosStats work;  // counters only; stop_reason and windows_found unset
+  };
+
+  // Runs unit `u` under `ctx`. The unit builds its own evaluator stack and
+  // RNG and publishes its work to the obs registry before returning, so
+  // this is const, safe to call concurrently for distinct units, and
+  // replays bit for bit when called again. Units of one engine share only
+  // its immutable state (pair copy, params, seed).
+  UnitResult RunUnit(int u, const RunContext& ctx) const;
+
+  // Folds units [0, claimed) in unit order — never completion order — into
+  // the result set. The stop reason is the first one a unit recorded, else
+  // `pool_stop` (a stop only the claim-level poll saw) when it left units
+  // unclaimed.
+  SearchOutcome MergeUnits(const std::vector<UnitResult>& units,
+                           int64_t claimed,
+                           std::optional<StopReason> pool_stop) const;
 
  private:
   struct Validated {};  // tag: inputs already vetted by the caller
@@ -139,10 +166,8 @@ class Tycos {
     int64_t non_finite_scores = 0;
   };
 
-  // The per-climb execution state a climb reads and mutates. The sequential
-  // scan binds a fresh counter block per climb to the member evaluator/rng;
-  // each multi-restart climb owns a private set, which is what makes climbs
-  // safe to run concurrently.
+  // The per-climb execution state a climb reads and mutates: the unit's
+  // evaluator stack and RNG plus a fresh counter block per climb.
   struct ClimbContext {
     WindowEvaluator* evaluator;
     Rng* rng;
@@ -155,49 +180,8 @@ class Tycos {
   // so the histogram stays thread-count-invariant.
   static void FlushClimbCounters(const ClimbCounters& c);
 
-  // An evaluator stack as the constructor builds it (incremental or batch
-  // core, optional cache), plus a view on the cache for stats reads.
-  struct EvaluatorStack {
-    std::unique_ptr<WindowEvaluator> evaluator;
-    CachingEvaluator* cache = nullptr;
-  };
-  EvaluatorStack BuildEvaluator() const;
-
-  // The sequential restart-scan engine behind Run(ctx).
-  Result<SearchOutcome> RunSequential(const RunContext& ctx);
-
-  // The multi-restart engine behind Run(ctx) when params.num_restarts > 0.
-  Result<SearchOutcome> RunMultiRestart(const RunContext& ctx);
-
- public:
-  // Everything one multi-restart climb produces. Written only by the
-  // executor that ran the climb and read only after the scheduler's join /
-  // completion countdown.
-  struct RestartClimbResult {
-    bool has_window = false;
-    Window window;
-    std::optional<StopReason> stop;
-  };
-
-  // Runs restart climb `r` of params().num_restarts. The climb derives its
-  // RNG stream and stratified start cursor from (seed, r) alone, owns a
-  // private evaluator stack, and publishes its work tallies to the obs
-  // registry before returning — const and safe to call concurrently for
-  // distinct (or even equal) r, which is what lets PairwiseSearch
-  // interleave climbs of DIFFERENT pairs on one thread pool. Climbs of one
-  // engine share only immutable engine state (pair copy, params, seed).
-  RestartClimbResult RunRestartClimb(int r, const RunContext& ctx) const;
-
-  // Folds climb results 0..claimed-1 (index order — never completion
-  // order, so the result set is bit-identical at any thread count) into a
-  // SearchOutcome, recording the first stop reason in climb-index order
-  // (falling back to `pool_stop`, a stop only the claim-level poll saw).
-  // Updates stats().stop_reason / windows_found.
-  SearchOutcome MergeRestartClimbs(
-      const std::vector<RestartClimbResult>& climbs, int64_t claimed,
-      std::optional<StopReason> pool_stop);
-
- private:
+  // The RNG seed of unit `u`.
+  uint64_t UnitSeed(int u) const;
 
   // One LAHC climb from w0; returns the best window seen. Sets `*stop` and
   // returns early (best-so-far) when `ctx` fires.
@@ -227,14 +211,11 @@ class Tycos {
   TycosParams params_;
   TycosVariant variant_;
   uint64_t seed_;
-  Rng rng_;
 
-  std::unique_ptr<WindowEvaluator> evaluator_;
-  CachingEvaluator* cache_ = nullptr;  // view into evaluator_ when caching
-
-  // Test wrapper re-applied to each per-climb evaluator stack in
-  // multi-restart mode (one wrapper instance per climb).
   EvaluatorWrapper test_wrapper_;
+  // The stacks test_wrapper_ wrapped, by unit; slot u is written only by
+  // unit u.
+  mutable std::vector<std::unique_ptr<WindowEvaluator>> test_stacks_;
 
   TycosStats stats_;
 };

@@ -37,9 +37,6 @@ TEST(BruteKnnTest, PaperFigure2Example) {
   // Neighbours of p1=(2,2) under L∞: p2 (d=1.0) and p3 (d=1.0).
   EXPECT_DOUBLE_EQ(e.dx, 1.0);   // max(|3-2|, |2.5-2|)
   EXPECT_DOUBLE_EQ(e.dy, 1.0);   // max(|2.5-2|, |3-2|)
-  // Marginal counts within those extents (self excluded).
-  EXPECT_EQ(CountWithinX(pts, 2.0, e.dx, 0), 3u);  // p2, p3, p4(x=1.5)
-  EXPECT_EQ(CountWithinY(pts, 2.0, e.dy, 0), 3u);  // p2, p3, p5(y=1.5)
 }
 
 TEST(BruteKnnTest, SimpleLine) {
@@ -54,13 +51,6 @@ TEST(BruteKnnTest, ProbeNotInSet) {
   const KnnExtents e = BruteKnnExtentsAt(pts, {1, 1}, 1);
   EXPECT_DOUBLE_EQ(e.dx, 1.0);
   EXPECT_DOUBLE_EQ(e.dy, 1.0);
-}
-
-TEST(CountWithinTest, ExcludesIndex) {
-  std::vector<Point2> pts = {{0, 0}, {0.5, 1}, {-0.5, 2}, {2, 3}};
-  EXPECT_EQ(CountWithinX(pts, 0.0, 0.5, 0), 2u);
-  EXPECT_EQ(CountWithinX(pts, 0.0, 0.5, pts.size()), 3u);  // nothing excluded
-  EXPECT_EQ(CountWithinY(pts, 0.0, 1.0, 0), 1u);
 }
 
 struct KnnCase {

@@ -49,10 +49,10 @@ TEST(NoiseTheoremTest, MixingIndependentDataReducesMi) {
 TEST(InitialNoisePruningTest, FindsThePlantedRegion) {
   const SyntheticDataset ds = ComposeDataset(
       {SegmentSpec{RelationType::kLinear, 200, 0}}, /*gap=*/300, /*seed=*/1);
-  const TycosParams p = SmallParams();
+  TycosParams p = SmallParams();
+  p.td_max = 0;  // probe blocks at τ = 0 only
   BatchEvaluator eval(ds.pair, p);
-  const auto w0 = InitialNoisePruning(ds.pair, eval, p, 0,
-                                      /*scan_delays=*/false);
+  const auto w0 = InitialNoisePruning(ds.pair, eval, p, 0);
   ASSERT_TRUE(w0.has_value());
   EXPECT_GE(w0->mi, p.epsilon());
   // The starting window must overlap the planted relation [300, 499].
@@ -68,12 +68,13 @@ TEST(InitialNoisePruningTest, ReturnsNulloptOnPureNoise) {
     y[i] = rng.Normal();
   }
   const SeriesPair pair{TimeSeries(std::move(x)), TimeSeries(std::move(y))};
-  const TycosParams p = SmallParams();
+  TycosParams p = SmallParams();
+  p.td_max = 0;  // probe blocks at τ = 0 only
   BatchEvaluator eval(pair, p);
   // The noise threshold ε is deliberately permissive (σ/4), so a lucky
   // noise block may clear it — but nothing in pure noise may ever look like
   // a real correlation (score >= σ).
-  const auto w0 = InitialNoisePruning(pair, eval, p, 0, /*scan_delays=*/false);
+  const auto w0 = InitialNoisePruning(pair, eval, p, 0);
   if (w0.has_value()) {
     EXPECT_LT(w0->mi, p.sigma);
   }
@@ -89,8 +90,7 @@ TEST(InitialNoisePruningTest, DelayScanLocatesDelayedRelation) {
   p.epsilon_ratio = 0.5;
   p.initial_delay_step = 4;
   BatchEvaluator eval(ds.pair, p);
-  const auto w0 =
-      InitialNoisePruning(ds.pair, eval, p, 0, /*scan_delays=*/true);
+  const auto w0 = InitialNoisePruning(ds.pair, eval, p, 0);
   ASSERT_TRUE(w0.has_value());
   EXPECT_TRUE(Overlaps(*w0, ds.planted[0].AsWindow()));
   // The chosen placement should be at (or near) the planted delay.
@@ -103,11 +103,11 @@ TEST(InitialNoisePruningTest, RespectsFromCursor) {
       {SegmentSpec{RelationType::kLinear, 150, 0},
        SegmentSpec{RelationType::kSine, 150, 0}},
       /*gap=*/200, /*seed=*/3);
-  const TycosParams p = SmallParams();
+  TycosParams p = SmallParams();
+  p.td_max = 0;  // probe blocks at τ = 0 only
   BatchEvaluator eval(ds.pair, p);
   const int64_t second_start = ds.planted[1].x_start;
-  const auto w0 = InitialNoisePruning(ds.pair, eval, p, second_start - 40,
-                                      /*scan_delays=*/false);
+  const auto w0 = InitialNoisePruning(ds.pair, eval, p, second_start - 40);
   ASSERT_TRUE(w0.has_value());
   EXPECT_TRUE(Overlaps(*w0, ds.planted[1].AsWindow()));
 }

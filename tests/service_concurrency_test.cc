@@ -11,6 +11,9 @@
 //      tenant's jobs to the back.
 //   3. Teardown — Submit racing Shutdown leaves every admitted request in
 //      a terminal state.
+//   4. Nesting — requests with restarts and num_threads 0 run each
+//      engine's own unit pool inside a scheduler worker (the service's one
+//      nested pool) and still answer exactly as a 1-thread engine run.
 
 #include <atomic>
 #include <condition_variable>
@@ -167,6 +170,69 @@ TEST(ServiceConcurrencyTest, ResultsAreNeverStale) {
     ASSERT_GE(r.epoch_b, 2u);
     ASSERT_LE(r.epoch_b, 1 + chunks.size());
     ExpectSameWindows(r.outcome.windows, reference_for(r.epoch_b));
+  }
+}
+
+// Several tenants submit restart searches at once. Each worker runs its
+// engine's units on a nested pool (num_threads 0 resolves through
+// ThreadPool::ResolveNestedThreadCount); every answer must equal a direct
+// 1-thread engine run with the same params and seed.
+TEST(ServiceConcurrencyTest, NestedRestartPoolsMatchDirectRuns) {
+  const auto ds =
+      ComposeDataset({SegmentSpec{RelationType::kLinear, 120, 3},
+                      SegmentSpec{RelationType::kSine, 120, 2}},
+                     /*gap=*/60, /*seed=*/17);
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  auto server_or = Server::Create(opts);
+  ASSERT_TRUE(server_or.ok());
+  Server& server = *server_or.value();
+  ASSERT_TRUE(server.Append("x", ds.pair.x().values()).ok());
+  ASSERT_TRUE(server.Append("y", ds.pair.y().values()).ok());
+
+  TycosParams params = Params();
+  params.num_restarts = 4;
+  params.num_threads = 0;
+  std::mutex mu;
+  std::map<uint64_t, RequestStatus> results;  // by seed
+
+  constexpr int kTenants = 3;
+  constexpr int kRounds = 3;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTenants; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        SearchRequest req;
+        req.tenant = "tenant-" + std::to_string(t);
+        req.channel_a = "x";
+        req.channel_b = "y";
+        req.params = params;
+        req.seed = static_cast<uint64_t>(100 + kRounds * t + r);
+        const auto id = server.Submit(req);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        const auto done = server.Wait(id.value());
+        ASSERT_TRUE(done.ok());
+        std::lock_guard<std::mutex> lock(mu);
+        results.emplace(req.seed, done.value());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  ASSERT_EQ(results.size(), static_cast<size_t>(kTenants * kRounds));
+  TycosParams direct = params;
+  direct.num_threads = 1;
+  for (const auto& [seed, r] : results) {
+    ASSERT_EQ(r.state, RequestState::kDone) << "seed " << seed;
+    auto engine =
+        Tycos::Create(ds.pair, direct, TycosVariant::kLMN, seed);
+    ASSERT_TRUE(engine.ok());
+    const auto want = engine.value()->Run(RunContext::None());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(r.outcome.partial, want.value().partial) << "seed " << seed;
+    EXPECT_EQ(r.outcome.stop_reason, want.value().stop_reason)
+        << "seed " << seed;
+    ExpectSameWindows(r.outcome.windows, want.value().windows);
   }
 }
 

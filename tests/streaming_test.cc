@@ -79,6 +79,33 @@ TEST(StreamingTycosTest, MatchesBatchSearchCoverage) {
             50.0);
 }
 
+TEST(StreamingTycosTest, RestartPassesAreThreadCountInvariant) {
+  // Each pass runs one engine; with restarts its units fan across
+  // num_threads executors and merge in unit order.
+  const SyntheticDataset ds = ComposeDataset(
+      {SegmentSpec{RelationType::kLinear, 200, 4},
+       SegmentSpec{RelationType::kSine, 200, 10}},
+      /*gap=*/250, /*seed=*/4);
+  TycosParams one = Params();
+  one.num_restarts = 3;
+  one.num_threads = 1;
+  TycosParams four = one;
+  four.num_threads = 4;
+  StreamingTycos a = StreamAll(ds.pair, 300, one);
+  StreamingTycos b = StreamAll(ds.pair, 300, four);
+  EXPECT_EQ(a.search_passes(), b.search_passes());
+  const auto& got = b.results().windows();
+  const auto& want = a.results().windows();
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].start, want[i].start);
+    EXPECT_EQ(got[i].end, want[i].end);
+    EXPECT_EQ(got[i].delay, want[i].delay);
+    EXPECT_EQ(got[i].mi, want[i].mi);
+  }
+}
+
 TEST(StreamingTycosTest, MemoryStaysBounded) {
   const SyntheticDataset ds = ComposeDataset(
       {SegmentSpec{RelationType::kLinear, 150, 0},

@@ -1,5 +1,10 @@
 #include "search/tycos.h"
 
+#include <functional>
+#include <memory>
+#include <thread>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/window_similarity.h"
@@ -243,6 +248,98 @@ TEST(TycosTest, NoiseVariantPrunesDirections) {
   Tycos search(ds.pair, TestParams(), TycosVariant::kLN);
   search.Run();
   EXPECT_GT(search.stats().noise_blocked, 0);
+}
+
+// Forwards every call to the stack it wraps. The first Score() through
+// any wrapper sharing `side` runs it on another thread and joins it, so a
+// second engine runs, and publishes its work to the metrics registry, while
+// the wrapped engine's run is live.
+class SideRunEvaluator : public WindowEvaluator {
+ public:
+  SideRunEvaluator(std::unique_ptr<WindowEvaluator> inner,
+                   std::function<void()>* side)
+      : inner_(std::move(inner)), side_(side) {}
+
+  double Score(const Window& w) override {
+    if (*side_) {
+      std::thread t(std::exchange(*side_, nullptr));
+      t.join();
+    }
+    return inner_->Score(w);
+  }
+  int64_t evaluations() const override { return inner_->evaluations(); }
+  int64_t degenerate_windows() const override {
+    return inner_->degenerate_windows();
+  }
+  void FlushObsCounters() override { inner_->FlushObsCounters(); }
+
+ private:
+  std::unique_ptr<WindowEvaluator> inner_;
+  std::function<void()>* side_;
+};
+
+TEST(TycosTest, StatsCountOnlyThisEngine) {
+  const SyntheticDataset ds = ComposeDataset(
+      {SegmentSpec{RelationType::kLinear, 150, 4}}, /*gap=*/150, /*seed=*/3);
+  for (int restarts : {0, 4}) {
+    TycosParams p = TestParams();
+    p.num_restarts = restarts;
+    Tycos alone(ds.pair, p, TycosVariant::kLMN, /*seed=*/5);
+    const WindowSet expected = alone.Run();
+
+    // Engine `other` runs to completion inside `search`'s first Score().
+    Tycos search(ds.pair, p, TycosVariant::kLMN, /*seed=*/5);
+    Tycos other(ds.pair, p, TycosVariant::kLMN, /*seed=*/6);
+    std::function<void()> side = [&other] { other.Run(); };
+    search.WrapEvaluatorForTest([&side](std::unique_ptr<WindowEvaluator> inner)
+                                    -> std::unique_ptr<WindowEvaluator> {
+      return std::make_unique<SideRunEvaluator>(std::move(inner), &side);
+    });
+    const WindowSet got = search.Run();
+    ASSERT_FALSE(side);  // `other` ran
+    EXPECT_GT(other.stats().climbs, 0);
+
+    const TycosStats& a = alone.stats();
+    const TycosStats& b = search.stats();
+    const std::string at = "num_restarts=" + std::to_string(restarts);
+    EXPECT_EQ(got.size(), expected.size()) << at;
+    EXPECT_EQ(b.climbs, a.climbs) << at;
+    EXPECT_EQ(b.accepted_moves, a.accepted_moves) << at;
+    EXPECT_EQ(b.rejected_moves, a.rejected_moves) << at;
+    EXPECT_EQ(b.noise_blocked, a.noise_blocked) << at;
+    EXPECT_EQ(b.mi_evaluations, a.mi_evaluations) << at;
+    EXPECT_EQ(b.cache_hits, a.cache_hits) << at;
+    EXPECT_EQ(b.windows_found, a.windows_found) << at;
+    EXPECT_EQ(b.non_finite_scores, a.non_finite_scores) << at;
+    EXPECT_EQ(b.degenerate_windows, a.degenerate_windows) << at;
+  }
+}
+
+TEST(TycosTest, RunTwiceReplays) {
+  // The engine keeps no run state: every unit builds its own evaluator
+  // stack and RNG, so a second Run() repeats the first exactly.
+  const SyntheticDataset ds = ComposeDataset(
+      {SegmentSpec{RelationType::kLinear, 120, 4},
+       SegmentSpec{RelationType::kSine, 120, 8}},
+      /*gap=*/120, /*seed=*/14);
+  for (int restarts : {0, 3}) {
+    TycosParams p = TestParams();
+    p.num_restarts = restarts;
+    Tycos search(ds.pair, p, TycosVariant::kLMN, /*seed=*/8);
+    const auto first = search.Run().Sorted();
+    const TycosStats a = search.stats();
+    const auto second = search.Run().Sorted();
+    const TycosStats& b = search.stats();
+    const std::string at = "num_restarts=" + std::to_string(restarts);
+    ASSERT_EQ(first.size(), second.size()) << at;
+    for (size_t i = 0; i < first.size(); ++i) {
+      EXPECT_TRUE(first[i].SameSpan(second[i])) << at;
+      EXPECT_EQ(first[i].mi, second[i].mi) << at;
+    }
+    EXPECT_EQ(b.climbs, a.climbs) << at;
+    EXPECT_EQ(b.mi_evaluations, a.mi_evaluations) << at;
+    EXPECT_EQ(b.cache_hits, a.cache_hits) << at;
+  }
 }
 
 TEST(TycosTest, MultipleRelationsAllRecovered) {
