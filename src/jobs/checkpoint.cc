@@ -9,6 +9,8 @@
 #include <unistd.h>
 #endif
 
+#include "common/hash.h"
+
 namespace tycos {
 namespace jobs {
 
@@ -26,17 +28,6 @@ constexpr size_t kWindowSize = 8 + 8 + 8 + 8;
 // by the series length; this guards length-prefix corruption before any
 // allocation happens).
 constexpr uint32_t kMaxRecordPayload = 1u << 28;
-
-uint64_t Fnv1a(const uint8_t* data, size_t n, uint64_t h) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-uint64_t Fnv1a(const uint8_t* data, size_t n) {
-  return Fnv1a(data, n, 14695981039346656037ull);
-}
 
 class ByteBuffer {
  public:
@@ -336,20 +327,17 @@ Status WalkRecords(const uint8_t* base, ByteReader* in,
 }  // namespace
 
 uint64_t FingerprintChannels(const std::vector<TimeSeries>& channels) {
-  uint64_t h = 14695981039346656037ull;
   const uint64_t count = channels.size();
-  h = Fnv1a(reinterpret_cast<const uint8_t*>(&count), sizeof(count), h);
+  uint64_t h = Fnv1a(&count, sizeof(count));
   for (const TimeSeries& c : channels) {
     const uint64_t len = static_cast<uint64_t>(c.size());
-    h = Fnv1a(reinterpret_cast<const uint8_t*>(&len), sizeof(len), h);
-    h = Fnv1a(reinterpret_cast<const uint8_t*>(c.name().data()),
-              c.name().size(), h);
+    h = Fnv1a(&len, sizeof(len), h);
+    h = Fnv1a(c.name().data(), c.name().size(), h);
     // One separator byte so ("ab", "") and ("a", "b") cannot collide.
     const uint8_t sep = 0;
     h = Fnv1a(&sep, 1, h);
     if (!c.values().empty()) {
-      h = Fnv1a(reinterpret_cast<const uint8_t*>(c.values().data()),
-                c.values().size() * sizeof(double), h);
+      h = Fnv1a(c.values().data(), c.values().size() * sizeof(double), h);
     }
   }
   return h;

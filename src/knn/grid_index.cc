@@ -6,13 +6,9 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/simd.h"
 #include "obs/metrics.h"
 
 namespace tycos {
-
-static_assert(sizeof(Point2) == 2 * sizeof(double),
-              "Point2 must be two packed doubles");
 
 GridIndex::~GridIndex() {
   if (obs_publish_ == ObsPublish::kSuppress) return;
@@ -35,12 +31,14 @@ GridIndex::GridIndex(std::vector<Point2> points, ObsPublish obs)
     cells_.resize(1);
     return;
   }
-  // Vectorized bounds pass; same std::min/std::max fold semantics as the
-  // scalar loop (including NaN stickiness), zero signs interchangeable.
-  const simd::MinMaxXYResult mm = simd::MinMaxXY(
-      reinterpret_cast<const double*>(points_.data()), points_.size());
-  const double min_x = mm.min_x, max_x = mm.max_x;
-  const double min_y = mm.min_y, max_y = mm.max_y;
+  double min_x = points_[0].x, max_x = min_x;
+  double min_y = points_[0].y, max_y = min_y;
+  for (size_t i = 1; i < points_.size(); ++i) {
+    min_x = std::min(min_x, points_[i].x);
+    max_x = std::max(max_x, points_[i].x);
+    min_y = std::min(min_y, points_[i].y);
+    max_y = std::max(max_y, points_[i].y);
+  }
   min_x_ = min_x;
   min_y_ = min_y;
 
@@ -83,11 +81,10 @@ KnnExtents GridIndex::Query(const Point2& probe, int k,
   KnnSelector selector(k);
 
   // The ring walk stays scalar on purpose: cells hold ~4 points, and a
-  // batched gather pass (simd::ChebyshevToProbeIdx over the ring's
-  // candidate list) measured SLOWER than this direct walk — gather latency
-  // plus the collect/copy overhead dominates tiny candidate lists. See
-  // DESIGN.md "SIMD kernels" for the measurement; the vectorized win here
-  // is the constructor's bounds pass.
+  // batched gather pass over the ring's candidate list measured SLOWER
+  // than this direct walk — gather latency plus the collect/copy overhead
+  // dominates tiny candidate lists. See DESIGN.md "SIMD kernels" for the
+  // measurement.
   auto push = [&](int32_t idx) {
     if (static_cast<size_t>(idx) == exclude) return;
     selector.Offer(ChebyshevDistance(points_[static_cast<size_t>(idx)], probe),

@@ -119,20 +119,17 @@ double KsgMiTheiler(const std::vector<Point2>& points, int k,
                               static_cast<size_t>(j));
     }
     const KnnExtents e = selector.Extents(points, probe);
-    // Marginal counts over the same eligible pool: one strided range count
-    // per marginal on each side of the Theiler exclusion zone.
-    const int64_t nx =
-        static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy, static_cast<size_t>(lo_n), probe.x, e.dx)) +
-        static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy + 2 * hi_start, static_cast<size_t>(m - hi_start), probe.x,
-            e.dx));
-    const int64_t ny =
-        static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy + 1, static_cast<size_t>(lo_n), probe.y, e.dy)) +
-        static_cast<int64_t>(simd::CountWithinInterleaved(
-            xy + 1 + 2 * hi_start, static_cast<size_t>(m - hi_start), probe.y,
-            e.dy));
+    // Marginal counts over the same eligible pool, on each side of the
+    // Theiler exclusion zone.
+    int64_t nx = 0;
+    int64_t ny = 0;
+    auto count = [&](int64_t j) {
+      const Point2& p = points[static_cast<size_t>(j)];
+      if (std::fabs(p.x - probe.x) <= e.dx) ++nx;
+      if (std::fabs(p.y - probe.y) <= e.dy) ++ny;
+    };
+    for (int64_t j = 0; j < lo_n; ++j) count(j);
+    for (int64_t j = hi_start; j < m; ++j) count(j);
     marginal_sum += psi(static_cast<size_t>(std::max<int64_t>(nx, 1))) +
                     psi(static_cast<size_t>(std::max<int64_t>(ny, 1)));
     pool_sum += psi(static_cast<size_t>(pool));

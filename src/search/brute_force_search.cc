@@ -4,37 +4,14 @@
 #include <cmath>
 #include <cstdio>
 
-#include "mi/ksg.h"
 #include "search/evaluator.h"
 
 namespace tycos {
 
-namespace {
-
-SeriesPair PreparePair(const SeriesPair& pair, const TycosParams& params) {
-  if (params.tie_jitter <= 0.0) return pair;
-  std::vector<double> xs = pair.x().values();
-  std::vector<double> ys = pair.y().values();
-  internal::ApplyTieJitter(&xs, params.tie_jitter, /*salt=*/1);
-  internal::ApplyTieJitter(&ys, params.tie_jitter, /*salt=*/2);
-  return SeriesPair(TimeSeries(std::move(xs), pair.x().name()),
-                    TimeSeries(std::move(ys), pair.y().name()));
-}
-
-Status ValidateForSearch(const SeriesPair& pair, const TycosParams& params) {
-  Status st = params.Validate(pair.size());
-  if (!st.ok()) return st;
-  st = pair.x().Validate();
-  if (!st.ok()) return st;
-  return pair.y().Validate();
-}
-
-}  // namespace
-
 BruteForceSearch::BruteForceSearch(Validated, const SeriesPair& pair,
                                    const TycosParams& params,
                                    bool use_incremental_mi)
-    : pair_(PreparePair(pair, params)),
+    : pair_(PrepareForSearch(pair, params)),
       params_(params),
       use_incremental_mi_(use_incremental_mi) {}
 

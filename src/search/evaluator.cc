@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
 #include "mi/entropy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,18 +28,6 @@ obs::Counter* MiEvaluationsCounter() {
 obs::Counter* MiDegenerateCounter() {
   static obs::Counter* c = obs::GetCounter("mi.degenerate_windows");
   return c;
-}
-
-// Packs (start, end, delay) into one 64-bit key. 21 bits per field supports
-// series up to 2^21 (~2M) samples, far beyond the search scales here.
-uint64_t WindowKey(const Window& w) {
-  TYCOS_CHECK_LT(w.start, int64_t{1} << 21);
-  TYCOS_CHECK_LT(w.end, int64_t{1} << 21);
-  TYCOS_CHECK_LT(w.delay, int64_t{1} << 20);
-  TYCOS_CHECK_GT(w.delay, -(int64_t{1} << 20));
-  return (static_cast<uint64_t>(w.start) << 42) |
-         (static_cast<uint64_t>(w.end) << 21) |
-         static_cast<uint64_t>(w.delay + (int64_t{1} << 20));
 }
 
 double NormalizeScore(double raw_mi, const SeriesPair& pair, const Window& w,
@@ -127,8 +116,13 @@ CachingEvaluator::CachingEvaluator(std::unique_ptr<WindowEvaluator> inner,
                                    size_t max_entries)
     : inner_(std::move(inner)), max_entries_(max_entries) {}
 
+size_t CachingEvaluator::SpanHash::operator()(
+    const SpanKey& k) const noexcept {
+  return static_cast<size_t>(Fnv1a(&k, sizeof(k)));
+}
+
 double CachingEvaluator::Score(const Window& w) {
-  const uint64_t key = WindowKey(w);
+  const SpanKey key{w.start, w.end, w.delay};
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++hits_;

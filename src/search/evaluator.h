@@ -120,8 +120,21 @@ class CachingEvaluator : public WindowEvaluator {
   void FlushObsCounters() override;
 
  private:
+  // The memo key: a window's full span, compared field by field, so two
+  // windows share an entry only when they are the same window, at any
+  // series length.
+  struct SpanKey {
+    int64_t start;
+    int64_t end;
+    int64_t delay;
+    bool operator==(const SpanKey&) const = default;
+  };
+  struct SpanHash {
+    size_t operator()(const SpanKey& k) const noexcept;
+  };
+
   std::unique_ptr<WindowEvaluator> inner_;
-  std::unordered_map<uint64_t, double> cache_;
+  std::unordered_map<SpanKey, double, SpanHash> cache_;
   size_t max_entries_;
   int64_t hits_ = 0;
   int64_t flushed_hits_ = 0;

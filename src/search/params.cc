@@ -1,5 +1,8 @@
 #include "search/params.h"
 
+#include <utility>
+#include <vector>
+
 namespace tycos {
 
 Status TycosParams::Validate(int64_t series_length) const {
@@ -58,6 +61,25 @@ Status TycosParams::ValidateShape() const {
         "2*theiler_window + k + 3 eligible samples");
   }
   return Status::Ok();
+}
+
+Status ValidateForSearch(const SeriesPair& pair, const TycosParams& params) {
+  Status st = params.Validate(pair.size());
+  if (!st.ok()) return st;
+  st = pair.x().Validate();
+  if (!st.ok()) return st;
+  return pair.y().Validate();
+}
+
+SeriesPair PrepareForSearch(const SeriesPair& pair,
+                            const TycosParams& params) {
+  if (params.tie_jitter <= 0.0) return pair;
+  std::vector<double> xs = pair.x().values();
+  std::vector<double> ys = pair.y().values();
+  internal::ApplyTieJitter(&xs, params.tie_jitter, /*salt=*/1);
+  internal::ApplyTieJitter(&ys, params.tie_jitter, /*salt=*/2);
+  return SeriesPair(TimeSeries(std::move(xs), pair.x().name()),
+                    TimeSeries(std::move(ys), pair.y().name()));
 }
 
 }  // namespace tycos

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "fft/sliding_dot.h"
@@ -27,24 +28,14 @@ namespace {
 constexpr double kEpsilonSlack = 1e-9;
 constexpr double kPearsonGuard = 1e-6;
 
-uint64_t FnvMix(const void* data, size_t n, uint64_t h) {
-  const unsigned char* b = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Hash of one grid cell: the position cell plus the projected-coordinate
 // cells. Distinct cells may collide — a collision only adds candidates
 // (every candidate is re-checked with the exact sketch distance), never
 // removes one, so soundness is unaffected.
 uint64_t CellHash(int64_t pos_cell, const int64_t* cells, int dims) {
-  uint64_t h = 14695981039346656037ull;
-  h = FnvMix(&pos_cell, sizeof(pos_cell), h);
+  uint64_t h = Fnv1a(&pos_cell, sizeof(pos_cell));
   for (int d = 0; d < dims; ++d) {
-    h = FnvMix(&cells[d], sizeof(cells[d]), h);
+    h = Fnv1a(&cells[d], sizeof(cells[d]), h);
   }
   return h;
 }

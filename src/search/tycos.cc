@@ -27,24 +27,6 @@ const char* TycosVariantName(TycosVariant v) {
 
 namespace {
 
-SeriesPair PreparePair(const SeriesPair& pair, const TycosParams& params) {
-  if (params.tie_jitter <= 0.0) return pair;
-  std::vector<double> xs = pair.x().values();
-  std::vector<double> ys = pair.y().values();
-  internal::ApplyTieJitter(&xs, params.tie_jitter, /*salt=*/1);
-  internal::ApplyTieJitter(&ys, params.tie_jitter, /*salt=*/2);
-  return SeriesPair(TimeSeries(std::move(xs), pair.x().name()),
-                    TimeSeries(std::move(ys), pair.y().name()));
-}
-
-Status ValidateForSearch(const SeriesPair& pair, const TycosParams& params) {
-  Status st = params.Validate(pair.size());
-  if (!st.ok()) return st;
-  st = pair.x().Validate();
-  if (!st.ok()) return st;
-  return pair.y().Validate();
-}
-
 // The registry counters FlushClimbCounters publishes to. Resolved once;
 // the registry owns the counters for the process lifetime.
 struct ClimbCounterBindings {
@@ -123,7 +105,7 @@ void Tycos::FlushClimbCounters(const ClimbCounters& c) {
 
 Tycos::Tycos(Validated, const SeriesPair& pair, const TycosParams& params,
              TycosVariant variant, uint64_t seed)
-    : pair_(PreparePair(pair, params)),
+    : pair_(PrepareForSearch(pair, params)),
       params_(params),
       variant_(variant),
       seed_(seed) {}

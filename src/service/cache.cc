@@ -1,37 +1,28 @@
 #include "service/cache.h"
 
+#include "common/hash.h"
+
 namespace tycos {
 namespace service {
 
 namespace {
 
-// FNV-1a over a byte range, continuing from `h`.
-uint64_t FnvBytes(uint64_t h, const void* data, size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 uint64_t FnvString(uint64_t h, const std::string& s) {
   // Length first so ("ab","c") and ("a","bc") cannot collide by
   // concatenation.
   const uint64_t n = s.size();
-  h = FnvBytes(h, &n, sizeof(n));
-  return FnvBytes(h, s.data(), s.size());
+  h = Fnv1a(&n, sizeof(n), h);
+  return Fnv1a(s.data(), s.size(), h);
 }
 
 }  // namespace
 
 size_t ResultCache::Hash::operator()(const CacheKey& k) const {
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  h = FnvString(h, k.channel_a);
+  uint64_t h = FnvString(kFnv1aBasis, k.channel_a);
   h = FnvString(h, k.channel_b);
-  h = FnvBytes(h, &k.config_hash, sizeof(k.config_hash));
-  h = FnvBytes(h, &k.epoch_a, sizeof(k.epoch_a));
-  h = FnvBytes(h, &k.epoch_b, sizeof(k.epoch_b));
+  h = Fnv1a(&k.config_hash, sizeof(k.config_hash), h);
+  h = Fnv1a(&k.epoch_a, sizeof(k.epoch_a), h);
+  h = Fnv1a(&k.epoch_b, sizeof(k.epoch_b), h);
   return static_cast<size_t>(h);
 }
 

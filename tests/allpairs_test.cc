@@ -2,11 +2,15 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "datagen/clusters.h"
 #include "io/report.h"
 #include "jobs/checkpoint.h"
@@ -419,11 +423,7 @@ TEST(SurvivorListTest, HugePairCountIsRejectedWithoutAllocating) {
   std::memcpy(&count, bytes.data() + kCountOffset, sizeof(count));
   count += uint64_t{1} << 61;
   std::memcpy(bytes.data() + kCountOffset, &count, sizeof(count));
-  uint64_t seal = 14695981039346656037ull;
-  for (size_t i = 0; i + sizeof(uint64_t) < bytes.size(); ++i) {
-    seal ^= bytes[i];
-    seal *= 1099511628211ull;
-  }
+  const uint64_t seal = Fnv1a(bytes.data(), bytes.size() - sizeof(uint64_t));
   std::memcpy(bytes.data() + bytes.size() - sizeof(seal), &seal,
               sizeof(seal));
   const auto parsed =
@@ -431,6 +431,27 @@ TEST(SurvivorListTest, HugePairCountIsRejectedWithoutAllocating) {
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kIoError);
   EXPECT_NE(parsed.status().message().find("pair count"), std::string::npos);
+}
+
+// The checked-in fuzz regression seed for the same overflow must reach the
+// pair-count guard, not stop at the seal: a seed sealed with any hash but
+// the writer's would be rejected as corrupt and replay nothing.
+TEST(SurvivorListTest, CommittedHugePairCountSeedReachesThePairCountCheck) {
+  const std::string path =
+      std::filesystem::path(__FILE__).parent_path().string() +
+      "/fuzz/corpus/survivors/regression_huge_pair_count";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  const auto parsed =
+      jobs::ParseSurvivorBytes(bytes.data(), bytes.size(), "<seed>");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kIoError);
+  EXPECT_NE(
+      parsed.status().message().find("length does not match its pair count"),
+      std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(SurvivorListTest, PrefilterConfigHashCoversEveryKnob) {

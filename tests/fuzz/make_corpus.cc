@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "jobs/checkpoint.h"
 
@@ -48,13 +49,10 @@ bool WriteText(const std::filesystem::path& path, const std::string& text) {
 }
 
 // Re-seals a survivor file after a deliberate mutation: the trailing u64
-// is an FNV-1a hash of everything before it (same loop as the writer).
+// is an FNV-1a hash of everything before it (the writer's hash).
 void ResealSurvivors(std::vector<uint8_t>* bytes) {
-  uint64_t seal = 1469598103934665603ull;
-  for (size_t i = 0; i + sizeof(uint64_t) < bytes->size(); ++i) {
-    seal ^= (*bytes)[i];
-    seal *= 1099511628211ull;
-  }
+  const uint64_t seal =
+      tycos::Fnv1a(bytes->data(), bytes->size() - sizeof(uint64_t));
   for (size_t i = 0; i < sizeof(uint64_t); ++i) {
     (*bytes)[bytes->size() - sizeof(uint64_t) + i] =
         static_cast<uint8_t>(seal >> (8 * i));

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "datagen/energy_sim.h"
 #include "datagen/relations.h"
 #include "search/pairwise.h"
@@ -235,18 +236,12 @@ TEST(SearchGoldenTest, TycosRunMatchesRecordedOutputs) {
 
 // A sweep's digest in the layout of perfbench's DigestResult: FNV-1a over
 // the entry count, then per entry (a, b, partial, window count, and each
-// window's start, end, delay and MI bits).
-uint64_t Mix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// window's start, end, delay and MI bits). Each value is hashed as its 8
+// in-memory bytes, which on a little-endian host is perfbench's byte order.
+uint64_t Mix(uint64_t h, uint64_t v) { return Fnv1a(&v, sizeof(v), h); }
 
 uint64_t Digest(const PairwiseResult& r) {
-  uint64_t h = 14695981039346656037ull;
-  h = Mix(h, r.entries.size());
+  uint64_t h = Mix(kFnv1aBasis, r.entries.size());
   for (const PairwiseEntry& e : r.entries) {
     h = Mix(h, static_cast<uint64_t>(e.a));
     h = Mix(h, static_cast<uint64_t>(e.b));

@@ -4,9 +4,11 @@
 #include <memory>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/window_similarity.h"
 #include "datagen/relations.h"
 
@@ -240,6 +242,45 @@ TEST(TycosTest, CachingReducesEstimatorCalls) {
   b.Run();
   EXPECT_GT(a.stats().cache_hits, 0);
   EXPECT_LT(a.stats().mi_evaluations, b.stats().mi_evaluations);
+}
+
+TEST(TycosTest, MemoIsExactPastTwoToTheTwentyOneSamples) {
+  // Restart climbs start across the whole pair, so the last few search
+  // windows that start past 2^21 samples. The memo must key them exactly:
+  // the cached run returns what the uncached run does.
+  constexpr size_t kLength = 2'200'000;
+  Rng rng(17);
+  std::vector<double> xs(kLength), ys(kLength);
+  for (size_t i = 0; i < kLength; ++i) {
+    xs[i] = rng.Normal();
+    ys[i] = xs[i] + 0.5 * rng.Normal();
+  }
+  const SeriesPair pair(TimeSeries(std::move(xs), "x"),
+                        TimeSeries(std::move(ys), "y"));
+  TycosParams p;
+  p.s_min = 16;
+  p.s_max = 64;
+  p.td_max = 4;
+  p.num_restarts = 100;
+  TycosParams uncached = p;
+  uncached.cache_evaluations = false;
+
+  auto cached_engine = Tycos::Create(pair, p, TycosVariant::kL);
+  auto uncached_engine = Tycos::Create(pair, uncached, TycosVariant::kL);
+  ASSERT_TRUE(cached_engine.ok()) << cached_engine.status().ToString();
+  ASSERT_TRUE(uncached_engine.ok()) << uncached_engine.status().ToString();
+  const auto got = cached_engine.value()->Run().Sorted();
+  const auto want = uncached_engine.value()->Run().Sorted();
+  ASSERT_FALSE(want.empty());
+  EXPECT_GT(want.back().start, int64_t{1} << 21);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].SameSpan(want[i])) << got[i].ToString();
+    EXPECT_EQ(got[i].mi, want[i].mi) << got[i].ToString();
+  }
+  EXPECT_GT(cached_engine.value()->stats().cache_hits, 0);
+  EXPECT_EQ(cached_engine.value()->stats().climbs,
+            uncached_engine.value()->stats().climbs);
 }
 
 TEST(TycosTest, NoiseVariantPrunesDirections) {

@@ -109,7 +109,6 @@ CHECK_RATCHET_BASELINE = {
     "src/mi/ksg.cc": 2,
     "src/mi/pearson.cc": 1,
     "src/search/brute_force_search.cc": 1,
-    "src/search/evaluator.cc": 4,
     "src/search/lahc.cc": 3,
     "src/search/pairwise.cc": 3,
     "src/search/significance.cc": 1,
