@@ -111,19 +111,19 @@ int main(int argc, char** argv) {
   params.td_max = 8;
   params.delta = 2;
 
-  AllPairsOptions options;
+  PrefilterParams prefilter;
   // hop = window (non-overlapping grid): halves the stage-2 scan count at
   // production scale; the recall property is asserted below against the
   // planted ground truth, not assumed.
-  options.prefilter.window = 128;
-  options.prefilter.hop = 128;
-  options.prefilter.paa_segments = 16;
-  options.prefilter.svd_dims = 3;
+  prefilter.window = 128;
+  prefilter.hop = 128;
+  prefilter.paa_segments = 16;
+  prefilter.svd_dims = 3;
   // The cluster generator plants *linear* correlations (r ~ 0.94 at
   // alignment), so pruning exactly at T = sigma is lossless for this
   // workload; the conservative 0.75 default is for MI that can outrun its
   // linear correlation, which cannot happen here by construction.
-  options.prefilter.mi_conservativeness = 1.0;
+  prefilter.mi_conservativeness = 1.0;
 
   const int64_t total_pairs = static_cast<int64_t>(gen.num_channels) *
                               (gen.num_channels - 1) / 2;
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
 
   // --- Prefilter determinism sweep: 1 / 2 / 8 threads --------------------
   const PrefilterParams resolved =
-      ResolveAllPairsPrefilter(options.prefilter, params, gen.length);
+      ResolveAllPairsPrefilter(prefilter, params, gen.length);
   const double threshold = ResolvePearsonThreshold(resolved, params.sigma);
   std::printf("\ncascade: window %lld, hop %lld, td %lld, T = %.3f\n",
               static_cast<long long>(resolved.window),
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   // --- End-to-end: durable all-pairs, uninterrupted ----------------------
   jobs::AllPairsJobOptions jopt;
   jopt.durable.checkpoint_path = out_path + ".ckpt";
-  jopt.prefilter = options.prefilter;
+  jopt.prefilter = prefilter;
   std::remove(jopt.durable.checkpoint_path.c_str());
   std::remove((jopt.durable.checkpoint_path + ".survivors").c_str());
   Result<jobs::AllPairsJobOutcome> full = Status::Internal("unrun");

@@ -10,7 +10,6 @@
 #include "jobs/checkpoint.h"
 #include "search/allpairs.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tycos {
 namespace jobs {
@@ -106,7 +105,6 @@ Result<DurableOutcome> RunDurableJob(
     TycosVariant variant, uint64_t seed, const RunContext& ctx,
     const DurableJobOptions& options,
     const std::vector<std::pair<int, int>>& universe) {
-  TYCOS_SPAN("durable_pairwise");
   if (const Status st = options.Validate(); !st.ok()) return st;
 
   const uint64_t config_hash = HashSearchConfig(params, variant, seed);
@@ -384,7 +382,6 @@ Result<AllPairsJobOutcome> ResumeAllPairsSearch(
     const std::vector<TimeSeries>& channels, const TycosParams& params,
     TycosVariant variant, uint64_t seed, const RunContext& ctx,
     const AllPairsJobOptions& options) {
-  TYCOS_SPAN("durable_allpairs");
   Status st = options.durable.Validate();
   if (!st.ok()) return st;
   st = ValidatePairwiseChannels(channels);

@@ -11,7 +11,6 @@
 #include "knn/brute_knn.h"
 #include "knn/kd_tree.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #if TYCOS_AUDIT_ENABLED
 #include "mi/ksg.h"
 #endif
@@ -182,7 +181,6 @@ void IncrementalKsg::Place(int64_t lo, int64_t hi, bool keep_live) {
 }
 
 void IncrementalKsg::Rebuild(const Window& w) {
-  TYCOS_SPAN("ksg_rebuild");
   if (has_window_) {
     for (int64_t g = start_; g <= end_; ++g) {
       x_index_.EraseAtRank(rank_x_[static_cast<size_t>(g)]);
@@ -336,7 +334,6 @@ void IncrementalKsg::RemovePoint(bool at_front) {
 }
 
 double IncrementalKsg::SetWindow(const Window& w) {
-  TYCOS_SPAN("ksg_set_window");
   TYCOS_CHECK_GE(w.start, 0);
   TYCOS_CHECK_LT(w.end, pair_.size());
   TYCOS_CHECK_GE(w.y_start(), 0);

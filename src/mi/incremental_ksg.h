@@ -74,8 +74,9 @@ class IncrementalKsg {
   int k() const { return k_; }
 
   // Publishes the incremental.* stats_ fields to the obs registry as deltas
-  // since the previous flush. Called by IncrementalEvaluator at run / climb
-  // boundaries — never per slide, so the hot path stays atomic-free.
+  // since the previous flush. IncrementalEvaluator calls it once per
+  // evaluator stack, when a Tycos unit or a brute-force run ends — never
+  // per slide, so the hot path stays atomic-free.
   void FlushObsCounters();
 
   // kNN extents held for the current window's slot-th point (slot 0 is the

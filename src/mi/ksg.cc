@@ -13,7 +13,6 @@
 #include "knn/kd_tree.h"
 #include "mi/entropy.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tycos {
 

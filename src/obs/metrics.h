@@ -11,11 +11,12 @@
 // for the same reason: FP addition is not associative, so a running sum
 // would differ with thread interleaving.
 //
-// Unlike trace spans (obs/trace.h, compiled out unless TYCOS_OBS=ON), the
-// metrics registry is always on: it is the store of record behind
-// TycosStats. Hot paths keep the cost negligible by accumulating into plain
-// local structs and flushing deltas at coarse boundaries (per climb, per
-// run, per index teardown) instead of touching an atomic per point — see
+// The registry is the library's one instrumentation path and is always
+// on: the reports' metrics section, the service's Metrics() and the bench
+// sidecars read it, and TycosStats counts the same work per engine. Hot
+// paths keep the cost negligible by accumulating into plain local structs
+// and flushing deltas at coarse boundaries (per climb, per evaluator
+// stack, per index teardown) instead of touching an atomic per point — see
 // DESIGN.md "Observability" for the overhead policy.
 //
 // Handles returned by GetCounter/GetGauge/GetHistogram are stable for the

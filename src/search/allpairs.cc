@@ -1,9 +1,6 @@
 #include "search/allpairs.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "obs/trace.h"
 
 namespace tycos {
 
@@ -18,52 +15,6 @@ PrefilterParams ResolveAllPairsPrefilter(const PrefilterParams& prefilter,
   if (pf.td_max < 0) pf.td_max = params.td_max;
   if (pf.num_threads == 1) pf.num_threads = params.num_threads;
   return pf;
-}
-
-Result<AllPairsResult> AllPairsSearch(const std::vector<TimeSeries>& channels,
-                                      const TycosParams& params,
-                                      TycosVariant variant, uint64_t seed,
-                                      const RunContext& ctx,
-                                      const AllPairsOptions& options) {
-  TYCOS_SPAN("allpairs");
-  Status st = ValidatePairwiseChannels(channels);
-  if (!st.ok()) return st;
-  st = params.Validate(channels[0].size());
-  if (!st.ok()) return st;
-
-  const PrefilterParams pf =
-      ResolveAllPairsPrefilter(options.prefilter, params, channels[0].size());
-  const double threshold = ResolvePearsonThreshold(pf, params.sigma);
-  Result<PrefilterOutcome> prefiltered =
-      RunPrefilter(channels, pf, threshold, ctx);
-  if (!prefiltered.ok()) return prefiltered.status();
-  PrefilterOutcome& cascade = prefiltered.value();
-
-  AllPairsResult out;
-  out.prefilter = cascade.stats;
-  if (cascade.stop.has_value()) {
-    // The cascade was cut short: its survivor list is incomplete, so no
-    // pair may be treated as pruned. Report everything as skipped and let
-    // the caller rerun with a fresh context.
-    out.result.partial = true;
-    out.result.stop_reason = *cascade.stop;
-    out.result.pairs_skipped = cascade.stats.pairs_total;
-    return out;
-  }
-  out.survivors = std::move(cascade.survivors);
-  out.pairs_pruned = cascade.stats.pairs_total -
-                     static_cast<int64_t>(out.survivors.size());
-
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(out.survivors.size());
-  for (const PrefilterSurvivor& s : out.survivors) {
-    pairs.emplace_back(s.a, s.b);
-  }
-  Result<PairwiseResult> searched =
-      SearchPairList(channels, pairs, params, variant, seed, ctx);
-  if (!searched.ok()) return searched.status();
-  out.result = std::move(searched.value());
-  return out;
 }
 
 }  // namespace tycos

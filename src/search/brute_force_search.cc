@@ -99,6 +99,9 @@ Result<BruteForceResult> BruteForceSearch::Run(const RunContext& ctx) {
       }
     }
   }
+  // Settle the evaluator's locally tallied work (mi.*, incremental.*) in
+  // the registry before it is destroyed.
+  evaluator->FlushObsCounters();
   result.merged = MergeOverlapping(result.raw);
   result.partial = stop.has_value();
   result.stop_reason = stop.value_or(StopReason::kCompleted);

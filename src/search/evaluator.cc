@@ -6,7 +6,6 @@
 #include "common/hash.h"
 #include "mi/entropy.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tycos {
 
@@ -64,7 +63,6 @@ BatchEvaluator::BatchEvaluator(const SeriesPair& pair,
     : pair_(pair), params_(params) {}
 
 double BatchEvaluator::Score(const Window& w) {
-  TYCOS_SPAN("mi_batch_score");
   ++evaluations_;
   KsgOptions options = OptionsFrom(params_);
   options.diagnostics = &diagnostics_;
@@ -88,7 +86,6 @@ IncrementalEvaluator::IncrementalEvaluator(const SeriesPair& pair,
       small_window_threshold_(small_window_threshold) {}
 
 double IncrementalEvaluator::Score(const Window& w) {
-  TYCOS_SPAN("mi_incremental_score");
   ++evaluations_;
   double raw;
   if (w.size() < small_window_threshold_) {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tycos {
 
@@ -59,7 +58,6 @@ std::optional<Window> InitialNoisePruning(const SeriesPair& pair,
                                           WindowEvaluator& evaluator,
                                           const TycosParams& params,
                                           int64_t from) {
-  TYCOS_SPAN("noise_initial");
   static obs::Counter* scans = obs::GetCounter("noise.initial_scans");
   scans->Add(1);
   const double eps = params.epsilon();
@@ -130,7 +128,6 @@ std::optional<Window> InitialNoisePruning(const SeriesPair& pair,
 int DetectSubsequentNoise(const SeriesPair& pair, WindowEvaluator& evaluator,
                           const TycosParams& params, const Window& w,
                           double current_score, DirectionMask* mask) {
-  TYCOS_SPAN("noise_subsequent");
   static obs::Counter* tests = obs::GetCounter("noise.subsequent_tests");
   tests->Add(1);
   const double eps = params.epsilon();

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tycos {
 
@@ -82,7 +81,6 @@ Result<PairOutcome> SearchPair(const std::vector<TimeSeries>& channels, int a,
                                int b, const TycosParams& params,
                                TycosVariant variant, uint64_t seed,
                                const RunContext& ctx) {
-  TYCOS_SPAN("pairwise_pair");
   const SeriesPair pair(channels[static_cast<size_t>(a)],
                         channels[static_cast<size_t>(b)]);
   Result<std::unique_ptr<Tycos>> search =
@@ -168,7 +166,6 @@ Result<PairwiseResult> SweepPairs(
                                      : PairAdmission{params, 0};
           if (!st.admission.has_value()) return;
           st.admission->params.num_threads = 1;
-          TYCOS_SPAN("pairwise_pair_setup");
           const SeriesPair sp(channels[static_cast<size_t>(a)],
                               channels[static_cast<size_t>(b)]);
           Result<std::unique_ptr<Tycos>> engine =
@@ -217,7 +214,6 @@ Result<PairwiseResult> SweepPairs(
         }
         const bool keep = !st.dropped.load(std::memory_order_relaxed);
         if (keep) {
-          TYCOS_SPAN("pairwise_pair_merge");
           const int64_t all = static_cast<int64_t>(st.units.size());
           st.outcome = ToPairOutcome(
               a, b, st.engine->MergeUnits(st.units, all, std::nullopt));

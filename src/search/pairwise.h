@@ -154,16 +154,15 @@ struct PairSweepHooks {
   std::function<void(int64_t pair, const PairOutcome* outcome)> finish;
 };
 
-// The one pair sweep behind PairwiseSearch, SearchPairList (so also
-// AllPairsSearch) and the durable runner: a single prefix-claim
-// ParallelFor over pairs.size() × max(1, num_restarts) units; unit u is
-// unit u % U of pair u / U. Each admitted pair builds its engine once
-// under std::call_once and runs Tycos::RunUnit for each of the engine's
-// num_units() (a fresh evaluator stack and RNG per call, so a retry
-// replays bit for bit); the pair's last unit to end merges them with
-// Tycos::MergeUnits. The pair's stop_reason is a global stop (deadline,
-// cancel) if any unit hit one. Sweeps never nest pools: pairs run with
-// num_threads = 1.
+// The one pair sweep behind PairwiseSearch, SearchPairList and the
+// durable runner: a single prefix-claim ParallelFor over
+// pairs.size() × max(1, num_restarts) units; unit u is unit u % U of pair
+// u / U. Each admitted pair builds its engine once under std::call_once
+// and runs Tycos::RunUnit for each of the engine's num_units() (a fresh
+// evaluator stack and RNG per call, so a retry replays bit for bit); the
+// pair's last unit to end merges them with Tycos::MergeUnits. The pair's
+// stop_reason is a global stop (deadline, cancel) if any unit hit one.
+// Sweeps never nest pools: pairs run with num_threads = 1.
 //
 // A pair is reported once all of its units ran and kept their output; a
 // stop that leaves some unclaimed drops it as skipped, so `pairs` is the

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "fft/sliding_dot.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "search/pairwise.h"
 
 namespace tycos {
@@ -288,8 +287,8 @@ Status PrefilterParams::Validate(int64_t series_length) const {
   }
   if (td_max < 0) {
     return Status::InvalidArgument(
-        "prefilter td_max must be >= 0 (AllPairsSearch derives it from "
-        "TycosParams.td_max; RunPrefilter needs an explicit value)");
+        "prefilter td_max must be >= 0 (ResolveAllPairsPrefilter derives "
+        "it from TycosParams.td_max; RunPrefilter needs an explicit value)");
   }
   if (pearson_threshold < 0.0 || pearson_threshold > 1.0) {
     return Status::InvalidArgument(
@@ -323,7 +322,6 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
                                       const PrefilterParams& params,
                                       double threshold,
                                       const RunContext& ctx) {
-  TYCOS_SPAN("prefilter");
   Status st = ValidatePairwiseChannels(channels);
   if (!st.ok()) return st;
   const int64_t series_length = channels[0].size();

@@ -74,8 +74,8 @@ struct PrefilterParams {
   int svd_dims = 2;
 
   // Maximum |delay| (samples) the cascade must preserve. < 0 = derive
-  // from TycosParams.td_max (done by AllPairsSearch); RunPrefilter itself
-  // requires an explicit value >= 0.
+  // from TycosParams.td_max (done by ResolveAllPairsPrefilter);
+  // RunPrefilter itself requires an explicit value >= 0.
   int64_t td_max = -1;
 
   // Pearson threshold T in (0, 1]. When 0, T is derived as

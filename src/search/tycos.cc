@@ -6,7 +6,6 @@
 #include "audit/audit.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "search/top_k.h"
 
 namespace tycos {
@@ -188,7 +187,6 @@ std::vector<Window> Tycos::GenerateNeighbors(const Window& w, int level,
 Window Tycos::Climb(const ClimbContext& cc, const Window& w0,
                     const RunContext& ctx,
                     std::optional<StopReason>* stop) const {
-  TYCOS_SPAN("lahc_climb");
   Window w = w0;
   Window best_seen = w0;
   LahcHistory history(params_.history_length, w0.mi);
@@ -252,7 +250,6 @@ WindowSet Tycos::Run() {
 }
 
 Result<SearchOutcome> Tycos::Run(const RunContext& ctx) {
-  TYCOS_SPAN("tycos_run");
   const int units = num_units();
 #if TYCOS_AUDIT_ENABLED
   // Surface the audit activity of this run through stats(): record the
@@ -388,7 +385,6 @@ Tycos::UnitResult Tycos::RunUnit(int u, const RunContext& ctx) const {
 SearchOutcome Tycos::MergeUnits(const std::vector<UnitResult>& units,
                                 int64_t claimed,
                                 std::optional<StopReason> pool_stop) const {
-  TYCOS_SPAN("extract");
   ResultCollector results(params_);
   std::optional<StopReason> stop;
   for (int64_t u = 0; u < claimed; ++u) {

@@ -16,6 +16,7 @@
 #include "jobs/checkpoint.h"
 #include "jobs/durable_pairwise.h"
 #include "obs/metrics.h"
+#include "search/pairwise.h"
 
 namespace tycos {
 namespace {
@@ -50,12 +51,12 @@ TycosParams Params() {
   return p;
 }
 
-AllPairsOptions Options() {
-  AllPairsOptions o;
-  o.prefilter.window = 64;
-  o.prefilter.hop = 32;
-  o.prefilter.pearson_threshold = 0.5;
-  return o;
+PrefilterParams Prefilter() {
+  PrefilterParams pf;
+  pf.window = 64;
+  pf.hop = 32;
+  pf.pearson_threshold = 0.5;
+  return pf;
 }
 
 std::string TempPath(const std::string& name) {
@@ -63,6 +64,14 @@ std::string TempPath(const std::string& name) {
   std::remove(path.c_str());
   std::remove((path + ".survivors").c_str());
   return path;
+}
+
+// A fresh durable all-pairs job: no checkpoint or survivor list on disk.
+AllPairsJobOptions JobOptions(const std::string& name) {
+  AllPairsJobOptions opt;
+  opt.durable.checkpoint_path = TempPath(name);
+  opt.prefilter = Prefilter();
+  return opt;
 }
 
 bool FileExists(const std::string& path) {
@@ -86,13 +95,14 @@ void ExpectSameEntries(const std::vector<PairwiseEntry>& xs,
 // The headline contract: the cascade only removes pairs — every survivor's
 // search result is bit-identical to the same pair's entry in a full
 // PairwiseSearch (per-pair seeding makes the pruning invisible).
-TEST(AllPairsSearchTest, SurvivorEntriesMatchTheFullSweepBitExactly) {
+TEST(ResumeAllPairsTest, SurvivorEntriesMatchTheFullSweepBitExactly) {
   const ClusteredDataset ds = MakeDataset(1);
   const TycosParams params = Params();
-  const auto all = AllPairsSearch(ds.channels, params, TycosVariant::kLMN,
-                                  /*seed=*/7, RunContext(), Options());
+  const auto all = ResumeAllPairsSearch(ds.channels, params,
+                                        TycosVariant::kLMN, /*seed=*/7,
+                                        RunContext(), JobOptions("allpairs"));
   ASSERT_TRUE(all.ok()) << all.status().message();
-  const AllPairsResult& r = all.value();
+  const AllPairsJobOutcome& r = all.value();
   ASSERT_FALSE(r.survivors.empty());
   EXPECT_EQ(r.pairs_pruned + static_cast<int64_t>(r.survivors.size()),
             r.prefilter.pairs_total);
@@ -102,42 +112,44 @@ TEST(AllPairsSearchTest, SurvivorEntriesMatchTheFullSweepBitExactly) {
   ASSERT_TRUE(full.ok());
   std::vector<PairwiseEntry> expected;
   for (const PairwiseEntry& e : full.value().entries) {
-    for (const PrefilterSurvivor& s : r.survivors) {
-      if (s.a == e.a && s.b == e.b) expected.push_back(e);
+    for (const auto& [a, b] : r.survivors) {
+      if (a == e.a && b == e.b) expected.push_back(e);
     }
   }
-  std::vector<PairwiseEntry> got = r.result.entries;
+  std::vector<PairwiseEntry> got = r.durable.result.entries;
   SortPairwiseEntries(&expected);
   ExpectSameEntries(got, expected);
 }
 
-TEST(AllPairsSearchTest, KeepsEveryPlantedPair) {
+TEST(ResumeAllPairsTest, KeepsEveryPlantedPair) {
   const ClusteredDataset ds = MakeDataset(2);
-  const auto all = AllPairsSearch(ds.channels, Params(), TycosVariant::kLMN,
-                                  3, RunContext(), Options());
+  const auto all =
+      ResumeAllPairsSearch(ds.channels, Params(), TycosVariant::kLMN, 3,
+                           RunContext(), JobOptions("allpairs_planted"));
   ASSERT_TRUE(all.ok()) << all.status().message();
   ASSERT_FALSE(ds.pairs.empty());
   for (const datagen::PlantedClusterPair& p : ds.pairs) {
     bool found = false;
-    for (const PrefilterSurvivor& s : all.value().survivors) {
-      found = found || (s.a == p.a && s.b == p.b);
+    for (const auto& [a, b] : all.value().survivors) {
+      found = found || (a == p.a && b == p.b);
     }
     EXPECT_TRUE(found) << "planted pair (" << p.a << ", " << p.b
                        << ") was pruned";
   }
 }
 
-TEST(AllPairsSearchTest, StopDuringCascadeReportsEverythingSkipped) {
+TEST(ResumeAllPairsTest, StopDuringCascadeReportsEverythingSkipped) {
   const ClusteredDataset ds = MakeDataset(3);
   RunContext ctx;
   ctx.RequestCancel();
-  const auto all = AllPairsSearch(ds.channels, Params(), TycosVariant::kLMN,
-                                  3, ctx, Options());
+  const auto all = ResumeAllPairsSearch(ds.channels, Params(),
+                                        TycosVariant::kLMN, 3, ctx,
+                                        JobOptions("allpairs_cancelled"));
   ASSERT_TRUE(all.ok()) << all.status().message();
-  EXPECT_TRUE(all.value().result.partial);
-  EXPECT_EQ(all.value().result.stop_reason, StopReason::kCancelled);
-  EXPECT_EQ(all.value().result.pairs_skipped,
-            all.value().prefilter.pairs_total);
+  const PairwiseResult& result = all.value().durable.result;
+  EXPECT_TRUE(result.partial);
+  EXPECT_EQ(result.stop_reason, StopReason::kCancelled);
+  EXPECT_EQ(result.pairs_skipped, all.value().prefilter.pairs_total);
   EXPECT_EQ(all.value().pairs_pruned, 0);
   EXPECT_TRUE(all.value().survivors.empty());
 }
@@ -165,9 +177,7 @@ TEST(ResumeAllPairsTest, InterruptedRunResumesBitIdentically) {
   const ClusteredDataset ds = MakeDataset(5);
   const TycosParams params = Params();
 
-  AllPairsJobOptions fresh;
-  fresh.durable.checkpoint_path = TempPath("allpairs_fresh");
-  fresh.prefilter = Options().prefilter;
+  const AllPairsJobOptions fresh = JobOptions("allpairs_fresh");
   const auto uninterrupted = ResumeAllPairsSearch(
       ds.channels, params, TycosVariant::kLMN, 9, RunContext(), fresh);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().message();
@@ -176,10 +186,8 @@ TEST(ResumeAllPairsTest, InterruptedRunResumesBitIdentically) {
             StopReason::kCompleted);
 
   // Same job, but paused after every single pair until done.
-  AllPairsJobOptions stepped;
-  stepped.durable.checkpoint_path = TempPath("allpairs_stepped");
+  AllPairsJobOptions stepped = JobOptions("allpairs_stepped");
   stepped.durable.max_pairs_this_run = 1;
-  stepped.prefilter = Options().prefilter;
   AllPairsJobOutcome last;
   int invocations = 0;
   for (; invocations < 200; ++invocations) {
@@ -201,9 +209,7 @@ TEST(ResumeAllPairsTest, InterruptedRunResumesBitIdentically) {
 
 TEST(ResumeAllPairsTest, SurvivorListFromADifferentRunFallsBackToFresh) {
   const ClusteredDataset ds = MakeDataset(6);
-  AllPairsJobOptions opt;
-  opt.durable.checkpoint_path = TempPath("allpairs_rebind");
-  opt.prefilter = Options().prefilter;
+  const AllPairsJobOptions opt = JobOptions("allpairs_rebind");
   const auto first = ResumeAllPairsSearch(ds.channels, Params(),
                                           TycosVariant::kLMN, 1, RunContext(),
                                           opt);
@@ -276,9 +282,7 @@ void DamageFile(const std::string& path, long offset, bool truncate = false) {
 void ExpectFallbackAfterDamage(uint64_t dataset_seed, const char* name,
                                long offset, bool truncate) {
   const ClusteredDataset ds = MakeDataset(dataset_seed);
-  AllPairsJobOptions opt;
-  opt.durable.checkpoint_path = TempPath(name);
-  opt.prefilter = Options().prefilter;
+  const AllPairsJobOptions opt = JobOptions(name);
   const auto first = ResumeAllPairsSearch(ds.channels, Params(),
                                           TycosVariant::kLMN, 1, RunContext(),
                                           opt);
@@ -319,9 +323,7 @@ TEST(ResumeAllPairsTest, TruncatedSurvivorListFallsBackToFreshCascade) {
 
 TEST(ResumeAllPairsTest, StoppedCascadeIsNeverPersisted) {
   const ClusteredDataset ds = MakeDataset(8);
-  AllPairsJobOptions opt;
-  opt.durable.checkpoint_path = TempPath("allpairs_stopped");
-  opt.prefilter = Options().prefilter;
+  const AllPairsJobOptions opt = JobOptions("allpairs_stopped");
   RunContext ctx;
   ctx.RequestCancel();
   const auto out = ResumeAllPairsSearch(ds.channels, Params(),
@@ -456,7 +458,7 @@ TEST(SurvivorListTest, CommittedHugePairCountSeedReachesThePairCountCheck) {
 
 TEST(SurvivorListTest, PrefilterConfigHashCoversEveryKnob) {
   const TycosParams params = Params();
-  PrefilterParams pf = Options().prefilter;
+  PrefilterParams pf = Prefilter();
   pf.td_max = 4;
   const uint64_t base =
       jobs::HashPrefilterConfig(params, TycosVariant::kLMN, 1, pf);
@@ -480,9 +482,7 @@ TEST(SurvivorListTest, PrefilterConfigHashCoversEveryKnob) {
 // pairwise report's metrics section.
 TEST(AllPairsReportTest, MetricsSectionListsPrefilterCounters) {
   const ClusteredDataset ds = MakeDataset(9);
-  AllPairsJobOptions opt;
-  opt.durable.checkpoint_path = TempPath("allpairs_report");
-  opt.prefilter = Options().prefilter;
+  const AllPairsJobOptions opt = JobOptions("allpairs_report");
   const auto out = ResumeAllPairsSearch(ds.channels, Params(),
                                         TycosVariant::kLMN, 1, RunContext(),
                                         opt);

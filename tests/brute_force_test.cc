@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/relations.h"
+#include "obs/metrics.h"
 
 namespace tycos {
 namespace {
@@ -92,6 +93,28 @@ TEST(BruteForceTest, IncrementalAndBatchModesAgree) {
   for (size_t i = 0; i < inc.raw.size(); ++i) {
     EXPECT_TRUE(inc.raw[i].SameSpan(batch.raw[i]));
     EXPECT_EQ(inc.raw[i].mi, batch.raw[i].mi);
+  }
+}
+
+// The exact reference publishes its evaluator's work the way a TYCOS unit
+// does, so mi.evaluations counts every window it scored in either mode
+// (and the incremental core's incremental.* family is published too).
+TEST(BruteForceTest, PublishesItsEvaluationsToTheRegistry) {
+  const SyntheticDataset ds = ComposeDataset(
+      {SegmentSpec{RelationType::kLinear, 80, 0}}, /*gap=*/60, /*seed=*/7);
+  TycosParams p = TinyParams();
+  p.s_max = 32;
+  p.td_max = 2;
+  for (const bool incremental : {false, true}) {
+    obs::Registry::Instance().ResetAllForTest();
+    const BruteForceResult r = BruteForceSearch(ds.pair, p, incremental).Run();
+    ASSERT_GT(r.windows_evaluated, 0);
+    const obs::MetricsSnapshot snap = obs::Snapshot();
+    EXPECT_EQ(snap.CounterValue("mi.evaluations"), r.windows_evaluated)
+        << "incremental " << incremental;
+    if (incremental) {
+      EXPECT_GT(snap.CounterValue("incremental.incremental_moves"), 0);
+    }
   }
 }
 

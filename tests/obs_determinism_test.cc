@@ -1,17 +1,21 @@
 // The metrics registry's determinism contract: because counters and
 // histogram buckets are integer sums of per-climb tallies, an identical
-// multi-restart search must leave a bit-identical registry snapshot no
-// matter how its climbs were spread across threads. This is what lets the
-// always-on metrics layer coexist with the engine's bit-reproducibility
-// guarantee (see parallel_determinism_test.cc for the result-set half).
+// multi-restart search or pair sweep must leave a bit-identical registry
+// snapshot no matter how its climbs were spread across threads. This is
+// what lets the always-on metrics layer coexist with the engine's
+// bit-reproducibility guarantee (see parallel_determinism_test.cc for the
+// result-set half).
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "datagen/energy_sim.h"
 #include "datagen/relations.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "search/pairwise.h"
 #include "search/tycos.h"
 
 namespace tycos {
@@ -57,7 +61,7 @@ TEST(ObsDeterminismTest, RegistrySnapshotIdenticalAcrossThreadCounts) {
   const std::string snap8 = SnapshotAfterRun(ds, 8, &stats8);
   EXPECT_EQ(snap1, snap2);
   EXPECT_EQ(snap1, snap8);
-  // The TycosStats view (registry deltas) must agree too.
+  // The TycosStats view (unit sums) must agree too.
   EXPECT_EQ(stats1.climbs, stats8.climbs);
   EXPECT_EQ(stats1.accepted_moves, stats8.accepted_moves);
   EXPECT_EQ(stats1.rejected_moves, stats8.rejected_moves);
@@ -78,8 +82,8 @@ TEST(ObsDeterminismTest, StatsMatchRegistryCounters) {
   (void)search.Run();
   const TycosStats& stats = search.stats();
   const obs::MetricsSnapshot snap = obs::Snapshot();
-  // stats() is defined as the registry delta across the run; with a clean
-  // registry and a single engine the two views must be equal.
+  // stats() sums the run's units; with a clean registry and a single
+  // engine it must equal what the units published to the registry.
   EXPECT_EQ(stats.climbs, snap.CounterValue("tycos.climbs"));
   EXPECT_EQ(stats.accepted_moves, snap.CounterValue("tycos.accepted_moves"));
   EXPECT_EQ(stats.rejected_moves, snap.CounterValue("tycos.rejected_moves"));
@@ -94,6 +98,43 @@ TEST(ObsDeterminismTest, StatsMatchRegistryCounters) {
   ASSERT_NE(ratio, nullptr);
   EXPECT_LE(ratio->total(), stats.climbs);
   EXPECT_GT(ratio->total(), 0);
+}
+
+// The sweep path: SweepPairs builds each pair's engine under call_once and
+// merges a pair's units on whichever worker ends last, so the snapshot of a
+// whole PairwiseSearch must not depend on the thread count either. One day
+// of the energy simulator at the pairwise_short benchmark's parameters.
+TEST(ObsDeterminismTest, SweepSnapshotIdenticalAcrossThreadCounts) {
+  datagen::EnergySimOptions o;
+  o.days = 1;
+  o.seed = 7;
+  const datagen::EnergySimulator sim(o);
+  std::vector<TimeSeries> channels;
+  for (int ch = 0; ch < datagen::kNumEnergyChannels; ++ch) {
+    channels.push_back(sim.Channel(static_cast<datagen::EnergyChannel>(ch)));
+  }
+  TycosParams p;
+  p.sigma = 0.55;
+  p.s_min = 16;
+  p.s_max = 96;
+  p.td_max = 6;
+  p.delta = 2;
+  for (const int restarts : {0, 4}) {
+    std::string one_thread;
+    for (const int threads : {1, 2, 4}) {
+      obs::Registry::Instance().ResetAllForTest();
+      p.num_restarts = restarts;
+      p.num_threads = threads;
+      const PairwiseResult r = PairwiseSearch(channels, p, TycosVariant::kLMN);
+      ASSERT_EQ(r.entries.size(), 36u);
+      const obs::MetricsSnapshot snap = obs::Snapshot();
+      EXPECT_GT(snap.CounterValue("mi.evaluations"), 0);
+      const std::string json = obs::ToJson(snap);
+      if (threads == 1) one_thread = json;
+      EXPECT_EQ(json, one_thread)
+          << "restarts " << restarts << ", threads " << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -7,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/run_context.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace tycos {
 namespace obs {
@@ -159,107 +157,6 @@ TEST_F(ObsRegistryTest, WriteJsonWritesFile) {
   buf << in.rdbuf();
   EXPECT_NE(buf.str().find("test.json_file"), std::string::npos);
   std::remove(path.c_str());
-}
-
-// --- Trace spans. ScopedSpan/Tracer are always compiled (only the
-// TYCOS_SPAN macro is gated), so the tree mechanics are testable in every
-// configuration.
-
-class ObsTraceTest : public ::testing::Test {
- protected:
-  void SetUp() override { Tracer::ThisThread().Reset(); }
-};
-
-TEST_F(ObsTraceTest, SpansNestIntoTree) {
-  {
-    ScopedSpan run("run");
-    {
-      ScopedSpan climb("climb");
-      { ScopedSpan noise("noise"); }
-      { ScopedSpan noise("noise"); }  // same-name sibling merges
-    }
-    { ScopedSpan extract("extract"); }
-  }
-  const Tracer& tracer = Tracer::ThisThread();
-  EXPECT_EQ(tracer.depth(), 0u);
-  ASSERT_EQ(tracer.root().children.size(), 1u);
-  const TraceNode& run = *tracer.root().children[0];
-  EXPECT_EQ(run.name, "run");
-  EXPECT_EQ(run.calls, 1);
-  ASSERT_EQ(run.children.size(), 2u);
-  EXPECT_EQ(run.children[0]->name, "climb");
-  ASSERT_EQ(run.children[0]->children.size(), 1u);
-  EXPECT_EQ(run.children[0]->children[0]->calls, 2);  // merged siblings
-  EXPECT_EQ(run.children[1]->name, "extract");
-}
-
-TEST_F(ObsTraceTest, EarlyReturnUnwindsTheStack) {
-  const auto early_return = [](bool bail) {
-    ScopedSpan outer("outer");
-    if (bail) return 1;  // RAII must pop on this path too
-    ScopedSpan inner("inner");
-    return 2;
-  };
-  EXPECT_EQ(early_return(true), 1);
-  EXPECT_EQ(Tracer::ThisThread().depth(), 0u);
-  EXPECT_EQ(early_return(false), 2);
-  EXPECT_EQ(Tracer::ThisThread().depth(), 0u);
-  const TraceNode& outer = *Tracer::ThisThread().root().children[0];
-  EXPECT_EQ(outer.calls, 2);
-  ASSERT_EQ(outer.children.size(), 1u);
-  EXPECT_EQ(outer.children[0]->calls, 1);  // inner only ran once
-}
-
-TEST_F(ObsTraceTest, CancellationStyleUnwindRestoresDepth) {
-  // The shape every search phase has: spans open, a RunContext fires, the
-  // function returns early through several RAII frames.
-  RunContext ctx;
-  const auto climb = [&ctx]() -> int {
-    ScopedSpan run("cancel_run");
-    for (int i = 0; i < 10; ++i) {
-      ScopedSpan step("cancel_step");
-      if (i == 2) ctx.RequestCancel();
-      if (ctx.ShouldStop()) return i;
-    }
-    return -1;
-  };
-  EXPECT_EQ(climb(), 2);
-  EXPECT_EQ(Tracer::ThisThread().depth(), 0u);
-  const TraceNode& run = *Tracer::ThisThread().root().children[0];
-  ASSERT_EQ(run.children.size(), 1u);
-  EXPECT_EQ(run.children[0]->calls, 3);  // i = 0, 1, 2
-}
-
-TEST_F(ObsTraceTest, UnmatchedPopIsIgnored) {
-  Tracer& tracer = Tracer::ThisThread();
-  tracer.Pop(1.0);  // nothing open: must not underflow past the root
-  EXPECT_EQ(tracer.depth(), 0u);
-  tracer.Push("solo");
-  tracer.Pop(0.25);
-  tracer.Pop(1.0);  // extra pop after the stack emptied
-  EXPECT_EQ(tracer.depth(), 0u);
-  ASSERT_EQ(tracer.root().children.size(), 1u);
-  EXPECT_DOUBLE_EQ(tracer.root().children[0]->total_seconds, 0.25);
-}
-
-TEST_F(ObsTraceTest, RenderListsSpans) {
-  {
-    ScopedSpan outer("render_outer");
-    ScopedSpan inner("render_inner");
-  }
-  const std::string out = Tracer::ThisThread().Render();
-  EXPECT_NE(out.find("render_outer"), std::string::npos) << out;
-  EXPECT_NE(out.find("render_inner"), std::string::npos) << out;
-}
-
-TEST_F(ObsTraceTest, MacroCompilesInBothModes) {
-  // In default builds TYCOS_SPAN is ((void)0); under TYCOS_OBS=ON it opens
-  // a real span. Either way this must compile and leave the stack balanced.
-  {
-    TYCOS_SPAN("macro_span");
-    TYCOS_SPAN("macro_span_sibling");  // unique variable names per line
-  }
-  EXPECT_EQ(Tracer::ThisThread().depth(), 0u);
 }
 
 }  // namespace

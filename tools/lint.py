@@ -21,13 +21,6 @@ Checks (all on by default; each has a flag to run it alone):
                    a RunContext must either poll ShouldStop() or hand the
                    context to a callee that does. A search loop that ignores
                    its RunContext silently loses deadline/cancel support.
-  --span-hygiene   Trace-span placement: TYCOS_SPAN must not appear inside a
-                   for/while loop body in src/knn/, src/mi/, or the all-pairs
-                   prefilter (src/search/prefilter.*) — those are the
-                   per-point kNN/estimator kernels and the per-pair cascade
-                   hot loops that run millions of times per search, and a
-                   span there measures mostly its own overhead. Open spans at
-                   function or phase scope and let the loop run span-free.
   --simd-hygiene   SIMD containment: x86 intrinsics (immintrin.h /
                    x86intrin.h includes, _mm* calls, __m128d/__m256d types)
                    may appear only in src/common/simd.h and simd.cc. Every
@@ -251,64 +244,6 @@ def check_run_context(errors):
                 f"cancellation are silently ignored")
 
 
-def check_span_hygiene(errors):
-    """TYCOS_SPAN inside a for/while body in the kNN / estimator kernels."""
-    span_re = re.compile(r"\bTYCOS_SPAN\s*\(")
-    loop_re = re.compile(r"\b(?:for|while)\s*\(")
-    for f in source_files():
-        relf = rel(f)
-        if not relf.startswith(("src/knn/", "src/mi/", "src/search/prefilter")):
-            continue
-        code = strip_comments_and_strings(f.read_text(encoding="utf-8"))
-        depth = 0        # brace nesting
-        loop_opens = []  # brace depths whose '{' opened a loop body
-        pending = 0      # loop headers whose body has not started yet
-        lineno = 1
-        i = 0
-        while i < len(code):
-            ch = code[i]
-            if ch == "\n":
-                lineno += 1
-            elif ch == "{":
-                depth += 1
-                if pending > 0:
-                    loop_opens.append(depth)
-                    pending -= 1
-            elif ch == "}":
-                if loop_opens and loop_opens[-1] == depth:
-                    loop_opens.pop()
-                depth -= 1
-            elif ch == ";" and pending > 0:
-                pending -= 1  # braceless single-statement body (or do-while)
-            else:
-                m = loop_re.match(code, i)
-                if m:
-                    # Skip the balanced loop header so for(;;) semicolons and
-                    # nested call parens cannot confuse the body tracking.
-                    i = m.end()
-                    parens = 1
-                    while i < len(code) and parens > 0:
-                        if code[i] == "(":
-                            parens += 1
-                        elif code[i] == ")":
-                            parens -= 1
-                        elif code[i] == "\n":
-                            lineno += 1
-                        i += 1
-                    pending += 1
-                    continue
-                m = span_re.match(code, i)
-                if m:
-                    if loop_opens or pending > 0:
-                        errors.append(
-                            f"{relf}:{lineno}: TYCOS_SPAN inside a loop body "
-                            f"— per-point kernels must stay span-free; open "
-                            f"the span at function scope instead")
-                    i = m.end()
-                    continue
-            i += 1
-
-
 SIMD_ALLOWED = {"src/common/simd.h", "src/common/simd.cc"}
 SIMD_TOKEN = re.compile(
     r"#\s*include\s*[<\"](?:immintrin|x86intrin|xmmintrin|emmintrin|"
@@ -487,7 +422,6 @@ def main():
     parser.add_argument("--banned", action="store_true")
     parser.add_argument("--check-ratchet", action="store_true")
     parser.add_argument("--run-context", action="store_true")
-    parser.add_argument("--span-hygiene", action="store_true")
     parser.add_argument("--simd-hygiene", action="store_true")
     parser.add_argument("--jobs-io", action="store_true")
     parser.add_argument("--mutex-annotations", action="store_true")
@@ -510,8 +444,6 @@ def main():
         check_ratchet(errors)
     if run_all or "run_context" in selected:
         check_run_context(errors)
-    if run_all or "span_hygiene" in selected:
-        check_span_hygiene(errors)
     if run_all or "simd_hygiene" in selected:
         check_simd_hygiene(errors)
     if run_all or "jobs_io" in selected:
