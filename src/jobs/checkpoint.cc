@@ -360,7 +360,10 @@ uint64_t HashSearchConfig(const TycosParams& p, TycosVariant variant,
   buf.PutU32(static_cast<uint32_t>(p.num_restarts));
   buf.PutU8(p.cache_evaluations ? 1 : 0);
   buf.PutU32(static_cast<uint32_t>(p.k));
-  buf.PutU8(static_cast<uint8_t>(p.backend));
+  // The slot of the removed TycosParams::backend, which was always kAuto
+  // (0): kept so checkpoints and survivor lists written before its removal
+  // still resume.
+  buf.PutU8(0);
   buf.PutDouble(p.tie_jitter);
   buf.PutI64(p.theiler_window);
   buf.PutU8(static_cast<uint8_t>(p.normalization));

@@ -5,43 +5,8 @@
 #include <cstdint>
 
 #include "common/check.h"
-#include "common/math.h"
-#include "knn/brute_knn.h"
-#include "knn/kd_tree.h"
 
 namespace tycos {
-
-double KozachenkoLeonenkoEntropy(const std::vector<double>& xs,
-                                 const std::vector<double>& ys, int k) {
-  TYCOS_CHECK_EQ(xs.size(), ys.size());
-  const int64_t m = static_cast<int64_t>(xs.size());
-  if (m < k + 2) return 0.0;
-
-  std::vector<Point2> points(static_cast<size_t>(m));
-  double span = 0.0;
-  for (int64_t i = 0; i < m; ++i) {
-    points[static_cast<size_t>(i)] = {xs[static_cast<size_t>(i)],
-                                      ys[static_cast<size_t>(i)]};
-  }
-  const auto [xlo, xhi] = std::minmax_element(xs.begin(), xs.end());
-  const auto [ylo, yhi] = std::minmax_element(ys.begin(), ys.end());
-  span = std::max(*xhi - *xlo, *yhi - *ylo);
-  const double eps_floor = std::max(span, 1.0) * 1e-12;
-
-  const bool use_tree = m > 256;
-  KdTree tree(use_tree ? points : std::vector<Point2>{});
-  double log_sum = 0.0;
-  for (int64_t i = 0; i < m; ++i) {
-    const KnnExtents e =
-        use_tree ? tree.QueryExtents(static_cast<size_t>(i), k)
-                 : BruteKnnExtents(points, static_cast<size_t>(i), k);
-    const double eps = std::max(e.radius(), eps_floor);
-    log_sum += std::log(eps);
-  }
-  const double d = 2.0;
-  return Digamma(static_cast<double>(m)) - Digamma(static_cast<double>(k)) +
-         d * std::log(2.0) + (d / static_cast<double>(m)) * log_sum;
-}
 
 namespace {
 
@@ -53,27 +18,6 @@ int64_t BinOf(double v, double lo, double width, int64_t bins) {
 }
 
 }  // namespace
-
-double HistogramEntropy(const std::vector<double>& values) {
-  const int64_t m = static_cast<int64_t>(values.size());
-  if (m < 2) return 0.0;
-  const int64_t bins = static_cast<int64_t>(
-      std::ceil(std::sqrt(static_cast<double>(m))));
-  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
-  const double lo = *lo_it;
-  const double width = (*hi_it - lo) / static_cast<double>(bins);
-  std::vector<int64_t> counts(static_cast<size_t>(bins), 0);
-  for (double v : values) {
-    ++counts[static_cast<size_t>(BinOf(v, lo, width, bins))];
-  }
-  double h = 0.0;
-  for (int64_t c : counts) {
-    if (c == 0) continue;
-    const double p = static_cast<double>(c) / static_cast<double>(m);
-    h -= p * std::log(p);
-  }
-  return h;
-}
 
 double HistogramJointEntropy(const std::vector<double>& xs,
                              const std::vector<double>& ys) {

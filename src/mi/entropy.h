@@ -1,5 +1,5 @@
-// Entropy estimators used for MI normalization (Eq. 18) and as reference
-// implementations in tests.
+// The joint-entropy estimator behind the entropy-ratio MI normalization
+// (Eq. 18).
 
 #ifndef TYCOS_MI_ENTROPY_H_
 #define TYCOS_MI_ENTROPY_H_
@@ -7,18 +7,6 @@
 #include <vector>
 
 namespace tycos {
-
-// Kozachenko–Leonenko differential entropy of the joint (x, y) sample under
-// the L∞ norm (nats):
-//   H ≈ ψ(m) − ψ(k) + log(2^d) + (d/m) Σ log ε_i
-// with ε_i the distance to the k-th nearest neighbour and d = 2. Duplicate
-// points (ε = 0) are floored at a tiny scale-relative epsilon.
-double KozachenkoLeonenkoEntropy(const std::vector<double>& xs,
-                                 const std::vector<double>& ys, int k = 4);
-
-// Shannon entropy (nats) of a 1-D sample from an equal-width histogram with
-// ceil(sqrt(m)) bins.
-double HistogramEntropy(const std::vector<double>& values);
 
 // Shannon entropy (nats) of the joint (x, y) sample from an equal-width 2-D
 // histogram with ceil(sqrt(m)) bins per dimension. Always >= 0; this is the

@@ -50,7 +50,6 @@ double NormalizeScore(double raw_mi, const SeriesPair& pair, const Window& w,
 KsgOptions OptionsFrom(const TycosParams& params) {
   KsgOptions o;
   o.k = params.k;
-  o.backend = params.backend;
   o.tie_jitter = 0.0;  // jitter is applied to the series once, up front
   o.theiler_window = params.theiler_window;
   return o;

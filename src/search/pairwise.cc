@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "obs/metrics.h"
 
 namespace tycos {
@@ -152,11 +152,9 @@ Result<PairwiseResult> SweepPairs(
   static obs::Counter* pairs_searched =
       obs::GetCounter("pairwise.pairs_searched");
 
-  const int threads = static_cast<int>(std::min<int64_t>(
-      ThreadPool::ResolveThreadCount(params.num_threads), units));
-  ThreadPool pool(threads - 1);
-  const ThreadPool::ForStatus fs = pool.ParallelFor(
-      units, ctx, [&](int64_t u) -> std::optional<StopReason> {
+  const ForStatus fs = ParallelFor(
+      ResolveThreadCount(params.num_threads), units, ctx,
+      [&](int64_t u) -> std::optional<StopReason> {
         const int64_t p = u / per_pair;
         const int r = static_cast<int>(u % per_pair);
         PairState& st = states[static_cast<size_t>(p)];

@@ -68,9 +68,9 @@ struct PairwiseResult {
 //
 // When params.num_threads != 1 the sweep's units (a pair's scan, or its
 // single restart climbs when params.num_restarts > 0; see SweepPairs) are
-// fanned across a thread pool. Each pair owns its search (seed, evaluator,
-// incremental-KSG state), units are claimed in (a, b) order, and entries
-// are merged in pair order before the final sort — so the result is
+// fanned across ParallelFor's executors. Each pair owns its search (seed,
+// evaluator, incremental-KSG state), units are claimed in (a, b) order, and
+// entries are merged in pair order before the final sort — so the result is
 // bit-identical to the sequential run at any thread count.
 PairwiseResult PairwiseSearch(const std::vector<TimeSeries>& channels,
                               const TycosParams& params, TycosVariant variant,
@@ -162,7 +162,7 @@ struct PairSweepHooks {
 // evaluator stack and RNG per call, so a retry replays bit for bit); the
 // pair's last unit to end merges them with Tycos::MergeUnits. The pair's
 // stop_reason is a global stop (deadline, cancel) if any unit hit one.
-// Sweeps never nest pools: pairs run with num_threads = 1.
+// Sweeps never nest loops: pairs run with num_threads = 1.
 //
 // A pair is reported once all of its units ran and kept their output; a
 // stop that leaves some unclaimed drops it as skipped, so `pairs` is the

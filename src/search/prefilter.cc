@@ -10,7 +10,7 @@
 
 #include "common/hash.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "fft/sliding_dot.h"
 #include "obs/metrics.h"
 #include "search/pairwise.h"
@@ -371,9 +371,9 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   const size_t ks = static_cast<size_t>(k_s);
   const size_t kb = static_cast<size_t>(k_b);
 
+  // Every stage runs on at most one executor per channel.
   const int threads = static_cast<int>(std::min<int64_t>(
-      ThreadPool::ResolveThreadCount(params.num_threads), num_channels));
-  ThreadPool pool(threads - 1);
+      ResolveThreadCount(params.num_threads), num_channels));
 
   // --- Stage 1a: prefix sums + hop-grid sketches + Gram partials --------
   // One slot per channel; partial Grams merge in channel order below, so
@@ -384,8 +384,8 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
       static_cast<size_t>(num_channels));
   std::vector<std::vector<double>> gram_partials(
       static_cast<size_t>(num_channels));
-  ThreadPool::ForStatus fs = pool.ParallelFor(
-      num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
+  ForStatus fs = ParallelFor(
+      threads, num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
         const size_t ci = static_cast<size_t>(c);
         prefixes[ci] = MakePrefix(channels[ci].values());
         std::vector<double>& sk = grid_sketches[ci];
@@ -479,8 +479,8 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   // candidate list never depends on thread interleaving.
   std::vector<std::vector<uint64_t>> found_per_channel(
       static_cast<size_t>(num_channels));
-  fs = pool.ParallelFor(
-      num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
+  fs = ParallelFor(
+      threads, num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
         const size_t ci = static_cast<size_t>(c);
         std::unordered_set<uint64_t> local;
         std::vector<double> sketch(ks);
@@ -575,8 +575,9 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   std::vector<PairVerdict> verdicts(candidate_keys.size());
   const double accept = threshold - kPearsonGuard;
   const int64_t num_candidates = static_cast<int64_t>(candidate_keys.size());
-  fs = pool.ParallelFor(
-      num_candidates, ctx, [&](int64_t idx) -> std::optional<StopReason> {
+  fs = ParallelFor(
+      threads, num_candidates, ctx,
+      [&](int64_t idx) -> std::optional<StopReason> {
         const uint64_t key = candidate_keys[static_cast<size_t>(idx)];
         const int a =
             static_cast<int>(key / static_cast<uint64_t>(num_channels));

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "audit/audit.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "obs/metrics.h"
 #include "search/top_k.h"
 
@@ -282,11 +282,9 @@ Result<SearchOutcome> Tycos::Run(const RunContext& ctx) {
 #endif
 
   std::vector<UnitResult> results(static_cast<size_t>(units));
-  const int threads = static_cast<int>(std::min<int64_t>(
-      ThreadPool::ResolveThreadCount(params_.num_threads), units));
-  ThreadPool pool(threads - 1);
-  const ThreadPool::ForStatus fs = pool.ParallelFor(
-      units, ctx, [&](int64_t u) -> std::optional<StopReason> {
+  const ForStatus fs = ParallelFor(
+      ResolveThreadCount(params_.num_threads), units, ctx,
+      [&](int64_t u) -> std::optional<StopReason> {
         UnitResult& out = results[static_cast<size_t>(u)];
         out = RunUnit(static_cast<int>(u), ctx);
         // A per-unit budget exhausting is local (every unit carries the
@@ -384,7 +382,7 @@ Tycos::UnitResult Tycos::RunUnit(int u, const RunContext& ctx) const {
 
 SearchOutcome Tycos::MergeUnits(const std::vector<UnitResult>& units,
                                 int64_t claimed,
-                                std::optional<StopReason> pool_stop) const {
+                                std::optional<StopReason> loop_stop) const {
   ResultCollector results(params_);
   std::optional<StopReason> stop;
   for (int64_t u = 0; u < claimed; ++u) {
@@ -393,7 +391,7 @@ SearchOutcome Tycos::MergeUnits(const std::vector<UnitResult>& units,
     for (const Window& w : unit.windows) results.Offer(w);
   }
   const bool cut = claimed < static_cast<int64_t>(units.size());
-  if (!stop.has_value() && cut) stop = pool_stop;
+  if (!stop.has_value() && cut) stop = loop_stop;
   SearchOutcome outcome;
   outcome.windows = results.Take();
   outcome.partial = stop.has_value() || cut;

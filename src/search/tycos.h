@@ -50,7 +50,7 @@ struct TycosStats {
   int64_t degenerate_windows = 0;  // constant/hostile windows scored 0
   // Invariant-audit counters covering this run (builds with TYCOS_AUDIT=ON
   // only; both stay 0 otherwise): estimator differentials, kNN backend
-  // agreement, WindowSet and thread-pool invariants, RNG stream derivation.
+  // agreement, WindowSet and prefix-claim invariants, RNG stream derivation.
   // Unlike the counters above they are the process-wide registry delta
   // observed across Run(ctx), which a concurrent run can inflate.
   // audit_failures > 0 means a correctness invariant was violated; see
@@ -144,11 +144,11 @@ class Tycos {
 
   // Folds units [0, claimed) in unit order — never completion order — into
   // the result set. The stop reason is the first one a unit recorded, else
-  // `pool_stop` (a stop only the claim-level poll saw) when it left units
+  // `loop_stop` (a stop only the claim-level poll saw) when it left units
   // unclaimed.
   SearchOutcome MergeUnits(const std::vector<UnitResult>& units,
                            int64_t claimed,
-                           std::optional<StopReason> pool_stop) const;
+                           std::optional<StopReason> loop_stop) const;
 
  private:
   struct Validated {};  // tag: inputs already vetted by the caller

@@ -1,38 +1,24 @@
 #include "service/scheduler.h"
 
-#include <algorithm>
 #include <utility>
+
+#include "common/parallel_for.h"
 
 namespace tycos {
 namespace service {
 
-Scheduler::Scheduler(int num_workers)
-    : num_workers_(std::max(1, ThreadPool::ResolveThreadCount(num_workers))) {
-  pool_ = std::make_unique<ThreadPool>(num_workers_);
-  {
-    MutexLock lock(&mu_);
-    live_workers_ = num_workers_;
-  }
-  for (int i = 0; i < num_workers_; ++i) {
-    pool_->Submit([this] { DrainLoop(); });
-  }
+Scheduler::Scheduler(int num_workers) {
+  const int n = ResolveThreadCount(num_workers);
+  workers_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { DrainLoop(); });
 }
 
-Scheduler::~Scheduler() {
-  Shutdown();
-  pool_.reset();  // joins the (already exiting) workers
-}
+Scheduler::~Scheduler() { Shutdown(); }
 
-bool Scheduler::Submit(const std::string& tenant, int priority, Job job) {
+bool Scheduler::Submit(const std::string& tenant, Job job) {
   MutexLock lock(&mu_);
   if (shutdown_) return false;
-  TenantQueue& q = tenants_[tenant];
-  // Keep the deque sorted highest-priority first, FIFO within a priority:
-  // insert before the first strictly lower-priority entry.
-  const auto pos =
-      std::find_if(q.jobs.begin(), q.jobs.end(),
-                   [&](const Pending& p) { return p.priority < priority; });
-  q.jobs.insert(pos, Pending{priority, next_seq_++, std::move(job)});
+  tenants_[tenant].jobs.push_back(Pending{next_seq_++, std::move(job)});
   ++depth_;
   cv_.NotifyOne();
   return true;
@@ -50,16 +36,21 @@ int64_t Scheduler::DispatchedCount(const std::string& tenant) const {
 }
 
 void Scheduler::Shutdown() {
-  MutexLock lock(&mu_);
-  if (!shutdown_) {
-    shutdown_ = true;
-    for (auto& [name, q] : tenants_) q.jobs.clear();
-    depth_ = 0;
-    cv_.NotifyAll();
+  {
+    MutexLock lock(&mu_);
+    if (!shutdown_) {
+      shutdown_ = true;
+      for (auto& [name, q] : tenants_) q.jobs.clear();
+      depth_ = 0;
+      cv_.NotifyAll();
+    }
   }
-  // Wait for every drain loop to observe the flag and exit, so callers may
-  // tear down state the jobs reference as soon as Shutdown() returns.
-  while (live_workers_ > 0) cv_.Wait(mu_);
+  // A concurrent caller blocks in call_once until the joins finish, so no
+  // caller returns while a drain loop can still touch the state its jobs
+  // reference.
+  std::call_once(joined_, [this] {
+    for (std::thread& t : workers_) t.join();
+  });
 }
 
 Scheduler::Pending Scheduler::PopNextLocked() {
@@ -70,15 +61,10 @@ Scheduler::Pending Scheduler::PopNextLocked() {
       best = it;
       continue;
     }
-    const Pending& cand = it->second.jobs.front();
-    const Pending& top = best->second.jobs.front();
-    // Highest priority; then the tenant served least (fair share); then
-    // the earliest submission.
-    if (cand.priority != top.priority) {
-      if (cand.priority > top.priority) best = it;
-    } else if (it->second.dispatched != best->second.dispatched) {
+    // The tenant served least (fair share); then the earliest submission.
+    if (it->second.dispatched != best->second.dispatched) {
       if (it->second.dispatched < best->second.dispatched) best = it;
-    } else if (cand.seq < top.seq) {
+    } else if (it->second.jobs.front().seq < best->second.jobs.front().seq) {
       best = it;
     }
   }
@@ -95,11 +81,7 @@ void Scheduler::DrainLoop() {
     {
       MutexLock lock(&mu_);
       while (!shutdown_ && depth_ == 0) cv_.Wait(mu_);
-      if (shutdown_) {
-        --live_workers_;
-        cv_.NotifyAll();  // Shutdown() waits on live_workers_ == 0
-        return;
-      }
+      if (shutdown_) return;
       next = PopNextLocked();
     }
     next.job();

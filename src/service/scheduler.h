@@ -1,14 +1,13 @@
-// Fair-share job scheduler for the correlation-search service: a priority
-// queue segmented per tenant, drained by long-lived worker loops running on
-// a common/thread_pool.
+// Fair-share job scheduler for the correlation-search service: one FIFO
+// queue per tenant, drained by long-lived worker threads the scheduler
+// starts in its constructor and joins in Shutdown().
 //
 // Dispatch order is deterministic given the queue contents: among the
-// tenants with pending work, the next job is the one with the highest
-// priority; ties break toward the tenant that has been dispatched the
-// FEWEST jobs so far (the fair-share axis — a tenant that floods the queue
-// cannot starve a light tenant at the same priority), and then toward the
-// earliest submission. Within one tenant, jobs run highest-priority first,
-// FIFO within a priority.
+// tenants with pending work, the next job comes from the tenant that has
+// been dispatched the FEWEST jobs so far (the fair-share axis — a tenant
+// that floods the queue cannot starve a light tenant), ties breaking
+// toward the earliest submission. Within one tenant, jobs run in
+// submission order.
 //
 // The scheduler runs opaque closures; deadlines and evaluation budgets are
 // the server's concern (it arms each request's RunContext before
@@ -22,11 +21,12 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/annotations.h"
-#include "common/thread_pool.h"
 
 namespace tycos {
 namespace service {
@@ -35,21 +35,20 @@ class Scheduler {
  public:
   using Job = std::function<void()>;
 
-  // `num_workers` resolves through ThreadPool::ResolveThreadCount (<= 0 =
-  // one per hardware thread) and is clamped to at least 1 — a scheduler
-  // with no workers would strand every job.
+  // Starts the worker threads. `num_workers` resolves through
+  // ResolveThreadCount (<= 0 = one per hardware thread), so there is always
+  // at least one — a scheduler with no workers would strand every job.
   explicit Scheduler(int num_workers);
 
-  // Shutdown() + join.
+  // Shutdown().
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  // Enqueues a job. Higher `priority` runs first. Returns false (job
-  // dropped) after Shutdown().
-  bool Submit(const std::string& tenant, int priority, Job job)
-      TYCOS_EXCLUDES(mu_);
+  // Appends a job to the tenant's queue. Returns false (job dropped) after
+  // Shutdown().
+  bool Submit(const std::string& tenant, Job job) TYCOS_EXCLUDES(mu_);
 
   // Jobs accepted but not yet started. (Running jobs have left the queue.)
   int64_t QueueDepth() const TYCOS_EXCLUDES(mu_);
@@ -58,22 +57,22 @@ class Scheduler {
   int64_t DispatchedCount(const std::string& tenant) const
       TYCOS_EXCLUDES(mu_);
 
-  int num_workers() const { return num_workers_; }
+  int num_workers() const { return static_cast<int>(workers_.size()); }
 
   // Stops dispatch: queued jobs are discarded, running jobs finish, worker
-  // loops exit. Idempotent. The destructor calls this; call it earlier to
-  // bound shutdown latency before tearing down server state the jobs use.
+  // threads exit and are joined. Idempotent; every caller, concurrent ones
+  // included, returns only after the workers have exited. The destructor
+  // calls this; call it earlier to bound shutdown latency before tearing
+  // down server state the jobs use. Must not be called from a job.
   void Shutdown() TYCOS_EXCLUDES(mu_);
 
  private:
   struct Pending {
-    int priority = 0;
     int64_t seq = 0;  // global submission order, for FIFO tie-breaks
     Job job;
   };
   struct TenantQueue {
-    // Sorted on push: highest priority first, FIFO within a priority.
-    std::deque<Pending> jobs;
+    std::deque<Pending> jobs;  // FIFO
     int64_t dispatched = 0;
   };
 
@@ -82,7 +81,6 @@ class Scheduler {
   // pruned lazily. Precondition: depth_ > 0.
   Pending PopNextLocked() TYCOS_REQUIRES(mu_);
 
-  const int num_workers_;
   mutable Mutex mu_;
   CondVar cv_;
   // std::map: deterministic iteration order makes the fairness tie-break
@@ -91,10 +89,9 @@ class Scheduler {
   int64_t depth_ TYCOS_GUARDED_BY(mu_) = 0;
   int64_t next_seq_ TYCOS_GUARDED_BY(mu_) = 0;
   bool shutdown_ TYCOS_GUARDED_BY(mu_) = false;
-  int64_t live_workers_ TYCOS_GUARDED_BY(mu_) = 0;
-  // Last: workers must construct after (and destruct before) the state
-  // they drain.
-  std::unique_ptr<ThreadPool> pool_;
+  std::once_flag joined_;  // Shutdown() joins the workers exactly once
+  // Last: the workers start after the state they drain is constructed.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace service

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/parallel_for.h"
+#include "core/data_policy.h"
 #include "jobs/checkpoint.h"
 #include "obs/json.h"
 
@@ -69,8 +71,7 @@ Status Server::Append(const std::string& channel,
                       const std::vector<double>& samples) {
   static obs::Counter* appends = obs::GetCounter("service.appends");
   std::vector<double> chunk = samples;
-  SanitizeStats stats;
-  if (const Status st = SanitizeValues(&chunk, options_.ingest_policy, &stats);
+  if (const Status st = SanitizeValues(&chunk, DataPolicy::kReject);
       !st.ok()) {
     return Status::InvalidArgument(
         st.message() + " (channel '" + channel + "'; chunk not ingested)");
@@ -149,7 +150,7 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
   // width times the engine's width cannot oversubscribe the host. Results
   // are thread-count invariant, so this never changes an answer (and
   // num_threads is excluded from the config hash).
-  record->effective.num_threads = ThreadPool::ResolveNestedThreadCount(
+  record->effective.num_threads = ResolveNestedThreadCount(
       req.params.num_threads, scheduler_->num_workers());
   record->config_hash =
       jobs::HashSearchConfig(record->effective, req.variant, req.seed);
@@ -210,8 +211,7 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
     }
   }
 
-  if (!scheduler_->Submit(req.tenant, req.priority,
-                          [this, id] { RunJob(id); })) {
+  if (!scheduler_->Submit(req.tenant, [this, id] { RunJob(id); })) {
     MutexLock lock(&mu_);
     CompleteLocked(r, RequestState::kCancelled);
     return Status::Unavailable("server is shutting down");

@@ -3,6 +3,9 @@
 // channels and submit search requests over channel pairs; the server
 // answers through an asynchronous submit / poll / cancel API.
 //
+// Ingest is all or nothing: Append refuses a chunk holding any non-finite
+// sample (see Append for why).
+//
 // Request lifecycle:
 //
 //   Submit ── admission ladder (jobs::ShedPolicy over a LoadProbe reading
@@ -11,7 +14,8 @@
 //   refuses with Status::Unavailable — the request never enters the queue.
 //   Admitted requests probe the result cache (service/cache.h) and either
 //   complete immediately (cache hit) or enqueue on the fair-share
-//   scheduler (service/scheduler.h).
+//   scheduler (service/scheduler.h): FIFO per tenant, the least-served
+//   tenant first.
 //
 //   Run ── the worker snapshots both channels (data + epoch) under the
 //   store lock, re-probes the cache at those epochs, and otherwise runs
@@ -44,7 +48,6 @@
 #include "common/annotations.h"
 #include "common/run_context.h"
 #include "common/status.h"
-#include "core/data_policy.h"
 #include "jobs/admission.h"
 #include "obs/metrics.h"
 #include "search/params.h"
@@ -71,9 +74,6 @@ struct ServiceOptions {
   // LoadProbe::System(). Must outlive the server.
   jobs::LoadProbe* probe = nullptr;
 
-  // What ingest does with non-finite samples in Append().
-  DataPolicy ingest_policy = DataPolicy::kReject;
-
   // Deadline applied to requests that don't set their own; 0 = none. The
   // clock starts at Submit, so time spent queued counts against it.
   double default_deadline_seconds = 0;
@@ -84,8 +84,7 @@ struct ServiceOptions {
 };
 
 struct SearchRequest {
-  std::string tenant = "default";
-  int priority = 0;  // higher runs first (see scheduler.h for fairness)
+  std::string tenant = "default";  // the fair-share unit (scheduler.h)
   std::string channel_a;
   std::string channel_b;
   TycosParams params;
@@ -130,10 +129,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Appends samples to `channel`, creating it on first use, after applying
-  // the ingest DataPolicy. Bumps the channel's data epoch, invalidating
-  // every cached result involving it. Under kReject a hostile chunk is
-  // refused whole (InvalidArgument; nothing buffered, epoch unchanged).
+  // Appends samples to `channel`, creating it on first use. Bumps the
+  // channel's data epoch, invalidating every cached result involving it.
+  // A chunk holding any non-finite sample is refused whole
+  // (InvalidArgument; nothing buffered, epoch unchanged): the search pairs
+  // sample i of both channels, so repairing one channel's chunk (dropping
+  // a row) would misalign it against every partner.
   Status Append(const std::string& channel, const std::vector<double>& samples)
       TYCOS_EXCLUDES(channels_mu_);
 

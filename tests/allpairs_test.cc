@@ -207,6 +207,44 @@ TEST(ResumeAllPairsTest, InterruptedRunResumesBitIdentically) {
                     uninterrupted.value().durable.result.entries);
 }
 
+// With fsync_each_record the survivor list and every checkpoint record are
+// fsynced; a run paused after 2 pairs and resumed to completion must still
+// equal SearchPairList over the same survivors and leave a whole
+// checkpoint.
+TEST(ResumeAllPairsTest, FsyncEachRecordResumesBitIdentically) {
+  const ClusteredDataset ds = MakeDataset(5);
+  const TycosParams params = Params();
+  AllPairsJobOptions opt = JobOptions("allpairs_fsync");
+  opt.durable.fsync_each_record = true;
+  opt.durable.max_pairs_this_run = 2;
+  const auto paused = ResumeAllPairsSearch(
+      ds.channels, params, TycosVariant::kLMN, 9, RunContext(), opt);
+  ASSERT_TRUE(paused.ok()) << paused.status().message();
+  ASSERT_GT(paused.value().survivors.size(), 2u);
+  EXPECT_EQ(paused.value().durable.stats.pairs_run, 2);
+  EXPECT_EQ(paused.value().durable.result.stop_reason, StopReason::kPaused);
+
+  opt.durable.max_pairs_this_run = 0;
+  const auto resumed = ResumeAllPairsSearch(
+      ds.channels, params, TycosVariant::kLMN, 9, RunContext(), opt);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_TRUE(resumed.value().survivors_resumed);
+  EXPECT_EQ(resumed.value().durable.result.stop_reason,
+            StopReason::kCompleted);
+
+  const auto want = SearchPairList(ds.channels, resumed.value().survivors,
+                                   params, TycosVariant::kLMN, 9, RunContext());
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  std::vector<PairwiseEntry> expected = want.value().entries;
+  SortPairwiseEntries(&expected);
+  ExpectSameEntries(resumed.value().durable.result.entries, expected);
+
+  const auto loaded = jobs::LoadCheckpoint(opt.durable.checkpoint_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().dropped_tail_bytes, 0);
+  EXPECT_EQ(loaded.value().pairs.size(), resumed.value().survivors.size());
+}
+
 TEST(ResumeAllPairsTest, SurvivorListFromADifferentRunFallsBackToFresh) {
   const ClusteredDataset ds = MakeDataset(6);
   const AllPairsJobOptions opt = JobOptions("allpairs_rebind");

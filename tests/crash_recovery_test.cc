@@ -58,7 +58,7 @@ TycosParams Params() {
   p.s_min = 24;
   p.s_max = 300;
   p.td_max = 16;
-  p.num_threads = 1;  // fork safety: no pool threads in the child
+  p.num_threads = 1;  // fork safety: no helper threads in the child
   return p;
 }
 

@@ -10,77 +10,6 @@
 namespace tycos {
 namespace {
 
-TEST(KozachenkoLeonenkoTest, UniformSquareEntropy) {
-  // Differential entropy of U([0,a]²) is ln(a²).
-  Rng rng(1);
-  const double a = 4.0;
-  std::vector<double> xs(4000), ys(4000);
-  for (size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.Uniform(0, a);
-    ys[i] = rng.Uniform(0, a);
-  }
-  EXPECT_NEAR(KozachenkoLeonenkoEntropy(xs, ys), std::log(a * a), 0.1);
-}
-
-TEST(KozachenkoLeonenkoTest, GaussianEntropy) {
-  // H of independent N(0, s²)² is ln(2πe s²).
-  Rng rng(2);
-  const double s = 2.0;
-  std::vector<double> xs(4000), ys(4000);
-  for (size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.Normal(0, s);
-    ys[i] = rng.Normal(0, s);
-  }
-  const double expected = std::log(2.0 * M_PI * M_E * s * s);
-  EXPECT_NEAR(KozachenkoLeonenkoEntropy(xs, ys), expected, 0.15);
-}
-
-TEST(KozachenkoLeonenkoTest, ScalingShiftsEntropyByLogFactor) {
-  Rng rng(3);
-  std::vector<double> xs(2000), ys(2000);
-  for (size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.Uniform(0, 1);
-    ys[i] = rng.Uniform(0, 1);
-  }
-  std::vector<double> xs2(xs), ys2(ys);
-  for (double& v : xs2) v *= 8.0;
-  for (double& v : ys2) v *= 8.0;
-  const double h1 = KozachenkoLeonenkoEntropy(xs, ys);
-  const double h2 = KozachenkoLeonenkoEntropy(xs2, ys2);
-  EXPECT_NEAR(h2 - h1, 2.0 * std::log(8.0), 0.05);
-}
-
-TEST(KozachenkoLeonenkoTest, DuplicatePointsStayFinite) {
-  std::vector<double> xs(100, 1.0), ys(100, 2.0);
-  EXPECT_TRUE(std::isfinite(KozachenkoLeonenkoEntropy(xs, ys)));
-}
-
-TEST(KozachenkoLeonenkoTest, TinySampleReturnsZero) {
-  EXPECT_DOUBLE_EQ(KozachenkoLeonenkoEntropy({1, 2}, {1, 2}), 0.0);
-}
-
-TEST(HistogramEntropyTest, UniformBeatsConcentrated) {
-  Rng rng(4);
-  std::vector<double> uniform(1000), spike(1000);
-  for (size_t i = 0; i < uniform.size(); ++i) {
-    uniform[i] = rng.Uniform(0, 1);
-    spike[i] = (i < 990) ? 0.5 : rng.Uniform(0, 1);
-  }
-  EXPECT_GT(HistogramEntropy(uniform), HistogramEntropy(spike));
-}
-
-TEST(HistogramEntropyTest, ConstantSeriesHasZeroEntropy) {
-  EXPECT_DOUBLE_EQ(HistogramEntropy(std::vector<double>(100, 3.0)), 0.0);
-}
-
-TEST(HistogramEntropyTest, UniformApproachesLogBins) {
-  Rng rng(5);
-  std::vector<double> v(10000);
-  for (auto& x : v) x = rng.Uniform(0, 1);
-  // 100 equal-width bins over uniform data: H ≈ ln(100).
-  EXPECT_NEAR(HistogramEntropy(v), std::log(100.0), 0.05);
-}
-
 TEST(HistogramJointEntropyTest, NonNegativeAndBounded) {
   Rng rng(6);
   std::vector<double> xs(500), ys(500);

@@ -98,7 +98,7 @@ void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
 }
 
 // Records requested waits instead of sleeping, so retry schedules run in
-// zero wall time. Thread-safe: durable runs sleep from pool workers.
+// zero wall time. Thread-safe: durable runs sleep from parallel workers.
 class FakeSleeper : public jobs::BackoffSleeper {
  public:
   std::optional<StopReason> Sleep(double seconds,
@@ -473,6 +473,19 @@ TEST(CheckpointTest, ConfigHashCoversKnobsButNotThreads) {
   TycosParams threads = p;
   threads.num_threads = 8;
   EXPECT_EQ(base, jobs::HashSearchConfig(threads, TycosVariant::kLMN, 42));
+}
+
+// Every checkpoint and survivor list carries these hashes, so a reordered or
+// dropped field would make every existing file fail with "written by a
+// different run". The values are pinned across builds (recorded on x86-64).
+TEST(CheckpointTest, ConfigHashesArePinned) {
+  EXPECT_EQ(jobs::HashSearchConfig(TycosParams{}, TycosVariant::kLMN, 42),
+            0xeeb64641d2bfd946ULL);
+  PrefilterParams f;
+  f.td_max = 16;
+  EXPECT_EQ(
+      jobs::HashPrefilterConfig(TycosParams{}, TycosVariant::kLMN, 42, f),
+      0xa3a754f9e1d1d0c5ULL);
 }
 
 // --- Supervisor -------------------------------------------------------------
@@ -1176,6 +1189,42 @@ TEST(DurablePairwiseTest, ResumesAcrossTornTailFromCrashedAppend) {
   EXPECT_EQ(resumed.value().stats.pairs_run, 2);
   ExpectBitIdentical(resumed.value().result, want);
   // The file is whole again: every pair present, no torn tail left behind.
+  auto loaded = LoadCheckpoint(opts.checkpoint_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().dropped_tail_bytes, 0);
+  EXPECT_EQ(loaded.value().pairs.size(), 3u);
+  std::remove(opts.checkpoint_path.c_str());
+}
+
+// With fsync_each_record every fsync branch of the checkpoint writer runs:
+// the header create, each record append and (after the simulated crash
+// below) the torn-tail cut on resume.
+TEST(DurablePairwiseTest, FsyncEachRecordResumesBitIdentically) {
+  const auto channels = MakeChannels(1);
+  const PairwiseResult want =
+      PairwiseSearch(channels, Params(), TycosVariant::kLMN, 42);
+  DurableJobOptions opts;
+  opts.checkpoint_path = TempCheckpoint("fsync_resume");
+  opts.fsync_each_record = true;
+  opts.max_pairs_this_run = 2;
+  const auto paused = ResumePairwiseSearch(
+      channels, Params(), TycosVariant::kLMN, 42, RunContext::None(), opts);
+  ASSERT_TRUE(paused.ok()) << paused.status().message();
+  EXPECT_EQ(paused.value().stats.pairs_run, 2);
+  EXPECT_EQ(paused.value().result.stop_reason, StopReason::kPaused);
+  // "Crash" mid-append of the second record.
+  std::vector<uint8_t> bytes = ReadAll(opts.checkpoint_path);
+  bytes.resize(bytes.size() - 3);
+  WriteAll(opts.checkpoint_path, bytes);
+
+  opts.max_pairs_this_run = 0;
+  const auto resumed = ResumePairwiseSearch(
+      channels, Params(), TycosVariant::kLMN, 42, RunContext::None(), opts);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed.value().stats.pairs_resumed, 1);
+  EXPECT_EQ(resumed.value().stats.pairs_run, 2);
+  EXPECT_EQ(resumed.value().result.stop_reason, StopReason::kCompleted);
+  ExpectBitIdentical(resumed.value().result, want);
   auto loaded = LoadCheckpoint(opts.checkpoint_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded.value().dropped_tail_bytes, 0);

@@ -191,7 +191,7 @@ TEST(ParallelPairwiseTest, ImmediateDeadlineSearchesNothing) {
 TEST(ParallelPairwiseTest, ConcurrentRestartsBitIdenticalAcrossThreads) {
   // num_restarts > 0 routes PairwiseSearch through the flattened
   // (pair × climb) scheduler: climbs of different pairs interleave on one
-  // pool. Each climb derives its RNG stream and start cursor from
+  // loop. Each climb derives its RNG stream and start cursor from
   // (pair seed, restart index) alone and the merge folds climbs in index
   // order, so the interleaving must not show up in the results.
   const auto channels = MakeChannels(15);

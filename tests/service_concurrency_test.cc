@@ -12,8 +12,9 @@
 //   3. Teardown — Submit racing Shutdown leaves every admitted request in
 //      a terminal state.
 //   4. Nesting — requests with restarts and num_threads 0 run each
-//      engine's own unit pool inside a scheduler worker (the service's one
-//      nested pool) and still answer exactly as a 1-thread engine run.
+//      engine's own unit ParallelFor inside a scheduler worker (the
+//      service's one nested loop) and still answer exactly as a 1-thread
+//      engine run.
 
 #include <atomic>
 #include <condition_variable>
@@ -174,9 +175,9 @@ TEST(ServiceConcurrencyTest, ResultsAreNeverStale) {
 }
 
 // Several tenants submit restart searches at once. Each worker runs its
-// engine's units on a nested pool (num_threads 0 resolves through
-// ThreadPool::ResolveNestedThreadCount); every answer must equal a direct
-// 1-thread engine run with the same params and seed.
+// engine's units in a nested ParallelFor (num_threads 0 resolves through
+// ResolveNestedThreadCount); every answer must equal a direct 1-thread
+// engine run with the same params and seed.
 TEST(ServiceConcurrencyTest, NestedRestartPoolsMatchDirectRuns) {
   const auto ds =
       ComposeDataset({SegmentSpec{RelationType::kLinear, 120, 3},
@@ -241,14 +242,14 @@ TEST(ServiceConcurrencyTest, NestedRestartPoolsMatchDirectRuns) {
 class GatedScheduler {
  public:
   GatedScheduler() : sched_(1) {
-    sched_.Submit("gate", 0, [this] {
+    sched_.Submit("gate", [this] {
       std::unique_lock<std::mutex> lock(mu_);
       while (!released_) cv_.wait(lock);
     });
   }
 
-  void Enqueue(const std::string& tenant, int priority, char tag) {
-    sched_.Submit(tenant, priority, [this, tag] {
+  void Enqueue(const std::string& tenant, char tag) {
+    sched_.Submit(tenant, [this, tag] {
       std::lock_guard<std::mutex> lock(mu_);
       order_.push_back(tag);
       cv_.notify_all();
@@ -276,22 +277,12 @@ class GatedScheduler {
 // job runs at position 2i+1, not position 16+i.
 TEST(ServiceConcurrencyTest, FairShareBoundsStarvation) {
   GatedScheduler gated;
-  for (int i = 0; i < 16; ++i) gated.Enqueue("flooder", 0, 'A');
-  for (int i = 0; i < 4; ++i) gated.Enqueue("light", 0, 'B');
+  for (int i = 0; i < 16; ++i) gated.Enqueue("flooder", 'A');
+  for (int i = 0; i < 4; ++i) gated.Enqueue("light", 'B');
   const std::string order = gated.ReleaseAndDrain(20);
   ASSERT_EQ(order.size(), 20u);
   EXPECT_EQ(order.substr(0, 8), "ABABABAB");
   EXPECT_EQ(order.substr(8), std::string(12, 'A'));
-}
-
-// Priority outranks the fair-share axis: a high-priority latecomer runs
-// before every queued priority-0 job.
-TEST(ServiceConcurrencyTest, PriorityOutranksFairShare) {
-  GatedScheduler gated;
-  for (int i = 0; i < 3; ++i) gated.Enqueue("flooder", 0, 'A');
-  for (int i = 0; i < 2; ++i) gated.Enqueue("urgent", 1, 'B');
-  const std::string order = gated.ReleaseAndDrain(5);
-  EXPECT_EQ(order, "BBAAA");
 }
 
 // Submit racing Shutdown: every id that Submit returned reaches a

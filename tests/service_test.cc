@@ -329,8 +329,8 @@ TEST(ServiceTest, MetricsEndpointExposesServiceCounters) {
   EXPECT_NE(json.find("\"service.queue_depth\""), std::string::npos);
 }
 
-TEST(ServiceTest, IngestPolicyAppliesToAppend) {
-  ServiceOptions opts;  // default kReject
+TEST(ServiceTest, AppendRefusesNonFiniteChunkWhole) {
+  ServiceOptions opts;
   auto server = Server::Create(opts);
   ASSERT_TRUE(server.ok());
   std::vector<double> bad = {1.0, std::nan(""), 2.0};
