@@ -235,9 +235,8 @@ TEST(RankIndexTest, RangeOutsideUniverse) {
 }
 
 TEST(RankIndexTest, EmptyRangeCounts) {
-  // The cases the marginal-count auditors lean on: a degenerate query
-  // interval must count 0 whether the index is empty, the interval is
-  // inverted, or it falls between stored values.
+  // A degenerate query interval must count 0 whether the index is empty,
+  // the interval is inverted, or it falls between stored values.
   RankIndex idx({1.0, 2.0, 3.0, 4.0});
   EXPECT_EQ(idx.CountInRange(1.0, 4.0), 0);  // index is empty
   idx.Insert(1.0);
@@ -390,16 +389,17 @@ TEST_P(IncrementalKnnReferenceTest, EditWalkMatchesSortedOracle) {
   const SeriesPair pair{TimeSeries(xs), TimeSeries(ys)};
   IncrementalKsg inc(pair, k);
   // Delay 0: window slot j holds pts[start + j]. Grow, shrink, slide, jump,
-  // a rebuild above the k-d tree threshold (m > 256), then growth by 64 at
+  // then a disjoint jump to 291 points, which SetWindow can only serve by a
+  // rebuild above the k-d tree threshold (m > 256), then growth by 64 at
   // the front, at the back and at both ends at once (noise pruning's block
   // growth).
   const Window walk[] = {
       Window(40, 80, 0),   Window(40, 95, 0),   Window(30, 95, 0),
       Window(35, 90, 0),   Window(50, 105, 0),  Window(52, 104, 0),
       Window(45, 120, 0),  Window(60, 340, 0),  Window(62, 345, 0),
-      Window(200, 230, 0), Window(190, 235, 0), Window(205, 232, 0),
-      Window(141, 232, 0), Window(141, 296, 0), Window(77, 360, 0),
-      Window(80, 362, 0),
+      Window(300, 330, 0), Window(0, 290, 0),   Window(200, 230, 0),
+      Window(190, 235, 0), Window(205, 232, 0), Window(141, 232, 0),
+      Window(141, 296, 0), Window(77, 360, 0),  Window(80, 362, 0),
   };
   for (const Window& w : walk) {
     inc.SetWindow(w);

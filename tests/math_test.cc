@@ -1,8 +1,14 @@
 #include "common/math.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace tycos {
 namespace {
@@ -111,6 +117,25 @@ TEST(NearlyEqualTest, Behaviour) {
   EXPECT_TRUE(NearlyEqual(1.0, 1.0 + 5e-10));
   EXPECT_FALSE(NearlyEqual(1.0, 1.001));
   EXPECT_TRUE(NearlyEqual(1.0, 1.5, 0.5));
+}
+
+// Multi-restart determinism rests on each unit's seed depending only on
+// (seed, unit) and never colliding with a sibling unit's: a collision would
+// make two climbs sample identical LAHC histories.
+TEST(RngTest, DeriveStreamSeedIsDistinctAndReproducible) {
+  for (const uint64_t seed :
+       {uint64_t{0}, uint64_t{42}, std::numeric_limits<uint64_t>::max()}) {
+    std::vector<uint64_t> derived;
+    for (uint64_t stream = 0; stream < 4096; ++stream) {
+      derived.push_back(DeriveStreamSeed(seed, stream));
+      ASSERT_EQ(DeriveStreamSeed(seed, stream), derived.back())
+          << "seed " << seed << " stream " << stream;
+    }
+    std::sort(derived.begin(), derived.end());
+    EXPECT_EQ(std::adjacent_find(derived.begin(), derived.end()),
+              derived.end())
+        << "collision among the streams of seed " << seed;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "core/window_set.h"
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace tycos {
@@ -77,13 +81,22 @@ TEST(WindowSetTest, NonNestingInvariantHolds) {
 TEST(WindowSetTest, SortedOrdersByStart) {
   WindowSet set;
   set.Insert(Window(20, 30, 0, 0.5));
+  set.Insert(Window(0, 12, 1, 0.5));
+  set.Insert(Window(0, 10, 3, 0.5));
   set.Insert(Window(0, 10, 0, 0.5));
   set.Insert(Window(40, 50, 0, 0.5));
-  const auto sorted = set.Sorted();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_EQ(sorted[0].start, 0);
-  EXPECT_EQ(sorted[1].start, 20);
-  EXPECT_EQ(sorted[2].start, 40);
+  set.Insert(Window(0, 10, -2, 0.5));
+  // Windows tied on start, or on start and end, do not nest when their
+  // delays differ. Ties break on end, then on delay, so the order never
+  // depends on insertion order.
+  const std::vector<std::tuple<int64_t, int64_t, int64_t>> want = {
+      {0, 10, -2}, {0, 10, 0}, {0, 10, 3}, {0, 12, 1}, {20, 30, 0},
+      {40, 50, 0}};
+  std::vector<std::tuple<int64_t, int64_t, int64_t>> got;
+  for (const Window& w : set.Sorted()) {
+    got.emplace_back(w.start, w.end, w.delay);
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(WindowSetTest, DelayRange) {
@@ -124,7 +137,7 @@ TEST(MergeOverlappingTest, EmptyInput) {
   EXPECT_TRUE(MergeOverlapping({}).empty());
 }
 
-// --- Invariant edge cases backing the window_set auditors -----------------
+// --- Non-nesting invariant edge cases ------------------------------------
 
 TEST(WindowSetTest, DuplicateInsertLeavesSingleCopy) {
   WindowSet set;
@@ -165,7 +178,7 @@ TEST(WindowSetTest, SameSpanDifferentDelayCoexist) {
 
 TEST(WindowSetTest, EvictionCascadeKeepsSetNonNested) {
   // One wide insert must evict several nested incumbents at once and leave
-  // a set where no pair nests (the auditor's full-sweep invariant).
+  // a set where no pair nests.
   WindowSet set;
   EXPECT_TRUE(set.Insert(Window(0, 5, 0, 0.3)));
   EXPECT_TRUE(set.Insert(Window(10, 15, 0, 0.4)));
