@@ -5,8 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "audit/audit.h"
-
 namespace tycos {
 
 int ResolveThreadCount(int requested) {
@@ -37,13 +35,6 @@ ForStatus ParallelFor(
     stopped.store(true, std::memory_order_release);
   };
 
-#if TYCOS_AUDIT_ENABLED
-  // Prefix-claim audit: every executed index is marked by the executor that
-  // claimed it; after the join the marks must form exactly [0, claimed).
-  // std::atomic value-initializes in C++20, so the vector starts all-zero.
-  std::vector<std::atomic<char>> executed(static_cast<size_t>(n));
-#endif
-
   // Every executor claims indices in order from the shared counter. A claim
   // below n is always executed, so the executed set stays a prefix even when
   // a stop lands mid-loop.
@@ -55,9 +46,6 @@ ForStatus ParallelFor(
       }
       const int64_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
-#if TYCOS_AUDIT_ENABLED
-      executed[static_cast<size_t>(i)].store(1, std::memory_order_relaxed);
-#endif
       if (const std::optional<StopReason> s = body(i)) record_stop(*s);
     }
   };
@@ -78,31 +66,6 @@ ForStatus ParallelFor(
   status.claimed = std::min<int64_t>(n, next.load());
   const int code = reason.load();
   if (code >= 0) status.stop = static_cast<StopReason>(code);
-
-#if TYCOS_AUDIT_ENABLED
-  {
-    // The determinism contract of the parallel engine: the executed index
-    // set is exactly the prefix [0, claimed), regardless of thread count
-    // and stop timing. Holes or overshoot here mean torn result slots.
-    static audit::Auditor* prefix_audit =
-        audit::Get("thread_pool_prefix_claim");
-    int64_t first_bad = -1;
-    for (int64_t i = 0; i < n; ++i) {
-      const bool ran = executed[static_cast<size_t>(i)].load(
-                           std::memory_order_relaxed) != 0;
-      if (ran != (i < status.claimed)) {
-        first_bad = i;
-        break;
-      }
-    }
-    TYCOS_AUDIT_CHECK(
-        prefix_audit, first_bad < 0,
-        "ParallelFor executed set is not the prefix [0, " +
-            std::to_string(status.claimed) + "): index " +
-            std::to_string(first_bad) + " of n=" + std::to_string(n) +
-            (first_bad < status.claimed ? " was skipped" : " was executed"));
-  }
-#endif
   return status;
 }
 

@@ -51,7 +51,7 @@ inline size_t Popcount4(int mask) {
 
 #endif  // TYCOS_SIMD_LEVEL >= 2
 
-// --- Scalar twins (always compiled; the audit/test reference) --------------
+// --- Scalar twins (always compiled; the test reference) -------------------
 
 void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
                             double* out) {

@@ -5,9 +5,9 @@
 // TYCOS_SIMD_LEVEL macro is 2 (AVX2) or 0 (scalar), chosen by the
 // TYCOS_SIMD CMake option (AUTO probes the compiler and /proc/cpuinfo).
 // Each kernel is its AVX2 body in an AVX2 build and a call to its *Scalar
-// twin otherwise. The twin is the audit reference — callers under
-// TYCOS_AUDIT sample a "simd_vs_scalar" differential, and
-// tests/simd_test.cc runs every kernel against its twin on hostile inputs.
+// twin otherwise. The twin is the test reference: tests/simd_test.cc runs
+// every kernel against its twin on hostile inputs, and the simd-off build
+// runs the whole suite on the twins.
 //
 // Exactness policy (see DESIGN.md "SIMD kernels"): element-wise kernels
 // (distances, bounds) are BIT-EXACT against the scalar twin — abs is a

@@ -2,50 +2,7 @@
 
 #include <algorithm>
 
-#include "audit/audit.h"
-
 namespace tycos {
-
-#if TYCOS_AUDIT_ENABLED
-namespace {
-
-// Full non-nesting + distinct-span sweep, run on sampled inserts (the
-// per-insert new-vs-incumbents check below is linear and always on).
-void AuditFullNonNesting(const std::vector<Window>& windows) {
-  static audit::Auditor* auditor = audit::Get("window_set_non_nesting");
-  for (size_t i = 0; i < windows.size(); ++i) {
-    for (size_t j = i + 1; j < windows.size(); ++j) {
-      const Window& a = windows[i];
-      const Window& b = windows[j];
-      TYCOS_AUDIT_CHECK(
-          auditor,
-          !a.SameSpan(b) && !Contains(a, b) && !Contains(b, a),
-          "nested/duplicate pair in WindowSet: " + a.ToString() + " vs " +
-              b.ToString());
-    }
-  }
-}
-
-// The reporting order must be a strict total order over distinct spans —
-// a tie would make Sorted() output depend on insertion order.
-void AuditSortedStrict(const std::vector<Window>& sorted) {
-  static audit::Auditor* auditor = audit::Get("window_set_sorted_strict");
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    const Window& a = sorted[i - 1];
-    const Window& b = sorted[i];
-    const bool strictly_less =
-        a.start < b.start ||
-        (a.start == b.start &&
-         (a.end < b.end || (a.end == b.end && a.delay < b.delay)));
-    TYCOS_AUDIT_CHECK(auditor, strictly_less,
-                      "Sorted() order not strict at position " +
-                          std::to_string(i) + ": " + a.ToString() + " !< " +
-                          b.ToString());
-  }
-}
-
-}  // namespace
-#endif  // TYCOS_AUDIT_ENABLED
 
 bool WindowSet::Insert(const Window& w) {
   std::vector<size_t> nested;  // incumbents nested with w
@@ -62,26 +19,6 @@ bool WindowSet::Insert(const Window& w) {
     windows_.erase(windows_.begin() + static_cast<long>(*it));
   }
   windows_.push_back(w);
-
-#if TYCOS_AUDIT_ENABLED
-  {
-    // Always: the accepted window must be non-nested against every
-    // surviving incumbent (evictions above must have removed all conflicts).
-    static audit::Auditor* auditor = audit::Get("window_set_non_nesting");
-    for (size_t i = 0; i + 1 < windows_.size(); ++i) {
-      const Window& in = windows_[i];
-      TYCOS_AUDIT_CHECK(auditor,
-                        !in.SameSpan(w) && !Contains(in, w) && !Contains(w, in),
-                        "inserted window nests with incumbent: " +
-                            w.ToString() + " vs " + in.ToString());
-    }
-    // Sampled: full pairwise sweep plus the sorted-order strictness check.
-    if (auditor->ShouldSample(16)) {
-      AuditFullNonNesting(windows_);
-      AuditSortedStrict(Sorted());
-    }
-  }
-#endif
   return true;
 }
 

@@ -115,12 +115,6 @@ std::string RenderReport(const SeriesPair& pair, const TycosParams& params,
       << "| accepted / rejected moves | " << stats.accepted_moves << " / "
       << stats.rejected_moves << " |\n"
       << "| noise-blocked directions | " << stats.noise_blocked << " |\n";
-  // Only audit-enabled builds ever have non-zero counters; keep default
-  // builds' report output byte-stable.
-  if (stats.audit_checks > 0 || stats.audit_failures > 0) {
-    out << "| invariant audits (checks / violations) | " << stats.audit_checks
-        << " / " << stats.audit_failures << " |\n";
-  }
   if (options.include_metrics) {
     out << "\n## Metrics\n\n```\n" << obs::Snapshot().ToString() << "```\n";
   }

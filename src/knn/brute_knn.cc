@@ -1,10 +1,7 @@
 #include "knn/brute_knn.h"
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
-#include "audit/audit.h"
 #include "common/check.h"
 #include "common/simd.h"
 
@@ -34,19 +31,6 @@ void BruteKnnSelect(std::span<const Point2> points, const Point2& probe,
   thread_local std::vector<double> dist;
   if (dist.size() < n) dist.resize(n);
   simd::ChebyshevToProbe(xy, n, probe.x, probe.y, dist.data());
-#if TYCOS_AUDIT_ENABLED
-  {
-    static audit::Auditor* simd_audit = audit::Get("simd_vs_scalar");
-    if (simd_audit->ShouldSample(64)) {
-      std::vector<double> ref(n);
-      simd::ChebyshevToProbeScalar(xy, n, probe.x, probe.y, ref.data());
-      TYCOS_AUDIT_CHECK(simd_audit,
-                        std::equal(ref.begin(), ref.end(), dist.begin()),
-                        "brute kNN distance row: SIMD != scalar at n=" +
-                            std::to_string(n));
-    }
-  }
-#endif
   for (size_t j = 0; j < n; ++j) {
     if (j != exclude) selector->OfferAscending(dist[j], j);
   }

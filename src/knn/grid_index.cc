@@ -11,7 +11,6 @@
 namespace tycos {
 
 GridIndex::~GridIndex() {
-  if (obs_publish_ == ObsPublish::kSuppress) return;
   if (obs_ring_expansions_ == 0 && obs_ring_counts_[0] == 0) return;
   static obs::Counter* expansions =
       obs::GetCounter("knn.grid.ring_expansions");
@@ -25,8 +24,7 @@ GridIndex::~GridIndex() {
   }
 }
 
-GridIndex::GridIndex(std::vector<Point2> points, ObsPublish obs)
-    : points_(std::move(points)), obs_publish_(obs) {
+GridIndex::GridIndex(std::vector<Point2> points) : points_(std::move(points)) {
   if (points_.empty()) {
     cells_.resize(1);
     return;

@@ -17,17 +17,8 @@ namespace tycos {
 
 class GridIndex {
  public:
-  // Whether the destructor publishes query tallies to the obs registry.
-  // Audit instrumentation passes kSuppress: audit-issued queries are
-  // sampled through a cross-thread shared counter, so publishing their
-  // tallies would make the registry depend on thread interleaving and
-  // break its thread-count-determinism contract (see DESIGN.md
-  // "Observability").
-  enum class ObsPublish { kPublish, kSuppress };
-
   // Builds the grid over `points` with ~4 points per cell on average.
-  explicit GridIndex(std::vector<Point2> points,
-                     ObsPublish obs = ObsPublish::kPublish);
+  explicit GridIndex(std::vector<Point2> points);
 
   // Publishes the query tallies (knn.grid.ring_expansions counter,
   // knn.grid.rings_per_query histogram) in one batch. Tallies are plain
@@ -56,7 +47,6 @@ class GridIndex {
   const std::vector<int32_t>& Cell(int64_t cx, int64_t cy) const;
 
   std::vector<Point2> points_;
-  ObsPublish obs_publish_ = ObsPublish::kPublish;
   double min_x_ = 0.0;
   double min_y_ = 0.0;
   double cell_size_ = 1.0;

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <span>
 
-#include "audit/audit.h"
 #include "common/simd.h"
 #include "knn/brute_knn.h"
 #include "knn/kd_tree.h"
 #include "obs/metrics.h"
-#if TYCOS_AUDIT_ENABLED
-#include "mi/ksg.h"
-#endif
 
 namespace tycos {
 
@@ -208,14 +203,6 @@ void IncrementalKsg::Rebuild(const Window& w) {
   const bool use_tree = m > 256;
   const KdTree tree(use_tree ? std::vector<Point2>(window.begin(), window.end())
                              : std::vector<Point2>{});
-#if TYCOS_AUDIT_ENABLED
-  // Backend-agreement audit: the k-d tree fast path must select exactly the
-  // brute reference's neighbour list (same deterministic tie-break).
-  // Sampled per rebuild, strided within it, to bound the O(m) brute scans.
-  static audit::Auditor* knn_audit = audit::Get("knn_backend_agreement");
-  const bool audit_rebuild = use_tree && knn_audit->ShouldSample(16);
-  const int64_t audit_stride = std::max<int64_t>(1, m / 8);
-#endif
   for (size_t i = 0; i < window.size(); ++i) {
     KnnSelector selector(k_);
     if (use_tree) {
@@ -223,21 +210,6 @@ void IncrementalKsg::Rebuild(const Window& w) {
     } else {
       BruteKnnSelect(window, window[i], i, &selector);
     }
-#if TYCOS_AUDIT_ENABLED
-    if (audit_rebuild && static_cast<int64_t>(i) % audit_stride == 0) {
-      KnnSelector brute(k_);
-      BruteKnnSelect(window, window[i], i, &brute);
-      const auto same = [](const KnnEntry& a, const KnnEntry& b) {
-        return a.d == b.d && a.index == b.index;
-      };
-      TYCOS_AUDIT_CHECK(
-          knn_audit,
-          std::equal(selector.selected().begin(), selector.selected().end(),
-                     brute.selected().begin(), brute.selected().end(), same),
-          "kd-tree neighbour list diverges from brute at point " +
-              std::to_string(i) + " of m=" + std::to_string(m));
-    }
-#endif
     StoreNeighbours(first + i, selector, start_);
   }
   ++stats_.full_rebuilds;
@@ -377,47 +349,12 @@ double IncrementalKsg::SetWindow(const Window& w) {
   while (start_ > w.start) AddPoint(/*at_front=*/true);
   while (end_ < w.end) AddPoint(/*at_front=*/false);
   ++stats_.incremental_moves;
-
-#if TYCOS_AUDIT_ENABLED
-  {
-    // Differential audit (the paper's core equivalence, Eq. 2 / Sec. 7):
-    // after an incremental move, the maintained state must reproduce the
-    // batch estimator's MI for the same window, bit for bit. Sampled
-    // because the batch recompute is O(m log m) — exactly the cost the
-    // incremental path exists to avoid.
-    static audit::Auditor* diff_audit = audit::Get("incremental_vs_batch");
-    if (diff_audit->ShouldSample(32)) {
-      std::vector<double> xs, ys;
-      ExtractSamples(pair_, w, &xs, &ys);
-      KsgOptions opts;
-      opts.k = k_;
-      opts.backend = KnnBackend::kBrute;
-      // Sampled through a shared counter, so this recompute must not
-      // leak into the obs registry (thread-count determinism).
-      opts.publish_obs = false;
-      const double batch = KsgMi(xs, ys, opts);
-      const double inc = CurrentMi();
-      // Hexfloats: a one-ULP divergence must be visible in the report.
-      char values[96];
-      std::snprintf(values, sizeof(values), ": incremental=%a batch=%a", inc,
-                    batch);
-      TYCOS_AUDIT_CHECK(
-          diff_audit, inc == batch,
-          "incremental MI diverged from batch on " + w.ToString() + values);
-    }
-  }
-#endif
   return CurrentMi();
 }
 
 KnnExtents IncrementalKsg::PointExtents(size_t slot) const {
   TYCOS_CHECK(has_window_ && static_cast<int64_t>(slot) < WindowSizeNow());
   return ext_[Slot(start_) + slot];
-}
-
-void IncrementalKsg::InjectStateDriftForTest() {
-  TYCOS_CHECK(has_window_);
-  ++nx_[Slot(start_ + WindowSizeNow() / 2)];
 }
 
 void IncrementalKsg::FlushObsCounters() {

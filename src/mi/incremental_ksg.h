@@ -84,12 +84,6 @@ class IncrementalKsg {
   // point by point.
   KnnExtents PointExtents(size_t slot) const;
 
-  // Test-only fault hook for the audit selftest: drops one IMR update the
-  // way a real bookkeeping bug would, by bumping the n_x of the window's
-  // middle point, so the incremental-vs-batch differential auditor has a
-  // deliberately broken estimator to catch. Never call outside tests.
-  void InjectStateDriftForTest();
-
  private:
   int64_t WindowSizeNow() const { return end_ - start_ + 1; }
   Point2 PointAt(int64_t global_index, int64_t delay) const;

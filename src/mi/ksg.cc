@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <string>
 
-#include "audit/audit.h"
 #include "common/math.h"
 #include "common/simd.h"
 #include "knn/brute_knn.h"
@@ -92,19 +90,6 @@ double KsgMiTheiler(const std::vector<Point2>& points, int k,
     // index order, so the (distance, index) tie-break is unchanged.
     simd::ChebyshevToProbe(xy, static_cast<size_t>(m), probe.x, probe.y,
                            dist.data());
-#if TYCOS_AUDIT_ENABLED
-    {
-      static audit::Auditor* simd_audit = audit::Get("simd_vs_scalar");
-      if (i == 0 && simd_audit->ShouldSample(32)) {
-        std::vector<double> ref(static_cast<size_t>(m));
-        simd::ChebyshevToProbeScalar(xy, static_cast<size_t>(m), probe.x,
-                                     probe.y, ref.data());
-        TYCOS_AUDIT_CHECK(simd_audit, ref == dist,
-                          "theiler distance scan: SIMD != scalar at m=" +
-                              std::to_string(m));
-      }
-    }
-#endif
     const int64_t lo_n = std::max<int64_t>(0, i - theiler);
     const int64_t hi_start = std::min<int64_t>(m, i + theiler + 1);
     const int64_t pool = lo_n + (m - hi_start);
@@ -219,37 +204,6 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
     backend = m <= 256 ? KnnBackend::kBrute : KnnBackend::kKdTree;
   }
 
-#if TYCOS_AUDIT_ENABLED
-  {
-    // 3-way backend agreement audit: brute, k-d tree, and grid must return
-    // bit-identical extents for the same query (all three share the
-    // (distance, index) tie-break). Sampled per estimator call and strided
-    // across queries; only then are the two extra indexes built.
-    static audit::Auditor* knn_audit = audit::Get("knn_backend_agreement");
-    if (knn_audit->ShouldSample(32)) {
-      KdTree audit_tree(points);
-      // kSuppress: which estimator calls sample is interleaving-dependent
-      // (shared counter), so publishing the audit grid's query tallies
-      // would break the obs registry's thread-count determinism.
-      GridIndex audit_grid(points, GridIndex::ObsPublish::kSuppress);
-      const int64_t stride = std::max<int64_t>(1, m / 8);
-      for (int64_t i = 0; i < m; i += stride) {
-        const KnnExtents b = BruteKnnExtents(points, static_cast<size_t>(i), k);
-        const KnnExtents t = audit_tree.QueryExtents(static_cast<size_t>(i), k);
-        const KnnExtents g = audit_grid.QueryExtents(static_cast<size_t>(i), k);
-        TYCOS_AUDIT_CHECK(
-            knn_audit,
-            b.dx == t.dx && b.dy == t.dy && b.dx == g.dx && b.dy == g.dy,
-            "kNN backends disagree at query " + std::to_string(i) + " of m=" +
-                std::to_string(m) + ": brute=(" + std::to_string(b.dx) + "," +
-                std::to_string(b.dy) + ") kd=(" + std::to_string(t.dx) + "," +
-                std::to_string(t.dy) + ") grid=(" + std::to_string(g.dx) +
-                "," + std::to_string(g.dy) + ")");
-      }
-    }
-  }
-#endif
-
   // Marginal counts are collected per query and the digamma sum is batched
   // into one table walk afterwards (DigammaTable::SumPairs, which also
   // clamps each count to >= 1) — same addition order and grouping as the
@@ -264,29 +218,26 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   };
   // Each backend answers m queries; the counter is bumped once per call
   // (outside the query loop) so the per-point kernel stays registry-free.
-  // Audit-issued recomputes pass publish_obs=false (see KsgOptions).
   if (backend == KnnBackend::kKdTree) {
     KdTree tree(points);
     for (int64_t i = 0; i < m; ++i) {
       accumulate(i, tree.QueryExtents(static_cast<size_t>(i), k));
     }
     static obs::Counter* queries = obs::GetCounter("knn.kd_tree.queries");
-    if (options.publish_obs) queries->Add(m);
+    queries->Add(m);
   } else if (backend == KnnBackend::kGrid) {
-    GridIndex grid(points, options.publish_obs
-                               ? GridIndex::ObsPublish::kPublish
-                               : GridIndex::ObsPublish::kSuppress);
+    GridIndex grid(points);
     for (int64_t i = 0; i < m; ++i) {
       accumulate(i, grid.QueryExtents(static_cast<size_t>(i), k));
     }
     static obs::Counter* queries = obs::GetCounter("knn.grid.queries");
-    if (options.publish_obs) queries->Add(m);
+    queries->Add(m);
   } else {
     for (int64_t i = 0; i < m; ++i) {
       accumulate(i, BruteKnnExtents(points, static_cast<size_t>(i), k));
     }
     static obs::Counter* queries = obs::GetCounter("knn.brute.queries");
-    if (options.publish_obs) queries->Add(m);
+    queries->Add(m);
   }
 
   const double marginal_sum =

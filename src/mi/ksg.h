@@ -49,13 +49,6 @@ struct KsgOptions {
   // standard remedy). 0 disables.
   double tie_jitter = 0.0;
 
-  // When false, the call skips its obs-registry counter writes
-  // (knn.*.queries). Audit instrumentation sets this: sampled audit
-  // recomputes are selected through a cross-thread shared counter, so
-  // publishing their query counts would make the registry depend on
-  // thread interleaving and break its thread-count-determinism contract.
-  bool publish_obs = true;
-
   // Theiler window (dynamic correlation exclusion): when > 0, samples
   // within this many time steps of the query point are excluded from both
   // the kNN search and the marginal counts. On autocorrelated series this

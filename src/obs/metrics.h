@@ -1,5 +1,5 @@
 // Observability metrics registry: process-wide named counters, gauges, and
-// fixed-bucket histograms, in the mold of the audit registry (audit/audit.h).
+// fixed-bucket histograms.
 //
 // Counters and histograms are written from concurrent climbs, so each one
 // keeps a small array of cache-line-aligned per-thread shard cells: a write
@@ -174,9 +174,9 @@ struct MetricsSnapshot {
   std::string ToString() const;
 };
 
-// Process-wide metric registry. Mirrors audit::Registry: node-based storage
-// so handles survive later registrations, a leaked singleton so metrics
-// outlive static destruction order.
+// Process-wide metric registry: node-based storage so handles survive later
+// registrations, a leaked singleton so metrics outlive static destruction
+// order.
 class Registry {
  public:
   static Registry& Instance();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "audit/audit.h"
 #include "common/parallel_for.h"
 #include "obs/metrics.h"
 #include "search/top_k.h"
@@ -251,36 +250,6 @@ WindowSet Tycos::Run() {
 
 Result<SearchOutcome> Tycos::Run(const RunContext& ctx) {
   const int units = num_units();
-#if TYCOS_AUDIT_ENABLED
-  // Surface the audit activity of this run through stats(): record the
-  // process-wide registry delta across the dispatch. Concurrent runs in
-  // other threads can inflate the window — acceptable for a debug-build
-  // diagnostic whose zero/non-zero failure signal is what matters.
-  const int64_t checks_before = audit::Registry::Instance().TotalChecks();
-  const int64_t failures_before = audit::Registry::Instance().TotalFailures();
-  {
-    // RNG stream-derivation audit: multi-unit determinism rests on every
-    // unit owning a seed that (a) is reproducible from (seed, unit) alone
-    // and (b) never collides with a sibling unit's. A collision would make
-    // two climbs sample identical LAHC histories; a non-reproducible
-    // derivation would break bit-identity across runs.
-    static audit::Auditor* rng_audit = audit::Get("rng_stream_derivation");
-    std::vector<uint64_t> seeds(static_cast<size_t>(units));
-    for (int u = 0; u < units; ++u) {
-      seeds[static_cast<size_t>(u)] = UnitSeed(u);
-      TYCOS_AUDIT_CHECK(
-          rng_audit, seeds[static_cast<size_t>(u)] == UnitSeed(u),
-          "unit seed not reproducible for unit " + std::to_string(u));
-    }
-    std::sort(seeds.begin(), seeds.end());
-    const bool distinct =
-        std::adjacent_find(seeds.begin(), seeds.end()) == seeds.end();
-    TYCOS_AUDIT_CHECK(rng_audit, distinct,
-                      "seed collision across " + std::to_string(units) +
-                          " units of seed " + std::to_string(seed_));
-  }
-#endif
-
   std::vector<UnitResult> results(static_cast<size_t>(units));
   const ForStatus fs = ParallelFor(
       ResolveThreadCount(params_.num_threads), units, ctx,
@@ -303,12 +272,6 @@ Result<SearchOutcome> Tycos::Run(const RunContext& ctx) {
   }
   total.stop_reason = outcome.stop_reason;
   total.windows_found = static_cast<int64_t>(outcome.windows.size());
-#if TYCOS_AUDIT_ENABLED
-  total.audit_checks =
-      audit::Registry::Instance().TotalChecks() - checks_before;
-  total.audit_failures =
-      audit::Registry::Instance().TotalFailures() - failures_before;
-#endif
   stats_ = total;
   static obs::Gauge* last_windows = obs::GetGauge("tycos.last_windows_found");
   last_windows->Set(stats_.windows_found);

@@ -48,15 +48,6 @@ struct TycosStats {
   int64_t windows_found = 0;
   int64_t non_finite_scores = 0;   // evaluator outputs sanitized to 0
   int64_t degenerate_windows = 0;  // constant/hostile windows scored 0
-  // Invariant-audit counters covering this run (builds with TYCOS_AUDIT=ON
-  // only; both stay 0 otherwise): estimator differentials, kNN backend
-  // agreement, WindowSet and prefix-claim invariants, RNG stream derivation.
-  // Unlike the counters above they are the process-wide registry delta
-  // observed across Run(ctx), which a concurrent run can inflate.
-  // audit_failures > 0 means a correctness invariant was violated; see
-  // audit::Snapshot() for the per-auditor breakdown.
-  int64_t audit_checks = 0;
-  int64_t audit_failures = 0;
   StopReason stop_reason = StopReason::kCompleted;  // why the last Run ended
 };
 

@@ -48,9 +48,10 @@ const char* RequestStateName(RequestState state) {
 
 Result<std::unique_ptr<Server>> Server::Create(const ServiceOptions& opts) {
   if (const Status st = opts.shed.Validate(); !st.ok()) return st;
-  if (opts.default_deadline_seconds < 0) {
+  if (!(opts.default_deadline_seconds >= 0)) {
     return Status::InvalidArgument(
-        "ServiceOptions.default_deadline_seconds is negative");
+        "ServiceOptions.default_deadline_seconds must be >= 0 (0 = none), "
+        "got " + std::to_string(opts.default_deadline_seconds));
   }
   if (opts.evaluation_budget < 0) {
     return Status::InvalidArgument(
@@ -107,6 +108,17 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
   if (const Status st = options_.shed.Validate(); !st.ok()) return st;
 
   // Fail malformed requests synchronously, against the data as of now.
+  // A negative or NaN limit would otherwise read as "unset" below.
+  if (!(req.deadline_seconds >= 0)) {
+    return Status::InvalidArgument(
+        "SearchRequest.deadline_seconds must be >= 0 (0 = server default), "
+        "got " + std::to_string(req.deadline_seconds));
+  }
+  if (req.evaluation_budget < 0) {
+    return Status::InvalidArgument(
+        "SearchRequest.evaluation_budget must be >= 0 (0 = server default), "
+        "got " + std::to_string(req.evaluation_budget));
+  }
   int64_t common_len = 0;
   {
     MutexLock lock(&channels_mu_);

@@ -28,9 +28,8 @@ using datagen::RelationType;
 using datagen::SegmentSpec;
 using datagen::SyntheticDataset;
 
-// One search's observable output: the stop, the TycosStats counters (the
-// audit counters are left out: they are process-wide and build-dependent)
-// and every window with its score as a hexfloat.
+// One search's observable output: the stop, every TycosStats counter and
+// every window with its score as a hexfloat.
 std::string Describe(const SearchOutcome& out, const TycosStats& s) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),

@@ -209,6 +209,16 @@ TEST(ServiceTest, MisconfiguredShedPolicyRejectedAtCreate) {
   opts.shed.queue_hard = 5;  // inverted: the degradation band is empty
   const auto server = Server::Create(opts);
   EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+  // NaN fails every comparison, so a `< 0` check would let it through to
+  // mean "no deadline".
+  for (const double deadline : {-1.0, std::nan("")}) {
+    ServiceOptions bad;
+    bad.default_deadline_seconds = deadline;
+    const auto refused = Server::Create(bad);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("default_deadline_seconds"),
+              std::string::npos);
+  }
 }
 
 TEST(ServiceTest, UnknownChannelAndRequestAreNotFound) {
@@ -231,6 +241,20 @@ TEST(ServiceTest, MalformedParamsFailSynchronously) {
   req.params.s_max = 5;  // inverted
   EXPECT_EQ(server->Submit(req).status().code(),
             StatusCode::kInvalidArgument);
+  for (const double deadline : {-1.0, std::nan("")}) {
+    req = Request();
+    req.deadline_seconds = deadline;
+    const auto id = server->Submit(req);
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(id.status().message().find("deadline_seconds"),
+              std::string::npos);
+  }
+  req = Request();
+  req.evaluation_budget = -1;
+  const auto id = server->Submit(req);
+  EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(id.status().message().find("evaluation_budget"),
+            std::string::npos);
 }
 
 TEST(ServiceTest, DeadlinedRequestStillCompletesPartial) {
