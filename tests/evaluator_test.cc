@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +62,39 @@ TEST(IncrementalEvaluatorTest, MatchesBatchAboveAndBelowThreshold) {
                          Window(120, 380, -2), Window(40, 80, 0),
                          Window(130, 390, -2)}) {
     EXPECT_EQ(inc.Score(w), batch.Score(w)) << w.ToString();
+  }
+}
+
+// Both evaluators score a window exactly as NormalizedMi scores its
+// samples, in both normalization modes. The entropy ratio reads the window's
+// samples for H_w, X from w.start and Y from w.y_start(); the delay-3
+// windows score above 0, so H_w is computed and a misread Y side shows.
+TEST(EvaluatorTest, ScoresMatchNormalizedMiInBothModes) {
+  constexpr int64_t kN = 800;
+  Rng rng(23);
+  std::vector<double> x(static_cast<size_t>(kN)), y(x.size());
+  for (double& v : x) v = rng.Normal();
+  for (size_t i = 0; i < y.size(); ++i) {
+    y[i] = (i >= 3 ? 1.5 * x[i - 3] : 0.0) + rng.Normal();
+  }
+  const SeriesPair pair(TimeSeries(std::move(x)), TimeSeries(std::move(y)));
+  for (const MiNormalization mode : {MiNormalization::kCorrelationCoefficient,
+                                     MiNormalization::kEntropyRatio}) {
+    TycosParams params = Params();
+    params.normalization = mode;
+    BatchEvaluator batch(pair, params);
+    IncrementalEvaluator inc(pair, params, /*small_window_threshold=*/96);
+    // 64 and 200 samples: either side of the incremental threshold.
+    for (const Window w : {Window(100, 163, 3), Window(300, 499, 3),
+                           Window(120, 183, -8), Window(500, 699, -8)}) {
+      const double want = NormalizedMi(pair, w, {params.k}, mode,
+                                       params.small_sample_penalty);
+      EXPECT_EQ(batch.Score(w), want) << w.ToString();
+      EXPECT_EQ(inc.Score(w), want) << w.ToString();
+      if (w.delay == 3) {
+        EXPECT_GT(want, 0.0) << w.ToString();
+      }
+    }
   }
 }
 
