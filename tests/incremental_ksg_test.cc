@@ -1,6 +1,8 @@
 #include "mi/incremental_ksg.h"
 
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,6 +158,13 @@ struct WalkCase {
   uint64_t seed;
 };
 
+// Without a printer gtest dumps a parameter's raw bytes, and the padding
+// after `k` would put uninitialized bytes into the names ctest lists.
+void PrintTo(const WalkCase& c, std::ostream* os) {
+  *os << "{" << c.n << ", " << c.k << ", " << c.coupling << ", " << c.seed
+      << "}";
+}
+
 class IncrementalWalkTest : public ::testing::TestWithParam<WalkCase> {};
 
 // The central property test: a random walk of window edits (grow, shrink,
@@ -208,7 +217,12 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, IncrementalWalkTest,
     ::testing::Values(WalkCase{400, 4, 0.0, 1}, WalkCase{400, 4, 0.9, 2},
                       WalkCase{600, 2, 0.5, 3}, WalkCase{600, 6, 0.5, 4},
-                      WalkCase{300, 1, 0.7, 5}, WalkCase{500, 3, 0.2, 6}));
+                      WalkCase{300, 1, 0.7, 5}, WalkCase{500, 3, 0.2, 6}),
+    [](const ::testing::TestParamInfo<WalkCase>& info) {
+      return "n" + std::to_string(info.param.n) + "_k" +
+             std::to_string(info.param.k) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(IncrementalWalkTest, DiscreteValuedDataWalk) {
   // Heavy ties (integer-valued series) stress the closed-interval counting.
