@@ -68,11 +68,7 @@ std::string RenderReport(const SeriesPair& pair, const TycosParams& params,
       << " |\n"
       << "| td_max | " << params.td_max << " |\n"
       << "| epsilon ratio | " << params.epsilon_ratio << " |\n"
-      << "| k | " << params.k << " |\n";
-  if (params.theiler_window > 0) {
-    out << "| theiler window | " << params.theiler_window << " |\n";
-  }
-  out << "\n";
+      << "| k | " << params.k << " |\n\n";
 
   out << "## Windows (" << windows.size() << ")\n\n";
   if (windows.empty()) {

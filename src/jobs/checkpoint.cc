@@ -365,7 +365,9 @@ uint64_t HashSearchConfig(const TycosParams& p, TycosVariant variant,
   // still resume.
   buf.PutU8(0);
   buf.PutDouble(p.tie_jitter);
-  buf.PutI64(p.theiler_window);
+  // The slot of the removed TycosParams::theiler_window, pinned at its
+  // default 0 for the same reason as the backend slot above.
+  buf.PutI64(0);
   buf.PutU8(static_cast<uint8_t>(p.normalization));
   buf.PutDouble(p.small_sample_penalty);
   buf.PutU8(static_cast<uint8_t>(variant));

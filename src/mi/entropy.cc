@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.h"
 
@@ -19,8 +20,8 @@ int64_t BinOf(double v, double lo, double width, int64_t bins) {
 
 }  // namespace
 
-double HistogramJointEntropy(const std::vector<double>& xs,
-                             const std::vector<double>& ys) {
+double HistogramJointEntropy(std::span<const double> xs,
+                             std::span<const double> ys) {
   TYCOS_CHECK_EQ(xs.size(), ys.size());
   const int64_t m = static_cast<int64_t>(xs.size());
   if (m < 2) return 0.0;

@@ -4,15 +4,15 @@
 #ifndef TYCOS_MI_ENTROPY_H_
 #define TYCOS_MI_ENTROPY_H_
 
-#include <vector>
+#include <span>
 
 namespace tycos {
 
 // Shannon entropy (nats) of the joint (x, y) sample from an equal-width 2-D
 // histogram with ceil(sqrt(m)) bins per dimension. Always >= 0; this is the
 // H_w used by the entropy-ratio normalization.
-double HistogramJointEntropy(const std::vector<double>& xs,
-                             const std::vector<double>& ys);
+double HistogramJointEntropy(std::span<const double> xs,
+                             std::span<const double> ys);
 
 }  // namespace tycos
 

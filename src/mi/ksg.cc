@@ -56,73 +56,10 @@ namespace {
 int64_t CountClosed(const std::vector<double>& sorted, double center,
                     double d) {
   // SIMD bound searches are bit-exact equivalents of std::lower_bound /
-  // std::upper_bound (the arrays are jittered finite values: NaN-free).
+  // std::upper_bound (ClassifyInputs has ruled out NaN in the arrays).
   const size_t lo = simd::LowerBound(sorted.data(), sorted.size(), center - d);
   const size_t hi = simd::UpperBound(sorted.data(), sorted.size(), center + d);
   return static_cast<int64_t>(hi) - static_cast<int64_t>(lo) - 1;  // - self
-}
-
-// The interleaved-double view of a Point2 array that the SIMD kernels scan.
-static_assert(sizeof(Point2) == 2 * sizeof(double),
-              "Point2 must be two packed doubles");
-const double* AsXy(const std::vector<Point2>& points) {
-  return reinterpret_cast<const double*>(points.data());
-}
-
-// Theiler-corrected KSG: every count excludes samples within
-// `theiler` steps of the query index. Brute-force O(m(m + T)) — this mode
-// is an accuracy feature for autocorrelated data, not a fast path.
-double KsgMiTheiler(const std::vector<Point2>& points, int k,
-                    int64_t theiler, DigammaTable& psi) {
-  const int64_t m = static_cast<int64_t>(points.size());
-  // Need at least k eligible candidates for every point.
-  if (m - 2 * theiler - 1 < k + 1) return 0.0;
-
-  const double* xy = AsXy(points);
-  double marginal_sum = 0.0;
-  double pool_sum = 0.0;
-  thread_local std::vector<double> dist;
-  dist.resize(static_cast<size_t>(m));
-  for (int64_t i = 0; i < m; ++i) {
-    const Point2& probe = points[static_cast<size_t>(i)];
-    // One vectorized distance pass over every point; the Theiler
-    // eligibility mask is applied by the scan ranges below, which run in
-    // index order, so the (distance, index) tie-break is unchanged.
-    simd::ChebyshevToProbe(xy, static_cast<size_t>(m), probe.x, probe.y,
-                           dist.data());
-    const int64_t lo_n = std::max<int64_t>(0, i - theiler);
-    const int64_t hi_start = std::min<int64_t>(m, i + theiler + 1);
-    const int64_t pool = lo_n + (m - hi_start);
-    KnnSelector selector(k);
-    for (int64_t j = 0; j < lo_n; ++j) {
-      selector.OfferAscending(dist[static_cast<size_t>(j)],
-                              static_cast<size_t>(j));
-    }
-    for (int64_t j = hi_start; j < m; ++j) {
-      selector.OfferAscending(dist[static_cast<size_t>(j)],
-                              static_cast<size_t>(j));
-    }
-    const KnnExtents e = selector.Extents(points, probe);
-    // Marginal counts over the same eligible pool, on each side of the
-    // Theiler exclusion zone.
-    int64_t nx = 0;
-    int64_t ny = 0;
-    auto count = [&](int64_t j) {
-      const Point2& p = points[static_cast<size_t>(j)];
-      if (std::fabs(p.x - probe.x) <= e.dx) ++nx;
-      if (std::fabs(p.y - probe.y) <= e.dy) ++ny;
-    };
-    for (int64_t j = 0; j < lo_n; ++j) count(j);
-    for (int64_t j = hi_start; j < m; ++j) count(j);
-    marginal_sum += psi(static_cast<size_t>(std::max<int64_t>(nx, 1))) +
-                    psi(static_cast<size_t>(std::max<int64_t>(ny, 1)));
-    pool_sum += psi(static_cast<size_t>(pool));
-  }
-  // Per-point pool sizes replace ψ(m): each point's neighbourhood
-  // probabilities are estimated against its own eligible candidate set.
-  return psi(static_cast<size_t>(k)) - 1.0 / k -
-         marginal_sum / static_cast<double>(m) +
-         pool_sum / static_cast<double>(m);
 }
 
 }  // namespace
@@ -151,8 +88,7 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   if (m < k + 2) return 0.0;
 
   // Hostile-input guard: constant (or non-finite) inputs score a defined
-  // MI of 0. The check runs before jitter so a constant series stays
-  // constant rather than becoming jitter noise.
+  // MI of 0 instead of reaching a degenerate kNN query.
   switch (ClassifyInputs(xs, ys)) {
     case InputHealth::kOk:
       break;
@@ -169,33 +105,19 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
 
   // Per-thread scratch: each buffer is resized, never shrunk, so a thread
   // in steady state allocates nothing; memory is bounded by the largest
-  // window the thread has scored. The inputs are used in place unless
-  // jitter has to perturb a copy.
-  thread_local std::vector<double> jittered_x, jittered_y, sorted_x, sorted_y;
+  // window the thread has scored.
+  thread_local std::vector<double> sorted_x, sorted_y;
   thread_local std::vector<Point2> points;
   thread_local std::vector<int64_t> nxs, nys;
   thread_local DigammaTable psi;
-  const bool jitter = options.tie_jitter > 0.0;
-  if (jitter) {
-    jittered_x.assign(xs.begin(), xs.end());
-    jittered_y.assign(ys.begin(), ys.end());
-    internal::ApplyTieJitter(&jittered_x, options.tie_jitter, /*salt=*/1);
-    internal::ApplyTieJitter(&jittered_y, options.tie_jitter, /*salt=*/2);
-  }
-  const std::vector<double>& x = jitter ? jittered_x : xs;
-  const std::vector<double>& y = jitter ? jittered_y : ys;
 
   points.resize(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
-    points[static_cast<size_t>(i)] = {x[static_cast<size_t>(i)],
-                                      y[static_cast<size_t>(i)]};
+    points[static_cast<size_t>(i)] = {xs[static_cast<size_t>(i)],
+                                      ys[static_cast<size_t>(i)]};
   }
-  if (options.theiler_window > 0) {
-    return KsgMiTheiler(points, k, options.theiler_window, psi);
-  }
-
-  sorted_x.assign(x.begin(), x.end());
-  sorted_y.assign(y.begin(), y.end());
+  sorted_x.assign(xs.begin(), xs.end());
+  sorted_y.assign(ys.begin(), ys.end());
   std::sort(sorted_x.begin(), sorted_x.end());
   std::sort(sorted_y.begin(), sorted_y.end());
 
@@ -212,9 +134,9 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   nys.resize(static_cast<size_t>(m));
   auto accumulate = [&](int64_t i, const KnnExtents& e) {
     nxs[static_cast<size_t>(i)] =
-        CountClosed(sorted_x, x[static_cast<size_t>(i)], e.dx);
+        CountClosed(sorted_x, xs[static_cast<size_t>(i)], e.dx);
     nys[static_cast<size_t>(i)] =
-        CountClosed(sorted_y, y[static_cast<size_t>(i)], e.dy);
+        CountClosed(sorted_y, ys[static_cast<size_t>(i)], e.dy);
   };
   // Each backend answers m queries; the counter is bumped once per call
   // (outside the query loop) so the per-point kernel stays registry-free.
@@ -253,20 +175,27 @@ double KsgMi(const SeriesPair& pair, const Window& w,
   return KsgMi(xs, ys, options);
 }
 
-double NormalizedMi(const std::vector<double>& xs,
-                    const std::vector<double>& ys, const KsgOptions& options,
-                    MiNormalization mode, double small_sample_penalty) {
-  double mi = KsgMi(xs, ys, options);
+double NormalizeMi(double raw_mi, std::span<const double> xs,
+                   std::span<const double> ys, MiNormalization mode,
+                   double small_sample_penalty) {
+  if (!std::isfinite(raw_mi)) return 0.0;
   if (small_sample_penalty > 0.0 && !xs.empty()) {
-    mi -= small_sample_penalty / std::sqrt(static_cast<double>(xs.size()));
+    raw_mi -= small_sample_penalty / std::sqrt(static_cast<double>(xs.size()));
   }
-  if (mi <= 0.0) return 0.0;
+  if (raw_mi <= 0.0) return 0.0;
   if (mode == MiNormalization::kCorrelationCoefficient) {
-    return std::sqrt(1.0 - std::exp(-2.0 * mi));
+    return std::sqrt(1.0 - std::exp(-2.0 * raw_mi));
   }
   const double h = HistogramJointEntropy(xs, ys);
   if (h <= 0.0) return 0.0;
-  return std::clamp(mi / h, 0.0, 1.0);
+  return std::clamp(raw_mi / h, 0.0, 1.0);
+}
+
+double NormalizedMi(const std::vector<double>& xs,
+                    const std::vector<double>& ys, const KsgOptions& options,
+                    MiNormalization mode, double small_sample_penalty) {
+  return NormalizeMi(KsgMi(xs, ys, options), xs, ys, mode,
+                     small_sample_penalty);
 }
 
 double NormalizedMi(const SeriesPair& pair, const Window& w,

@@ -11,6 +11,7 @@
 #ifndef TYCOS_MI_KSG_H_
 #define TYCOS_MI_KSG_H_
 
+#include <span>
 #include <vector>
 
 #include "core/time_series.h"
@@ -43,22 +44,6 @@ struct KsgOptions {
 
   // Optional out-counters, bumped when a degenerate input is scored 0.
   KsgDiagnostics* diagnostics = nullptr;
-
-  // When > 0, adds a deterministic per-index jitter of this relative
-  // amplitude to break ties on discrete-valued data (Kraskov et al.'s
-  // standard remedy). 0 disables.
-  double tie_jitter = 0.0;
-
-  // Theiler window (dynamic correlation exclusion): when > 0, samples
-  // within this many time steps of the query point are excluded from both
-  // the kNN search and the marginal counts. On autocorrelated series this
-  // removes the trajectory-manifold artifact — two smooth but unrelated
-  // signals otherwise look "dependent" over short windows because temporal
-  // neighbours trace a 1-D curve in (x, y) space. Choose roughly the
-  // series' decorrelation time. Costs O(m²) (brute scans only) and shrinks
-  // the effective sample pool by 2·theiler_window; 0 disables (the paper's
-  // plain estimator).
-  int64_t theiler_window = 0;
 };
 
 // MI estimate for paired samples xs/ys (equal lengths). Returns 0 when the
@@ -94,6 +79,16 @@ enum class MiNormalization {
 // while costing strong relations a few percent. 0 disables.
 inline constexpr double kDefaultSmallSamplePenalty = 2.0;
 
+// The one score function: maps the raw KSG estimate of the paired samples
+// xs/ys (equal lengths m) to [0, 1]. A non-finite estimate scores 0;
+// otherwise it is debiased by small_sample_penalty/sqrt(m), clamped at 0 and
+// normalized per `mode`. kCorrelationCoefficient reads only m; kEntropyRatio
+// reads the samples for the joint entropy H_w. Both evaluators, NormalizedMi
+// and AMIC score through it.
+double NormalizeMi(double raw_mi, std::span<const double> xs,
+                   std::span<const double> ys, MiNormalization mode,
+                   double small_sample_penalty);
+
 // Normalized MI in [0, 1] for paired samples.
 double NormalizedMi(
     const std::vector<double>& xs, const std::vector<double>& ys,
@@ -109,8 +104,8 @@ double NormalizedMi(
 
 namespace internal {
 
-// Applies the deterministic tie-breaking jitter in place (exposed so the
-// incremental estimator applies bit-identical jitter).
+// Applies the deterministic tie-breaking jitter in place (exposed so
+// PrepareForSearch can jitter a search's series once, up front).
 void ApplyTieJitter(std::vector<double>* values, double relative_amplitude,
                     uint64_t salt);
 

@@ -63,7 +63,7 @@ BruteForceResult BruteForceSearch::Run() {
 Result<BruteForceResult> BruteForceSearch::Run(const RunContext& ctx) {
   BruteForceResult result;
   std::unique_ptr<WindowEvaluator> evaluator;
-  if (use_incremental_mi_ && params_.theiler_window == 0) {
+  if (use_incremental_mi_) {
     // Threshold 0: unlike the LAHC search, the scanline enumeration visits
     // perfectly overlapping windows back to back, so even tiny windows are
     // cheaper through the incremental state.

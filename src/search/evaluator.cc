@@ -1,10 +1,8 @@
 #include "search/evaluator.h"
 
-#include <algorithm>
-#include <cmath>
+#include <span>
 
 #include "common/hash.h"
-#include "mi/entropy.h"
 #include "obs/metrics.h"
 
 namespace tycos {
@@ -29,29 +27,24 @@ obs::Counter* MiDegenerateCounter() {
   return c;
 }
 
-double NormalizeScore(double raw_mi, const SeriesPair& pair, const Window& w,
-                      const TycosParams& params) {
-  if (!std::isfinite(raw_mi)) return 0.0;
-  if (params.small_sample_penalty > 0.0 && w.size() > 0) {
-    raw_mi -=
-        params.small_sample_penalty / std::sqrt(static_cast<double>(w.size()));
-  }
-  if (raw_mi <= 0.0) return 0.0;
-  if (params.normalization == MiNormalization::kCorrelationCoefficient) {
-    return std::sqrt(1.0 - std::exp(-2.0 * raw_mi));
-  }
-  std::vector<double> xs, ys;
-  ExtractSamples(pair, w, &xs, &ys);
-  const double h = HistogramJointEntropy(xs, ys);
-  if (h <= 0.0) return 0.0;
-  return std::clamp(raw_mi / h, 0.0, 1.0);
+// The score of w given its raw MI: NormalizeMi over spans of the pair's
+// series, so the default mode reads no samples and the entropy ratio copies
+// none. The raw estimate came from w's samples, so w is in range.
+double NormalizeWindow(double raw_mi, const SeriesPair& pair, const Window& w,
+                       const TycosParams& params) {
+  const size_t m = static_cast<size_t>(w.size());
+  return NormalizeMi(
+      raw_mi,
+      std::span<const double>(pair.x().values())
+          .subspan(static_cast<size_t>(w.start), m),
+      std::span<const double>(pair.y().values())
+          .subspan(static_cast<size_t>(w.y_start()), m),
+      params.normalization, params.small_sample_penalty);
 }
 
 KsgOptions OptionsFrom(const TycosParams& params) {
   KsgOptions o;
   o.k = params.k;
-  o.tie_jitter = 0.0;  // jitter is applied to the series once, up front
-  o.theiler_window = params.theiler_window;
   return o;
 }
 
@@ -66,7 +59,7 @@ double BatchEvaluator::Score(const Window& w) {
   KsgOptions options = OptionsFrom(params_);
   options.diagnostics = &diagnostics_;
   const double raw = KsgMi(pair_, w, options);
-  return NormalizeScore(raw, pair_, w, params_);
+  return NormalizeWindow(raw, pair_, w, params_);
 }
 
 void BatchEvaluator::FlushObsCounters() {
@@ -94,7 +87,7 @@ double IncrementalEvaluator::Score(const Window& w) {
   } else {
     raw = ksg_.SetWindow(w);
   }
-  return NormalizeScore(raw, pair_, w, params_);
+  return NormalizeWindow(raw, pair_, w, params_);
 }
 
 void IncrementalEvaluator::FlushObsCounters() {
@@ -140,7 +133,7 @@ std::unique_ptr<WindowEvaluator> MakeEvaluator(const SeriesPair& pair,
                                                const TycosParams& params,
                                                bool incremental) {
   std::unique_ptr<WindowEvaluator> core;
-  if (incremental && params.theiler_window == 0) {
+  if (incremental) {
     core = std::make_unique<IncrementalEvaluator>(pair, params);
   } else {
     core = std::make_unique<BatchEvaluator>(pair, params);

@@ -142,9 +142,8 @@ class CachingEvaluator : public WindowEvaluator {
 };
 
 // Builds the evaluator stack for a search: the incremental core when
-// `incremental` is set and params.theiler_window == 0 (temporal exclusion
-// exists only in the batch estimator), else the batch core; wrapped in the
-// memo cache when params.cache_evaluations is set.
+// `incremental` is set, else the batch core; wrapped in the memo cache when
+// params.cache_evaluations is set.
 std::unique_ptr<WindowEvaluator> MakeEvaluator(const SeriesPair& pair,
                                                const TycosParams& params,
                                                bool incremental);

@@ -52,14 +52,6 @@ Status TycosParams::ValidateShape() const {
   if (small_sample_penalty < 0.0) {
     return Status::InvalidArgument("small_sample_penalty must be >= 0");
   }
-  if (theiler_window < 0) {
-    return Status::InvalidArgument("theiler_window must be >= 0");
-  }
-  if (theiler_window > 0 && s_min < 2 * theiler_window + k + 3) {
-    return Status::InvalidArgument(
-        "s_min too small for the Theiler window: need s_min >= "
-        "2*theiler_window + k + 3 eligible samples");
-  }
   return Status::Ok();
 }
 

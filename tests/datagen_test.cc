@@ -199,10 +199,11 @@ TEST(SmartCitySimTest, RainDrivesCollisionsWithLag) {
   double best = 0.0;
   int64_t best_lag = 0;
   for (int64_t lag = 0; lag <= 10; ++lag) {
-    const Window w(0, pair.size() - 1 - 10, lag);
-    KsgOptions o;
-    o.tie_jitter = 1e-6;  // counts are discrete
-    const double mi = KsgMi(pair, w, o);
+    std::vector<double> xs, ys;
+    ExtractSamples(pair, Window(0, pair.size() - 1 - 10, lag), &xs, &ys);
+    internal::ApplyTieJitter(&xs, 1e-6, /*salt=*/1);  // counts are discrete
+    internal::ApplyTieJitter(&ys, 1e-6, /*salt=*/2);
+    const double mi = KsgMi(xs, ys);
     if (mi > best) {
       best = mi;
       best_lag = lag;

@@ -36,7 +36,9 @@ TEST(HistogramJointEntropyTest, DependentLowerThanIndependent) {
 }
 
 TEST(HistogramJointEntropyTest, TinySampleReturnsZero) {
-  EXPECT_DOUBLE_EQ(HistogramJointEntropy({1.0}, {2.0}), 0.0);
+  const std::vector<double> xs = {1.0};
+  const std::vector<double> ys = {2.0};
+  EXPECT_DOUBLE_EQ(HistogramJointEntropy(xs, ys), 0.0);
 }
 
 }  // namespace

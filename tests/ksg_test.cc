@@ -131,9 +131,9 @@ TEST(KsgMiTest, TieJitterMakesDiscreteDataFinite) {
     xs.push_back(v);
     ys.push_back(v);
   }
-  KsgOptions o;
-  o.tie_jitter = 1e-6;
-  const double mi = KsgMi(xs, ys, o);
+  internal::ApplyTieJitter(&xs, 1e-6, /*salt=*/1);
+  internal::ApplyTieJitter(&ys, 1e-6, /*salt=*/2);
+  const double mi = KsgMi(xs, ys);
   EXPECT_TRUE(std::isfinite(mi));
   EXPECT_GT(mi, 0.8);  // H(X) = ln 4 ≈ 1.39 is the ceiling
 }
@@ -207,9 +207,8 @@ struct GoldenKsgCase {
   EnergyChannel follower;
   Window window;
   int k;
-  double tie_jitter;
-  int64_t theiler;
-  double mi[4];  // kAuto, kBrute, kKdTree, kGrid
+  double tie_jitter;  // applied to the window's samples, salts 1 and 2
+  double mi[4];       // kAuto, kBrute, kKdTree, kGrid
 };
 
 const datagen::EnergySimulator& GoldenSim() {
@@ -222,53 +221,50 @@ TEST(KsgGoldenTest, EnergyWindowsBitExactUnderEveryBackend) {
   constexpr EnergyChannel kLight = EnergyChannel::kKitchenLight;
   constexpr EnergyChannel kMicro = EnergyChannel::kMicrowave;
   const GoldenKsgCase cases[] = {
-      {kLight, kMicro, Window(100, 105, 0), 4, 0.0, 0,
+      {kLight, kMicro, Window(100, 105, 0), 4, 0.0,
        {-0x1.99999999999ap-5, -0x1.99999999999ap-5, -0x1.99999999999ap-5,
         -0x1.99999999999ap-5}},
-      {EnergyChannel::kBathroomLight, kLight, Window(500, 515, -3), 4, 0.0, 0,
+      {EnergyChannel::kBathroomLight, kLight, Window(500, 515, -3), 4, 0.0,
        {-0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5,
         -0x1.caf90ca8104cp-5}},
-      {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1247, 2), 4, 0.0, 0,
+      {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1247, 2), 4, 0.0,
        {0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6,
         0x1.3e850b887f3p-6}},
       {EnergyChannel::kClothesWasher, EnergyChannel::kDryer,
-       Window(2000, 2095, 5), 4, 0.0, 0,
+       Window(2000, 2095, 5), 4, 0.0,
        {0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4,
         0x1.7d6d17b86aa4p-4}},
       {EnergyChannel::kChildrenRoomLight, EnergyChannel::kLivingRoomLight,
-       Window(2600, 2799, -1), 4, 0.0, 0,
+       Window(2600, 2799, -1), 4, 0.0,
        {-0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7,
         -0x1.e88bf97b8ccp-7}},
       // m = 300 > 256: kAuto takes the k-d tree.
-      {kKitchen, kMicro, Window(3100, 3399, 3), 4, 0.0, 0,
+      {kKitchen, kMicro, Window(3100, 3399, 3), 4, 0.0,
        {0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4,
         0x1.3d9054e77aecp-4}},
-      {kLight, kMicro, Window(700, 795, 1), 1, 0.0, 0,
+      {kLight, kMicro, Window(700, 795, 1), 1, 0.0,
        {0x1.65611018ddfp-4, 0x1.65611018ddfp-4, 0x1.65611018ddfp-4,
         0x1.65611018ddfp-4}},
-      {kLight, kMicro, Window(700, 795, 1), 8, 0.0, 0,
+      {kLight, kMicro, Window(700, 795, 1), 8, 0.0,
        {-0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4,
         -0x1.05ab466a3a4p-4}},
       {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1247, 2), 4, 1e-6,
-       0,
        {0x1.64721503c1ap-6, 0x1.64721503c1ap-6, 0x1.64721503c1ap-6,
         0x1.64721503c1ap-6}},
-      // Theiler path (brute scan whatever the backend).
-      {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1295, 2), 3, 0.0, 4,
-       {-0x1.54385626034cp-4, -0x1.54385626034cp-4, -0x1.54385626034cp-4,
-        -0x1.54385626034cp-4}},
   };
   const KnnBackend backends[4] = {KnnBackend::kAuto, KnnBackend::kBrute,
                                   KnnBackend::kKdTree, KnnBackend::kGrid};
   for (const GoldenKsgCase& c : cases) {
     const SeriesPair pair = GoldenSim().Pair(c.leader, c.follower);
+    std::vector<double> xs, ys;
+    ExtractSamples(pair, c.window, &xs, &ys);
+    internal::ApplyTieJitter(&xs, c.tie_jitter, /*salt=*/1);
+    internal::ApplyTieJitter(&ys, c.tie_jitter, /*salt=*/2);
     for (int b = 0; b < 4; ++b) {
       KsgOptions o;
       o.k = c.k;
       o.backend = backends[b];
-      o.tie_jitter = c.tie_jitter;
-      o.theiler_window = c.theiler;
-      EXPECT_EQ(KsgMi(pair, c.window, o), c.mi[b])
+      EXPECT_EQ(KsgMi(xs, ys, o), c.mi[b])
           << c.window.ToString() << " k=" << c.k << " backend=" << b;
     }
   }

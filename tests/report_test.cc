@@ -124,18 +124,6 @@ TEST(RenderReportTest, MetricsSectionOnlyWhenRequested) {
   EXPECT_NE(md.find("mi.evaluations"), std::string::npos);
 }
 
-TEST(RenderReportTest, MentionsTheilerWindowOnlyWhenSet) {
-  const Rendered r = MakeRun();
-  EXPECT_EQ(RenderReport(r.ds.pair, r.params, r.windows, r.stats)
-                .find("theiler"),
-            std::string::npos);
-  TycosParams with = r.params;
-  with.theiler_window = 8;
-  EXPECT_NE(RenderReport(r.ds.pair, with, r.windows, r.stats)
-                .find("| theiler window | 8 |"),
-            std::string::npos);
-}
-
 TEST(RenderReportTest, RunStatusCompleted) {
   const Rendered r = MakeRun();
   const std::string md =
