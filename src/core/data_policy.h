@@ -2,7 +2,9 @@
 // (nan / inf / overflowed literals) and missing fields. Real sensor feeds
 // are gappy and noisy; the estimators downstream assume finite input, so
 // every ingest edge (CSV parsing, streaming Append) routes through one of
-// these policies instead of silently materializing poison values.
+// these policies instead of silently materializing poison values. Streaming
+// takes kReject or kInterpolate only: a dropped row would shift every later
+// stream position.
 
 #ifndef TYCOS_CORE_DATA_POLICY_H_
 #define TYCOS_CORE_DATA_POLICY_H_
@@ -17,6 +19,7 @@ namespace tycos {
 enum class DataPolicy {
   kReject,       // fail fast with InvalidArgument naming the first bad value
   kDropRow,      // delete the whole row (all columns) containing a bad value
+                 // (CSV only)
   kInterpolate,  // linearly interpolate from the nearest finite neighbours;
                  // leading/trailing gaps are clamped to the nearest finite
 };

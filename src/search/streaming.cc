@@ -10,13 +10,19 @@ namespace tycos {
 
 namespace {
 
-Status ValidateConfig(const TycosParams& params, int64_t effective_trigger) {
+Status ValidateConfig(const TycosParams& params, int64_t effective_trigger,
+                      DataPolicy policy) {
   const Status st = params.ValidateShape();
   if (!st.ok()) return st;
   if (effective_trigger < params.s_min) {
     return Status::InvalidArgument(
         "search_trigger (" + std::to_string(effective_trigger) +
         ") must be >= s_min (" + std::to_string(params.s_min) + ")");
+  }
+  if (policy == DataPolicy::kDropRow) {
+    return Status::InvalidArgument(
+        "streaming ingest takes policy reject or interpolate, not drop_row: "
+        "a dropped row would shift every later stream position");
   }
   return Status::Ok();
 }
@@ -42,7 +48,7 @@ StreamingTycos::StreamingTycos(const TycosParams& params, TycosVariant variant,
     : StreamingTycos(
           [&] {
             const Status st = ValidateConfig(
-                params, EffectiveTrigger(params, search_trigger));
+                params, EffectiveTrigger(params, search_trigger), policy);
             if (!st.ok()) {
               std::fprintf(stderr, "StreamingTycos: invalid config: %s\n",
                            st.ToString().c_str());
@@ -55,8 +61,8 @@ StreamingTycos::StreamingTycos(const TycosParams& params, TycosVariant variant,
 Result<std::unique_ptr<StreamingTycos>> StreamingTycos::Create(
     const TycosParams& params, TycosVariant variant, uint64_t seed,
     int64_t search_trigger, DataPolicy policy) {
-  const Status st =
-      ValidateConfig(params, EffectiveTrigger(params, search_trigger));
+  const Status st = ValidateConfig(
+      params, EffectiveTrigger(params, search_trigger), policy);
   if (!st.ok()) return st;
   return std::unique_ptr<StreamingTycos>(new StreamingTycos(
       Validated{}, params, variant, seed, search_trigger, policy));
@@ -73,6 +79,7 @@ Status StreamingTycos::Append(const std::vector<double>& xs,
   std::vector<double> cy = ys;
 
   switch (policy_) {
+    case DataPolicy::kDropRow:  // refused by ValidateConfig
     case DataPolicy::kReject: {
       // Scan the WHOLE chunk before failing so ingest_stats_ counts every
       // bad sample — the same accounting the batch CSV path produces via
@@ -90,36 +97,10 @@ Status StreamingTycos::Append(const std::vector<double>& xs,
         ingest_stats_.non_finite += bad;
         return Status::InvalidArgument(
             "non-finite sample at stream position " +
-            std::to_string(samples_ingested_ + first_bad) + " (" +
+            std::to_string(samples_seen_ + first_bad) + " (" +
             std::to_string(bad) + " non-finite in chunk; policy: reject); " +
             "chunk not buffered");
       }
-      break;
-    }
-    case DataPolicy::kDropRow: {
-      // Inline drop (same accounting as SanitizeColumns: every non-finite
-      // value counted, every removed row counted) that additionally records
-      // WHERE each row was dropped, so result coordinates can be mapped
-      // back to true ingest positions.
-      std::vector<double> kept_x;
-      std::vector<double> kept_y;
-      kept_x.reserve(cx.size());
-      kept_y.reserve(cy.size());
-      for (size_t i = 0; i < cx.size(); ++i) {
-        const int64_t row_bad = (std::isfinite(cx[i]) ? 0 : 1) +
-                                (std::isfinite(cy[i]) ? 0 : 1);
-        if (row_bad == 0) {
-          kept_x.push_back(cx[i]);
-          kept_y.push_back(cy[i]);
-          continue;
-        }
-        ingest_stats_.non_finite += row_bad;
-        ++ingest_stats_.rows_dropped;
-        drop_points_.push_back(samples_seen_ +
-                               static_cast<int64_t>(kept_x.size()));
-      }
-      cx = std::move(kept_x);
-      cy = std::move(kept_y);
       break;
     }
     case DataPolicy::kInterpolate: {
@@ -151,17 +132,7 @@ Status StreamingTycos::Append(const std::vector<double>& xs,
   buffer_x_.insert(buffer_x_.end(), cx.begin(), cx.end());
   buffer_y_.insert(buffer_y_.end(), cy.begin(), cy.end());
   samples_seen_ += static_cast<int64_t>(cx.size());
-  // Raw axis advances by the full chunk: dropped rows still consumed
-  // ingest positions. Rejected chunks never reach this line.
-  samples_ingested_ += static_cast<int64_t>(xs.size());
   return MaybeSearch(/*force=*/false);
-}
-
-int64_t StreamingTycos::RawCoordinate(int64_t buffered) const {
-  const auto it = std::upper_bound(drop_points_.begin(), drop_points_.end(),
-                                   buffered);
-  return buffered + drops_pruned_ +
-         static_cast<int64_t>(it - drop_points_.begin());
 }
 
 Status StreamingTycos::Flush() { return MaybeSearch(/*force=*/true); }
@@ -183,14 +154,6 @@ Status StreamingTycos::MaybeSearch(bool force) {
     buffer_x_.erase(buffer_x_.begin(), buffer_x_.begin() + drop);
     buffer_y_.erase(buffer_y_.begin(), buffer_y_.begin() + drop);
     offset_ = from;
-    // Fold drop breakpoints that can no longer affect any mappable
-    // coordinate into drops_pruned_, keeping drop_points_ bounded by the
-    // drops within one rescan margin. Entries strictly before offset_ are
-    // <= every future buffered coordinate, so they always count.
-    const auto cut = std::lower_bound(drop_points_.begin(),
-                                      drop_points_.end(), offset_);
-    drops_pruned_ += static_cast<int64_t>(cut - drop_points_.begin());
-    drop_points_.erase(drop_points_.begin(), cut);
   }
 
   if (static_cast<int64_t>(buffer_x_.size()) < params_.s_min) {
@@ -225,10 +188,6 @@ Status StreamingTycos::MaybeSearch(bool force) {
     // discoverable by an earlier pass; skipping them avoids flooding the
     // result set with near-duplicates from the rescan margin.
     if (w.end < searched_until_) continue;
-    // Dedup above runs on the buffered axis (the axis searched_until_
-    // lives on); the published coordinates are true ingest positions.
-    w.start = RawCoordinate(w.start);
-    w.end = RawCoordinate(w.end);
     results_.Insert(w);
   }
   // Even after a partial pass the searched cursor advances: the stream

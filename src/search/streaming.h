@@ -32,15 +32,17 @@ namespace tycos {
 
 class StreamingTycos {
  public:
-  // Graceful construction: validates the length-independent parameter shape
-  // and the trigger, returning InvalidArgument instead of crashing.
+  // Graceful construction: validates the length-independent parameter shape,
+  // the trigger and the policy, returning InvalidArgument instead of
+  // crashing. kDropRow is refused: a dropped row would move every later
+  // sample off its stream position (CSV ingest keeps it).
   static Result<std::unique_ptr<StreamingTycos>> Create(
       const TycosParams& params, TycosVariant variant, uint64_t seed = 42,
       int64_t search_trigger = 0, DataPolicy policy = DataPolicy::kReject);
 
   // A search pass runs whenever at least `search_trigger` unsearched
   // samples have accumulated (0 = auto: 2 × s_max). Flush() forces a final
-  // pass over whatever remains. CHECKs on invalid parameters; prefer
+  // pass over whatever remains. CHECKs on what Create() refuses; prefer
   // Create() where input is untrusted.
   StreamingTycos(const TycosParams& params, TycosVariant variant,
                  uint64_t seed = 42, int64_t search_trigger = 0,
@@ -51,8 +53,6 @@ class StreamingTycos {
   // buffered). Non-finite samples follow the ingest policy:
   //   kReject       — InvalidArgument naming the offending stream position;
   //                   the chunk is not buffered.
-  //   kDropRow      — pairs with a non-finite side are dropped (and do not
-  //                   advance stream coordinates).
   //   kInterpolate  — non-finite samples are repaired linearly from the
   //                   nearest finite neighbours, using the last buffered
   //                   sample as left context; a trailing non-finite run is
@@ -69,22 +69,11 @@ class StreamingTycos {
   // and the pass is reported through last_pass_partial().
   void set_run_context(const RunContext* ctx) { run_context_ = ctx; }
 
-  // Windows found so far, in *global* stream coordinates. Under kDropRow
-  // the coordinates are TRUE ingest positions: a window's start/end name
-  // the raw stream indices of the samples it covers, with every dropped
-  // row accounted for (dropped rows cannot themselves be inside a window —
-  // they were never buffered). With no drops the mapping is the identity.
+  // Windows found so far, in *global* stream coordinates.
   const WindowSet& results() const { return results_; }
 
-  // Samples retained by the stream so far — the buffered count. Under
-  // kDropRow this is samples_ingested() minus the dropped rows; under the
-  // other policies the two are equal.
+  // Samples accepted into the stream so far; a refused chunk adds none.
   int64_t samples_seen() const { return samples_seen_; }
-  // Raw samples accepted into the stream, dropped rows included. This is
-  // the true ingest position: error messages and result coordinates are
-  // expressed on this axis. Chunks refused under kReject advance neither
-  // count (nothing of them enters the stream).
-  int64_t samples_ingested() const { return samples_ingested_; }
   int64_t retained_samples() const {
     return static_cast<int64_t>(buffer_x_.size());
   }
@@ -105,11 +94,6 @@ class StreamingTycos {
 
   Status MaybeSearch(bool force);
 
-  // Maps a buffered stream coordinate to the true (raw-ingest) coordinate:
-  // the buffered index plus every row dropped at or before it. Identity
-  // when no rows were ever dropped.
-  int64_t RawCoordinate(int64_t buffered) const;
-
   TycosParams params_;
   TycosVariant variant_;
   uint64_t seed_;
@@ -117,26 +101,13 @@ class StreamingTycos {
   DataPolicy policy_;
   const RunContext* run_context_ = nullptr;
 
-  // Retained tail of the stream; buffer index 0 is global BUFFERED index
-  // offset_. All search bookkeeping (offset_, searched_until_, the trigger)
-  // runs in buffered coordinates — the axis the estimators actually see —
-  // and results are remapped to raw-ingest coordinates on insertion.
+  // Retained tail of the stream; buffer index 0 is global index offset_.
   std::vector<double> buffer_x_;
   std::vector<double> buffer_y_;
   int64_t offset_ = 0;
-  int64_t samples_seen_ = 0;      // buffered samples (kDropRow: post-drop)
-  int64_t samples_ingested_ = 0;  // raw samples, dropped rows included
+  int64_t samples_seen_ = 0;
   int64_t searched_until_ = 0;  // global index; everything before is done
   int64_t search_passes_ = 0;
-
-  // Drop breakpoints for the buffered→raw coordinate map. Each dropped row
-  // contributes one entry: the global buffered index of the first kept
-  // sample after it (ascending; duplicates = consecutive drops). The raw
-  // coordinate of buffered index i is i + drops_pruned_ + #{entries <= i}.
-  // Entries at or before offset_ are folded into drops_pruned_ when the
-  // buffer is trimmed, so memory stays bounded by drops within one margin.
-  std::vector<int64_t> drop_points_;
-  int64_t drops_pruned_ = 0;
 
   SanitizeStats ingest_stats_;
   bool last_pass_partial_ = false;

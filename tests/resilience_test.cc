@@ -536,19 +536,6 @@ TEST(StreamingResilienceTest, RejectPolicyRefusesNonFiniteChunks) {
   EXPECT_EQ(stream.value()->samples_seen(), 50);
 }
 
-TEST(StreamingResilienceTest, DropPolicyRemovesHostilePairs) {
-  Result<std::unique_ptr<StreamingTycos>> stream = StreamingTycos::Create(
-      TestParams(), TycosVariant::kLMN, 42, 0, DataPolicy::kDropRow);
-  ASSERT_TRUE(stream.ok());
-  std::vector<double> xs = Wave(50, 0.0, 1);
-  std::vector<double> ys = Wave(50, 0.5, 2);
-  xs[3] = kNaN;
-  ys[40] = std::numeric_limits<double>::infinity();
-  ASSERT_TRUE(stream.value()->Append(xs, ys).ok());
-  EXPECT_EQ(stream.value()->samples_seen(), 48);
-  EXPECT_EQ(stream.value()->ingest_stats().rows_dropped, 2);
-}
-
 TEST(StreamingResilienceTest, InterpolatePolicyRepairsGaps) {
   Result<std::unique_ptr<StreamingTycos>> stream = StreamingTycos::Create(
       TestParams(), TycosVariant::kLMN, 42, 0, DataPolicy::kInterpolate);

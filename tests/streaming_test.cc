@@ -158,126 +158,18 @@ TEST(StreamingTycosTest, CreateRejectsBadConfiguration) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 
+  // Dropping a row would shift every later sample's stream position.
+  const auto drop = StreamingTycos::Create(Params(), TycosVariant::kLMN,
+                                           /*seed=*/42, /*search_trigger=*/0,
+                                           DataPolicy::kDropRow);
+  ASSERT_FALSE(drop.ok());
+  EXPECT_EQ(drop.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(drop.status().message().find("drop_row"), std::string::npos)
+      << drop.status().ToString();
+
   const auto ok = StreamingTycos::Create(Params(), TycosVariant::kLMN);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ((*ok)->samples_seen(), 0);
-}
-
-TEST(StreamingTycosTest, DropRowPolicySkipsHostileSamples) {
-  auto r = StreamingTycos::Create(Params(), TycosVariant::kLMN, /*seed=*/42,
-                                  /*search_trigger=*/0, DataPolicy::kDropRow);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  StreamingTycos& stream = **r;
-  std::vector<double> xs(30, 0.5), ys(30, 0.25);
-  xs[7] = std::numeric_limits<double>::quiet_NaN();
-  ys[21] = std::numeric_limits<double>::infinity();
-  ASSERT_TRUE(stream.Append(xs, ys).ok());
-  EXPECT_EQ(stream.samples_seen(), 28);  // two hostile rows dropped
-  EXPECT_EQ(stream.ingest_stats().rows_dropped, 2);
-}
-
-// Regression for the kDropRow coordinate drift: dropped rows used to
-// vanish from the global coordinate axis (samples_seen_ advanced by the
-// sanitized chunk size), so every window found after a drop was reported
-// shifted toward zero by the number of rows dropped before it. Windows
-// must come back in TRUE ingest coordinates: the raw positions the caller
-// streamed, hostile rows included.
-TEST(StreamingTycosTest, DropRowReportsTrueIngestCoordinates) {
-  const SyntheticDataset ds = ComposeDataset(
-      {SegmentSpec{RelationType::kIndependent, 300, 0},
-       SegmentSpec{RelationType::kLinear, 200, 4}},
-      /*gap=*/100, /*seed=*/9);
-  const std::vector<double>& xs = ds.pair.x().values();
-  const std::vector<double>& ys = ds.pair.y().values();
-  const int64_t kChunk = 250;
-  const int64_t kDrops = 40;
-  const int64_t kDropAt = 150;  // inside the independent prefix
-
-  // Reference: the clean stream, chunked at kChunk.
-  auto clean = StreamingTycos::Create(Params(), TycosVariant::kLMN,
-                                      /*seed=*/42, /*search_trigger=*/0,
-                                      DataPolicy::kDropRow);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  // Hostile: the SAME chunks, except a block of kDrops NaN rows is spliced
-  // into the first one at kDropAt. After dropping, both streams buffer
-  // identical chunk sequences, so they run identical search passes — only
-  // the coordinate axes differ, by exactly kDrops past the splice point.
-  auto hostile = StreamingTycos::Create(Params(), TycosVariant::kLMN,
-                                        /*seed=*/42, /*search_trigger=*/0,
-                                        DataPolicy::kDropRow);
-  ASSERT_TRUE(hostile.ok()) << hostile.status().ToString();
-  const double kNan = std::numeric_limits<double>::quiet_NaN();
-  for (int64_t at = 0; at < ds.pair.size(); at += kChunk) {
-    const int64_t end = std::min<int64_t>(ds.pair.size(), at + kChunk);
-    std::vector<double> cx(xs.begin() + at, xs.begin() + end);
-    std::vector<double> cy(ys.begin() + at, ys.begin() + end);
-    ASSERT_TRUE((*clean)->Append(cx, cy).ok());
-    if (at == 0) {
-      cx.insert(cx.begin() + kDropAt, static_cast<size_t>(kDrops), kNan);
-      cy.insert(cy.begin() + kDropAt, static_cast<size_t>(kDrops), kNan);
-    }
-    ASSERT_TRUE((*hostile)->Append(cx, cy).ok());
-  }
-  ASSERT_TRUE((*clean)->Flush().ok());
-  ASSERT_TRUE((*hostile)->Flush().ok());
-
-  EXPECT_EQ((*hostile)->samples_seen(), ds.pair.size());
-  EXPECT_EQ((*hostile)->samples_ingested(), ds.pair.size() + kDrops);
-  EXPECT_EQ((*hostile)->ingest_stats().rows_dropped, kDrops);
-
-  // Same windows, every coordinate shifted by exactly the dropped block.
-  const auto& got = (*hostile)->results().windows();
-  const auto& want = (*clean)->results().windows();
-  ASSERT_FALSE(want.empty());
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_GE(want[i].start, kDropAt);  // nothing correlates in the prefix
-    EXPECT_EQ(got[i].start, want[i].start + kDrops);
-    EXPECT_EQ(got[i].end, want[i].end + kDrops);
-    EXPECT_EQ(got[i].delay, want[i].delay);
-    EXPECT_EQ(got[i].mi, want[i].mi);
-  }
-
-  // And the shifted coordinates land on the planted relation's true
-  // position in the raw (ingested) stream.
-  Window truth = ds.planted[1].AsWindow();  // [1]: the linear segment
-  truth.start += kDrops;
-  truth.end += kDrops;
-  bool covered = false;
-  for (const Window& w : got) covered |= IndexJaccard(w, truth) > 0.25;
-  EXPECT_TRUE(covered);
-}
-
-// On clean data the buffered→raw mapping is the identity: a kDropRow
-// stream that never drops must report exactly what a kReject stream does.
-TEST(StreamingTycosTest, DropRowIsIdentityOnCleanData) {
-  const SyntheticDataset ds = ComposeDataset(
-      {SegmentSpec{RelationType::kLinear, 200, 4}}, /*gap=*/200, /*seed=*/3);
-  StreamingTycos reject = StreamAll(ds.pair, 300, Params());
-  auto drop = StreamingTycos::Create(Params(), TycosVariant::kLMN,
-                                     /*seed=*/42, /*search_trigger=*/0,
-                                     DataPolicy::kDropRow);
-  ASSERT_TRUE(drop.ok()) << drop.status().ToString();
-  const auto& xs = ds.pair.x().values();
-  const auto& ys = ds.pair.y().values();
-  for (size_t at = 0; at < xs.size(); at += 300) {
-    const size_t end = std::min(xs.size(), at + 300);
-    ASSERT_TRUE((*drop)
-                    ->Append({xs.begin() + at, xs.begin() + end},
-                             {ys.begin() + at, ys.begin() + end})
-                    .ok());
-  }
-  ASSERT_TRUE((*drop)->Flush().ok());
-  EXPECT_EQ((*drop)->samples_seen(), (*drop)->samples_ingested());
-  const auto& got = (*drop)->results().windows();
-  const auto& want = reject.results().windows();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].start, want[i].start);
-    EXPECT_EQ(got[i].end, want[i].end);
-    EXPECT_EQ(got[i].delay, want[i].delay);
-    EXPECT_EQ(got[i].mi, want[i].mi);
-  }
 }
 
 // Under kReject the whole chunk is scanned before the error returns, so
@@ -298,8 +190,7 @@ TEST(StreamingTycosTest, RejectStatsMatchBatchCsvAccounting) {
   EXPECT_EQ((*r)->ingest_stats().non_finite, 4);
   EXPECT_NE(st.message().find("position 3"), std::string::npos)
       << st.ToString();
-  EXPECT_EQ((*r)->samples_seen(), 0);      // nothing buffered
-  EXPECT_EQ((*r)->samples_ingested(), 0);  // refused chunks don't advance
+  EXPECT_EQ((*r)->samples_seen(), 0);  // nothing buffered
 
   // Batch parity: the same rows through the CSV ingest path.
   std::string csv;
