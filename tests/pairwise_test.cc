@@ -1,6 +1,9 @@
 #include "search/pairwise.h"
 
+#include <algorithm>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +110,56 @@ void ExpectIdenticalResults(const PairwiseResult& got,
       EXPECT_EQ(gw.delay, ww.delay) << at;
       EXPECT_EQ(gw.mi, ww.mi) << at;
     }
+  }
+}
+
+// A run_unit hook that drops one unit drops its whole pair: the pair is
+// finished with no outcome and left out as skipped, while the others are
+// reported exactly as a sweep without hooks reports them.
+TEST(PairwiseSearchTest, SweepHookDropIsolatesOnePair) {
+  const auto channels = MakeChannels(5);
+  const std::vector<std::pair<int, int>> pairs = AllChannelPairs(3);
+  for (const int restarts : {0, 4}) {
+    SCOPED_TRACE("num_restarts " + std::to_string(restarts));
+    TycosParams p = Params();
+    p.num_restarts = restarts;
+    p.num_threads = 2;
+    const auto plain = SweepPairs(channels, pairs, p, TycosVariant::kLMN, 42,
+                                  RunContext::None());
+    ASSERT_TRUE(plain.ok()) << plain.status().message();
+    PairwiseResult want = plain.value();
+    want.entries.erase(
+        std::remove_if(want.entries.begin(), want.entries.end(),
+                       [](const PairwiseEntry& e) {
+                         return e.a == 0 && e.b == 2;  // pair 1
+                       }),
+        want.entries.end());
+
+    std::mutex mu;
+    std::vector<std::pair<int64_t, bool>> finished;  // (pair, has outcome)
+    PairSweepHooks hooks;
+    hooks.run_unit = [](int64_t pair, int unit, const PairAdmission&,
+                        const PairUnitWork& work) {
+      const Result<StopReason> reason = work(RunContext::None());
+      return reason.ok() && !(pair == 1 && unit == 0);
+    };
+    hooks.finish = [&](int64_t pair, const PairOutcome* outcome) {
+      std::lock_guard<std::mutex> lock(mu);
+      finished.emplace_back(pair, outcome != nullptr);
+    };
+    const auto got = SweepPairs(channels, pairs, p, TycosVariant::kLMN, 42,
+                                RunContext::None(), hooks);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+
+    std::sort(finished.begin(), finished.end());
+    const std::vector<std::pair<int64_t, bool>> want_finished = {
+        {0, true}, {1, false}, {2, true}};
+    EXPECT_EQ(finished, want_finished);
+    EXPECT_EQ(got.value().pairs_searched, 2);
+    EXPECT_EQ(got.value().pairs_skipped, 1);
+    EXPECT_TRUE(got.value().partial);
+    EXPECT_EQ(got.value().stop_reason, StopReason::kCompleted);
+    ExpectIdenticalResults(got.value(), want);
   }
 }
 
