@@ -28,7 +28,6 @@
 #ifndef TYCOS_COMMON_ANNOTATIONS_H_
 #define TYCOS_COMMON_ANNOTATIONS_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -98,10 +97,10 @@ class TYCOS_SCOPED_CAPABILITY MutexLock {
   Mutex* const mu_;
 };
 
-// Condition variable that waits on a tycos::Mutex directly. Wait/WaitUntil
-// REQUIRE the mutex held (they release and reacquire it internally, which
-// the analysis models as "held before, held after"). Always wrap waits in
-// an explicit predicate loop.
+// Condition variable that waits on a tycos::Mutex directly. Wait REQUIRES
+// the mutex held (it releases and reacquires it internally, which the
+// analysis models as "held before, held after"). Always wrap waits in an
+// explicit predicate loop.
 class CondVar {
  public:
   CondVar() = default;
@@ -109,13 +108,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(Mutex& mu) TYCOS_REQUIRES(mu) { cv_.wait(mu.mu_); }
-
-  template <typename Clock, typename Duration>
-  void WaitUntil(Mutex& mu,
-                 const std::chrono::time_point<Clock, Duration>& deadline)
-      TYCOS_REQUIRES(mu) {
-    cv_.wait_until(mu.mu_, deadline);
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

@@ -112,7 +112,7 @@ class RunContext {
   // context. The parent's evaluation *budget* is deliberately not
   // inherited — budgets are counted against the poller's own evaluation
   // counter and would double-apply across levels. The parent must outlive
-  // this context; the durable-job supervisor uses this to carve a per-pair
+  // this context; the durable-job runner uses this to carve a per-unit
   // watchdog time slice out of the global run deadline.
   void SetParent(const RunContext* parent) { parent_ = parent; }
   const RunContext* parent() const { return parent_; }

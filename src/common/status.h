@@ -19,10 +19,10 @@ enum class StatusCode {
   kIoError,
   kOutOfRange,
   kInternal,
-  // Transiently refused or failed work that is safe to retry later: an
-  // admission gate shedding load, a watchdog slice expiring, a flaky
-  // dependency. The supervisor (src/jobs/supervisor.h) classifies this
-  // code — like kIoError — as transient and retries with backoff.
+  // Refused or cut-short work that may succeed when tried again later: an
+  // admission gate shedding load, a server shutting down, a durable unit
+  // overrunning its watchdog slice (src/jobs/). The caller decides when
+  // to try again; for a durable job, that is its next resume.
   kUnavailable,
 };
 

@@ -35,7 +35,6 @@ Status DurableJobOptions::Validate() const {
         "DurableJobOptions.max_pairs_this_run must be >= 0 (0 = "
         "unlimited), got " + std::to_string(max_pairs_this_run));
   }
-  if (const Status st = retry.Validate(); !st.ok()) return st;
   return shed.Validate();
 }
 
@@ -97,9 +96,7 @@ class JobLedger {
 // list: every pair, or the prefilter's survivors. Checkpoint records
 // for pairs outside the universe are skipped — a plain full-sweep
 // checkpoint shares the same config hash, so encountering them is
-// legitimate, not corruption. A pair's global index stays its position in
-// the FULL enumeration either way, so fault schedules and backoff jitter
-// see the same per-pair stream whether or not a cascade ran in front.
+// legitimate, not corruption.
 Result<DurableOutcome> RunDurableJob(
     const std::vector<TimeSeries>& channels, const TycosParams& params,
     TycosVariant variant, uint64_t seed, const RunContext& ctx,
@@ -112,11 +109,6 @@ Result<DurableOutcome> RunDurableJob(
   const int n = static_cast<int>(channels.size());
   const int64_t total_pairs = static_cast<int64_t>(universe.size());
 
-  // Pair index in the full (a, b) enumeration: pairs with first index < a,
-  // then the offset within a's row.
-  const auto full_index = [n](int a, int b) -> int64_t {
-    return static_cast<int64_t>(a) * (2 * n - a - 1) / 2 + (b - a - 1);
-  };
   // Maps a pair to its position in the universe, or -1 when outside it.
   const auto universe_pos = [&](int a, int b) -> int64_t {
     const std::pair<int, int> key(a, b);
@@ -184,8 +176,6 @@ Result<DurableOutcome> RunDurableJob(
   static obs::Counter* shed_counter = obs::GetCounter("jobs.pairs_shed");
   static obs::Counter* watchdog_counter =
       obs::GetCounter("jobs.watchdog_timeouts");
-  static obs::Counter* attempts_counter =
-      obs::GetCounter("jobs.pair_attempts");
   static obs::Counter* ckpt_records_counter =
       obs::GetCounter("jobs.checkpoint_records");
   static obs::Counter* ckpt_bytes_counter =
@@ -193,7 +183,7 @@ Result<DurableOutcome> RunDurableJob(
   static obs::Gauge* rss_gauge = obs::GetGauge("process.rss_bytes");
   resumed_counter->Add(static_cast<int64_t>(entries.size()));
 
-  // --- Sweep the remaining pairs under supervision ------------------------
+  // --- Sweep the remaining pairs -------------------------------------------
   std::optional<CheckpointWriter> writer;
   if (!todo.empty()) {
     CheckpointWriter::Options wopts;
@@ -211,9 +201,6 @@ Result<DurableOutcome> RunDurableJob(
   JobLedger ledger(writer.has_value() ? &*writer : nullptr);
   LoadProbe* probe =
       options.probe != nullptr ? options.probe : LoadProbe::System();
-  BackoffSleeper* sleeper = options.sleeper != nullptr
-                                ? options.sleeper
-                                : BackoffSleeper::Default();
   // Pairs admitted and not yet finished, overlaid on the probe's queue
   // depth.
   std::atomic<int64_t> in_flight{0};
@@ -243,12 +230,11 @@ Result<DurableOutcome> RunDurableJob(
     return PairAdmission{DegradeParams(params, level), level};
   };
 
-  // Supervision: each unit runs under retry-with-backoff, every attempt
-  // under its own watchdog slice and evaluation budget.
+  // Each unit runs once, under its own watchdog slice and evaluation
+  // budget.
   hooks.run_unit = [&](int64_t i, int unit, const PairAdmission& admission,
                        const PairUnitWork& work) {
     const auto [a, b] = todo[static_cast<size_t>(i)];
-    const int64_t global_index = full_index(a, b);
     // Budget: the tighter of the shed-scaled per-pair budget and the
     // caller's global budget wins. Parent chaining skips budgets by design
     // (they count against the poller's own evaluation counter), so the
@@ -266,57 +252,39 @@ Result<DurableOutcome> RunDurableJob(
       budget = budget > 0 ? std::min(budget, global_budget) : global_budget;
     }
 
-    bool kept = false;
-    int64_t watchdog_timeouts = 0;
-    const auto attempt = [&](int attempt_no) -> Status {
-      attempts_counter->Add(1);
-      if (options.faults != nullptr) {
-        const FaultClass fc = options.faults->At(global_index, attempt_no);
-        if (fc != FaultClass::kNone) {
-          return PairFaultSchedule::MakeStatus(fc, global_index, attempt_no);
-        }
-      }
-      // Watchdog slice + budget, chained under the global context so a
-      // global stop still reaches the inner search.
-      RunContext child;
-      child.SetParent(&ctx);
-      if (options.pair_time_slice_s > 0) {
-        child.SetDeadlineAfter(options.pair_time_slice_s);
-      }
-      if (budget > 0) child.SetEvaluationBudget(budget);
-      const Result<StopReason> reason = work(child);
-      if (!reason.ok()) return reason.status();
-      // A deterministic outcome is final (and checkpointed). A cut one is
-      // kept only when the global context fired: the sweep is ending, and
-      // the partial output rides along (never checkpointed — it is
-      // timing-dependent).
-      kept = reason.value() == StopReason::kCompleted ||
-             reason.value() == StopReason::kBudgetExhausted ||
-             ctx.ShouldStop(0).has_value();
-      if (kept) return Status::Ok();
-      // Otherwise our own watchdog slice expired: transiently retry (a
-      // fresh attempt may land on a quieter machine moment).
-      ++watchdog_timeouts;
-      watchdog_counter->Add(1);
-      return Status::Unavailable(
-          "pair (" + std::to_string(a) + ", " + std::to_string(b) +
-          ") exceeded its " + std::to_string(options.pair_time_slice_s) +
-          "s watchdog time slice");
-    };
-
-    const SuperviseResult sres =
-        Supervise(options.retry, seed, global_index, ctx, sleeper, attempt);
-    ledger.Fold([&](DurableJobStats& s) {
-      s.retries += sres.transient_failures;
-      s.watchdog_timeouts += watchdog_timeouts;
-    });
-    // A global stop between attempts or during backoff leaves no output.
-    // A permanent or retry-exhausted failure is isolated to this pair and
-    // the sweep goes on; un-checkpointed, the pair reruns on resume.
-    if (!sres.stopped.has_value() && !sres.final_status.ok()) {
-      ledger.Fail(i, unit, {a, b, sres.final_status, sres.attempts});
+    // Watchdog slice + budget, chained under the global context so a
+    // global stop still reaches the inner search.
+    RunContext child;
+    child.SetParent(&ctx);
+    if (options.pair_time_slice_s > 0) {
+      child.SetDeadlineAfter(options.pair_time_slice_s);
     }
-    return kept;
+    if (budget > 0) child.SetEvaluationBudget(budget);
+    const Result<StopReason> reason = work(child);
+    // A failed unit is isolated to its pair and the sweep goes on;
+    // un-checkpointed, the pair reruns on resume.
+    if (!reason.ok()) {
+      ledger.Fail(i, unit, {a, b, reason.status()});
+      return false;
+    }
+    // A deterministic outcome is final (and checkpointed). A cut one is
+    // kept only when the global context fired: the sweep is ending, and
+    // the partial output rides along (never checkpointed — it is
+    // timing-dependent).
+    if (reason.value() == StopReason::kCompleted ||
+        reason.value() == StopReason::kBudgetExhausted ||
+        ctx.ShouldStop(0).has_value()) {
+      return true;
+    }
+    // Otherwise the unit's own watchdog slice expired.
+    watchdog_counter->Add(1);
+    ledger.Fold([](DurableJobStats& s) { ++s.watchdog_timeouts; });
+    const Status overran = Status::Unavailable(
+        "pair (" + std::to_string(a) + ", " + std::to_string(b) +
+        ") exceeded its " + std::to_string(options.pair_time_slice_s) +
+        "s watchdog time slice");
+    ledger.Fail(i, unit, {a, b, overran});
+    return false;
   };
 
   // Checkpointing: only deterministic outcomes persist.

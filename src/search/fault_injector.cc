@@ -1,65 +1,6 @@
 #include "search/fault_injector.h"
 
-#include <string>
-
-#include "common/rng.h"
-
 namespace tycos {
-
-const char* FaultClassName(FaultClass c) {
-  switch (c) {
-    case FaultClass::kNone:
-      return "none";
-    case FaultClass::kTransient:
-      return "transient";
-    case FaultClass::kPermanent:
-      return "permanent";
-  }
-  return "unknown";
-}
-
-namespace {
-
-// Uniform [0, 1) draw that is a pure function of (seed, stream): one
-// SplitMix64 stream derivation, top 53 bits as the mantissa.
-double HashUniform(uint64_t seed, uint64_t stream) {
-  const uint64_t h = DeriveStreamSeed(seed, stream);
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
-FaultClass PairFaultSchedule::At(int64_t pair_index, int attempt) const {
-  const uint64_t pair_u = static_cast<uint64_t>(pair_index);
-  // Permanent faults are a per-pair coin so the pair fails on every attempt.
-  if (spec_.permanent_rate > 0.0 &&
-      HashUniform(seed_ ^ 0x9e3779b97f4a7c15ull, pair_u) <
-          spec_.permanent_rate) {
-    return FaultClass::kPermanent;
-  }
-  if (spec_.transient_rate > 0.0) {
-    if (spec_.heal_at_attempt > 0 && attempt >= spec_.heal_at_attempt) {
-      return FaultClass::kNone;
-    }
-    // Per-(pair, attempt) coin: folding the attempt into the stream keeps
-    // draws independent across retries.
-    const uint64_t stream =
-        pair_u * 1000003u + static_cast<uint64_t>(attempt);
-    if (HashUniform(seed_, stream) < spec_.transient_rate) {
-      return FaultClass::kTransient;
-    }
-  }
-  return FaultClass::kNone;
-}
-
-Status PairFaultSchedule::MakeStatus(FaultClass c, int64_t pair_index,
-                                     int attempt) {
-  const std::string where = "injected " + std::string(FaultClassName(c)) +
-                            " fault (pair " + std::to_string(pair_index) +
-                            ", attempt " + std::to_string(attempt) + ")";
-  if (c == FaultClass::kTransient) return Status::Unavailable(where);
-  return Status::Internal(where);
-}
 
 double FaultInjector::Score(const Window& w) {
   double score = inner_->Score(w);

@@ -6,11 +6,6 @@
 // still valid non-nested window sets and that the incremental and
 // non-incremental variants degrade identically. Production code never
 // constructs one; searches expose WrapEvaluatorForTest() to splice it in.
-//
-// PairFaultSchedule is the pair-level counterpart: a seeded, deterministic
-// transient/permanent failure schedule that the durable-job layer
-// (src/jobs/) accepts in its test hooks, so retry-with-backoff and
-// failure-isolation paths are reproducibly exercisable.
 
 #ifndef TYCOS_SEARCH_FAULT_INJECTOR_H_
 #define TYCOS_SEARCH_FAULT_INJECTOR_H_
@@ -20,53 +15,9 @@
 #include <memory>
 
 #include "common/run_context.h"
-#include "common/status.h"
 #include "search/evaluator.h"
 
 namespace tycos {
-
-// How an injected failure should be classified by a supervisor: transient
-// faults are expected to heal under retry, permanent faults fail every
-// attempt. kNone means the (pair, attempt) succeeds.
-enum class FaultClass { kNone = 0, kTransient, kPermanent };
-
-// "none", "transient", "permanent".
-const char* FaultClassName(FaultClass c);
-
-// A deterministic per-(pair, attempt) failure schedule for testing the
-// retry/backoff supervision paths (src/jobs/supervisor.h). The schedule is
-// a pure function of (seed, pair, attempt) via SplitMix64 hashing, so it is
-// identical at any thread count and across resumed runs — which is exactly
-// what lets a test assert "transient faults recover within the retry bound
-// while permanent faults isolate to their pair" without flaking.
-class PairFaultSchedule {
- public:
-  struct Spec {
-    // Probability that a given (pair, attempt) fails transiently.
-    double transient_rate = 0.0;
-    // Probability that a pair fails permanently; a permanently faulted pair
-    // fails on every attempt (the per-pair decision ignores `attempt`).
-    double permanent_rate = 0.0;
-    // A transiently faulted (pair, attempt) stops faulting once `attempt`
-    // reaches this value, guaranteeing convergence within the retry bound.
-    // 0 disables the heal (every attempt draws independently).
-    int heal_at_attempt = 0;
-  };
-
-  PairFaultSchedule(uint64_t seed, const Spec& spec)
-      : seed_(seed), spec_(spec) {}
-
-  // The fault planned for attempt `attempt` (1-based) of pair `pair_index`.
-  FaultClass At(int64_t pair_index, int attempt) const;
-
-  // The error a scheduled fault surfaces as: Unavailable for transient
-  // (retryable by classification), Internal for permanent.
-  static Status MakeStatus(FaultClass c, int64_t pair_index, int attempt);
-
- private:
-  uint64_t seed_;
-  Spec spec_;
-};
 
 // Faults are keyed on the injector's own 1-based count of Score() calls,
 // so a plan is deterministic regardless of wall-clock speed.
