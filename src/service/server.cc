@@ -119,7 +119,9 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
         "SearchRequest.evaluation_budget must be >= 0 (0 = server default), "
         "got " + std::to_string(req.evaluation_budget));
   }
-  int64_t common_len = 0;
+  // Pin the data version the request answers: both epochs and the common
+  // length, read under one hold so an Append cannot land between them.
+  auto record = std::make_unique<Request>();
   {
     MutexLock lock(&channels_mu_);
     const auto a = channels_.find(req.channel_a);
@@ -130,11 +132,15 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
     if (b == channels_.end()) {
       return Status::NotFound("unknown channel '" + req.channel_b + "'");
     }
-    common_len = std::min(
+    record->length = std::min(
         static_cast<int64_t>(a->second.samples.size()),
         static_cast<int64_t>(b->second.samples.size()));
+    record->epoch_a = a->second.epoch;
+    record->epoch_b = b->second.epoch;
   }
-  if (const Status st = req.params.Validate(common_len); !st.ok()) return st;
+  if (const Status st = req.params.Validate(record->length); !st.ok()) {
+    return st;
+  }
 
   // Admission ladder: the probe's reading plus our own in-flight count.
   int level = 0;
@@ -153,7 +159,6 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
         req.tenant + "'); retry later");
   }
 
-  auto record = std::make_unique<Request>();
   record->req = req;
   record->shed_level = level;
   record->degraded = level > 0;
@@ -175,6 +180,7 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
       req.evaluation_budget, options_.evaluation_budget, level);
   if (budget > 0) record->ctx.SetEvaluationBudget(budget);
 
+  const CacheKey key = KeyOf(*record);
   int64_t id = 0;
   Request* r = nullptr;
   {
@@ -193,34 +199,13 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
   // Submit-time cache probe: a hit completes the request without ever
   // touching the queue. Misses are counted at dispatch, where the compute
   // commitment is made.
-  {
-    CacheKey key;
-    key.channel_a = req.channel_a;
-    key.channel_b = req.channel_b;
-    key.config_hash = r->config_hash;
-    bool have_epochs = false;
-    {
-      MutexLock lock(&channels_mu_);
-      const auto a = channels_.find(req.channel_a);
-      const auto b = channels_.find(req.channel_b);
-      if (a != channels_.end() && b != channels_.end()) {
-        key.epoch_a = a->second.epoch;
-        key.epoch_b = b->second.epoch;
-        have_epochs = true;
-      }
-    }
-    if (have_epochs) {
-      if (std::optional<SearchOutcome> hit = cache_.Lookup(key)) {
-        cache_hits->Add(1);
-        MutexLock lock(&mu_);
-        r->from_cache = true;
-        r->epoch_a = key.epoch_a;
-        r->epoch_b = key.epoch_b;
-        r->outcome = std::move(*hit);
-        CompleteLocked(r, RequestState::kDone);
-        return id;
-      }
-    }
+  if (std::optional<SearchOutcome> hit = cache_.Lookup(key)) {
+    cache_hits->Add(1);
+    MutexLock lock(&mu_);
+    r->from_cache = true;
+    r->outcome = std::move(*hit);
+    CompleteLocked(r, RequestState::kDone);
+    return id;
   }
 
   if (!scheduler_->Submit(req.tenant, [this, id] { RunJob(id); })) {
@@ -311,7 +296,8 @@ void Server::RunJob(int64_t id) {
   // Claim the request; a cancelled (or otherwise terminal) one is done.
   SearchRequest req;
   TycosParams effective;
-  uint64_t config_hash = 0;
+  CacheKey key;
+  int64_t length = 0;
   const RunContext* ctx = nullptr;
   {
     MutexLock lock(&mu_);
@@ -326,37 +312,14 @@ void Server::RunJob(int64_t id) {
     r->state = RequestState::kRunning;
     req = r->req;
     effective = r->effective;
-    config_hash = r->config_hash;
+    key = KeyOf(*r);
+    length = r->length;
     ctx = &r->ctx;  // stable: records live in unique_ptrs
   }
   PublishQueueDepth();
 
-  // Snapshot both channels: the copies pin the data version, the epochs
-  // name it. The search runs over the common prefix of the two channels.
-  std::vector<double> ax;
-  std::vector<double> ay;
-  uint64_t epoch_a = 0;
-  uint64_t epoch_b = 0;
-  {
-    MutexLock lock(&channels_mu_);
-    const Channel& a = channels_[req.channel_a];
-    const Channel& b = channels_[req.channel_b];
-    const size_t n = std::min(a.samples.size(), b.samples.size());
-    ax.assign(a.samples.begin(), a.samples.begin() + n);
-    ay.assign(b.samples.begin(), b.samples.begin() + n);
-    epoch_a = a.epoch;
-    epoch_b = b.epoch;
-  }
-
-  CacheKey key;
-  key.channel_a = req.channel_a;
-  key.channel_b = req.channel_b;
-  key.config_hash = config_hash;
-  key.epoch_a = epoch_a;
-  key.epoch_b = epoch_b;
-
-  // Dispatch-time re-probe: another tenant (or an earlier epoch of this
-  // request's queue wait) may have computed the answer meanwhile.
+  // Dispatch-time re-probe: an identical request (this tenant's or
+  // another's) may have computed the answer while this one queued.
   if (std::optional<SearchOutcome> hit = cache_.Lookup(key)) {
     cache_hits->Add(1);
     MutexLock lock(&mu_);
@@ -364,13 +327,23 @@ void Server::RunJob(int64_t id) {
     if (it == requests_.end()) return;
     Request* r = it->second.get();
     r->from_cache = true;
-    r->epoch_a = epoch_a;
-    r->epoch_b = epoch_b;
     r->outcome = std::move(*hit);
     CompleteLocked(r, RequestState::kDone);
     return;
   }
   cache_misses->Add(1);
+
+  // Copy the data version pinned at Submit. Channels only grow, so
+  // [0, length) of each is still the data the request's epochs name.
+  std::vector<double> ax;
+  std::vector<double> ay;
+  {
+    MutexLock lock(&channels_mu_);
+    const std::vector<double>& a = channels_[req.channel_a].samples;
+    const std::vector<double>& b = channels_[req.channel_b].samples;
+    ax.assign(a.begin(), a.begin() + length);
+    ay.assign(b.begin(), b.begin() + length);
+  }
 
   Result<SearchOutcome> outcome = [&]() -> Result<SearchOutcome> {
     Result<SeriesPair> pair =
@@ -392,8 +365,6 @@ void Server::RunJob(int64_t id) {
     const auto it = requests_.find(id);
     if (it == requests_.end()) return;
     Request* r = it->second.get();
-    r->epoch_a = epoch_a;
-    r->epoch_b = epoch_b;
     if (!outcome.ok()) {
       r->error = outcome.status();
       CompleteLocked(r, RequestState::kFailed);
@@ -403,6 +374,16 @@ void Server::RunJob(int64_t id) {
     r->outcome = std::move(outcome.value());
     CompleteLocked(r, RequestState::kDone);
   }
+}
+
+CacheKey Server::KeyOf(const Request& r) {
+  CacheKey key;
+  key.channel_a = r.req.channel_a;
+  key.channel_b = r.req.channel_b;
+  key.config_hash = r.config_hash;
+  key.epoch_a = r.epoch_a;
+  key.epoch_b = r.epoch_b;
+  return key;
 }
 
 void Server::CompleteLocked(Request* r, RequestState state) {

@@ -8,22 +8,25 @@
 //
 // Request lifecycle:
 //
-//   Submit ── admission ladder (jobs::ShedPolicy over a LoadProbe reading
-//   RSS and the live in-flight count): level 0 runs full params, levels
-//   1–2 run jobs::DegradeParams with a scaled evaluation budget, level 3
-//   refuses with Status::Unavailable — the request never enters the queue.
-//   Admitted requests probe the result cache (service/cache.h) and either
-//   complete immediately (cache hit) or enqueue on the fair-share
-//   scheduler (service/scheduler.h): FIFO per tenant, the least-served
-//   tenant first.
+//   Submit ── pins the data version the request answers: both channels'
+//   epochs and their common length, read under one hold of the store
+//   lock. Then the admission ladder (jobs::ShedPolicy over a LoadProbe
+//   reading RSS and the live in-flight count): level 0 runs full params,
+//   levels 1–2 run jobs::DegradeParams with a scaled evaluation budget,
+//   level 3 refuses with Status::Unavailable — the request never enters
+//   the queue. Admitted requests probe the result cache (service/cache.h)
+//   at the pinned epochs and either complete immediately (cache hit) or
+//   enqueue on the fair-share scheduler (service/scheduler.h): FIFO per
+//   tenant, the least-served tenant first.
 //
-//   Run ── the worker snapshots both channels (data + epoch) under the
-//   store lock, re-probes the cache at those epochs, and otherwise runs
-//   Tycos under the request's RunContext (deadline + budget, parented to
-//   the server context so Shutdown() cancels every in-flight search). A
-//   deadline or cancellation mid-run still completes the request with a
-//   partial SearchOutcome — overload degrades answers, it does not drop
-//   admitted work.
+//   Run ── the worker re-probes the cache at the pinned epochs and, on a
+//   miss, copies the pinned prefix of both channels (channels only grow,
+//   so an Append while the request queued never changes what it
+//   searches) and runs Tycos under the request's RunContext (deadline +
+//   budget, parented to the server context so Shutdown() cancels every
+//   in-flight search). A deadline or cancellation mid-run still completes
+//   the request with a partial SearchOutcome — overload degrades answers,
+//   it does not drop admitted work.
 //
 //   Complete ── complete (non-partial) outcomes enter the cache keyed on
 //   (pair, effective-config hash, epochs); appends bump a channel's epoch,
@@ -110,8 +113,8 @@ struct RequestStatus {
   int shed_level = 0;       // admission level the request ran at
   bool degraded = false;    // shed_level 1 or 2: DegradeParams applied
   bool from_cache = false;  // outcome served from the result cache
-  // Channel epochs the outcome was computed at (kDone only): the data
-  // version the answer describes.
+  // Channel epochs pinned at Submit: the data version the request answers
+  // (in every state, so a queued request already names it).
   uint64_t epoch_a = 0;
   uint64_t epoch_b = 0;
   SearchOutcome outcome;  // kDone only; outcome.partial marks early stops
@@ -185,8 +188,11 @@ class Server {
     int shed_level = 0;
     bool degraded = false;
     bool from_cache = false;
+    // The data version pinned at Submit: both epochs and the channels'
+    // common length then.
     uint64_t epoch_a = 0;
     uint64_t epoch_b = 0;
+    int64_t length = 0;
     SearchOutcome outcome;
     Status error = Status::Ok();
     RunContext ctx;  // parented to server_ctx_; armed at submit
@@ -194,8 +200,11 @@ class Server {
 
   explicit Server(const ServiceOptions& opts);
 
-  // Worker body for request `id`: snapshot channels, probe cache, run.
+  // Worker body for request `id`: probe cache, copy the pinned data, run.
   void RunJob(int64_t id) TYCOS_EXCLUDES(mu_, channels_mu_);
+
+  // The cache key of the request's pinned data version.
+  static CacheKey KeyOf(const Request& r);
 
   // Terminal-state transition helpers; all notify waiters.
   void CompleteLocked(Request* r, RequestState state) TYCOS_REQUIRES(mu_);

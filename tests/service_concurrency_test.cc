@@ -1,23 +1,27 @@
 // Concurrency coverage for the service layer (label: concurrency; runs
-// under the TSan preset). Three properties:
+// under the TSan preset). Five properties:
 //
 //   1. Freshness — with tenants submitting concurrently against a channel
 //      another tenant keeps appending to, every completed result is
 //      bit-identical to a direct engine run over the exact data version
 //      its (epoch_a, epoch_b) stamp names. Cache-epoch invalidation can
 //      therefore never serve a stale answer.
-//   2. Fairness — the scheduler's dispatched-count tie-break bounds
+//   2. Pinning — a request answers the data version current at its
+//      Submit: an Append while it waits in the queue changes neither its
+//      epochs nor the data it searches.
+//   3. Fairness — the scheduler's dispatched-count tie-break bounds
 //      starvation: a tenant flooding the queue cannot push a light
 //      tenant's jobs to the back.
-//   3. Teardown — Submit racing Shutdown leaves every admitted request in
+//   4. Teardown — Submit racing Shutdown leaves every admitted request in
 //      a terminal state.
-//   4. Nesting — requests with restarts and num_threads 0 run each
+//   5. Nesting — requests with restarts and num_threads 0 run each
 //      engine's own unit ParallelFor inside a scheduler worker (the
 //      service's one nested loop) and still answer exactly as a 1-thread
 //      engine run.
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -171,6 +175,58 @@ TEST(ServiceConcurrencyTest, ResultsAreNeverStale) {
     ASSERT_GE(r.epoch_b, 2u);
     ASSERT_LE(r.epoch_b, 1 + chunks.size());
     ExpectSameWindows(r.outcome.windows, reference_for(r.epoch_b));
+  }
+}
+
+// Requests queued behind a busy worker answer the data as of their Submit:
+// an append that lands while they wait bumps the channels' epochs but not
+// the data those requests search.
+TEST(ServiceConcurrencyTest, QueuedRequestAnswersTheDataAsOfSubmit) {
+  const auto ds =
+      ComposeDataset({SegmentSpec{RelationType::kLinear, 120, 3}},
+                     /*gap=*/50, /*seed=*/11);
+  const std::vector<double>& xs = ds.pair.x().values();
+  const std::vector<double>& ys = ds.pair.y().values();
+  const auto n = static_cast<std::ptrdiff_t>(xs.size()) - 40;  // then +40
+
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  opts.cache_capacity = 0;  // every request searches
+  auto server_or = Server::Create(opts);
+  ASSERT_TRUE(server_or.ok());
+  Server& server = *server_or.value();
+  ASSERT_TRUE(server.Append("x", {xs.begin(), xs.begin() + n}).ok());
+  ASSERT_TRUE(server.Append("y", {ys.begin(), ys.begin() + n}).ok());
+
+  SearchRequest req;
+  req.channel_a = "x";
+  req.channel_b = "y";
+  req.params = Params();
+  std::vector<int64_t> ids;
+  for (int i = 0; i < 4; ++i) {
+    const auto id = server.Submit(req);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(server.Append("x", {xs.begin() + n, xs.end()}).ok());
+  ASSERT_TRUE(server.Append("y", {ys.begin() + n, ys.end()}).ok());
+
+  auto pair = SeriesPair::Create(
+      TimeSeries(std::vector<double>(xs.begin(), xs.begin() + n), "x"),
+      TimeSeries(std::vector<double>(ys.begin(), ys.begin() + n), "y"));
+  ASSERT_TRUE(pair.ok());
+  auto engine = Tycos::Create(pair.value(), Params(), TycosVariant::kLMN, 42);
+  ASSERT_TRUE(engine.ok());
+  const auto want = engine.value()->Run(RunContext::None());
+  ASSERT_TRUE(want.ok());
+  for (const int64_t id : ids) {
+    SCOPED_TRACE("request " + std::to_string(id));
+    const auto done = server.Wait(id);
+    ASSERT_TRUE(done.ok());
+    ASSERT_EQ(done.value().state, RequestState::kDone);
+    EXPECT_EQ(done.value().epoch_a, 2u);
+    EXPECT_EQ(done.value().epoch_b, 2u);
+    ExpectSameWindows(done.value().outcome.windows, want.value().windows);
   }
 }
 
