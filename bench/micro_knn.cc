@@ -1,8 +1,9 @@
 // Micro-benchmark: kNN backends (brute scan vs k-d tree) and the Fenwick
 // rank index — the data-structure ablation of Section 5.1's complexity
-// discussion — plus the BM_Kernel* rows: simd::ChebyshevToProbe against
-// its scalar twin on the same buffer, isolating the SIMD win from the
-// data-structure logic around it (source of BENCH_kernels.json).
+// discussion — plus the BM_Kernel* rows: simd::ChebyshevToProbe and
+// simd::KnnExtentsAll against their scalar twins on the same buffers,
+// isolating the SIMD win from the data-structure logic around it (source
+// of BENCH_kernels.json).
 
 #include <benchmark/benchmark.h>
 
@@ -119,6 +120,34 @@ BENCHMARK(BM_KernelChebyshevToProbe<&simd::ChebyshevToProbeScalar>)
     ->Name("BM_KernelChebyshevToProbe/scalar")
     ->Arg(256)
     ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+// All-points k = 4 extents of n points: the batch estimator's brute path.
+template <void (*Fn)(const double*, const double*, size_t, size_t, double*,
+                     double*)>
+void BM_KernelKnnExtents(benchmark::State& state) {
+  // 2n normal draws: x is the first half, y the second.
+  const auto xy = MakeInterleaved(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<double> dx(n), dy(n);
+  for (auto _ : state) {
+    Fn(xy.data(), xy.data() + n, n, 4, dx.data(), dy.data());
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(dy.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelKnnExtents<&simd::KnnExtentsAll>)
+    ->Name("BM_KernelKnnExtents/simd")
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_KernelKnnExtents<&simd::KnnExtentsAllScalar>)
+    ->Name("BM_KernelKnnExtents/scalar")
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Micro-benchmark: KSG MI estimation cost per window size and backend, plus
 // the alternative estimators — the ablation behind choosing KSG (Section
-// 3.1) and the auto backend switch.
+// 3.1) and the auto backend switch (brute force vs the k-d tree at 256, 384
+// and 512 samples, around kAuto's switch at m > 256).
 
 #include <benchmark/benchmark.h>
 
@@ -38,8 +39,11 @@ void BM_KsgBrute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KsgBrute)
+    ->Arg(16)
     ->Arg(64)
     ->Arg(256)
+    ->Arg(384)
+    ->Arg(512)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
@@ -55,6 +59,8 @@ void BM_KsgKdTree(benchmark::State& state) {
 BENCHMARK(BM_KsgKdTree)
     ->Arg(64)
     ->Arg(256)
+    ->Arg(384)
+    ->Arg(512)
     ->Arg(1024)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <vector>
 
 #if TYCOS_SIMD_LEVEL >= 2
 #include <immintrin.h>
@@ -47,6 +48,21 @@ inline size_t Popcount4(int mask) {
   return static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
 }
 
+// One value per query lane of a KnnExtentsAll lane group.
+struct alignas(32) Lane4 {
+  double v[4];
+};
+
+// |x_j - qx|, |y_j - qy| and their max, the L∞ distance, for the four
+// query lanes: the operations and operand order of ChebyshevToProbeScalar.
+inline __m256d LaneDistance(const double* x, const double* y, size_t j,
+                            __m256d qx, __m256d qy, __m256d* ax,
+                            __m256d* ay) {
+  *ax = Abs256(_mm256_sub_pd(_mm256_broadcast_sd(x + j), qx));
+  *ay = Abs256(_mm256_sub_pd(_mm256_broadcast_sd(y + j), qy));
+  return MaxStd256(*ax, *ay);
+}
+
 }  // namespace
 
 #endif  // TYCOS_SIMD_LEVEL >= 2
@@ -57,6 +73,39 @@ void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
                             double* out) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = std::max(std::fabs(xy[2 * i] - px), std::fabs(xy[2 * i + 1] - py));
+  }
+}
+
+void KnnExtentsAllScalar(const double* x, const double* y, size_t m, size_t k,
+                         double* dx, double* dy) {
+  // KnnSelector's OfferAscending and InsertSorted, with |Δx| and |Δy| in
+  // place of the index.
+  struct Slot {
+    double d, ax, ay;
+  };
+  thread_local std::vector<Slot> slots;
+  if (slots.size() < k) slots.resize(k);
+  for (size_t i = 0; i < m; ++i) {
+    size_t filled = 0;
+    for (size_t j = 0; j < m; ++j) {
+      if (j == i) continue;
+      const double ax = std::fabs(x[j] - x[i]);
+      const double ay = std::fabs(y[j] - y[i]);
+      const double d = std::max(ax, ay);
+      if (filled == k && !(d < slots[k - 1].d)) continue;
+      size_t pos = filled < k ? filled++ : k - 1;
+      for (; pos > 0 && d < slots[pos - 1].d; --pos) {
+        slots[pos] = slots[pos - 1];
+      }
+      slots[pos] = {d, ax, ay};
+    }
+    double ex = 0.0, ey = 0.0;
+    for (size_t t = 0; t < k; ++t) {
+      ex = std::max(ex, slots[t].ax);
+      ey = std::max(ey, slots[t].ay);
+    }
+    dx[i] = ex;
+    dy[i] = ey;
   }
 }
 
@@ -109,6 +158,94 @@ void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
   if (i < n) ChebyshevToProbeScalar(xy + 2 * i, n - i, px, py, out + i);
 #else
   ChebyshevToProbeScalar(xy, n, px, py, out);
+#endif
+}
+
+void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
+                   double* dx, double* dy) {
+#if TYCOS_SIMD_LEVEL >= 2
+  // slots[t] holds each lane's (t+1)-th smallest distance so far.
+  thread_local std::vector<Lane4> slots;
+  if (slots.size() < k) slots.resize(k);
+  const __m256d inf = _mm256_set1_pd(HUGE_VAL);
+  const __m256d lane = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+  // Lane l of a group answers query i0 + l. A last group with fewer than
+  // four queries repeats its last point in the spare lanes and drops their
+  // answers. Candidate j is its own query in lane j - i0 (a wrapped,
+  // huge difference when j < i0): that lane alone leaves it out.
+  for (size_t i0 = 0; i0 < m; i0 += 4) {
+    const size_t lanes = std::min<size_t>(4, m - i0);
+    alignas(32) double qx_in[4], qy_in[4];
+    for (size_t l = 0; l < 4; ++l) {
+      qx_in[l] = x[i0 + std::min(l, lanes - 1)];
+      qy_in[l] = y[i0 + std::min(l, lanes - 1)];
+    }
+    const __m256d qx = _mm256_load_pd(qx_in);
+    const __m256d qy = _mm256_load_pd(qy_in);
+    __m256d ax, ay;
+
+    // Pass 1: the k smallest distances per lane through a sorted min/max
+    // network; the query's own distance enters as +inf, which never
+    // displaces a real candidate's (there are m - 1 >= k of them). A
+    // candidate no lane admits skips the network.
+    for (size_t t = 0; t < k; ++t) _mm256_store_pd(slots[t].v, inf);
+    for (size_t j = 0; j < m; ++j) {
+      __m256d d = LaneDistance(x, y, j, qx, qy, &ax, &ay);
+      if (j - i0 < 4) {
+        const __m256d self = _mm256_cmp_pd(
+            lane, _mm256_set1_pd(static_cast<double>(j - i0)), _CMP_EQ_OQ);
+        d = _mm256_blendv_pd(d, inf, self);
+      }
+      const __m256d admits =
+          _mm256_cmp_pd(d, _mm256_load_pd(slots[k - 1].v), _CMP_LT_OQ);
+      if (_mm256_movemask_pd(admits) == 0) continue;
+      for (size_t t = 0; t < k; ++t) {
+        const __m256d s = _mm256_load_pd(slots[t].v);
+        _mm256_store_pd(slots[t].v, _mm256_min_pd(s, d));
+        d = _mm256_max_pd(s, d);
+      }
+    }
+
+    // Pass 2: the k nearest under (distance, index) are every candidate
+    // below the k-th distance r plus, in index order, the first `need`
+    // candidates at r. Their extents are the max over that set.
+    const __m256d r = _mm256_load_pd(slots[k - 1].v);
+    __m256i need = _mm256_set1_epi64x(static_cast<long long>(k));
+    for (size_t t = 0; t < k; ++t) {
+      // A true compare is -1 in each 64-bit lane: adding it counts down.
+      need = _mm256_add_epi64(
+          need, _mm256_castpd_si256(_mm256_cmp_pd(
+                    _mm256_load_pd(slots[t].v), r, _CMP_LT_OQ)));
+    }
+    __m256i ties_seen = _mm256_setzero_si256();
+    __m256d ex = _mm256_setzero_pd();
+    __m256d ey = ex;
+    for (size_t j = 0; j < m; ++j) {
+      const __m256d d = LaneDistance(x, y, j, qx, qy, &ax, &ay);
+      __m256d below = _mm256_cmp_pd(d, r, _CMP_LT_OQ);
+      __m256d tie = _mm256_cmp_pd(d, r, _CMP_EQ_OQ);
+      if (j - i0 < 4) {
+        const __m256d other = _mm256_cmp_pd(
+            lane, _mm256_set1_pd(static_cast<double>(j - i0)), _CMP_NEQ_OQ);
+        below = _mm256_and_pd(below, other);
+        tie = _mm256_and_pd(tie, other);
+      }
+      const __m256d take = _mm256_or_pd(
+          below, _mm256_and_pd(tie, _mm256_castsi256_pd(
+                                        _mm256_cmpgt_epi64(need, ties_seen))));
+      ties_seen = _mm256_sub_epi64(ties_seen, _mm256_castpd_si256(tie));
+      // A lane that does not take j sees +0, which never raises a max.
+      ex = MaxStd256(ex, _mm256_and_pd(take, ax));
+      ey = MaxStd256(ey, _mm256_and_pd(take, ay));
+    }
+    alignas(32) double ex_out[4], ey_out[4];
+    _mm256_store_pd(ex_out, ex);
+    _mm256_store_pd(ey_out, ey);
+    std::copy(ex_out, ex_out + lanes, dx + i0);
+    std::copy(ey_out, ey_out + lanes, dy + i0);
+  }
+#else
+  KnnExtentsAllScalar(x, y, m, k, dx, dy);
 #endif
 }
 

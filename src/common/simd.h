@@ -1,5 +1,6 @@
 // Portable SIMD kernels for the KSG hot loops — the per-point L∞ distance
-// row, the marginal-count bound searches, and the finite/min/max gate.
+// row, the all-points kNN extents of a batch window, the marginal-count
+// bound searches, and the finite/min/max gate.
 //
 // The instruction set is selected at BUILD time (no runtime dispatch): the
 // TYCOS_SIMD_LEVEL macro is 2 (AVX2) or 0 (scalar), chosen by the
@@ -13,10 +14,11 @@
 // (distances, bounds) are BIT-EXACT against the scalar twin — abs is a
 // sign-bit mask (like std::fabs), max/min replicate the (a < b) ? b : a
 // selection of std::max/std::min including NaN behavior, and comparisons
-// use ordered predicates so NaN never counts. The min/max REDUCTION is
-// value-exact but may return the opposite zero sign when both +0.0 and
-// -0.0 appear (reduction order differs); no caller distinguishes zero
-// signs. No kernel reassociates floating-point sums.
+// use ordered predicates so NaN never counts. The kNN extents are
+// bit-exact too. The min/max REDUCTION is value-exact but may return the
+// opposite zero sign when both +0.0 and -0.0 appear (reduction order
+// differs); no caller distinguishes zero signs. No kernel reassociates
+// floating-point sums.
 //
 // All intrinsics live in src/common/simd.cc — tools/lint.py --simd-hygiene
 // rejects them anywhere else, so the baseline-ISA guarantee of the rest of
@@ -43,6 +45,28 @@ void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
                       double* out);
 void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
                             double* out);
+
+// --- All-points kNN extents ----------------------------------------------
+//
+// dx[i] / dy[i] = the per-dimension extents (largest |x_j - x_i| and
+// |y_j - y_i|) of the k nearest neighbours of point i, under L∞ and self
+// excluded, among the m points (x[j], y[j]): the set KnnSelector keeps when
+// offered every j != i in index order, so a distance tie keeps the earlier
+// index, and the extents BruteKnnExtents reports. No index is stored. The
+// twin runs KnnSelector's insertion with |Δx| and |Δy| in place of the
+// index. The AVX2 body answers four queries per pass over the candidates
+// and makes two passes: a sorted min/max network over distances alone
+// finds each query's k-th distance r, then a rescan takes every candidate
+// below r and, in index order, as many at r as fill k. Scratch is
+// thread_local, k slots. Requires k >= 1, m >= k + 1 and finite samples:
+// KsgMi's ClassifyInputs rules out NaN and ±inf before any kNN query, so
+// the kernels are specified (and tested) on finite inputs only. A
+// difference of finite samples may still overflow to +inf; that is a
+// distance like any other.
+void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
+                   double* dx, double* dy);
+void KnnExtentsAllScalar(const double* x, const double* y, size_t m, size_t k,
+                         double* dx, double* dy);
 
 // --- Bound searches over sorted arrays -------------------------------------
 //

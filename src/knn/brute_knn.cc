@@ -7,22 +7,8 @@
 
 namespace tycos {
 
-namespace {
-
 static_assert(sizeof(Point2) == 2 * sizeof(double),
               "Point2 must be two packed doubles");
-
-// Extents of the k nearest candidates (L∞) to `probe`, skipping `exclude`.
-KnnExtents ExtentsOfKnn(const std::vector<Point2>& points, const Point2& probe,
-                        int k, size_t exclude) {
-  TYCOS_CHECK_GE(k, 1);
-  KnnSelector selector(k);
-  BruteKnnSelect(points, probe, exclude, &selector);
-  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
-  return selector.Extents(points, probe);
-}
-
-}  // namespace
 
 void BruteKnnSelect(std::span<const Point2> points, const Point2& probe,
                     size_t exclude, KnnSelector* selector) {
@@ -38,15 +24,13 @@ void BruteKnnSelect(std::span<const Point2> points, const Point2& probe,
 
 KnnExtents BruteKnnExtents(const std::vector<Point2>& points, size_t query,
                            int k) {
+  TYCOS_CHECK_GE(k, 1);
   TYCOS_CHECK_LT(query, points.size());
   TYCOS_CHECK_GE(points.size(), static_cast<size_t>(k) + 1);
-  return ExtentsOfKnn(points, points[query], k, query);
-}
-
-KnnExtents BruteKnnExtentsAt(const std::vector<Point2>& points,
-                             const Point2& probe, int k) {
-  TYCOS_CHECK_GE(points.size(), static_cast<size_t>(k));
-  return ExtentsOfKnn(points, probe, k, points.size());
+  KnnSelector selector(k);
+  BruteKnnSelect(points, points[query], query, &selector);
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
+  return selector.Extents(points, points[query]);
 }
 
 }  // namespace tycos

@@ -1,6 +1,8 @@
 // Brute-force k-nearest-neighbour queries under the L∞ norm. O(m) per query;
 // the reference backend against which the k-d tree is property-tested, and
-// the workhorse for small windows where tree overhead does not pay off.
+// the incremental estimator's per-point search below its k-d tree size. The
+// batch estimator answers all queries of a small window in one
+// simd::KnnExtentsAll call instead (common/simd.h).
 
 #ifndef TYCOS_KNN_BRUTE_KNN_H_
 #define TYCOS_KNN_BRUTE_KNN_H_
@@ -14,13 +16,12 @@
 namespace tycos {
 
 // The query body every brute-force query wraps: offers each points[j],
-// j != exclude (pass points.size() to exclude nothing), to `selector` in
-// index order. One vectorized distance row per query, then one
-// `d < worst` compare per candidate: the row is scanned in index order, so
-// KnnSelector::OfferAscending keeps the (distance, index) tie-break with no
-// pair compare. The row lives in thread_local scratch, bounded by the
-// largest set a thread has queried. `selector` must not have been offered
-// anything yet.
+// j != exclude, to `selector` in index order. One vectorized distance row
+// per query, then one `d < worst` compare per candidate: the row is
+// scanned in index order, so KnnSelector::OfferAscending keeps the
+// (distance, index) tie-break with no pair compare. The row lives in
+// thread_local scratch, bounded by the largest set a thread has queried.
+// `selector` must not have been offered anything yet.
 void BruteKnnSelect(std::span<const Point2> points, const Point2& probe,
                     size_t exclude, KnnSelector* selector);
 
@@ -29,11 +30,6 @@ void BruteKnnSelect(std::span<const Point2> points, const Point2& probe,
 // points.size() >= k + 1.
 KnnExtents BruteKnnExtents(const std::vector<Point2>& points, size_t query,
                            int k);
-
-// Same, but for an arbitrary probe location not necessarily in `points`
-// (nothing is excluded). Requires points.size() >= k.
-KnnExtents BruteKnnExtentsAt(const std::vector<Point2>& points,
-                             const Point2& probe, int k);
 
 }  // namespace tycos
 

@@ -73,9 +73,11 @@ const std::vector<int32_t>& GridIndex::Cell(int64_t cx, int64_t cy) const {
   return cells_[static_cast<size_t>(cy * cells_x_ + cx)];
 }
 
-KnnExtents GridIndex::Query(const Point2& probe, int k,
-                            size_t exclude) const {
+KnnExtents GridIndex::QueryExtents(size_t query, int k) const {
   TYCOS_CHECK_GE(k, 1);
+  TYCOS_CHECK_LT(query, points_.size());
+  TYCOS_CHECK_GE(points_.size(), static_cast<size_t>(k) + 1);
+  const Point2& probe = points_[query];
   KnnSelector selector(k);
 
   // The ring walk stays scalar on purpose: cells hold ~4 points, and a
@@ -84,7 +86,7 @@ KnnExtents GridIndex::Query(const Point2& probe, int k,
   // dominates tiny candidate lists. See DESIGN.md "SIMD kernels" for the
   // measurement.
   auto push = [&](int32_t idx) {
-    if (static_cast<size_t>(idx) == exclude) return;
+    if (static_cast<size_t>(idx) == query) return;
     selector.Offer(ChebyshevDistance(points_[static_cast<size_t>(idx)], probe),
                    static_cast<size_t>(idx));
   };
@@ -126,17 +128,6 @@ KnnExtents GridIndex::Query(const Point2& probe, int k,
   ++obs_ring_counts_[std::min<size_t>(static_cast<size_t>(ring_expansions),
                                       kObsRingBuckets - 1)];
   return selector.Extents(points_, probe);
-}
-
-KnnExtents GridIndex::QueryExtents(size_t query, int k) const {
-  TYCOS_CHECK_LT(query, points_.size());
-  TYCOS_CHECK_GE(points_.size(), static_cast<size_t>(k) + 1);
-  return Query(points_[query], k, query);
-}
-
-KnnExtents GridIndex::QueryExtentsAt(const Point2& probe, int k) const {
-  TYCOS_CHECK_GE(points_.size(), static_cast<size_t>(k));
-  return Query(probe, k, points_.size());
 }
 
 }  // namespace tycos

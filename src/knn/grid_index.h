@@ -35,13 +35,7 @@ class GridIndex {
   // Requires size() >= k + 1.
   KnnExtents QueryExtents(size_t query, int k) const;
 
-  // Extents of the k nearest neighbours of an arbitrary probe (nothing
-  // excluded). Requires size() >= k.
-  KnnExtents QueryExtentsAt(const Point2& probe, int k) const;
-
  private:
-  KnnExtents Query(const Point2& probe, int k, size_t exclude) const;
-
   int64_t CellX(double x) const;
   int64_t CellY(double y) const;
   const std::vector<int32_t>& Cell(int64_t cx, int64_t cy) const;
@@ -56,8 +50,8 @@ class GridIndex {
 
   // Query-shape tallies, flushed to the obs registry by the destructor.
   // rings >= kObsRingBuckets - 1 land in the last (overflow) slot. Mutable
-  // because Query() is logically const; see the destructor comment for the
-  // single-thread invariant that makes plain ints safe.
+  // because QueryExtents() is logically const; see the destructor comment
+  // for the single-thread invariant that makes plain ints safe.
   static constexpr size_t kObsRingBuckets = 10;
   mutable int64_t obs_ring_expansions_ = 0;
   mutable std::array<int64_t, kObsRingBuckets> obs_ring_counts_{};

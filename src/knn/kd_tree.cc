@@ -72,23 +72,14 @@ void KdTree::Select(const Point2& probe, size_t exclude,
   }
 }
 
-KnnExtents KdTree::Query(const Point2& probe, int k, size_t exclude) const {
-  TYCOS_CHECK_GE(k, 1);
-  KnnSelector selector(k);
-  Select(probe, exclude, &selector);
-  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
-  return selector.Extents(points_, probe);
-}
-
 KnnExtents KdTree::QueryExtents(size_t query, int k) const {
+  TYCOS_CHECK_GE(k, 1);
   TYCOS_CHECK_LT(query, points_.size());
   TYCOS_CHECK_GE(points_.size(), static_cast<size_t>(k) + 1);
-  return Query(points_[query], k, query);
-}
-
-KnnExtents KdTree::QueryExtentsAt(const Point2& probe, int k) const {
-  TYCOS_CHECK_GE(points_.size(), static_cast<size_t>(k));
-  return Query(probe, k, points_.size());
+  KnnSelector selector(k);
+  Select(points_[query], query, &selector);
+  TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
+  return selector.Extents(points_, points_[query]);
 }
 
 }  // namespace tycos

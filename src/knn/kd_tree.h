@@ -22,9 +22,9 @@ class KdTree {
 
   size_t size() const { return points_.size(); }
 
-  // The query body the extents queries wrap: offers `selector` every
-  // point except points[exclude] (pass size() to exclude nothing) that
-  // could still be among its k nearest to `probe`. `selector` must not
+  // The query body QueryExtents wraps, and the incremental estimator's
+  // rebuild calls: offers `selector` every point except points[exclude]
+  // that could still be among its k nearest to `probe`. `selector` must not
   // have been offered anything yet; its indices refer to positions in the
   // constructor's `points`.
   void Select(const Point2& probe, size_t exclude,
@@ -33,10 +33,6 @@ class KdTree {
   // Extents of the k nearest neighbours of points[query] (self excluded).
   // Requires size() >= k + 1.
   KnnExtents QueryExtents(size_t query, int k) const;
-
-  // Extents of the k nearest neighbours of an arbitrary probe (nothing
-  // excluded). Requires size() >= k.
-  KnnExtents QueryExtentsAt(const Point2& probe, int k) const;
 
  private:
   struct Node {
@@ -47,7 +43,6 @@ class KdTree {
   };
 
   int32_t Build(std::vector<int32_t>& ids, size_t lo, size_t hi, int depth);
-  KnnExtents Query(const Point2& probe, int k, size_t exclude) const;
 
   std::vector<Point2> points_;
   std::vector<Node> nodes_;

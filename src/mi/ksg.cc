@@ -6,7 +6,6 @@
 
 #include "common/math.h"
 #include "common/simd.h"
-#include "knn/brute_knn.h"
 #include "knn/grid_index.h"
 #include "knn/kd_tree.h"
 #include "mi/entropy.h"
@@ -106,16 +105,12 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   // Per-thread scratch: each buffer is resized, never shrunk, so a thread
   // in steady state allocates nothing; memory is bounded by the largest
   // window the thread has scored.
-  thread_local std::vector<double> sorted_x, sorted_y;
+  thread_local std::vector<double> sorted_x, sorted_y, extent_x, extent_y;
   thread_local std::vector<Point2> points;
   thread_local std::vector<int64_t> nxs, nys;
   thread_local DigammaTable psi;
 
-  points.resize(static_cast<size_t>(m));
-  for (int64_t i = 0; i < m; ++i) {
-    points[static_cast<size_t>(i)] = {xs[static_cast<size_t>(i)],
-                                      ys[static_cast<size_t>(i)]};
-  }
+  const size_t n = static_cast<size_t>(m);
   sorted_x.assign(xs.begin(), xs.end());
   sorted_y.assign(ys.begin(), ys.end());
   std::sort(sorted_x.begin(), sorted_x.end());
@@ -130,40 +125,40 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   // into one table walk afterwards (DigammaTable::SumPairs, which also
   // clamps each count to >= 1) — same addition order and grouping as the
   // old per-query accumulation, bit-identical.
-  nxs.resize(static_cast<size_t>(m));
-  nys.resize(static_cast<size_t>(m));
-  auto accumulate = [&](int64_t i, const KnnExtents& e) {
-    nxs[static_cast<size_t>(i)] =
-        CountClosed(sorted_x, xs[static_cast<size_t>(i)], e.dx);
-    nys[static_cast<size_t>(i)] =
-        CountClosed(sorted_y, ys[static_cast<size_t>(i)], e.dy);
+  nxs.resize(n);
+  nys.resize(n);
+  auto accumulate = [&](size_t i, const KnnExtents& e) {
+    nxs[i] = CountClosed(sorted_x, xs[i], e.dx);
+    nys[i] = CountClosed(sorted_y, ys[i], e.dy);
   };
   // Each backend answers m queries; the counter is bumped once per call
   // (outside the query loop) so the per-point kernel stays registry-free.
-  if (backend == KnnBackend::kKdTree) {
-    KdTree tree(points);
-    for (int64_t i = 0; i < m; ++i) {
-      accumulate(i, tree.QueryExtents(static_cast<size_t>(i), k));
-    }
-    static obs::Counter* queries = obs::GetCounter("knn.kd_tree.queries");
-    queries->Add(m);
-  } else if (backend == KnnBackend::kGrid) {
-    GridIndex grid(points);
-    for (int64_t i = 0; i < m; ++i) {
-      accumulate(i, grid.QueryExtents(static_cast<size_t>(i), k));
-    }
-    static obs::Counter* queries = obs::GetCounter("knn.grid.queries");
-    queries->Add(m);
-  } else {
-    for (int64_t i = 0; i < m; ++i) {
-      accumulate(i, BruteKnnExtents(points, static_cast<size_t>(i), k));
-    }
+  if (backend == KnnBackend::kBrute) {
+    // One kernel call answers every query of the window.
+    extent_x.resize(n);
+    extent_y.resize(n);
+    simd::KnnExtentsAll(xs.data(), ys.data(), n, static_cast<size_t>(k),
+                        extent_x.data(), extent_y.data());
+    for (size_t i = 0; i < n; ++i) accumulate(i, {extent_x[i], extent_y[i]});
     static obs::Counter* queries = obs::GetCounter("knn.brute.queries");
     queries->Add(m);
+  } else {
+    points.resize(n);
+    for (size_t i = 0; i < n; ++i) points[i] = {xs[i], ys[i]};
+    if (backend == KnnBackend::kKdTree) {
+      KdTree tree(points);
+      for (size_t i = 0; i < n; ++i) accumulate(i, tree.QueryExtents(i, k));
+      static obs::Counter* queries = obs::GetCounter("knn.kd_tree.queries");
+      queries->Add(m);
+    } else {
+      GridIndex grid(points);
+      for (size_t i = 0; i < n; ++i) accumulate(i, grid.QueryExtents(i, k));
+      static obs::Counter* queries = obs::GetCounter("knn.grid.queries");
+      queries->Add(m);
+    }
   }
 
-  const double marginal_sum =
-      psi.SumPairs(nxs.data(), nys.data(), static_cast<size_t>(m));
+  const double marginal_sum = psi.SumPairs(nxs.data(), nys.data(), n);
   return psi(static_cast<size_t>(k)) - 1.0 / k -
          marginal_sum / static_cast<double>(m) + psi(static_cast<size_t>(m));
 }

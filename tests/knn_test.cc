@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "knn/brute_knn.h"
 #include "knn/grid_index.h"
 #include "knn/kd_tree.h"
@@ -44,13 +45,6 @@ TEST(BruteKnnTest, SimpleLine) {
   const KnnExtents e = BruteKnnExtents(pts, 0, 2);
   EXPECT_DOUBLE_EQ(e.dx, 2.0);
   EXPECT_DOUBLE_EQ(e.dy, 0.0);
-}
-
-TEST(BruteKnnTest, ProbeNotInSet) {
-  std::vector<Point2> pts = {{0, 0}, {10, 0}, {0, 10}};
-  const KnnExtents e = BruteKnnExtentsAt(pts, {1, 1}, 1);
-  EXPECT_DOUBLE_EQ(e.dx, 1.0);
-  EXPECT_DOUBLE_EQ(e.dy, 1.0);
 }
 
 struct KnnCase {
@@ -99,23 +93,6 @@ TEST(KdTreeAgreementTest, DuplicateCoordinates) {
     const KnnExtents kd = tree.QueryExtents(i, 3);
     ASSERT_DOUBLE_EQ(kd.dx, brute.dx) << "point " << i;
     ASSERT_DOUBLE_EQ(kd.dy, brute.dy) << "point " << i;
-  }
-}
-
-TEST(KdTreeTest, ProbeQueryMatchesBrute) {
-  Rng rng(5);
-  std::vector<Point2> pts(128);
-  for (auto& p : pts) {
-    p.x = rng.Uniform(-5, 5);
-    p.y = rng.Uniform(-5, 5);
-  }
-  KdTree tree(pts);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point2 probe{rng.Uniform(-6, 6), rng.Uniform(-6, 6)};
-    const KnnExtents brute = BruteKnnExtentsAt(pts, probe, 5);
-    const KnnExtents kd = tree.QueryExtentsAt(probe, 5);
-    ASSERT_DOUBLE_EQ(kd.dx, brute.dx);
-    ASSERT_DOUBLE_EQ(kd.dy, brute.dy);
   }
 }
 
@@ -173,23 +150,6 @@ TEST(GridIndexTest, SkewedAspectRatio) {
   for (size_t i = 0; i < pts.size(); ++i) {
     const KnnExtents brute = BruteKnnExtents(pts, i, 4);
     const KnnExtents g = grid.QueryExtents(i, 4);
-    ASSERT_DOUBLE_EQ(g.dx, brute.dx);
-    ASSERT_DOUBLE_EQ(g.dy, brute.dy);
-  }
-}
-
-TEST(GridIndexTest, ProbeQueryMatchesBrute) {
-  Rng rng(105);
-  std::vector<Point2> pts(128);
-  for (auto& p : pts) {
-    p.x = rng.Uniform(-5, 5);
-    p.y = rng.Uniform(-5, 5);
-  }
-  GridIndex grid(pts);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point2 probe{rng.Uniform(-6, 6), rng.Uniform(-6, 6)};
-    const KnnExtents brute = BruteKnnExtentsAt(pts, probe, 5);
-    const KnnExtents g = grid.QueryExtentsAt(probe, 5);
     ASSERT_DOUBLE_EQ(g.dx, brute.dx);
     ASSERT_DOUBLE_EQ(g.dy, brute.dy);
   }
@@ -352,26 +312,21 @@ TEST_P(KnnReferenceTest, BackendsMatchSortedOracle) {
       MakeCloud(cloud, n, 7 * n + static_cast<uint64_t>(k));
   KdTree tree(pts);
   GridIndex grid(pts);
+  std::vector<double> xs, ys;
+  for (const Point2& p : pts) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
+  std::vector<double> batch_dx(n), batch_dy(n);
+  simd::KnnExtentsAll(xs.data(), ys.data(), n, static_cast<size_t>(k),
+                      batch_dx.data(), batch_dy.data());
   for (size_t i = 0; i < n; ++i) {
     const KnnExtents want = OracleExtents(pts, pts[i], k, i);
     const std::string at = "query " + std::to_string(i);
     ExpectSameExtents(BruteKnnExtents(pts, i, k), want, "brute " + at);
     ExpectSameExtents(tree.QueryExtents(i, k), want, "kd " + at);
     ExpectSameExtents(grid.QueryExtents(i, k), want, "grid " + at);
-  }
-  // Probes not in the set: on-lattice points (ties again), half-steps and
-  // points outside the cloud's hull.
-  Rng rng(n + 11);
-  for (int t = 0; t < 24; ++t) {
-    const double scale = t % 3 == 2 ? 9.0 : 3.0;
-    Point2 probe{rng.Uniform(-scale, scale), rng.Uniform(-scale, scale)};
-    if (t % 3 == 0) probe = {std::round(probe.x), std::round(probe.y)};
-    if (t % 3 == 1) probe = {std::round(probe.x) + 0.5, std::round(probe.y)};
-    const KnnExtents want = OracleExtents(pts, probe, k, n);
-    const std::string at = "probe " + std::to_string(t);
-    ExpectSameExtents(BruteKnnExtentsAt(pts, probe, k), want, "brute " + at);
-    ExpectSameExtents(tree.QueryExtentsAt(probe, k), want, "kd " + at);
-    ExpectSameExtents(grid.QueryExtentsAt(probe, k), want, "grid " + at);
+    ExpectSameExtents({batch_dx[i], batch_dy[i]}, want, "batch " + at);
   }
 }
 
@@ -431,6 +386,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Cloud::kLattice, Cloud::kGaussian),
                        ::testing::Values(1, 3, 4, 8),
                        ::testing::Values(0, 16, 96, 300)),
+    ReferenceCaseName);
+
+// k = 16 fills KnnSelector's inline buffer and k = 20 overflows it; both
+// need more than 16 points, so they skip the n = 16 case.
+INSTANTIATE_TEST_SUITE_P(
+    LargeKs, KnnReferenceTest,
+    ::testing::Combine(::testing::Values(Cloud::kLattice, Cloud::kGaussian),
+                       ::testing::Values(16, 20),
+                       ::testing::Values(0, 96, 300)),
     ReferenceCaseName);
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 // Differential tests for the SIMD kernels (common/simd.h): each kernel is
 // run against its *Scalar twin on random, denormal-laden, and
-// NaN/±inf-laden inputs at sizes that cross every vector-width tail. In a
+// NaN/±inf-laden inputs at sizes that cross every vector-width tail (the
+// kNN extents kernel on finite inputs only, its documented domain). In a
 // scalar build the kernel IS the twin and the tests pin the twin alone.
 // Element-wise kernels must agree bit-for-bit (including NaN payloads); the
 // min/max reduction is value-exact with the documented zero-sign caveat.
@@ -161,6 +162,71 @@ TEST(SimdTest, MinMaxFiniteMatchesScalar) {
             << got.min << " vs " << want.min;
         EXPECT_TRUE(SameValue(got.max, want.max))
             << got.max << " vs " << want.max;
+      }
+    }
+  }
+}
+
+// Finite samples only: ClassifyInputs rules out NaN and ±inf before any kNN
+// query. The lattice draws integers 0-4, so most queries tie at their k-th
+// distance and the tie-break decides the extents; the huge mix puts values
+// of DBL_MAX scale beside small ones, so distances overflow to +inf and
+// tie there too.
+enum class KnnMix { kUniform, kDenormal, kLattice, kHuge };
+
+std::vector<double> MakeKnnSamples(size_t m, KnnMix mix, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<double> v(m);
+  for (double& x : v) {
+    switch (mix) {
+      case KnnMix::kUniform:
+        x = Draw(rng, Mix::kUniform);
+        break;
+      case KnnMix::kDenormal:
+        x = Draw(rng, Mix::kDenormal);
+        break;
+      case KnnMix::kLattice:
+        x = static_cast<double>(rng() % 5);
+        break;
+      case KnnMix::kHuge:
+        x = rng() % 3 == 0 ? (rng() % 2 ? DBL_MAX : -DBL_MAX) * 0.75
+                           : Draw(rng, Mix::kUniform);
+        break;
+    }
+  }
+  return v;
+}
+
+TEST(SimdTest, KnnExtentsAllMatchesScalar) {
+  std::vector<size_t> ks;
+  for (size_t k = 1; k <= 16; ++k) ks.push_back(k);
+  ks.push_back(20);  // above KnnSelector's inline capacity
+  for (KnnMix mix :
+       {KnnMix::kUniform, KnnMix::kDenormal, KnnMix::kLattice, KnnMix::kHuge}) {
+    for (size_t k : ks) {
+      // Every 4-lane tail at the smallest legal sizes, then around 64 and up
+      // to 256, the largest window the batch estimator sends to brute force.
+      std::vector<size_t> sizes;
+      for (size_t m = k + 1; m <= k + 8; ++m) sizes.push_back(m);
+      for (size_t m : {61, 62, 63, 64, 253, 254, 255, 256}) {
+        if (m > k + 8) sizes.push_back(m);
+      }
+      for (size_t m : sizes) {
+        SCOPED_TRACE(testing::Message() << "mix=" << static_cast<int>(mix)
+                                        << " k=" << k << " m=" << m);
+        const uint64_t seed = 1000 * m + 10 * k + static_cast<uint64_t>(mix);
+        const std::vector<double> x = MakeKnnSamples(m, mix, seed);
+        const std::vector<double> y = MakeKnnSamples(m, mix, seed + 7);
+        std::vector<double> got_dx(m, -1.0), got_dy(m, -1.0);
+        std::vector<double> want_dx(m, -2.0), want_dy(m, -2.0);
+        simd::KnnExtentsAll(x.data(), y.data(), m, k, got_dx.data(),
+                            got_dy.data());
+        simd::KnnExtentsAllScalar(x.data(), y.data(), m, k, want_dx.data(),
+                                  want_dy.data());
+        for (size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(Bits(got_dx[i]), Bits(want_dx[i])) << "dx, query " << i;
+          ASSERT_EQ(Bits(got_dy[i]), Bits(want_dy[i])) << "dy, query " << i;
+        }
       }
     }
   }
