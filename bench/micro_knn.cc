@@ -1,9 +1,10 @@
-// Micro-benchmark: kNN backends (brute scan vs k-d tree) and the Fenwick
-// rank index — the data-structure ablation of Section 5.1's complexity
-// discussion — plus the BM_Kernel* rows: simd::ChebyshevToProbe and
-// simd::KnnExtentsAll against their scalar twins on the same buffers,
-// isolating the SIMD win from the data-structure logic around it (source
-// of BENCH_kernels.json).
+// Micro-benchmark: kNN backends (brute scan vs k-d tree vs grid) and the
+// Fenwick rank index — the data-structure ablation of Section 5.1's
+// complexity discussion; BM_BruteAllPoints is the per-point search every
+// incremental rebuild runs — plus the BM_Kernel* rows:
+// simd::ChebyshevToProbe and simd::KnnExtentsAll against their scalar twins
+// on the same buffers, isolating the SIMD win from the data-structure logic
+// around it (source of BENCH_kernels.json).
 
 #include <benchmark/benchmark.h>
 
@@ -43,6 +44,8 @@ BENCHMARK(BM_BruteAllPoints)
     ->Arg(64)
     ->Arg(96)
     ->Arg(256)
+    ->Arg(384)
+    ->Arg(512)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
@@ -58,6 +61,8 @@ void BM_KdTreeBuildAndQueryAll(benchmark::State& state) {
 BENCHMARK(BM_KdTreeBuildAndQueryAll)
     ->Arg(64)
     ->Arg(256)
+    ->Arg(384)
+    ->Arg(512)
     ->Arg(1024)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);

@@ -1,7 +1,9 @@
 // Micro-benchmark: KSG MI estimation cost per window size and backend, plus
 // the alternative estimators — the ablation behind choosing KSG (Section
-// 3.1) and the auto backend switch (brute force vs the k-d tree at 256, 384
-// and 512 samples, around kAuto's switch at m > 256).
+// 3.1) and behind searching with brute force alone: one whole KsgMi call
+// through each backend from 16 to 4096 samples, so the rows show where the
+// k-d tree and the grid overtake brute force (BENCH_kernels.json,
+// knn_backends).
 
 #include <benchmark/benchmark.h>
 
@@ -45,6 +47,7 @@ BENCHMARK(BM_KsgBrute)
     ->Arg(384)
     ->Arg(512)
     ->Arg(1024)
+    ->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_KsgKdTree(benchmark::State& state) {
@@ -62,6 +65,26 @@ BENCHMARK(BM_KsgKdTree)
     ->Arg(384)
     ->Arg(512)
     ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_KsgGrid(benchmark::State& state) {
+  std::vector<double> xs, ys;
+  MakeData(state.range(0), &xs, &ys);
+  KsgOptions o;
+  o.backend = KnnBackend::kGrid;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KsgMi(xs, ys, o));
+  }
+}
+BENCHMARK(BM_KsgGrid)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(384)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(2048)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 

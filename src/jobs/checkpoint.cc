@@ -360,9 +360,10 @@ uint64_t HashSearchConfig(const TycosParams& p, TycosVariant variant,
   buf.PutU32(static_cast<uint32_t>(p.num_restarts));
   buf.PutU8(p.cache_evaluations ? 1 : 0);
   buf.PutU32(static_cast<uint32_t>(p.k));
-  // The slot of the removed TycosParams::backend, which was always kAuto
-  // (0): kept so checkpoints and survivor lists written before its removal
-  // still resume.
+  // The slot of the removed TycosParams::backend, written as 0, the code of
+  // the automatic kNN backend choice it always held (that choice is gone
+  // too: searches run brute force): kept so checkpoints and survivor lists
+  // written before its removal still resume.
   buf.PutU8(0);
   buf.PutDouble(p.tie_jitter);
   // The slot of the removed TycosParams::theiler_window, pinned at its

@@ -1,8 +1,8 @@
 // Brute-force k-nearest-neighbour queries under the L∞ norm. O(m) per query;
 // the reference backend against which the k-d tree is property-tested, and
-// the incremental estimator's per-point search below its k-d tree size. The
-// batch estimator answers all queries of a small window in one
-// simd::KnnExtentsAll call instead (common/simd.h).
+// the incremental estimator's one per-point search (every rebuild and every
+// re-search after a removal). The batch estimator answers all queries of a
+// window in one simd::KnnExtentsAll call instead (common/simd.h).
 
 #ifndef TYCOS_KNN_BRUTE_KNN_H_
 #define TYCOS_KNN_BRUTE_KNN_H_

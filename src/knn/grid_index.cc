@@ -2,27 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace tycos {
 
-GridIndex::~GridIndex() {
-  if (obs_ring_expansions_ == 0 && obs_ring_counts_[0] == 0) return;
-  static obs::Counter* expansions =
-      obs::GetCounter("knn.grid.ring_expansions");
-  static obs::Histogram* rings = obs::GetHistogram(
-      "knn.grid.rings_per_query", {0, 1, 2, 3, 4, 5, 6, 7, 8});
-  expansions->Add(obs_ring_expansions_);
-  for (size_t r = 0; r < kObsRingBuckets; ++r) {
-    if (obs_ring_counts_[r] > 0) {
-      rings->ObserveCount(static_cast<double>(r), obs_ring_counts_[r]);
-    }
-  }
+namespace {
+
+// Cell coordinate floor(offset / cell_size), clamped to [0, last] in floating
+// point before the cast, so an overflowed or NaN quotient never reaches the
+// integer conversion.
+int64_t ClampedCell(double offset, double cell_size, int64_t last) {
+  const double c = offset / cell_size;
+  if (!(c > 0.0)) return 0;  // also NaN
+  if (c >= static_cast<double>(last)) return last;
+  return static_cast<int64_t>(c);
 }
+
+}  // namespace
 
 GridIndex::GridIndex(std::vector<Point2> points) : points_(std::move(points)) {
   if (points_.empty()) {
@@ -40,16 +38,19 @@ GridIndex::GridIndex(std::vector<Point2> points) : points_(std::move(points)) {
   min_x_ = min_x;
   min_y_ = min_y;
 
-  // Square cells sized for ~4 points per cell over the larger extent.
+  // Square cells sized for ~4 points per cell over the larger extent. A
+  // span that is 0, or that overflows to inf, leaves one cell (and a cell
+  // size whose ring bounds stay finite).
   const double span = std::max(max_x - min_x, max_y - min_y);
   const int64_t target_cells = std::max<int64_t>(
       1, static_cast<int64_t>(
              std::ceil(std::sqrt(static_cast<double>(points_.size()) / 4.0))));
-  cell_size_ = span > 0.0 ? span / static_cast<double>(target_cells) : 1.0;
-  cells_x_ = std::max<int64_t>(
-      1, static_cast<int64_t>((max_x - min_x) / cell_size_) + 1);
-  cells_y_ = std::max<int64_t>(
-      1, static_cast<int64_t>((max_y - min_y) / cell_size_) + 1);
+  const double cell_size = span / static_cast<double>(target_cells);
+  if (cell_size > 0.0 && std::isfinite(cell_size)) {
+    cell_size_ = cell_size;
+    cells_x_ = ClampedCell(max_x - min_x, cell_size_, target_cells) + 1;
+    cells_y_ = ClampedCell(max_y - min_y, cell_size_, target_cells) + 1;
+  }
   cells_.resize(static_cast<size_t>(cells_x_ * cells_y_));
   for (size_t i = 0; i < points_.size(); ++i) {
     const int64_t cx = CellX(points_[i].x);
@@ -60,13 +61,11 @@ GridIndex::GridIndex(std::vector<Point2> points) : points_(std::move(points)) {
 }
 
 int64_t GridIndex::CellX(double x) const {
-  const int64_t c = static_cast<int64_t>((x - min_x_) / cell_size_);
-  return std::clamp<int64_t>(c, 0, cells_x_ - 1);
+  return ClampedCell(x - min_x_, cell_size_, cells_x_ - 1);
 }
 
 int64_t GridIndex::CellY(double y) const {
-  const int64_t c = static_cast<int64_t>((y - min_y_) / cell_size_);
-  return std::clamp<int64_t>(c, 0, cells_y_ - 1);
+  return ClampedCell(y - min_y_, cell_size_, cells_y_ - 1);
 }
 
 const std::vector<int32_t>& GridIndex::Cell(int64_t cx, int64_t cy) const {
@@ -94,7 +93,6 @@ KnnExtents GridIndex::QueryExtents(size_t query, int k) const {
   const int64_t pcx = CellX(probe.x);
   const int64_t pcy = CellY(probe.y);
   const int64_t max_ring = std::max(cells_x_, cells_y_);
-  int64_t rings_scanned = 0;
   for (int64_t ring = 0; ring <= max_ring; ++ring) {
     // All cells whose Chebyshev cell-distance from the probe's cell is
     // exactly `ring`; every point in farther rings is at L∞ distance
@@ -107,7 +105,6 @@ KnnExtents GridIndex::QueryExtents(size_t query, int k) const {
           static_cast<double>(ring - 1) * cell_size_;
       if (ring_lower > selector.worst()) break;
     }
-    ++rings_scanned;
     const int64_t x_lo = pcx - ring, x_hi = pcx + ring;
     const int64_t y_lo = pcy - ring, y_hi = pcy + ring;
     for (int64_t cy = std::max<int64_t>(y_lo, 0);
@@ -121,12 +118,6 @@ KnnExtents GridIndex::QueryExtents(size_t query, int k) const {
     }
   }
   TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
-  // Expansions = rings beyond the probe's own cell. Plain-int tallies here
-  // (flushed by the destructor) keep the query loop registry-free.
-  const int64_t ring_expansions = rings_scanned > 0 ? rings_scanned - 1 : 0;
-  obs_ring_expansions_ += ring_expansions;
-  ++obs_ring_counts_[std::min<size_t>(static_cast<size_t>(ring_expansions),
-                                      kObsRingBuckets - 1)];
   return selector.Extents(points_, probe);
 }
 

@@ -41,8 +41,12 @@ int32_t KdTree::Build(std::vector<int32_t>& ids, size_t lo, size_t hi,
   return id;
 }
 
-void KdTree::Select(const Point2& probe, size_t exclude,
-                    KnnSelector* selector) const {
+KnnExtents KdTree::QueryExtents(size_t query, int k) const {
+  TYCOS_CHECK_GE(k, 1);
+  TYCOS_CHECK_LT(query, points_.size());
+  TYCOS_CHECK_GE(points_.size(), static_cast<size_t>(k) + 1);
+  const Point2& probe = points_[query];
+  KnnSelector selector(k);
   // Iterative depth-first traversal with pruning on the splitting plane.
   // The node stack is thread_local scratch, so a query allocates nothing.
   thread_local std::vector<int32_t> stack;
@@ -54,9 +58,9 @@ void KdTree::Select(const Point2& probe, size_t exclude,
     if (id < 0) continue;
     const Node& node = nodes_[static_cast<size_t>(id)];
     const Point2& p = points_[static_cast<size_t>(node.point)];
-    if (static_cast<size_t>(node.point) != exclude) {
-      selector->Offer(ChebyshevDistance(p, probe),
-                      static_cast<size_t>(node.point));
+    if (static_cast<size_t>(node.point) != query) {
+      selector.Offer(ChebyshevDistance(p, probe),
+                     static_cast<size_t>(node.point));
     }
     const double diff =
         node.axis ? (probe.y - p.y) : (probe.x - p.x);
@@ -65,21 +69,13 @@ void KdTree::Select(const Point2& probe, size_t exclude,
     // The far subtree can only contain closer points when the plane distance
     // beats the current kth distance (L∞: plane distance lower-bounds it).
     if (far >= 0 &&
-        (!selector->full() || std::fabs(diff) <= selector->worst())) {
+        (!selector.full() || std::fabs(diff) <= selector.worst())) {
       stack.push_back(far);
     }
     if (near >= 0) stack.push_back(near);
   }
-}
-
-KnnExtents KdTree::QueryExtents(size_t query, int k) const {
-  TYCOS_CHECK_GE(k, 1);
-  TYCOS_CHECK_LT(query, points_.size());
-  TYCOS_CHECK_GE(points_.size(), static_cast<size_t>(k) + 1);
-  KnnSelector selector(k);
-  Select(points_[query], query, &selector);
   TYCOS_CHECK_EQ(selector.size(), static_cast<size_t>(k));
-  return selector.Extents(points_, points_[query]);
+  return selector.Extents(points_, probe);
 }
 
 }  // namespace tycos

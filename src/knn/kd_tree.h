@@ -1,7 +1,10 @@
 // 2-D k-d tree with L∞ k-nearest-neighbour queries. Expected O(log m) per
 // query (paper Section 5.1 cites [5, 12] for the O(m log m) all-points
 // bound). Results match the brute-force backend exactly, including the
-// deterministic (distance, index) tie-break.
+// deterministic (distance, index) tie-break. No search builds a tree: only
+// an explicit KnnBackend::kKdTree reaches it (the benchmark replay, the
+// micro benches and the agreement tests), because brute force is as fast
+// up to about 1,000 samples (DESIGN.md, substitution 5).
 
 #ifndef TYCOS_KNN_KD_TREE_H_
 #define TYCOS_KNN_KD_TREE_H_
@@ -21,14 +24,6 @@ class KdTree {
   explicit KdTree(std::vector<Point2> points);
 
   size_t size() const { return points_.size(); }
-
-  // The query body QueryExtents wraps, and the incremental estimator's
-  // rebuild calls: offers `selector` every point except points[exclude]
-  // that could still be among its k nearest to `probe`. `selector` must not
-  // have been offered anything yet; its indices refer to positions in the
-  // constructor's `points`.
-  void Select(const Point2& probe, size_t exclude,
-              KnnSelector* selector) const;
 
   // Extents of the k nearest neighbours of points[query] (self excluded).
   // Requires size() >= k + 1.

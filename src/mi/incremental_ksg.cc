@@ -7,7 +7,6 @@
 
 #include "common/simd.h"
 #include "knn/brute_knn.h"
-#include "knn/kd_tree.h"
 #include "obs/metrics.h"
 
 namespace tycos {
@@ -199,25 +198,16 @@ void IncrementalKsg::Rebuild(const Window& w) {
   }
   const std::span<const Point2> window(pts_.data() + first,
                                        static_cast<size_t>(m));
-
-  const bool use_tree = m > 256;
-  const KdTree tree(use_tree ? std::vector<Point2>(window.begin(), window.end())
-                             : std::vector<Point2>{});
   for (size_t i = 0; i < window.size(); ++i) {
     KnnSelector selector(k_);
-    if (use_tree) {
-      tree.Select(window[i], i, &selector);
-    } else {
-      BruteKnnSelect(window, window[i], i, &selector);
-    }
+    BruteKnnSelect(window, window[i], i, &selector);
     StoreNeighbours(first + i, selector, start_);
   }
   ++stats_.full_rebuilds;
-  // One registry write per rebuild (not per query): the backend answered m
-  // kNN queries while rebuilding the window state.
-  static obs::Counter* kd_queries = obs::GetCounter("knn.kd_tree.queries");
-  static obs::Counter* brute_queries = obs::GetCounter("knn.brute.queries");
-  (use_tree ? kd_queries : brute_queries)->Add(m);
+  // One registry write per rebuild (not per query): m brute-force kNN
+  // queries rebuilt the window state.
+  static obs::Counter* queries = obs::GetCounter("knn.brute.queries");
+  queries->Add(m);
 }
 
 void IncrementalKsg::AddPoint(bool at_front) {

@@ -110,7 +110,8 @@ class IncrementalKsg {
   // the current window's state moves to its new slots.
   void Place(int64_t lo, int64_t hi, bool keep_live);
 
-  // Full O(m log m) recompute of all state for window w.
+  // Full recompute of all state for window w: one brute-force kNN search
+  // per point (BruteKnnSelect, as RemovePoint's re-searches), O(m^2).
   void Rebuild(const Window& w);
 
   // Incremental edge edits (same delay as current window): add the sample

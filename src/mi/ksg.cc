@@ -116,11 +116,6 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   std::sort(sorted_x.begin(), sorted_x.end());
   std::sort(sorted_y.begin(), sorted_y.end());
 
-  KnnBackend backend = options.backend;
-  if (backend == KnnBackend::kAuto) {
-    backend = m <= 256 ? KnnBackend::kBrute : KnnBackend::kKdTree;
-  }
-
   // Marginal counts are collected per query and the digamma sum is batched
   // into one table walk afterwards (DigammaTable::SumPairs, which also
   // clamps each count to >= 1) — same addition order and grouping as the
@@ -133,7 +128,7 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   };
   // Each backend answers m queries; the counter is bumped once per call
   // (outside the query loop) so the per-point kernel stays registry-free.
-  if (backend == KnnBackend::kBrute) {
+  if (options.backend == KnnBackend::kBrute) {
     // One kernel call answers every query of the window.
     extent_x.resize(n);
     extent_y.resize(n);
@@ -145,7 +140,7 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   } else {
     points.resize(n);
     for (size_t i = 0; i < n; ++i) points[i] = {xs[i], ys[i]};
-    if (backend == KnnBackend::kKdTree) {
+    if (options.backend == KnnBackend::kKdTree) {
       KdTree tree(points);
       for (size_t i = 0; i < n; ++i) accumulate(i, tree.QueryExtents(i, k));
       static obs::Counter* queries = obs::GetCounter("knn.kd_tree.queries");

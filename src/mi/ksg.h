@@ -19,9 +19,11 @@
 
 namespace tycos {
 
+// How KsgMi answers a window's m kNN queries. Every backend returns the
+// same extents bit for bit. Searches run kBrute; the two index structures
+// serve the benchmark replay, the micro benches and the agreement tests.
 enum class KnnBackend {
-  kAuto,      // brute for small m, k-d tree for large m
-  kBrute,     // O(m) scans
+  kBrute,     // one simd::KnnExtentsAll call, O(m) per query
   kKdTree,    // balanced 2-D tree, expected O(log m) queries
   kGrid,      // uniform grid with L∞ ring expansion (paper's [30])
 };
@@ -40,7 +42,7 @@ struct KsgOptions {
   // small values, 2–6).
   int k = 4;
 
-  KnnBackend backend = KnnBackend::kAuto;
+  KnnBackend backend = KnnBackend::kBrute;
 
   // Optional out-counters, bumped when a degenerate input is scored 0.
   KsgDiagnostics* diagnostics = nullptr;

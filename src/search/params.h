@@ -82,8 +82,9 @@ struct TycosParams {
 
   // --- Estimator ---
 
-  // KSG nearest-neighbour count. The kNN backend is always picked per
-  // window (KnnBackend::kAuto); every backend returns identical extents.
+  // KSG nearest-neighbour count. Every window's kNN queries run brute
+  // force (KsgMi's KnnBackend::kBrute and the incremental estimator's
+  // per-point search); every backend returns identical extents.
   int k = 4;
 
   // Jitter applied once to the series copies before searching (tie breaking

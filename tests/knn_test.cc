@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -276,17 +277,27 @@ KnnExtents OracleExtents(const std::vector<Point2>& pts, const Point2& probe,
   return e;
 }
 
-enum class Cloud { kLattice, kGaussian };
+enum class Cloud { kLattice, kGaussian, kHuge };
 
 // Lattice points sit on a 5x5 integer grid, so nearly every query has
 // distance ties at its k-th neighbour and the tie-break decides the extents.
+// Huge points put a third of their coordinates at ±DBL_MAX beside normal
+// ones: finite samples whose span, and many of whose distances, overflow
+// to +inf (the grid then falls back to one cell).
 std::vector<Point2> MakeCloud(Cloud cloud, size_t n, uint64_t seed) {
   Rng rng(seed);
+  const auto huge = [&rng] {
+    if (rng.UniformInt(0, 2) != 0) return rng.Normal(0.0, 1.0);
+    return rng.Bernoulli(0.5) ? DBL_MAX : -DBL_MAX;
+  };
   std::vector<Point2> pts(n);
   for (Point2& p : pts) {
     if (cloud == Cloud::kLattice) {
       p.x = static_cast<double>(rng.UniformInt(0, 4));
       p.y = static_cast<double>(rng.UniformInt(0, 4));
+    } else if (cloud == Cloud::kHuge) {
+      p.x = huge();
+      p.y = huge();
     } else {
       p.x = rng.Normal(0.0, 1.0);
       p.y = rng.Normal(0.0, 1.0);
@@ -345,9 +356,8 @@ TEST_P(IncrementalKnnReferenceTest, EditWalkMatchesSortedOracle) {
   IncrementalKsg inc(pair, k);
   // Delay 0: window slot j holds pts[start + j]. Grow, shrink, slide, jump,
   // then a disjoint jump to 291 points, which SetWindow can only serve by a
-  // rebuild above the k-d tree threshold (m > 256), then growth by 64 at
-  // the front, at the back and at both ends at once (noise pruning's block
-  // growth).
+  // rebuild, then growth by 64 at the front, at the back and at both ends at
+  // once (noise pruning's block growth).
   const Window walk[] = {
       Window(40, 80, 0),   Window(40, 95, 0),   Window(30, 95, 0),
       Window(35, 90, 0),   Window(50, 105, 0),  Window(52, 104, 0),
@@ -372,11 +382,22 @@ TEST_P(IncrementalKnnReferenceTest, EditWalkMatchesSortedOracle) {
   EXPECT_GT(inc.stats().knn_list_inserts, 0);
 }
 
+std::string CloudName(Cloud cloud) {
+  switch (cloud) {
+    case Cloud::kLattice:
+      return "Lattice";
+    case Cloud::kGaussian:
+      return "Gaussian";
+    case Cloud::kHuge:
+      return "Huge";
+  }
+  return "";
+}
+
 std::string ReferenceCaseName(
     const ::testing::TestParamInfo<KnnReferenceTest::ParamType>& info) {
-  const Cloud cloud = std::get<0>(info.param);
   const int n = std::get<2>(info.param);
-  return std::string(cloud == Cloud::kLattice ? "Lattice" : "Gaussian") +
+  return CloudName(std::get<0>(info.param)) +
          "_k" + std::to_string(std::get<1>(info.param)) + "_n" +
          (n == 0 ? std::string("kPlus1") : std::to_string(n));
 }
@@ -397,16 +418,25 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 96, 300)),
     ReferenceCaseName);
 
+// DBL_MAX-scale coordinates: distances and the grid's span overflow to
+// +inf, ties at +inf fall to the index order, and no backend may convert a
+// non-finite quotient to an integer (the estimator-asan preset traps
+// float-cast-overflow).
+INSTANTIATE_TEST_SUITE_P(
+    HugeClouds, KnnReferenceTest,
+    ::testing::Combine(::testing::Values(Cloud::kHuge),
+                       ::testing::Values(1, 4, 8),
+                       ::testing::Values(0, 16, 96)),
+    ReferenceCaseName);
+
 INSTANTIATE_TEST_SUITE_P(
     CloudsKs, IncrementalKnnReferenceTest,
     ::testing::Combine(::testing::Values(Cloud::kLattice, Cloud::kGaussian),
                        ::testing::Values(1, 3, 4, 8)),
     [](const ::testing::TestParamInfo<IncrementalKnnReferenceTest::ParamType>&
            info) {
-      return std::string(std::get<0>(info.param) == Cloud::kLattice
-                             ? "Lattice"
-                             : "Gaussian") +
-             "_k" + std::to_string(std::get<1>(info.param));
+      return CloudName(std::get<0>(info.param)) + "_k" +
+             std::to_string(std::get<1>(info.param));
     });
 
 TEST(KnnSelectorTest, KeepsFirstKUnderDistanceThenIndex) {

@@ -7,8 +7,11 @@
 
 #include "common/rng.h"
 #include "datagen/energy_sim.h"
+#include "datagen/relations.h"
 #include "mi/histogram_mi.h"
 #include "mi/incremental_ksg.h"
+#include "obs/metrics.h"
+#include "search/tycos.h"
 
 namespace tycos {
 namespace {
@@ -148,6 +151,42 @@ TEST(KsgMiTest, AgreesWithHistogramEstimatorOnStrongRelation) {
   EXPECT_NEAR(ksg, hist, 0.25 * std::max(ksg, hist));
 }
 
+// A search sends every kNN query to brute force, at any window size: the
+// batch estimator through one KnnExtentsAll call per window and the
+// incremental estimator through BruteKnnSelect. s_min 260 puts every batch
+// window and every incremental rebuild above 256 samples, where both once
+// switched to the k-d tree.
+TEST(KsgMiTest, SearchSendsEveryKnnQueryToBruteForce) {
+  const datagen::SyntheticDataset ds = datagen::ComposeDataset(
+      {datagen::SegmentSpec{datagen::RelationType::kLinear, 400, 3}},
+      /*gap=*/300, /*seed=*/17);
+  ASSERT_GE(ds.pair.size(), 1000);
+  TycosParams p;
+  p.sigma = 0.5;
+  p.s_min = 260;
+  p.s_max = 360;
+  p.td_max = 4;
+  p.delta = 8;
+  p.max_idle = 4;
+  for (const TycosVariant variant : {TycosVariant::kL, TycosVariant::kLMN}) {
+    const obs::MetricsSnapshot before = obs::Snapshot();
+    Tycos search(ds.pair, p, variant);
+    search.Run();
+    const obs::MetricsSnapshot after = obs::Snapshot();
+    const auto moved = [&](const char* name) {
+      return after.CounterValue(name) - before.CounterValue(name);
+    };
+    const char* name = TycosVariantName(variant);
+    EXPECT_GT(search.stats().mi_evaluations, 0) << name;
+    EXPECT_GT(moved("knn.brute.queries"), 0) << name;
+    EXPECT_EQ(moved("knn.kd_tree.queries"), 0) << name;
+    EXPECT_EQ(moved("knn.grid.queries"), 0) << name;
+    if (variant == TycosVariant::kLMN) {
+      EXPECT_GT(moved("incremental.full_rebuilds"), 0);
+    }
+  }
+}
+
 TEST(NormalizedMiTest, BoundsRespected) {
   std::vector<double> xs, ys;
   GaussianPair(1000, 0.9, 8, &xs, &ys);
@@ -208,7 +247,7 @@ struct GoldenKsgCase {
   Window window;
   int k;
   double tie_jitter;  // applied to the window's samples, salts 1 and 2
-  double mi[4];       // kAuto, kBrute, kKdTree, kGrid
+  double mi[3];       // kBrute, kKdTree, kGrid
 };
 
 const datagen::EnergySimulator& GoldenSim() {
@@ -222,45 +261,35 @@ TEST(KsgGoldenTest, EnergyWindowsBitExactUnderEveryBackend) {
   constexpr EnergyChannel kMicro = EnergyChannel::kMicrowave;
   const GoldenKsgCase cases[] = {
       {kLight, kMicro, Window(100, 105, 0), 4, 0.0,
-       {-0x1.99999999999ap-5, -0x1.99999999999ap-5, -0x1.99999999999ap-5,
-        -0x1.99999999999ap-5}},
+       {-0x1.99999999999ap-5, -0x1.99999999999ap-5, -0x1.99999999999ap-5}},
       {EnergyChannel::kBathroomLight, kLight, Window(500, 515, -3), 4, 0.0,
-       {-0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5,
-        -0x1.caf90ca8104cp-5}},
+       {-0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5, -0x1.caf90ca8104cp-5}},
       {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1247, 2), 4, 0.0,
-       {0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6,
-        0x1.3e850b887f3p-6}},
+       {0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6, 0x1.3e850b887f3p-6}},
       {EnergyChannel::kClothesWasher, EnergyChannel::kDryer,
        Window(2000, 2095, 5), 4, 0.0,
-       {0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4,
-        0x1.7d6d17b86aa4p-4}},
+       {0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4, 0x1.7d6d17b86aa4p-4}},
       {EnergyChannel::kChildrenRoomLight, EnergyChannel::kLivingRoomLight,
        Window(2600, 2799, -1), 4, 0.0,
-       {-0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7,
-        -0x1.e88bf97b8ccp-7}},
-      // m = 300 > 256: kAuto takes the k-d tree.
+       {-0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7, -0x1.e88bf97b8ccp-7}},
       {kKitchen, kMicro, Window(3100, 3399, 3), 4, 0.0,
-       {0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4,
-        0x1.3d9054e77aecp-4}},
+       {0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4, 0x1.3d9054e77aecp-4}},
       {kLight, kMicro, Window(700, 795, 1), 1, 0.0,
-       {0x1.65611018ddfp-4, 0x1.65611018ddfp-4, 0x1.65611018ddfp-4,
-        0x1.65611018ddfp-4}},
+       {0x1.65611018ddfp-4, 0x1.65611018ddfp-4, 0x1.65611018ddfp-4}},
       {kLight, kMicro, Window(700, 795, 1), 8, 0.0,
-       {-0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4,
-        -0x1.05ab466a3a4p-4}},
+       {-0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4, -0x1.05ab466a3a4p-4}},
       {kKitchen, EnergyChannel::kDishWasher, Window(1200, 1247, 2), 4, 1e-6,
-       {0x1.64721503c1ap-6, 0x1.64721503c1ap-6, 0x1.64721503c1ap-6,
-        0x1.64721503c1ap-6}},
+       {0x1.64721503c1ap-6, 0x1.64721503c1ap-6, 0x1.64721503c1ap-6}},
   };
-  const KnnBackend backends[4] = {KnnBackend::kAuto, KnnBackend::kBrute,
-                                  KnnBackend::kKdTree, KnnBackend::kGrid};
+  const KnnBackend backends[3] = {KnnBackend::kBrute, KnnBackend::kKdTree,
+                                  KnnBackend::kGrid};
   for (const GoldenKsgCase& c : cases) {
     const SeriesPair pair = GoldenSim().Pair(c.leader, c.follower);
     std::vector<double> xs, ys;
     ExtractSamples(pair, c.window, &xs, &ys);
     internal::ApplyTieJitter(&xs, c.tie_jitter, /*salt=*/1);
     internal::ApplyTieJitter(&ys, c.tie_jitter, /*salt=*/2);
-    for (int b = 0; b < 4; ++b) {
+    for (int b = 0; b < 3; ++b) {
       KsgOptions o;
       o.k = c.k;
       o.backend = backends[b];
@@ -271,8 +300,8 @@ TEST(KsgGoldenTest, EnergyWindowsBitExactUnderEveryBackend) {
 }
 
 TEST(KsgGoldenTest, IncrementalWalkBitExact) {
-  // Grow, shrink, slide, a delay change (rebuild), a 300-sample rebuild on
-  // the k-d tree, and a jump to a small window. Each value is the batch
+  // Grow, shrink, slide, a delay change (rebuild), a 300-sample rebuild,
+  // and a jump to a small window. Each value is the batch
   // KsgMi(pair, window, {k = 4, kBrute}), recorded as a hexfloat before the
   // incremental estimator kept neighbour lists; the incremental walk must
   // reproduce it bit for bit.
