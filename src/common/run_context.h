@@ -87,7 +87,6 @@ class RunContext {
   void SetDeadlineAfter(double seconds) {
     deadline_ = DeadlineAfter(Clock::now(), seconds);
   }
-  void ClearDeadline() { deadline_.reset(); }
 
   // Caps the number of estimator evaluations; <= 0 means unlimited. The
   // count is the poller's own (per-search) evaluation counter, so drivers

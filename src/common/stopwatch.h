@@ -16,9 +16,6 @@ class Stopwatch {
   // Seconds elapsed since construction or the last Restart().
   double ElapsedSeconds() const;
 
-  // Milliseconds elapsed since construction or the last Restart().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -16,13 +16,24 @@ namespace jobs {
 
 namespace {
 
-// The header is fixed-size so a loader can validate it before trusting any
-// length field. Values are stored host-endian: checkpoints are a local
+// Both formats open with the same fixed-size prefix — magic, format
+// version, run identity — so a loader can validate it before trusting any
+// length field. Values are stored host-endian: these files are a local
 // crash-recovery artifact, not a portable interchange format.
-constexpr char kMagic[8] = {'T', 'Y', 'C', 'O', 'S', 'C', 'K', 'P'};
-constexpr char kSurvivorMagic[8] = {'T', 'Y', 'C', 'O', 'S', 'S', 'R', 'V'};
-constexpr size_t kHeaderSize = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
-constexpr size_t kRecordFixedSize = 4 + 4 + 1 + 1 + 2 + 8 + 4;
+struct Format {
+  const char* name;  // "checkpoint" or "survivor list", in error messages
+  char magic[8];
+  uint32_t version;
+};
+constexpr Format kCheckpointFormat = {
+    "checkpoint", {'T', 'Y', 'C', 'O', 'S', 'C', 'K', 'P'},
+    kCheckpointFormatVersion};
+constexpr Format kSurvivorFormat = {
+    "survivor list", {'T', 'Y', 'C', 'O', 'S', 'S', 'R', 'V'},
+    kSurvivorFormatVersion};
+constexpr size_t kPrefixSize = 8 + 4 + 4 + 8 + 8 + 8 + 8;
+// The checkpoint header: the prefix sealed by its own checksum.
+constexpr size_t kHeaderSize = kPrefixSize + 8;
 constexpr size_t kWindowSize = 8 + 8 + 8 + 8;
 // A record longer than this cannot be legitimate (window counts are bounded
 // by the series length; this guards length-prefix corruption before any
@@ -92,17 +103,43 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-ByteBuffer SerializeHeader(const CheckpointWriter::Options& options) {
-  ByteBuffer buf;
-  for (char c : kMagic) buf.PutU8(static_cast<uint8_t>(c));
-  buf.PutU32(kCheckpointFormatVersion);
-  buf.PutU32(options.num_channels);
-  buf.PutU64(options.config_hash);
-  buf.PutU64(options.data_fingerprint);
-  buf.PutU64(options.seed);
-  buf.PutI64(options.series_length);
-  buf.PutU64(Fnv1a(buf.data(), buf.size()));
-  return buf;
+void PutPrefix(const Format& format, const RunIdentity& id, ByteBuffer* buf) {
+  for (char c : format.magic) buf->PutU8(static_cast<uint8_t>(c));
+  buf->PutU32(format.version);
+  buf->PutU32(id.num_channels);
+  buf->PutU64(id.config_hash);
+  buf->PutU64(id.data_fingerprint);
+  buf->PutU64(id.seed);
+  buf->PutI64(id.series_length);
+}
+
+// Reads the prefix PutPrefix wrote: IoError on a wrong magic or version.
+// `label` names the source in error messages.
+Status GetPrefix(const Format& format, const std::string& label,
+                 ByteReader* in, RunIdentity* id) {
+  const std::string name = format.name;
+  uint8_t magic[sizeof(format.magic)];
+  for (uint8_t& m : magic) {
+    if (!in->GetU8(&m)) {
+      return Status::IoError("unreadable " + name + " header");
+    }
+  }
+  if (std::memcmp(magic, format.magic, sizeof(magic)) != 0) {
+    return Status::IoError(name + " " + label + " has bad magic (not a TYCOS " +
+                           name + ")");
+  }
+  uint32_t version = 0;
+  if (!in->GetU32(&version) || !in->GetU32(&id->num_channels) ||
+      !in->GetU64(&id->config_hash) || !in->GetU64(&id->data_fingerprint) ||
+      !in->GetU64(&id->seed) || !in->GetI64(&id->series_length)) {
+    return Status::IoError("unreadable " + name + " header");
+  }
+  if (version != format.version) {
+    return Status::IoError(name + " " + label + " has format version " +
+                           std::to_string(version) + ", this build reads " +
+                           std::to_string(format.version));
+  }
+  return Status::Ok();
 }
 
 ByteBuffer SerializeRecordPayload(const CheckpointedPair& pair) {
@@ -198,54 +235,6 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-Status ValidateHeader(ByteReader* in, const std::string& path,
-                      CheckpointData* out) {
-  if (in->remaining() < kHeaderSize) {
-    return Status::IoError("checkpoint " + path + " is truncated: " +
-                           std::to_string(in->remaining()) +
-                           " bytes, header needs " +
-                           std::to_string(kHeaderSize));
-  }
-  uint8_t magic[8];
-  for (uint8_t& m : magic) {
-    if (!in->GetU8(&m)) return Status::IoError("unreadable header");
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("checkpoint " + path +
-                           " has bad magic (not a TYCOS checkpoint)");
-  }
-  uint32_t version = 0;
-  uint64_t header_crc = 0;
-  if (!in->GetU32(&version) || !in->GetU32(&out->num_channels) ||
-      !in->GetU64(&out->config_hash) || !in->GetU64(&out->data_fingerprint) ||
-      !in->GetU64(&out->seed) || !in->GetI64(&out->series_length) ||
-      !in->GetU64(&header_crc)) {
-    return Status::IoError("unreadable header");
-  }
-  if (version != kCheckpointFormatVersion) {
-    return Status::IoError("checkpoint " + path + " has format version " +
-                           std::to_string(version) + ", this build reads " +
-                           std::to_string(kCheckpointFormatVersion));
-  }
-  // Re-serialize what we parsed and compare checksums: one code path
-  // defines the byte layout for both directions.
-  CheckpointWriter::Options opts;
-  opts.num_channels = out->num_channels;
-  opts.config_hash = out->config_hash;
-  opts.data_fingerprint = out->data_fingerprint;
-  opts.seed = out->seed;
-  opts.series_length = out->series_length;
-  const ByteBuffer expect = SerializeHeader(opts);
-  uint64_t expect_crc = 0;
-  std::memcpy(&expect_crc, expect.data() + expect.size() - sizeof(expect_crc),
-              sizeof(expect_crc));
-  if (header_crc != expect_crc) {
-    return Status::IoError("checkpoint " + path +
-                           " header checksum mismatch (corrupt header)");
-  }
-  return Status::Ok();
-}
-
 // Writes `n` bytes to `path` via a temp file and atomic rename, so a crash
 // mid-write never leaves a half-written file under the real name.
 Status WriteFileAtomically(const std::string& path, const uint8_t* data,
@@ -276,9 +265,9 @@ Status WriteFileAtomically(const std::string& path, const uint8_t* data,
 // checksum-failing record at EOF is the torn tail of a crashed append and
 // ends the walk. On success *valid_end is the offset one past the last
 // valid record — bytes [*valid_end, file size) are the torn tail, empty on
-// a clean file. When `out` is non-null the parsed pairs are appended to it,
-// first record per pair winning (per-pair determinism makes any duplicate
-// byte-identical anyway).
+// a clean file. The parsed pairs are appended to `out`, first record per
+// pair winning (per-pair determinism makes any duplicate byte-identical
+// anyway).
 Status WalkRecords(const uint8_t* base, ByteReader* in,
                    const std::string& path, uint32_t num_channels,
                    std::vector<CheckpointedPair>* out, size_t* valid_end) {
@@ -315,7 +304,6 @@ Status WalkRecords(const uint8_t* base, ByteReader* in,
       return Status::IoError("checkpoint " + path + ": " + st.message());
     }
     *valid_end = in->pos();
-    if (out == nullptr) continue;
     const uint64_t key = (static_cast<uint64_t>(pair.entry.a) << 32) |
                          static_cast<uint64_t>(pair.entry.b);
     if (!seen.insert(key).second) continue;
@@ -390,16 +378,29 @@ uint64_t HashPrefilterConfig(const TycosParams& params, TycosVariant variant,
   return Fnv1a(buf.data(), buf.size());
 }
 
+Status CheckSameRun(const RunIdentity& file, const RunIdentity& run,
+                    const std::string& what) {
+  if (file == run) return Status::Ok();
+  std::string diff;
+  const auto compare = [&diff](const char* field, auto in_file, auto in_run) {
+    if (in_file == in_run) return;
+    diff += std::string(diff.empty() ? "" : "; ") + "its " + field + " is " +
+            std::to_string(in_file) + ", this run's is " +
+            std::to_string(in_run);
+  };
+  compare("config hash", file.config_hash, run.config_hash);
+  compare("data fingerprint", file.data_fingerprint, run.data_fingerprint);
+  compare("seed", file.seed, run.seed);
+  compare("channel count", file.num_channels, run.num_channels);
+  compare("series length", file.series_length, run.series_length);
+  return Status::InvalidArgument(what + " was written by a different run (" +
+                                 diff + ")");
+}
+
 Status SaveSurvivorList(const std::string& path, const SurvivorData& data,
                         bool sync) {
   ByteBuffer buf;
-  for (char c : kSurvivorMagic) buf.PutU8(static_cast<uint8_t>(c));
-  buf.PutU32(kSurvivorFormatVersion);
-  buf.PutU32(data.num_channels);
-  buf.PutU64(data.config_hash);
-  buf.PutU64(data.data_fingerprint);
-  buf.PutU64(data.seed);
-  buf.PutI64(data.series_length);
+  PutPrefix(kSurvivorFormat, data.identity, &buf);
   buf.PutU64(static_cast<uint64_t>(data.pairs.size()));
   for (const std::pair<int, int>& p : data.pairs) {
     buf.PutU32(static_cast<uint32_t>(p.first));
@@ -415,9 +416,8 @@ std::string SurvivorPathFor(const std::string& checkpoint_path) {
 
 Result<SurvivorData> ParseSurvivorBytes(const uint8_t* data, size_t n,
                                         const std::string& label) {
-  // Everything but the pair array and the trailing whole-file checksum.
-  constexpr size_t kFixed = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
-  if (n < kFixed + sizeof(uint64_t)) {
+  // The prefix, the pair count and the trailing whole-file checksum.
+  if (n < kPrefixSize + 2 * sizeof(uint64_t)) {
     return Status::IoError("survivor list " + label + " is truncated: " +
                            std::to_string(n) + " bytes");
   }
@@ -430,27 +430,12 @@ Result<SurvivorData> ParseSurvivorBytes(const uint8_t* data, size_t n,
                            " checksum mismatch (corrupt file)");
   }
   ByteReader in(data, n - sizeof(uint64_t));
-  uint8_t magic[8];
-  for (uint8_t& m : magic) {
-    if (!in.GetU8(&m)) return Status::IoError("unreadable survivor header");
-  }
-  if (std::memcmp(magic, kSurvivorMagic, sizeof(kSurvivorMagic)) != 0) {
-    return Status::IoError("survivor list " + label +
-                           " has bad magic (not a TYCOS survivor list)");
-  }
   SurvivorData out;
-  uint32_t version = 0;
+  const Status st = GetPrefix(kSurvivorFormat, label, &in, &out.identity);
+  if (!st.ok()) return st;
   uint64_t pair_count = 0;
-  if (!in.GetU32(&version) || !in.GetU32(&out.num_channels) ||
-      !in.GetU64(&out.config_hash) || !in.GetU64(&out.data_fingerprint) ||
-      !in.GetU64(&out.seed) || !in.GetI64(&out.series_length) ||
-      !in.GetU64(&pair_count)) {
-    return Status::IoError("unreadable survivor header");
-  }
-  if (version != kSurvivorFormatVersion) {
-    return Status::IoError("survivor list " + label + " has format version " +
-                           std::to_string(version) + ", this build reads " +
-                           std::to_string(kSurvivorFormatVersion));
+  if (!in.GetU64(&pair_count)) {
+    return Status::IoError("unreadable survivor list header");
   }
   // Divide, never multiply: pair_count is attacker-controlled, and
   // `pair_count * 8` wraps for counts >= 2^61, which would sneak a bogus
@@ -469,11 +454,11 @@ Result<SurvivorData> ParseSurvivorBytes(const uint8_t* data, size_t n,
     if (!in.GetU32(&a) || !in.GetU32(&b)) {
       return Status::IoError("survivor list " + label + " pair truncated");
     }
-    if (a >= b || b >= out.num_channels) {
-      return Status::IoError("survivor list " + label + " has invalid pair (" +
-                             std::to_string(a) + ", " + std::to_string(b) +
-                             ") for " + std::to_string(out.num_channels) +
-                             " channels");
+    if (a >= b || b >= out.identity.num_channels) {
+      return Status::IoError(
+          "survivor list " + label + " has invalid pair (" +
+          std::to_string(a) + ", " + std::to_string(b) + ") for " +
+          std::to_string(out.identity.num_channels) + " channels");
     }
     const std::pair<int, int> pair(static_cast<int>(a), static_cast<int>(b));
     if (!out.pairs.empty() && !(out.pairs.back() < pair)) {
@@ -493,13 +478,24 @@ Result<SurvivorData> LoadSurvivorList(const std::string& path) {
 
 Result<CheckpointData> ParseCheckpointBytes(const uint8_t* data, size_t n,
                                             const std::string& label) {
+  if (n < kHeaderSize) {
+    return Status::IoError("checkpoint " + label + " is truncated: " +
+                           std::to_string(n) + " bytes, header needs " +
+                           std::to_string(kHeaderSize));
+  }
   ByteReader in(data, n);
   CheckpointData out;
-  Status st = ValidateHeader(&in, label, &out);
+  Status st = GetPrefix(kCheckpointFormat, label, &in, &out.identity);
   if (!st.ok()) return st;
+  uint64_t header_crc = 0;
+  if (!in.GetU64(&header_crc) || header_crc != Fnv1a(data, kPrefixSize)) {
+    return Status::IoError("checkpoint " + label +
+                           " header checksum mismatch (corrupt header)");
+  }
 
   size_t valid_end = 0;
-  st = WalkRecords(data, &in, label, out.num_channels, &out.pairs, &valid_end);
+  st = WalkRecords(data, &in, label, out.identity.num_channels, &out.pairs,
+                   &valid_end);
   if (!st.ok()) return st;
   out.dropped_tail_bytes = static_cast<int64_t>(n - valid_end);
   return out;
@@ -515,69 +511,56 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
 Result<CheckpointWriter> CheckpointWriter::Open(const std::string& path,
                                                 const Options& options) {
   Result<std::vector<uint8_t>> existing = ReadFileBytes(path);
-  if (!existing.ok() && existing.status().code() != StatusCode::kNotFound) {
+  std::vector<CheckpointedPair> records;
+  if (existing.ok()) {
+    // Existing file: validate it, check that this run wrote it, and cut any
+    // torn tail a crashed append left behind. Appending after a torn tail
+    // would turn it into *interior* corruption on the next load and reject
+    // the whole file, so the tail must go before the first new record —
+    // rewritten through the same temp + rename dance, because the
+    // truncation itself has to be crash-safe (a crash mid-rewrite leaves
+    // the original intact).
+    const std::vector<uint8_t>& bytes = existing.value();
+    Result<CheckpointData> loaded =
+        ParseCheckpointBytes(bytes.data(), bytes.size(), path);
+    if (!loaded.ok()) return loaded.status();
+    Status st = CheckSameRun(loaded.value().identity, options.identity,
+                             "checkpoint " + path);
+    if (!st.ok()) return st;
+    const auto torn = static_cast<size_t>(loaded.value().dropped_tail_bytes);
+    if (torn > 0) {
+      st = WriteFileAtomically(path, bytes.data(), bytes.size() - torn,
+                               options.fsync_each_record);
+      if (!st.ok()) return st;
+    }
+    records = std::move(loaded.value().pairs);
+  } else if (existing.status().code() == StatusCode::kNotFound) {
+    // Fresh file: write the header atomically, so a crash mid-create never
+    // leaves a half-written header under the real name.
+    ByteBuffer header;
+    PutPrefix(kCheckpointFormat, options.identity, &header);
+    header.PutU64(Fnv1a(header.data(), header.size()));
+    const Status st = WriteFileAtomically(path, header.data(), header.size(),
+                                          options.fsync_each_record);
+    if (!st.ok()) return st;
+  } else {
     // EACCES, fd exhaustion, ...: an unreadable checkpoint must never be
     // mistaken for an absent one — falling through to the fresh-file path
     // would rename an empty header over the caller's persisted progress.
     return existing.status();
   }
-
-  if (existing.ok()) {
-    // Existing file: validate it against ours, cut any torn tail a crashed
-    // append left behind, then append after the last valid record.
-    const std::vector<uint8_t>& bytes = existing.value();
-    ByteReader in(bytes.data(), bytes.size());
-    CheckpointData data;
-    const Status st = ValidateHeader(&in, path, &data);
-    if (!st.ok()) return st;
-    if (data.config_hash != options.config_hash ||
-        data.data_fingerprint != options.data_fingerprint ||
-        data.seed != options.seed) {
-      return Status::InvalidArgument(
-          "checkpoint " + path +
-          " was written by a different run (params, data, or seed changed); "
-          "delete it to start over");
-    }
-    // Appending after a torn tail would turn it into *interior* corruption
-    // on the next load and reject the whole file, so the tail must go
-    // before the first new record — rewritten through the same
-    // temp + rename dance, because the truncation itself has to be
-    // crash-safe (a crash mid-rewrite leaves the original intact).
-    size_t valid_end = 0;
-    const Status walk = WalkRecords(bytes.data(), &in, path,
-                                    data.num_channels,
-                                    /*out=*/nullptr, &valid_end);
-    if (!walk.ok()) return walk;
-    if (valid_end < bytes.size()) {
-      const Status cut = WriteFileAtomically(path, bytes.data(), valid_end,
-                                             options.fsync_each_record);
-      if (!cut.ok()) return cut;
-    }
-    std::FILE* f = std::fopen(path.c_str(), "ab");
-    if (f == nullptr) {
-      return Status::IoError("cannot open checkpoint " + path +
-                             " for appending");
-    }
-    return CheckpointWriter(f, options);
-  }
-
-  // Fresh file: write the header atomically, so a crash mid-create never
-  // leaves a half-written header under the real name.
-  const ByteBuffer header = SerializeHeader(options);
-  const Status st = WriteFileAtomically(path, header.data(), header.size(),
-                                        options.fsync_each_record);
-  if (!st.ok()) return st;
-  std::FILE* out = std::fopen(path.c_str(), "ab");
-  if (out == nullptr) {
-    return Status::IoError("cannot reopen checkpoint " + path +
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f == nullptr) {
+    return Status::IoError("cannot open checkpoint " + path +
                            " for appending");
   }
-  return CheckpointWriter(out, options);
+  return CheckpointWriter(f, options, std::move(records));
 }
 
 CheckpointWriter::CheckpointWriter(CheckpointWriter&& other) noexcept
     : file_(other.file_),
       options_(other.options_),
+      records_(std::move(other.records_)),
       records_written_(other.records_written_),
       bytes_written_(other.bytes_written_) {
   other.file_ = nullptr;

@@ -1,11 +1,19 @@
-// Crash-safe on-disk checkpoints for durable pairwise search jobs.
+// Crash-safe on-disk files for durable pairwise search jobs — the pair
+// checkpoint and the prefilter's survivor list — and their binding to the
+// run that wrote them.
 //
-// A checkpoint is a binary file: a fixed header (magic, format version,
-// config hash, data fingerprint, seed) created atomically via
-// write-temp + rename, followed by an append-only log of per-pair records,
-// each length-prefixed and FNV-checksummed. The format is designed around
-// one failure model — the process dies at an arbitrary instant (SIGKILL,
-// OOM-kill, power loss with fsync enabled) — and one recovery contract:
+// Both files open with the same prefix: a magic, a format version and the
+// writing run's RunIdentity (channel count, config hash, data fingerprint,
+// seed, series length). One codec writes and reads that prefix for both
+// formats, and one comparison, CheckSameRun, decides whether a run may use
+// a file: every identity field must be equal.
+//
+// A checkpoint is that prefix sealed by its own checksum (the header),
+// created atomically via write-temp + rename, followed by an append-only
+// log of per-pair records, each length-prefixed and FNV-checksummed. The
+// format is designed around one failure model — the process dies at an
+// arbitrary instant (SIGKILL, OOM-kill, power loss with fsync enabled) —
+// and one recovery contract:
 //
 //   * a torn *trailing* record (the append that was in flight when the
 //     process died) is detected by its length prefix running past EOF or
@@ -18,6 +26,9 @@
 //     corrupt header, a checksum mismatch on an *interior* record — is real
 //     corruption and rejects the whole file with IoError, never a partial
 //     load. A checkpoint is trusted entirely or not at all.
+//
+// A resumed run reads its checkpoint once, in CheckpointWriter::Open, so
+// the records it skips are the records it appends after.
 //
 // Doubles are stored as raw IEEE-754 bit patterns, so a resumed run
 // reconstructs scores bit-identically. All I/O goes through Result<> —
@@ -55,14 +66,31 @@ struct CheckpointedPair {
   StopReason stop_reason = StopReason::kCompleted;
 };
 
-// A successfully loaded checkpoint.
-struct CheckpointData {
-  uint64_t config_hash = 0;        // HashSearchConfig of the writing run
-  uint64_t data_fingerprint = 0;   // FingerprintChannels of the writing run
+// What binds a durable file to the run that wrote it.
+struct RunIdentity {
+  // HashSearchConfig for a checkpoint, HashPrefilterConfig for a survivor
+  // list.
+  uint64_t config_hash = 0;
+  uint64_t data_fingerprint = 0;  // FingerprintChannels
   uint64_t seed = 0;
+  // The input's shape. A loader bounds every persisted (a, b) by the
+  // channel count before it trusts the record.
   uint32_t num_channels = 0;
   int64_t series_length = 0;
-  std::vector<CheckpointedPair> pairs;
+
+  bool operator==(const RunIdentity&) const = default;
+};
+
+// Ok when `file`, the identity read from the durable file `what` names
+// ("checkpoint <path>"), equals `run`'s; otherwise InvalidArgument saying
+// the file was written by a different run and which fields differ.
+Status CheckSameRun(const RunIdentity& file, const RunIdentity& run,
+                    const std::string& what);
+
+// A successfully loaded checkpoint.
+struct CheckpointData {
+  RunIdentity identity;
+  std::vector<CheckpointedPair> pairs;  // first record per pair
   // Bytes of torn trailing record dropped during the load (0 on a clean
   // file) — evidence the writing process died mid-append.
   int64_t dropped_tail_bytes = 0;
@@ -95,11 +123,7 @@ inline constexpr uint32_t kSurvivorFormatVersion = 1;
 
 // A successfully loaded survivor list.
 struct SurvivorData {
-  uint64_t config_hash = 0;  // HashPrefilterConfig of the writing run
-  uint64_t data_fingerprint = 0;
-  uint64_t seed = 0;
-  uint32_t num_channels = 0;
-  int64_t series_length = 0;
+  RunIdentity identity;
   std::vector<std::pair<int, int>> pairs;  // strictly (a, b)-sorted
 };
 
@@ -141,27 +165,26 @@ Status SaveSurvivorList(const std::string& path, const SurvivorData& data,
 Result<CheckpointData> LoadCheckpoint(const std::string& path);
 
 // Appends pair records to a checkpoint file, creating it (atomically) when
-// absent and validating the header against the caller's config when
-// present. Records are flushed to the OS after every Append, so a SIGKILL
-// loses at most the record being written; set `fsync_each_record` to also
-// survive power loss at a heavy I/O cost.
+// absent and binding it to the caller's run when present. Records are
+// flushed to the OS after every Append, so a SIGKILL loses at most the
+// record being written; set `fsync_each_record` to also survive power loss
+// at a heavy I/O cost.
 class CheckpointWriter {
  public:
   struct Options {
-    uint64_t config_hash = 0;
-    uint64_t data_fingerprint = 0;
-    uint64_t seed = 0;
-    uint32_t num_channels = 0;
-    int64_t series_length = 0;
+    RunIdentity identity;
     bool fsync_each_record = false;
   };
 
-  // Opens `path` for appending. When the file exists its header must match
-  // `options` (config hash, fingerprint, seed) or the open fails with
-  // InvalidArgument — a checkpoint never silently absorbs records from a
-  // different run. A torn trailing record is truncated away before the
-  // first new append; a file that exists but cannot be read fails with
-  // IoError rather than being recreated over the persisted records.
+  // Opens `path` for appending, reading it once. An absent file is created
+  // holding only the header (write-temp + rename; fsynced first when
+  // fsync_each_record is set). An existing file is validated in full —
+  // IoError on corruption, as LoadCheckpoint — and its identity must equal
+  // options.identity (CheckSameRun: InvalidArgument otherwise), so a
+  // checkpoint never silently absorbs records from a different run. A torn
+  // trailing record is cut before the first new append, and records()
+  // holds what the file kept. A file that exists but cannot be read fails
+  // with IoError rather than being recreated over the persisted records.
   static Result<CheckpointWriter> Open(const std::string& path,
                                        const Options& options);
 
@@ -180,15 +203,21 @@ class CheckpointWriter {
   // by the destructor when omitted (destructor swallows the status).
   Status Close();
 
+  // The records the file held when Open returned, first record per pair
+  // (empty for a new file): the pairs a resumed run skips.
+  const std::vector<CheckpointedPair>& records() const { return records_; }
+
   int64_t records_written() const { return records_written_; }
   int64_t bytes_written() const { return bytes_written_; }
 
  private:
-  CheckpointWriter(std::FILE* file, const Options& options)
-      : file_(file), options_(options) {}
+  CheckpointWriter(std::FILE* file, const Options& options,
+                   std::vector<CheckpointedPair> records)
+      : file_(file), options_(options), records_(std::move(records)) {}
 
   std::FILE* file_ = nullptr;
   Options options_;
+  std::vector<CheckpointedPair> records_;
   int64_t records_written_ = 0;
   int64_t bytes_written_ = 0;
 };

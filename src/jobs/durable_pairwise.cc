@@ -93,20 +93,16 @@ class JobLedger {
 };
 
 // The shared durable runner over `universe`, a strictly (a, b)-sorted pair
-// list: every pair, or the prefilter's survivors. Checkpoint records
-// for pairs outside the universe are skipped — a plain full-sweep
+// list: every pair, or the prefilter's survivors. The caller has validated
+// the input and `options` and fingerprinted the channels. Checkpoint
+// records for pairs outside the universe are skipped — a plain full-sweep
 // checkpoint shares the same config hash, so encountering them is
 // legitimate, not corruption.
 Result<DurableOutcome> RunDurableJob(
     const std::vector<TimeSeries>& channels, const TycosParams& params,
     TycosVariant variant, uint64_t seed, const RunContext& ctx,
-    const DurableJobOptions& options,
+    const DurableJobOptions& options, uint64_t fingerprint,
     const std::vector<std::pair<int, int>>& universe) {
-  if (const Status st = options.Validate(); !st.ok()) return st;
-
-  const uint64_t config_hash = HashSearchConfig(params, variant, seed);
-  const uint64_t fingerprint = FingerprintChannels(channels);
-  const int n = static_cast<int>(channels.size());
   const int64_t total_pairs = static_cast<int64_t>(universe.size());
 
   // Maps a pair to its position in the universe, or -1 when outside it.
@@ -117,42 +113,31 @@ Result<DurableOutcome> RunDurableJob(
     return it - universe.begin();
   };
 
-  // --- Load the checkpoint and partition finished vs. todo ---------------
+  // --- Open the checkpoint and partition finished vs. todo ---------------
+  // Open reads the file once: it validates it, checks that this run wrote
+  // it and cuts a torn tail, and its records are the pairs this run skips.
+  // An empty universe has nothing to resume or record, so it leaves the
+  // path untouched.
+  std::optional<CheckpointWriter> writer;
   std::vector<char> done(static_cast<size_t>(total_pairs), 0);
   std::vector<PairwiseEntry> entries;
-  Result<CheckpointData> loaded = LoadCheckpoint(options.checkpoint_path);
-  if (loaded.ok()) {
-    const CheckpointData& ckpt = loaded.value();
-    if (ckpt.config_hash != config_hash ||
-        ckpt.data_fingerprint != fingerprint || ckpt.seed != seed) {
-      return Status::InvalidArgument(
-          "checkpoint '" + options.checkpoint_path +
-          "' was written by a different run (params, data, or seed "
-          "changed); delete it to start over");
-    }
-    // The header's shape fields are not covered by config_hash, so check
-    // them against the actual input before trusting any record's (a, b):
-    // a forged num_channels would otherwise admit records that index past
-    // `done`.
-    if (ckpt.num_channels != static_cast<uint32_t>(n) ||
-        ckpt.series_length != channels[0].size()) {
-      return Status::InvalidArgument(
-          "checkpoint '" + options.checkpoint_path + "' header shape (" +
-          std::to_string(ckpt.num_channels) + " channels, length " +
-          std::to_string(ckpt.series_length) +
-          ") does not match the input (" + std::to_string(n) +
-          " channels, length " + std::to_string(channels[0].size()) +
-          "); delete it to start over");
-    }
-    entries.reserve(ckpt.pairs.size());
-    for (const CheckpointedPair& cp : ckpt.pairs) {
+  if (total_pairs > 0) {
+    CheckpointWriter::Options wopts;
+    wopts.identity = {HashSearchConfig(params, variant, seed), fingerprint,
+                      seed, static_cast<uint32_t>(channels.size()),
+                      channels[0].size()};
+    wopts.fsync_each_record = options.fsync_each_record;
+    Result<CheckpointWriter> opened =
+        CheckpointWriter::Open(options.checkpoint_path, wopts);
+    if (!opened.ok()) return opened.status();
+    writer.emplace(std::move(opened.value()));
+    entries.reserve(writer->records().size());
+    for (const CheckpointedPair& cp : writer->records()) {
       const int64_t idx = universe_pos(cp.entry.a, cp.entry.b);
       if (idx < 0) continue;  // outside this run's universe
       done[static_cast<size_t>(idx)] = 1;
       entries.push_back(cp.entry);
     }
-  } else if (loaded.status().code() != StatusCode::kNotFound) {
-    return loaded.status();  // corrupt: never silently restart over it
   }
   // The not-yet-checkpointed pairs, in universe order.
   std::vector<std::pair<int, int>> todo;
@@ -184,20 +169,6 @@ Result<DurableOutcome> RunDurableJob(
   resumed_counter->Add(static_cast<int64_t>(entries.size()));
 
   // --- Sweep the remaining pairs -------------------------------------------
-  std::optional<CheckpointWriter> writer;
-  if (!todo.empty()) {
-    CheckpointWriter::Options wopts;
-    wopts.config_hash = config_hash;
-    wopts.data_fingerprint = fingerprint;
-    wopts.seed = seed;
-    wopts.num_channels = static_cast<uint32_t>(n);
-    wopts.series_length = channels[0].size();
-    wopts.fsync_each_record = options.fsync_each_record;
-    Result<CheckpointWriter> opened =
-        CheckpointWriter::Open(options.checkpoint_path, wopts);
-    if (!opened.ok()) return opened.status();
-    writer.emplace(std::move(opened.value()));
-  }
   JobLedger ledger(writer.has_value() ? &*writer : nullptr);
   LoadProbe* probe =
       options.probe != nullptr ? options.probe : LoadProbe::System();
@@ -342,7 +313,10 @@ Result<DurableOutcome> ResumePairwiseSearch(
   if (!st.ok()) return st;
   st = params.Validate(channels[0].size());
   if (!st.ok()) return st;
+  st = options.Validate();
+  if (!st.ok()) return st;
   return RunDurableJob(channels, params, variant, seed, ctx, options,
+                       FingerprintChannels(channels),
                        AllChannelPairs(static_cast<int>(channels.size())));
 }
 
@@ -364,10 +338,11 @@ Result<AllPairsJobOutcome> ResumeAllPairsSearch(
   if (!st.ok()) return st;
   const double threshold = ResolvePearsonThreshold(pf, params.sigma);
 
-  const uint64_t survivor_hash =
-      HashPrefilterConfig(params, variant, seed, pf);
   const uint64_t fingerprint = FingerprintChannels(channels);
   const int n = static_cast<int>(channels.size());
+  const RunIdentity survivor_run = {
+      HashPrefilterConfig(params, variant, seed, pf), fingerprint, seed,
+      static_cast<uint32_t>(n), series_length};
   const int64_t full_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
   const std::string survivor_path =
       SurvivorPathFor(options.durable.checkpoint_path);
@@ -377,33 +352,25 @@ Result<AllPairsJobOutcome> ResumeAllPairsSearch(
   // --- Obtain the survivor universe: persisted list, or fresh cascade ----
   // The survivor list is fully derived data (a deterministic function of
   // the channels and config), so a file that fails validation — truncated,
-  // bit-flipped, or written by a different run — is never fatal: the typed
+  // bit-flipped, or bound to another run — is never fatal: the typed
   // rejection is recorded in `survivors_rejected` and the cascade runs
   // fresh, overwriting the bad file on completion. It must never be
   // silently treated as an empty universe, which would skip every pair.
   static obs::Counter* rejected_counter =
       obs::GetCounter("jobs.survivors_rejected");
   Result<SurvivorData> loaded = LoadSurvivorList(survivor_path);
-  if (loaded.ok()) {
-    const SurvivorData& sd = loaded.value();
-    if (sd.config_hash != survivor_hash ||
-        sd.data_fingerprint != fingerprint || sd.seed != seed ||
-        sd.num_channels != static_cast<uint32_t>(n) ||
-        sd.series_length != series_length) {
-      out.survivors_rejected = Status::InvalidArgument(
-          "survivor list '" + survivor_path +
-          "' was written by a different run (params, prefilter config, "
-          "data, or seed changed); recomputing the cascade");
-      rejected_counter->Add(1);
-    } else {
-      out.survivors = sd.pairs;
-      out.survivors_resumed = true;
-      out.prefilter.channels = n;
-      out.prefilter.pairs_total = full_pairs;
-      out.prefilter.threshold = threshold;
-    }
-  } else if (loaded.status().code() != StatusCode::kNotFound) {
-    out.survivors_rejected = loaded.status();  // corrupt: typed, never fatal
+  const Status usable =
+      loaded.ok() ? CheckSameRun(loaded.value().identity, survivor_run,
+                                 "survivor list " + survivor_path)
+                  : loaded.status();
+  if (usable.ok()) {
+    out.survivors = std::move(loaded.value().pairs);
+    out.survivors_resumed = true;
+    out.prefilter.channels = n;
+    out.prefilter.pairs_total = full_pairs;
+    out.prefilter.threshold = threshold;
+  } else if (usable.code() != StatusCode::kNotFound) {
+    out.survivors_rejected = usable;  // typed, never fatal
     rejected_counter->Add(1);
   }
   if (!out.survivors_resumed) {
@@ -422,14 +389,7 @@ Result<AllPairsJobOutcome> ResumeAllPairsSearch(
       return out;
     }
     out.survivors = cascade.value().PairList();
-    SurvivorData sd;
-    sd.config_hash = survivor_hash;
-    sd.data_fingerprint = fingerprint;
-    sd.seed = seed;
-    sd.num_channels = static_cast<uint32_t>(n);
-    sd.series_length = series_length;
-    sd.pairs = out.survivors;
-    st = SaveSurvivorList(survivor_path, sd,
+    st = SaveSurvivorList(survivor_path, {survivor_run, out.survivors},
                           options.durable.fsync_each_record);
     // A survivor list that cannot persist breaks the resume contract
     // (pruned pairs would be recomputed, but worse, a concurrent crash
@@ -445,7 +405,7 @@ Result<AllPairsJobOutcome> ResumeAllPairsSearch(
 
   Result<DurableOutcome> durable =
       RunDurableJob(channels, params, variant, seed, ctx, options.durable,
-                    out.survivors);
+                    fingerprint, out.survivors);
   if (!durable.ok()) return durable.status();
   out.durable = std::move(durable.value());
   return out;

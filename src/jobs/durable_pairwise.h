@@ -44,8 +44,8 @@ namespace tycos {
 namespace jobs {
 
 struct DurableJobOptions {
-  // Where the checkpoint lives. Created when absent; validated (config
-  // hash, data fingerprint, seed) and appended to when present. Required.
+  // Where the checkpoint lives. Created when absent; checked against this
+  // run's identity (checkpoint.h) and appended to when present. Required.
   std::string checkpoint_path;
 
   // fsync after every record: survives power loss, costs a disk round trip
@@ -122,8 +122,9 @@ struct DurableOutcome {
 
 // Runs (or resumes) a durable pairwise search. Validates input like
 // PairwiseSearch; rejects a checkpoint written by a different
-// (params, variant, seed) or different data with InvalidArgument, and a
-// corrupt checkpoint with IoError. See the file comment for semantics.
+// (params, variant, seed) or for different data or shape with
+// InvalidArgument, and a corrupt checkpoint with IoError. See the file
+// comment for semantics.
 Result<DurableOutcome> ResumePairwiseSearch(
     const std::vector<TimeSeries>& channels, const TycosParams& params,
     TycosVariant variant, uint64_t seed, const RunContext& ctx,
@@ -154,10 +155,10 @@ struct AllPairsJobOutcome {
   bool survivors_resumed = false;  // loaded from the persisted survivor list
   int64_t pairs_pruned = 0;        // full C(n,2) universe − survivors
   // Set when a survivor list was present but rejected — truncated,
-  // bit-flipped, or written by a different run (params/data/seed/prefilter
-  // config changed). The list is fully derived data, so rejection is never
-  // fatal: the cascade was recomputed fresh and the bad file overwritten.
-  // The typed rejection is kept here (and counted in
+  // bit-flipped, or written by a different run (params, data, seed, shape
+  // or prefilter config changed). The list is fully derived data, so
+  // rejection is never fatal: the cascade was recomputed fresh and the bad
+  // file overwritten. The typed rejection is kept here (and counted in
   // jobs.survivors_rejected) so operators can see why resume work was
   // redone.
   Status survivors_rejected = Status::Ok();
@@ -168,11 +169,11 @@ struct AllPairsJobOutcome {
 // the survivors only. A resumed invocation therefore skips both pruned
 // pairs (survivor list on disk) and finished pairs (checkpoint records).
 // The survivor file is bound to (params, variant, seed, prefilter config,
-// data fingerprint); a mismatched, truncated, or corrupt file is rejected
-// with a typed Status (never a crash, never silently an empty universe),
-// recorded in AllPairsJobOutcome::survivors_rejected, and the cascade is
-// recomputed fresh — the list is derived data, so falling back loses only
-// prefilter work, never results. A cascade cut short by the
+// data fingerprint, shape); a mismatched, truncated, or corrupt file is
+// rejected with a typed Status (never a crash, never silently an empty
+// universe), recorded in AllPairsJobOutcome::survivors_rejected, and the
+// cascade is recomputed fresh — the list is derived data, so falling back
+// loses only prefilter work, never results. A cascade cut short by the
 // RunContext is NEVER persisted — the run returns with every survivor
 // unknown (result.partial, nothing checkpointed) and a later call with a
 // fresh context recomputes it. Checkpoint records for pairs outside the

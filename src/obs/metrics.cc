@@ -12,14 +12,6 @@
 namespace tycos {
 namespace obs {
 
-namespace {
-
-// Atomics per cache line: each shard's bucket block is padded to a multiple
-// of this so shards never share a line.
-constexpr size_t kCellsPerLine = 64 / sizeof(std::atomic<int64_t>);
-
-}  // namespace
-
 size_t ThisThreadShard() {
   static std::atomic<uint64_t> next_shard{0};
   thread_local const size_t shard = static_cast<size_t>(
@@ -44,12 +36,9 @@ int64_t HistogramSnapshot::total() const {
 }
 
 Histogram::Histogram(std::string name, std::vector<double> bounds)
-    : name_(std::move(name)), bounds_(std::move(bounds)) {
-  const size_t buckets = bounds_.size() + 1;  // + overflow
-  padded_buckets_ =
-      (buckets + kCellsPerLine - 1) / kCellsPerLine * kCellsPerLine;
-  cells_ = std::vector<std::atomic<int64_t>>(kShards * padded_buckets_);
-}
+    : name_(std::move(name)),
+      bounds_(std::move(bounds)),
+      counts_(bounds_.size() + 1) {}
 
 size_t Histogram::BucketIndex(double v) const {
   // First bucket whose upper bound covers v; everything above the last
@@ -59,28 +48,23 @@ size_t Histogram::BucketIndex(double v) const {
   return static_cast<size_t>(it - bounds_.begin());
 }
 
-void Histogram::ObserveCount(double v, int64_t n) {
-  const size_t idx =
-      ThisThreadShard() * padded_buckets_ + BucketIndex(v);
-  cells_[idx].fetch_add(n, std::memory_order_relaxed);
+void Histogram::Observe(double v) {
+  counts_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
   snap.name = name_;
   snap.bounds = bounds_;
-  snap.counts.assign(bounds_.size() + 1, 0);
-  for (size_t s = 0; s < kShards; ++s) {
-    for (size_t b = 0; b < snap.counts.size(); ++b) {
-      snap.counts[b] +=
-          cells_[s * padded_buckets_ + b].load(std::memory_order_relaxed);
-    }
+  snap.counts.reserve(counts_.size());
+  for (const std::atomic<int64_t>& c : counts_) {
+    snap.counts.push_back(c.load(std::memory_order_relaxed));
   }
   return snap;
 }
 
 void Histogram::Reset() {
-  for (std::atomic<int64_t>& c : cells_) {
+  for (std::atomic<int64_t>& c : counts_) {
     c.store(0, std::memory_order_relaxed);
   }
 }

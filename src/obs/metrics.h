@@ -1,15 +1,16 @@
 // Observability metrics registry: process-wide named counters, gauges, and
 // fixed-bucket histograms.
 //
-// Counters and histograms are written from concurrent climbs, so each one
-// keeps a small array of cache-line-aligned per-thread shard cells: a write
-// is one relaxed fetch_add on the calling thread's shard, a read sums the
-// shards. Totals are therefore exact and — because integer addition is
-// commutative — independent of how work was split across threads, which is
-// what keeps parallel_determinism_test bit-identical at every thread count.
-// Histograms store only integer bucket counts (never a floating-point sum)
-// for the same reason: FP addition is not associative, so a running sum
-// would differ with thread interleaving.
+// Counters are written from concurrent climbs, so each one keeps a small
+// array of cache-line-aligned per-thread shard cells: a write is one relaxed
+// fetch_add on the calling thread's shard, a read sums the shards. Totals
+// are therefore exact and — because integer addition is commutative —
+// independent of how work was split across threads, which is what keeps
+// parallel_determinism_test bit-identical at every thread count.
+// Histograms, observed once per climb, keep one atomic count per bucket.
+// Like counters they store only integers (never a floating-point sum): FP
+// addition is not associative, so a running sum would differ with thread
+// interleaving.
 //
 // The registry is the library's one instrumentation path and is always
 // on: the reports' metrics section, the service's Metrics() and the bench
@@ -39,7 +40,7 @@
 namespace tycos {
 namespace obs {
 
-// Number of per-thread shard cells per counter/histogram. Threads hash onto
+// Number of per-thread shard cells per counter. Threads hash onto
 // shards round-robin; more threads than shards just share cells (still
 // correct, marginally more contended).
 inline constexpr size_t kShards = 16;
@@ -111,11 +112,11 @@ struct HistogramSnapshot {
   int64_t total() const;
 };
 
-// Fixed-bucket distribution of integer-ish observations (ring expansions
-// per query, acceptance percentage per climb). Buckets are chosen at
-// creation and never change; observations land in the first bucket whose
-// upper bound is >= the value. Per-shard bucket cells keep Observe()
-// wait-free, and the integer-only state keeps snapshots bit-deterministic.
+// Fixed-bucket distribution of integer-ish observations (acceptance
+// percentage per climb). Buckets are chosen at creation and never change;
+// observations land in the first bucket whose upper bound is >= the value.
+// One atomic count per bucket keeps Observe() wait-free, and the
+// integer-only state keeps snapshots bit-deterministic.
 class Histogram {
  public:
   Histogram(std::string name, std::vector<double> bounds);
@@ -123,11 +124,7 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void Observe(double v) { ObserveCount(v, 1); }
-
-  // Records `n` observations of `v` in one shard write — the bulk-flush
-  // path for call sites that pre-aggregate in plain locals.
-  void ObserveCount(double v, int64_t n);
+  void Observe(double v);
 
   HistogramSnapshot Snapshot() const;
 
@@ -142,10 +139,9 @@ class Histogram {
 
   const std::string name_;
   const std::vector<double> bounds_;
-  size_t padded_buckets_;  // buckets rounded up to a cache-line multiple
-  // Layout: shard-major, each shard's buckets padded to full cache lines so
-  // two shards never share a line. C++20 value-initializes the atomics.
-  std::vector<std::atomic<int64_t>> cells_;
+  // One count per bucket, the overflow last. C++20 value-initializes the
+  // atomics.
+  std::vector<std::atomic<int64_t>> counts_;
 };
 
 struct CounterSnapshot {

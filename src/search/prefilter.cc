@@ -274,8 +274,7 @@ Status PrefilterParams::Validate(int64_t series_length) const {
   if (paa_segments < 1) {
     return Status::InvalidArgument("prefilter paa_segments must be >= 1");
   }
-  const int64_t resolved_window =
-      window > 0 ? window : std::min<int64_t>(128, series_length);
+  const int64_t resolved_window = ResolvedWindow(series_length);
   if (paa_segments > resolved_window) {
     return Status::InvalidArgument(
         "prefilter paa_segments " + std::to_string(paa_segments) +
@@ -300,6 +299,15 @@ Status PrefilterParams::Validate(int64_t series_length) const {
         "prefilter mi_conservativeness must be in (0, 1]");
   }
   return Status::Ok();
+}
+
+int64_t PrefilterParams::ResolvedWindow(int64_t series_length) const {
+  return window > 0 ? window : std::min<int64_t>(128, series_length);
+}
+
+int64_t PrefilterParams::ResolvedHop(int64_t series_length) const {
+  return hop > 0 ? hop
+                 : std::max<int64_t>(ResolvedWindow(series_length) / 2, 1);
 }
 
 double ResolvePearsonThreshold(const PrefilterParams& params, double sigma) {
@@ -334,11 +342,8 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   }
 
   const int num_channels = static_cast<int>(channels.size());
-  const int64_t n_win = params.window > 0
-                            ? params.window
-                            : std::min<int64_t>(128, series_length);
-  const int64_t hop =
-      params.hop > 0 ? params.hop : std::max<int64_t>(n_win / 2, 1);
+  const int64_t n_win = params.ResolvedWindow(series_length);
+  const int64_t hop = params.ResolvedHop(series_length);
   const int64_t td = params.td_max;
   const int k_s = params.paa_segments;
   const int k_b = params.svd_dims;

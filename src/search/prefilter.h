@@ -95,6 +95,12 @@ struct PrefilterParams {
 
   // Validates ranges against the (shared) series length.
   Status Validate(int64_t series_length) const;
+
+  // The window and hop the cascade runs with over series of
+  // `series_length` samples: the auto rules above applied where window or
+  // hop is <= 0.
+  int64_t ResolvedWindow(int64_t series_length) const;
+  int64_t ResolvedHop(int64_t series_length) const;
 };
 
 // Resolved Pearson threshold for this prefilter configuration: the

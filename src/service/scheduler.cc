@@ -29,12 +29,6 @@ int64_t Scheduler::QueueDepth() const {
   return depth_;
 }
 
-int64_t Scheduler::DispatchedCount(const std::string& tenant) const {
-  MutexLock lock(&mu_);
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.dispatched;
-}
-
 void Scheduler::Shutdown() {
   {
     MutexLock lock(&mu_);

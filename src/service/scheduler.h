@@ -53,10 +53,6 @@ class Scheduler {
   // Jobs accepted but not yet started. (Running jobs have left the queue.)
   int64_t QueueDepth() const TYCOS_EXCLUDES(mu_);
 
-  // Jobs handed to a worker so far, per tenant — the fair-share counters.
-  int64_t DispatchedCount(const std::string& tenant) const
-      TYCOS_EXCLUDES(mu_);
-
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   // Stops dispatch: queued jobs are discarded, running jobs finish, worker

@@ -372,24 +372,44 @@ TEST(ResumeAllPairsTest, StoppedCascadeIsNeverPersisted) {
   EXPECT_FALSE(FileExists(opt.durable.checkpoint_path));
 }
 
+// A cascade that prunes every pair leaves nothing to resume or record: the
+// empty survivor list persists, and no checkpoint is created.
+TEST(ResumeAllPairsTest, EmptySurvivorUniverseWritesNoCheckpoint) {
+  const ClusteredDataset ds = MakeDataset(8);
+  AllPairsJobOptions opt = JobOptions("allpairs_empty");
+  opt.prefilter.pearson_threshold = 1.0;  // only a perfect |r| survives
+  const auto out = ResumeAllPairsSearch(ds.channels, Params(),
+                                        TycosVariant::kLMN, 1, RunContext(),
+                                        opt);
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  ASSERT_TRUE(out.value().survivors.empty());
+  EXPECT_EQ(out.value().durable.result.stop_reason, StopReason::kCompleted);
+  EXPECT_FALSE(out.value().durable.result.partial);
+  EXPECT_TRUE(FileExists(opt.durable.checkpoint_path + ".survivors"));
+  EXPECT_FALSE(FileExists(opt.durable.checkpoint_path));
+}
+
 TEST(SurvivorListTest, RoundTripsThroughDisk) {
   jobs::SurvivorData data;
-  data.config_hash = 0x1234;
-  data.data_fingerprint = 0x5678;
-  data.seed = 42;
-  data.num_channels = 10;
-  data.series_length = 512;
+  data.identity.config_hash = 0x1234;
+  data.identity.data_fingerprint = 0x5678;
+  data.identity.seed = 42;
+  data.identity.num_channels = 10;
+  data.identity.series_length = 512;
   data.pairs = {{0, 1}, {0, 5}, {3, 9}};
   const std::string path = ::testing::TempDir() + "/roundtrip.survivors";
   std::remove(path.c_str());
   ASSERT_TRUE(jobs::SaveSurvivorList(path, data, false).ok());
   const auto loaded = jobs::LoadSurvivorList(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_EQ(loaded.value().config_hash, data.config_hash);
-  EXPECT_EQ(loaded.value().data_fingerprint, data.data_fingerprint);
-  EXPECT_EQ(loaded.value().seed, data.seed);
-  EXPECT_EQ(loaded.value().num_channels, data.num_channels);
-  EXPECT_EQ(loaded.value().series_length, data.series_length);
+  EXPECT_EQ(loaded.value().identity.config_hash, data.identity.config_hash);
+  EXPECT_EQ(loaded.value().identity.data_fingerprint,
+            data.identity.data_fingerprint);
+  EXPECT_EQ(loaded.value().identity.seed, data.identity.seed);
+  EXPECT_EQ(loaded.value().identity.num_channels,
+            data.identity.num_channels);
+  EXPECT_EQ(loaded.value().identity.series_length,
+            data.identity.series_length);
   EXPECT_EQ(loaded.value().pairs, data.pairs);
 }
 
@@ -403,11 +423,11 @@ TEST(SurvivorListTest, MissingFileIsNotFound) {
 // The bytes of a small valid survivor list, via the real writer.
 std::vector<uint8_t> ValidSurvivorBytes() {
   jobs::SurvivorData data;
-  data.config_hash = 0x1234;
-  data.data_fingerprint = 0x5678;
-  data.seed = 42;
-  data.num_channels = 10;
-  data.series_length = 512;
+  data.identity.config_hash = 0x1234;
+  data.identity.data_fingerprint = 0x5678;
+  data.identity.seed = 42;
+  data.identity.num_channels = 10;
+  data.identity.series_length = 512;
   data.pairs = {{0, 1}, {0, 5}, {3, 9}};
   const std::string path = ::testing::TempDir() + "/seed.survivors";
   std::remove(path.c_str());

@@ -10,15 +10,19 @@
 // corpus/checkpoint/regression_forged_num_channels was a quadratic
 // dedup-table allocation driven by the header's num_channels). When the
 // bytes DO parse, reopening the same bytes as a file for appending must
-// succeed, and the file must still load cleanly after one more append —
-// the crash-recovery invariant the durable job layer leans on.
+// succeed and hand back exactly the records the parse returned (the one
+// read a resumed durable job makes), and the file must still load cleanly
+// after one more append — the crash-recovery invariant the durable job
+// layer leans on.
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "jobs/checkpoint.h"
@@ -52,6 +56,33 @@ bool WriteScratch(const std::string& path, const uint8_t* data, size_t size) {
   return (std::fclose(f) == 0) && wrote;
 }
 
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Field-by-field, bit-exact equality of two record lists.
+bool SameRecords(const std::vector<CheckpointedPair>& x,
+                 const std::vector<CheckpointedPair>& y) {
+  if (x.size() != y.size()) return false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const tycos::PairwiseEntry& a = x[i].entry;
+    const tycos::PairwiseEntry& b = y[i].entry;
+    if (a.a != b.a || a.b != b.b || a.partial != b.partial ||
+        a.shed_level != b.shed_level || x[i].stop_reason != y[i].stop_reason ||
+        !SameBits(a.best_score, b.best_score) ||
+        a.windows.size() != b.windows.size()) {
+      return false;
+    }
+    for (size_t j = 0; j < a.windows.size(); ++j) {
+      const tycos::Window& v = a.windows.windows()[j];
+      const tycos::Window& w = b.windows.windows()[j];
+      if (v.start != w.start || v.end != w.end || v.delay != w.delay ||
+          !SameBits(v.mi, w.mi)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -68,18 +99,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const CheckpointData& ckpt = parsed.value();
   // The appended record below is pair (0, 1); a header declaring fewer
   // than two channels would (correctly) reject it on reload.
-  if (ckpt.num_channels < 2) return 0;
+  if (ckpt.identity.num_channels < 2) return 0;
   const std::string path = ScratchPath();
   if (!WriteScratch(path, data, size)) return 0;  // ENOSPC etc.: not a bug
 
   CheckpointWriter::Options options;
-  options.config_hash = ckpt.config_hash;
-  options.data_fingerprint = ckpt.data_fingerprint;
-  options.seed = ckpt.seed;
-  options.num_channels = ckpt.num_channels;
-  options.series_length = ckpt.series_length;
+  options.identity = ckpt.identity;
   Result<CheckpointWriter> writer = CheckpointWriter::Open(path, options);
   Require(writer.ok(), "reopen of parseable bytes failed");
+  Require(SameRecords(writer->records(), ckpt.pairs),
+          "reopen returned other records than the parse");
 
   CheckpointedPair record;
   record.entry.a = 0;

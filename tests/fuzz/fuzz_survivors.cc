@@ -58,7 +58,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (size_t i = 0; i < sd.pairs.size(); ++i) {
     const auto& [a, b] = sd.pairs[i];
     Require(a >= 0 && b >= 0 && a < b, "pair not canonical a < b");
-    Require(static_cast<uint32_t>(b) < sd.num_channels,
+    Require(static_cast<uint32_t>(b) < sd.identity.num_channels,
             "pair index out of channel range");
     if (i > 0) Require(sd.pairs[i - 1] < sd.pairs[i], "pairs not sorted");
   }
@@ -71,11 +71,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   Require(std::remove(path.c_str()) == 0, "scratch cleanup failed");
   Require(again.ok(), "round-trip reload failed");
   Require(again.value().pairs == sd.pairs &&
-              again.value().config_hash == sd.config_hash &&
-              again.value().data_fingerprint == sd.data_fingerprint &&
-              again.value().seed == sd.seed &&
-              again.value().num_channels == sd.num_channels &&
-              again.value().series_length == sd.series_length,
+              again.value().identity == sd.identity,
           "round-trip changed the survivor data");
   return 0;
 }

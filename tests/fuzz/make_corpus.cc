@@ -26,6 +26,7 @@ using tycos::Result;
 using tycos::Status;
 using tycos::jobs::CheckpointWriter;
 using tycos::jobs::CheckpointedPair;
+using tycos::jobs::RunIdentity;
 using tycos::jobs::SaveSurvivorList;
 using tycos::jobs::SurvivorData;
 
@@ -59,13 +60,19 @@ void ResealSurvivors(std::vector<uint8_t>* bytes) {
   }
 }
 
+RunIdentity DemoIdentity(uint32_t num_channels) {
+  RunIdentity id;
+  id.config_hash = 0x1122334455667788ull;
+  id.data_fingerprint = 0x99aabbccddeeff00ull;
+  id.seed = 42;
+  id.num_channels = num_channels;
+  id.series_length = 256;
+  return id;
+}
+
 CheckpointWriter::Options DemoOptions(uint32_t num_channels) {
   CheckpointWriter::Options options;
-  options.config_hash = 0x1122334455667788ull;
-  options.data_fingerprint = 0x99aabbccddeeff00ull;
-  options.seed = 42;
-  options.num_channels = num_channels;
-  options.series_length = 256;
+  options.identity = DemoIdentity(num_channels);
   return options;
 }
 
@@ -124,11 +131,7 @@ bool MakeCheckpointSeeds(const std::filesystem::path& dir,
 bool MakeSurvivorSeeds(const std::filesystem::path& dir,
                        const std::string& scratch) {
   SurvivorData data;
-  data.config_hash = 0x1122334455667788ull;
-  data.data_fingerprint = 0x99aabbccddeeff00ull;
-  data.seed = 42;
-  data.num_channels = 16;
-  data.series_length = 256;
+  data.identity = DemoIdentity(16);
   for (int a = 0; a < 6; ++a) {
     for (int b = a + 1; b < 8; ++b) data.pairs.emplace_back(a, b);
   }

@@ -65,11 +65,11 @@ std::string TempCheckpoint(const std::string& name) {
 
 CheckpointWriter::Options WriterOptions() {
   CheckpointWriter::Options o;
-  o.config_hash = 111;
-  o.data_fingerprint = 222;
-  o.seed = 42;
-  o.num_channels = 4;
-  o.series_length = 500;
+  o.identity.config_hash = 111;
+  o.identity.data_fingerprint = 222;
+  o.identity.seed = 42;
+  o.identity.num_channels = 4;
+  o.identity.series_length = 500;
   return o;
 }
 
@@ -151,11 +151,11 @@ TEST(CheckpointTest, RoundTripsRecordsBitExactly) {
   auto loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   const CheckpointData& data = loaded.value();
-  EXPECT_EQ(data.config_hash, 111u);
-  EXPECT_EQ(data.data_fingerprint, 222u);
-  EXPECT_EQ(data.seed, 42u);
-  EXPECT_EQ(data.num_channels, 4u);
-  EXPECT_EQ(data.series_length, 500);
+  EXPECT_EQ(data.identity.config_hash, 111u);
+  EXPECT_EQ(data.identity.data_fingerprint, 222u);
+  EXPECT_EQ(data.identity.seed, 42u);
+  EXPECT_EQ(data.identity.num_channels, 4u);
+  EXPECT_EQ(data.identity.series_length, 500);
   EXPECT_EQ(data.dropped_tail_bytes, 0);
   ASSERT_EQ(data.pairs.size(), 2u);
   EXPECT_EQ(data.pairs[0].entry.a, 0);
@@ -380,10 +380,34 @@ TEST(CheckpointTest, OpenRejectsMismatchedRun) {
     ASSERT_TRUE(writer.value().Close().ok());
   }
   CheckpointWriter::Options other = WriterOptions();
-  other.seed = 43;
+  other.identity.seed = 43;
   const Status st = CheckpointWriter::Open(path, other).status();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("different run"), std::string::npos);
+
+  // Every identity field binds the file on its own, the shape included:
+  // neither hash covers the channel count or the series length.
+  using Change = void (*)(jobs::RunIdentity*);
+  const std::vector<std::pair<std::string, Change>> changes = {
+      {"config hash", [](jobs::RunIdentity* id) { id->config_hash = 112; }},
+      {"data fingerprint",
+       [](jobs::RunIdentity* id) { id->data_fingerprint = 223; }},
+      {"seed", [](jobs::RunIdentity* id) { id->seed = 43; }},
+      {"channel count", [](jobs::RunIdentity* id) { id->num_channels = 5; }},
+      {"series length",
+       [](jobs::RunIdentity* id) { id->series_length = 501; }},
+  };
+  for (const auto& [field, change] : changes) {
+    CheckpointWriter::Options changed = WriterOptions();
+    change(&changed.identity);
+    const Status row = CheckpointWriter::Open(path, changed).status();
+    EXPECT_EQ(row.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(row.message().find("different run"), std::string::npos)
+        << field << ": " << row.message();
+    EXPECT_NE(row.message().find(field), std::string::npos) << row.message();
+  }
+  // The refusals left the file alone: its own run still opens it.
+  EXPECT_TRUE(CheckpointWriter::Open(path, WriterOptions()).ok());
   std::remove(path.c_str());
 }
 

@@ -77,16 +77,6 @@ TEST_F(ObsRegistryTest, HistogramNanGoesToOverflow) {
   EXPECT_EQ(snap.counts[2], 1);
 }
 
-TEST_F(ObsRegistryTest, HistogramObserveCountBulk) {
-  Histogram* h = GetHistogram("test.bulk", {0.0, 1.0, 2.0});
-  h->ObserveCount(0.0, 40);
-  h->ObserveCount(2.0, 2);
-  const HistogramSnapshot snap = h->Snapshot();
-  EXPECT_EQ(snap.counts[0], 40);
-  EXPECT_EQ(snap.counts[2], 2);
-  EXPECT_EQ(snap.total(), 42);
-}
-
 TEST_F(ObsRegistryTest, HistogramShardedObserveAggregatesAcrossThreads) {
   Histogram* h = GetHistogram("test.sharded_hist", {0.0, 1.0});
   constexpr int kThreads = 8;

@@ -90,9 +90,9 @@ CHECK_RATCHET_BASELINE = {
     "src/datagen/smart_city_sim.cc": 2,
     "src/fft/fft.cc": 5,
     "src/fft/sliding_dot.cc": 5,
-    "src/knn/brute_knn.cc": 5,
-    "src/knn/grid_index.cc": 5,
-    "src/knn/kd_tree.cc": 5,
+    "src/knn/brute_knn.cc": 4,
+    "src/knn/grid_index.cc": 4,
+    "src/knn/kd_tree.cc": 4,
     "src/knn/rank_index.cc": 2,
     "src/mi/cmi.cc": 6,
     "src/mi/entropy.cc": 1,
