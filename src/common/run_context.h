@@ -37,6 +37,13 @@ enum class StopReason {
 // Human-readable name ("completed", "deadline_exceeded", ...).
 const char* StopReasonName(StopReason reason);
 
+// A deadline or cancel: a stop that lands wherever the clock or another
+// thread puts it, so the output it cuts is never cached or checkpointed.
+inline bool IsTimingDependent(StopReason reason) {
+  return reason == StopReason::kDeadlineExceeded ||
+         reason == StopReason::kCancelled;
+}
+
 // `seconds` after `now`, saturating where a plain duration_cast would be
 // undefined (past ~9.2e9 s): +inf or a span past the clock's range never
 // arrives (time_point::max()); NaN or a span <= 0 has already expired.
@@ -111,8 +118,8 @@ class RunContext {
   // context. The parent's evaluation *budget* is deliberately not
   // inherited — budgets are counted against the poller's own evaluation
   // counter and would double-apply across levels. The parent must outlive
-  // this context; the durable-job runner uses this to carve a per-unit
-  // watchdog time slice out of the global run deadline.
+  // this context; the pair sweep uses this to carve each unit's watchdog
+  // time slice out of the global run deadline.
   void SetParent(const RunContext* parent) { parent_ = parent; }
   const RunContext* parent() const { return parent_; }
 

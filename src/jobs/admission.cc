@@ -101,5 +101,34 @@ double ShedBudgetScale(int level) {
   return level == 1 ? 0.5 : 0.25;
 }
 
+std::optional<PairAdmission> Admit(const ShedPolicy& policy, LoadProbe* probe,
+                                   int64_t in_flight, const TycosParams& params,
+                                   int64_t own_budget, int64_t outer_budget) {
+  int level = 0;
+  if (policy.enabled()) {
+    static obs::Gauge* rss_gauge = obs::GetGauge("process.rss_bytes");
+    LoadSample sample =
+        (probe != nullptr ? probe : LoadProbe::System())->Sample();
+    sample.queue_depth += in_flight;
+    rss_gauge->Set(sample.rss_bytes);
+    level = ShedLevel(policy, sample);
+    if (level >= 3) return std::nullopt;
+  }
+  int64_t budget = own_budget;
+  if (outer_budget > 0 && (budget <= 0 || outer_budget < budget)) {
+    budget = outer_budget;
+  }
+  if (budget > 0) {
+    const double scaled =
+        static_cast<double>(budget) * ShedBudgetScale(level);
+    budget = std::max<int64_t>(1, static_cast<int64_t>(scaled));
+  }
+  PairAdmission admission;
+  admission.params = DegradeParams(params, level);
+  admission.shed_level = level;
+  admission.evaluation_budget = budget;
+  return admission;
+}
+
 }  // namespace jobs
 }  // namespace tycos

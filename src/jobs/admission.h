@@ -1,17 +1,18 @@
-// Overload shedding for durable jobs: a memory/queue-depth admission gate
-// that degrades work before refusing it. Each unit of work is admitted at a
-// *shed level*; the ladder trades result thoroughness for resource headroom
-// one rung at a time:
+// Overload shedding: Admit, the one memory/queue-depth admission ladder of
+// the durable runner (per pair) and the service (per request), degrades
+// work before refusing it. Each unit of work is admitted at a *shed level*;
+// the ladder trades result thoroughness for resource headroom one rung at
+// a time:
 //
 //   level 0  full params
 //   level 1  degraded search (no multi-restart fan-in, shallower
 //            neighborhood exploration), evaluation budget halved
 //   level 2  level 1 plus a tighter idle cutoff and shorter LAHC history,
 //            evaluation budget quartered
-//   level 3  refuse: the unit is not run this invocation (it stays
+//   level 3  refuse: the unit is not run (a durable pair stays
 //            un-checkpointed, so a later resume picks it up)
 //
-// The level each pair ran at is recorded in its result and checkpoint
+// The level each unit ran at is recorded in its result and checkpoint
 // record, so degraded answers are never mistaken for full-fidelity ones.
 // Probing is behind the LoadProbe interface: production uses the process
 // RSS (obs::ProcessRssBytes) and live queue depth; tests inject a scripted
@@ -21,8 +22,10 @@
 #define TYCOS_JOBS_ADMISSION_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "common/status.h"
+#include "search/pairwise.h"
 #include "search/params.h"
 
 namespace tycos {
@@ -62,8 +65,8 @@ struct ShedPolicy {
   // negative bounds, or soft > hard on an axis where both are set (the
   // degradation band would vanish and load would jump straight from full
   // fidelity to refusal). soft == hard is allowed — an intentional
-  // no-degrade cliff. Admission paths must call this before the first
-  // ShedLevel() evaluation.
+  // no-degrade cliff. Runners call this when they validate their options,
+  // before the first Admit.
   Status Validate() const;
 };
 
@@ -79,8 +82,20 @@ int ShedLevel(const ShedPolicy& policy, const LoadSample& sample);
 TycosParams DegradeParams(const TycosParams& params, int level);
 
 // The evaluation-budget scale for a shed level: 1, 1/2, 1/4 for levels
-// 0, 1, 2. Applied by the runner to its per-pair budget when one is set.
+// 0, 1, 2.
 double ShedBudgetScale(int level);
+
+// The ladder for one unit of work. An enabled policy samples `probe`
+// (nullptr = LoadProbe::System()) with the caller's `in_flight` count
+// added to its queue depth, sets the process.rss_bytes gauge and picks the
+// level; a disabled one never samples. nullopt refuses (level 3).
+// Otherwise: DegradeParams at the level, and a budget of
+// ShedBudgetScale(level) × the tighter of the runner's `own_budget` and
+// the caller's `outer_budget` (0 = unset; floored at 1). The runner sets
+// the watchdog slice.
+std::optional<PairAdmission> Admit(const ShedPolicy& policy, LoadProbe* probe,
+                                   int64_t in_flight, const TycosParams& params,
+                                   int64_t own_budget, int64_t outer_budget);
 
 }  // namespace jobs
 }  // namespace tycos

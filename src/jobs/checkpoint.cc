@@ -208,18 +208,18 @@ Status ParseRecordPayload(const uint8_t* data, size_t n, uint32_t num_channels,
   return Status::Ok();
 }
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
+Result<std::vector<uint8_t>> ReadFileBytes(const Format& format,
+                                           const std::string& path) {
+  const std::string what = std::string(format.name) + " " + path;
   errno = 0;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     // Only a genuinely absent file maps to NotFound. Any other failure
     // (EACCES, fd exhaustion, a file where a directory was expected) must
     // surface as an error, so a caller never mistakes an unreadable
-    // checkpoint for a missing one.
-    if (errno == ENOENT) {
-      return Status::NotFound("checkpoint " + path + " does not exist");
-    }
-    return Status::IoError("cannot open checkpoint " + path + ": " +
+    // file for a missing one.
+    if (errno == ENOENT) return Status::NotFound(what + " does not exist");
+    return Status::IoError("cannot open " + what + ": " +
                            std::strerror(errno));
   }
   std::vector<uint8_t> bytes;
@@ -230,19 +230,20 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   }
   const bool read_error = std::ferror(f) != 0;
   if (std::fclose(f) != 0 || read_error) {
-    return Status::IoError("read of checkpoint " + path + " failed");
+    return Status::IoError("read of " + what + " failed");
   }
   return bytes;
 }
 
 // Writes `n` bytes to `path` via a temp file and atomic rename, so a crash
 // mid-write never leaves a half-written file under the real name.
-Status WriteFileAtomically(const std::string& path, const uint8_t* data,
-                           size_t n, bool sync) {
+Status WriteFileAtomically(const Format& format, const std::string& path,
+                           const uint8_t* data, size_t n, bool sync) {
+  const std::string name = format.name;
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    return Status::IoError("cannot create checkpoint temp file " + tmp);
+    return Status::IoError("cannot create " + name + " temp file " + tmp);
   }
   const bool wrote = std::fwrite(data, 1, n, f) == n && std::fflush(f) == 0;
 #if defined(__unix__) || defined(__APPLE__)
@@ -252,7 +253,8 @@ Status WriteFileAtomically(const std::string& path, const uint8_t* data,
   const bool synced = true;
 #endif
   if (std::fclose(f) != 0 || !wrote || !synced) {
-    return Status::IoError("write of checkpoint bytes to " + tmp + " failed");
+    return Status::IoError("write of " + name + " bytes to " + tmp +
+                           " failed");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::IoError("atomic rename " + tmp + " -> " + path + " failed");
@@ -407,7 +409,8 @@ Status SaveSurvivorList(const std::string& path, const SurvivorData& data,
     buf.PutU32(static_cast<uint32_t>(p.second));
   }
   buf.PutU64(Fnv1a(buf.data(), buf.size()));
-  return WriteFileAtomically(path, buf.data(), buf.size(), sync);
+  return WriteFileAtomically(kSurvivorFormat, path, buf.data(), buf.size(),
+                             sync);
 }
 
 std::string SurvivorPathFor(const std::string& checkpoint_path) {
@@ -471,7 +474,7 @@ Result<SurvivorData> ParseSurvivorBytes(const uint8_t* data, size_t n,
 }
 
 Result<SurvivorData> LoadSurvivorList(const std::string& path) {
-  Result<std::vector<uint8_t>> read = ReadFileBytes(path);
+  Result<std::vector<uint8_t>> read = ReadFileBytes(kSurvivorFormat, path);
   if (!read.ok()) return read.status();
   return ParseSurvivorBytes(read.value().data(), read.value().size(), path);
 }
@@ -502,7 +505,7 @@ Result<CheckpointData> ParseCheckpointBytes(const uint8_t* data, size_t n,
 }
 
 Result<CheckpointData> LoadCheckpoint(const std::string& path) {
-  Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(kCheckpointFormat, path);
   if (!bytes.ok()) return bytes.status();
   return ParseCheckpointBytes(bytes.value().data(), bytes.value().size(),
                               path);
@@ -510,7 +513,8 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
 
 Result<CheckpointWriter> CheckpointWriter::Open(const std::string& path,
                                                 const Options& options) {
-  Result<std::vector<uint8_t>> existing = ReadFileBytes(path);
+  Result<std::vector<uint8_t>> existing =
+      ReadFileBytes(kCheckpointFormat, path);
   std::vector<CheckpointedPair> records;
   if (existing.ok()) {
     // Existing file: validate it, check that this run wrote it, and cut any
@@ -529,8 +533,8 @@ Result<CheckpointWriter> CheckpointWriter::Open(const std::string& path,
     if (!st.ok()) return st;
     const auto torn = static_cast<size_t>(loaded.value().dropped_tail_bytes);
     if (torn > 0) {
-      st = WriteFileAtomically(path, bytes.data(), bytes.size() - torn,
-                               options.fsync_each_record);
+      st = WriteFileAtomically(kCheckpointFormat, path, bytes.data(),
+                               bytes.size() - torn, options.fsync_each_record);
       if (!st.ok()) return st;
     }
     records = std::move(loaded.value().pairs);
@@ -540,8 +544,9 @@ Result<CheckpointWriter> CheckpointWriter::Open(const std::string& path,
     ByteBuffer header;
     PutPrefix(kCheckpointFormat, options.identity, &header);
     header.PutU64(Fnv1a(header.data(), header.size()));
-    const Status st = WriteFileAtomically(path, header.data(), header.size(),
-                                          options.fsync_each_record);
+    const Status st =
+        WriteFileAtomically(kCheckpointFormat, path, header.data(),
+                            header.size(), options.fsync_each_record);
     if (!st.ok()) return st;
   } else {
     // EACCES, fd exhaustion, ...: an unreadable checkpoint must never be

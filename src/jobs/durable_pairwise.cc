@@ -165,27 +165,24 @@ Result<DurableOutcome> RunDurableJob(
       obs::GetCounter("jobs.checkpoint_records");
   static obs::Counter* ckpt_bytes_counter =
       obs::GetCounter("jobs.checkpoint_bytes");
-  static obs::Gauge* rss_gauge = obs::GetGauge("process.rss_bytes");
   resumed_counter->Add(static_cast<int64_t>(entries.size()));
 
   // --- Sweep the remaining pairs -------------------------------------------
   JobLedger ledger(writer.has_value() ? &*writer : nullptr);
-  LoadProbe* probe =
-      options.probe != nullptr ? options.probe : LoadProbe::System();
   // Pairs admitted and not yet finished, overlaid on the probe's queue
   // depth.
   std::atomic<int64_t> in_flight{0};
 
   PairSweepHooks hooks;
-  // Admission: probe load and pick this pair's shed level.
+  // Admission: the shed ladder's level, params and budget for the pair,
+  // plus the watchdog slice for each of its units.
   hooks.admit = [&](int64_t) -> std::optional<PairAdmission> {
     in_flight.fetch_add(1, std::memory_order_relaxed);
-    LoadSample sample = probe->Sample();
-    sample.queue_depth += in_flight.load(std::memory_order_relaxed);
-    rss_gauge->Set(sample.rss_bytes);
-    const int level =
-        options.shed.enabled() ? ShedLevel(options.shed, sample) : 0;
-    if (level >= 3) {
+    std::optional<PairAdmission> admission =
+        Admit(options.shed, options.probe,
+              in_flight.load(std::memory_order_relaxed), params,
+              options.pair_evaluation_budget, ctx.evaluation_budget());
+    if (!admission.has_value()) {
       // Refused, not failed: the pair stays un-checkpointed and a later,
       // less-loaded resume picks it up.
       in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -193,58 +190,29 @@ Result<DurableOutcome> RunDurableJob(
       ledger.Fold([](DurableJobStats& s) { ++s.pairs_refused; });
       return std::nullopt;
     }
+    admission->time_slice_s = options.pair_time_slice_s;
     run_counter->Add(1);
-    ledger.Fold([level](DurableJobStats& s) {
+    ledger.Fold([level = admission->shed_level](DurableJobStats& s) {
       ++s.pairs_run;
       if (level > 0) ++s.pairs_degraded;
     });
-    return PairAdmission{DegradeParams(params, level), level};
+    return admission;
   };
 
-  // Each unit runs once, under its own watchdog slice and evaluation
-  // budget.
-  hooks.run_unit = [&](int64_t i, int unit, const PairAdmission& admission,
-                       const PairUnitWork& work) {
+  // Judges each unit once it ran under its slice and budget.
+  hooks.unit_done = [&](int64_t i, int unit, const Result<StopReason>& end) {
     const auto [a, b] = todo[static_cast<size_t>(i)];
-    // Budget: the tighter of the shed-scaled per-pair budget and the
-    // caller's global budget wins. Parent chaining skips budgets by design
-    // (they count against the poller's own evaluation counter), so the
-    // global one is folded in here — per unit, exactly as PairwiseSearch
-    // applies a budgeted ctx.
-    int64_t budget = 0;
-    if (options.pair_evaluation_budget > 0) {
-      const double scaled =
-          static_cast<double>(options.pair_evaluation_budget) *
-          ShedBudgetScale(admission.shed_level);
-      budget = std::max<int64_t>(1, static_cast<int64_t>(scaled));
-    }
-    const int64_t global_budget = ctx.evaluation_budget();
-    if (global_budget > 0) {
-      budget = budget > 0 ? std::min(budget, global_budget) : global_budget;
-    }
-
-    // Watchdog slice + budget, chained under the global context so a
-    // global stop still reaches the inner search.
-    RunContext child;
-    child.SetParent(&ctx);
-    if (options.pair_time_slice_s > 0) {
-      child.SetDeadlineAfter(options.pair_time_slice_s);
-    }
-    if (budget > 0) child.SetEvaluationBudget(budget);
-    const Result<StopReason> reason = work(child);
     // A failed unit is isolated to its pair and the sweep goes on;
     // un-checkpointed, the pair reruns on resume.
-    if (!reason.ok()) {
-      ledger.Fail(i, unit, {a, b, reason.status()});
+    if (!end.ok()) {
+      ledger.Fail(i, unit, {a, b, end.status()});
       return false;
     }
     // A deterministic outcome is final (and checkpointed). A cut one is
     // kept only when the global context fired: the sweep is ending, and
     // the partial output rides along (never checkpointed — it is
     // timing-dependent).
-    if (reason.value() == StopReason::kCompleted ||
-        reason.value() == StopReason::kBudgetExhausted ||
-        ctx.ShouldStop(0).has_value()) {
+    if (!IsTimingDependent(end.value()) || ctx.ShouldStop(0).has_value()) {
       return true;
     }
     // Otherwise the unit's own watchdog slice expired.
@@ -261,9 +229,7 @@ Result<DurableOutcome> RunDurableJob(
   // Checkpointing: only deterministic outcomes persist.
   hooks.finish = [&](int64_t, const PairOutcome* outcome) {
     in_flight.fetch_sub(1, std::memory_order_relaxed);
-    if (outcome != nullptr &&
-        (outcome->stop_reason == StopReason::kCompleted ||
-         outcome->stop_reason == StopReason::kBudgetExhausted)) {
+    if (outcome != nullptr && !IsTimingDependent(outcome->stop_reason)) {
       ledger.Append({outcome->entry, outcome->stop_reason});
     }
   };

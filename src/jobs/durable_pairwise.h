@@ -15,9 +15,9 @@
 //     search returns an error, fails its pair: the pair is recorded in
 //     `failures`, excluded from the result, left un-checkpointed, and
 //     rerun by the next resume. The rest of the run goes on.
-//   * Shedding — an admission gate (admission.h) degrades params under
-//     memory/queue pressure before refusing work; the level is recorded in
-//     each entry and checkpoint record.
+//   * Shedding — the admission ladder (admission.h) degrades params and
+//     budget under memory/queue pressure before refusing work; the level
+//     is recorded in each entry and checkpoint record.
 //
 // Only deterministic stops are checkpointed: a pair cut short by a
 // deadline or cancellation reruns on resume, while a pair that exhausted
@@ -62,10 +62,9 @@ struct DurableJobOptions {
   double pair_time_slice_s = 0.0;
 
   // Per-unit evaluation budget (0 = none): per pair, or per climb with
-  // restarts (the plain sweep's rule); scaled down by the shed ladder.
-  // An evaluation budget set on the global RunContext also applies, per
-  // pair (the tighter of the two wins), exactly as PairwiseSearch applies
-  // a budgeted ctx to each pair's own evaluation counter.
+  // restarts (the plain sweep's rule). A budget on the global RunContext
+  // also applies per unit, as in PairwiseSearch; the tighter of the two
+  // wins, scaled by a shed pair's level (jobs::Admit, as in the service).
   int64_t pair_evaluation_budget = 0;
 
   // Voluntary pause: stop after this many newly searched pairs (0 =

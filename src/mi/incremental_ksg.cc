@@ -185,9 +185,7 @@ void IncrementalKsg::Rebuild(const Window& w) {
   end_ = w.end;
   delay_ = w.delay;
   const int64_t m = w.size();
-  // Too small to estimate: no state, so the next window rebuilds.
-  has_window_ = m >= k_ + 2;
-  if (!has_window_) return;
+  has_window_ = true;
 
   Place(start_, end_, /*keep_live=*/false);
   const size_t first = Slot(start_);
@@ -301,15 +299,11 @@ double IncrementalKsg::SetWindow(const Window& w) {
   TYCOS_CHECK_GE(w.y_start(), 0);
   TYCOS_CHECK_LT(w.y_end(), pair_.size());
 
-  if (w.size() < k_ + 2) {
-    Rebuild(w);  // clears state; CurrentMi() is 0
-    return 0.0;
-  }
-
-  // Hostile-window guard: constant marginals and non-finite samples score a
-  // defined 0 and never reach a kNN query. State is left on the previous
-  // (healthy) window so an interleaved degenerate probe does not destroy
+  // Too small for k, or hostile (constant marginals, non-finite samples):
+  // a defined 0 that never reaches a kNN query. State is left on the
+  // previous (healthy) window so an interleaved probe does not destroy
   // incremental locality.
+  if (w.size() < k_ + 2) return 0.0;
   if (DegenerateWindow(w)) {
     ++stats_.degenerate_windows;
     return 0.0;

@@ -17,7 +17,7 @@
 // sidecars read it, and TycosStats counts the same work per engine. Hot
 // paths keep the cost negligible by accumulating into plain local structs
 // and flushing deltas at coarse boundaries (per climb, per evaluator
-// stack, per index teardown) instead of touching an atomic per point — see
+// stack, per kNN batch) instead of touching an atomic per point — see
 // DESIGN.md "Observability" for the overhead policy.
 //
 // Handles returned by GetCounter/GetGauge/GetHistogram are stable for the

@@ -44,8 +44,9 @@ class WindowEvaluator {
   // Publishes this evaluator's locally accumulated work counters to the
   // obs registry (mi.evaluations, mi.cache_hits, mi.degenerate_windows,
   // incremental.*) as deltas since the previous flush. Searches call it
-  // once per evaluator stack, when a Tycos unit or a brute-force run ends;
-  // Score() itself never touches an atomic, which is what keeps the
+  // once per evaluator stack, when a Tycos unit or a brute-force run ends.
+  // Score() adds at most one knn.*.queries count per kNN batch (a KsgMi
+  // call or an incremental rebuild), never one per point, which keeps the
   // always-on metrics inside the ≤1% overhead budget.
   // Wrappers must forward to their inner evaluator.
   virtual void FlushObsCounters() {}

@@ -151,6 +151,9 @@ Result<PairwiseResult> SweepPairs(
 
   static obs::Counter* pairs_searched =
       obs::GetCounter("pairwise.pairs_searched");
+  // Without an admit hook every pair runs under the limits a unit of a
+  // plain sweep has: the sweep's params, ctx's own budget, no slice.
+  const PairAdmission plain{params, 0, ctx.evaluation_budget()};
 
   const ForStatus fs = ParallelFor(
       ResolveThreadCount(params.num_threads), units, ctx,
@@ -160,8 +163,7 @@ Result<PairwiseResult> SweepPairs(
         PairState& st = states[static_cast<size_t>(p)];
         const auto [a, b] = pairs[static_cast<size_t>(p)];
         std::call_once(st.once, [&] {
-          st.admission = hooks.admit ? hooks.admit(p)
-                                     : PairAdmission{params, 0};
+          st.admission = hooks.admit ? hooks.admit(p) : plain;
           if (!st.admission.has_value()) return;
           st.admission->params.num_threads = 1;
           const SeriesPair sp(channels[static_cast<size_t>(a)],
@@ -184,21 +186,27 @@ Result<PairwiseResult> SweepPairs(
                             r < static_cast<int>(st.units.size());
         std::optional<StopReason> halt;
         if (active) {
-          const PairUnitWork work =
-              [&](const RunContext& unit_ctx) -> Result<StopReason> {
+          // Under ctx, so a global stop reaches the unit; budgets do not
+          // chain, which is why `plain` carries ctx's.
+          RunContext unit_ctx;
+          unit_ctx.SetParent(&ctx);
+          if (st.admission->time_slice_s > 0) {
+            unit_ctx.SetDeadlineAfter(st.admission->time_slice_s);
+          }
+          unit_ctx.SetEvaluationBudget(st.admission->evaluation_budget);
+          const Result<StopReason> end = [&]() -> Result<StopReason> {
             if (!st.status.ok()) return st.status;  // the engine build
             Tycos::UnitResult& unit = st.units[static_cast<size_t>(r)];
             unit = st.engine->RunUnit(r, unit_ctx);
             return unit.stop.value_or(StopReason::kCompleted);
-          };
-          const bool kept = hooks.run_unit
-                                ? hooks.run_unit(p, r, *st.admission, work)
-                                : work(ctx).ok();
+          }();
+          const bool kept =
+              hooks.unit_done ? hooks.unit_done(p, r, end) : end.ok();
           if (!kept) {
             st.dropped.store(true, std::memory_order_relaxed);
             // Without hooks a drop is an error: halt further claims; the
             // recorded status (not this reason) is what the caller sees.
-            if (!hooks.run_unit) halt = StopReason::kCancelled;
+            if (!hooks.unit_done) halt = StopReason::kCancelled;
           }
         }
 
@@ -215,10 +223,9 @@ Result<PairwiseResult> SweepPairs(
           const int64_t all = static_cast<int64_t>(st.units.size());
           st.outcome = ToPairOutcome(
               a, b, st.engine->MergeUnits(st.units, all, std::nullopt));
-          // A unit cut by a global stop makes the pair timing-dependent.
+          // A unit cut by a deadline or cancel makes the pair timing-dependent.
           for (const Tycos::UnitResult& unit : st.units) {
-            if (unit.stop == StopReason::kDeadlineExceeded ||
-                unit.stop == StopReason::kCancelled) {
+            if (unit.stop && IsTimingDependent(*unit.stop)) {
               st.outcome.stop_reason = *unit.stop;
               break;
             }
@@ -234,7 +241,7 @@ Result<PairwiseResult> SweepPairs(
         return halt;
       });
 
-  if (!hooks.run_unit) {
+  if (!hooks.unit_done) {
     // First error in pair order wins (deterministic at any thread count
     // once the error itself is deterministic). A pair's error is visible
     // iff its first unit was claimed.

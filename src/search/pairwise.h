@@ -121,34 +121,32 @@ Result<PairOutcome> SearchPair(const std::vector<TimeSeries>& channels, int a,
 // window count, then (a, b).
 void SortPairwiseEntries(std::vector<PairwiseEntry>* entries);
 
-// How admit lets a pair into a sweep.
+// How admit lets a pair into a sweep (jobs::Admit's answer plus the
+// runner's watchdog slice); each of its units runs under these limits.
 struct PairAdmission {
   // May turn restarts off (the pair's scan then runs in its unit 0), but
   // must not otherwise change num_restarts.
   TycosParams params;
-  int shed_level = 0;  // stamped into the pair's entry
+  int shed_level = 0;             // stamped into the pair's entry
+  int64_t evaluation_budget = 0;  // per unit; 0 = none
+  double time_slice_s = 0.0;      // per-unit deadline, seconds; 0 = none
 };
-
-// Runs a unit once under `unit_ctx`, replacing its stored output, and
-// returns how its search ended. Every call replays the unit bit for bit.
-using PairUnitWork =
-    std::function<Result<StopReason>(const RunContext& unit_ctx)>;
 
 // Optional per-pair hooks (the durable runner's admission, watchdog and
 // checkpointing). They run on the sweep's workers: concurrently for
 // different pairs and, with restarts, for different units of one pair.
 struct PairSweepHooks {
   // Once per pair, before its units run: nullopt refuses the pair (it is
-  // never run, reported or finished). Unset: the sweep's params, level 0.
+  // never run, reported or finished). Unset: the sweep's params, level 0,
+  // the context's own evaluation budget and no slice.
   std::function<std::optional<PairAdmission>(int64_t pair)> admit;
-  // Runs a unit by calling `work` (the durable runner calls it once, under
-  // its watchdog context); returns whether the output stands (false drops
-  // the pair unreported). A global stop needs no report: the sweep's own
-  // poll of ctx ends it. Unset: the sweep calls work(ctx) once, and an
-  // error ends the sweep.
-  std::function<bool(int64_t pair, int unit, const PairAdmission&,
-                     const PairUnitWork& work)>
-      run_unit;
+  // After each unit ran, with how its search ended (an error when the
+  // pair's engine could not be built or the search failed); returns
+  // whether the unit's output stands (false drops the pair unreported). A
+  // global stop needs no report: the sweep's own poll of ctx ends it.
+  // Unset: an error ends the sweep.
+  std::function<bool(int64_t pair, int unit, const Result<StopReason>& end)>
+      unit_done;
   // Once per admitted pair after its last unit, with its outcome (nullptr
   // if dropped) before the entry is reported. A pair a stop left with
   // unclaimed units is never finished.
@@ -162,13 +160,13 @@ struct PairSweepHooks {
 // and runs Tycos::RunUnit for each of the engine's num_units() (a fresh
 // evaluator stack and RNG per call, so a unit is a pure function of the
 // pair's seed and its index); the pair's last unit to end merges them with
-// Tycos::MergeUnits. The pair's stop_reason is a global stop (deadline,
-// cancel) if any unit hit one. Sweeps never nest loops: pairs run with
-// num_threads = 1.
+// Tycos::MergeUnits. The pair's stop_reason is a timing-dependent stop
+// (deadline, cancel) if any unit hit one. Sweeps never nest loops: pairs
+// run with num_threads = 1.
 //
 // A pair is reported once all of its units ran and kept their output; a
 // stop that leaves some unclaimed drops it as skipped, so `pairs` is the
-// universe pairs_skipped counts against. Without a run_unit hook the first
+// universe pairs_skipped counts against. With no unit_done hook the first
 // unit error in pair order is returned. `pairwise.pairs_searched` counts
 // each reported pair once. The caller validates channels, params, pairs.
 Result<PairwiseResult> SweepPairs(

@@ -258,10 +258,7 @@ Result<SearchOutcome> Tycos::Run(const RunContext& ctx) {
         out = RunUnit(static_cast<int>(u), ctx);
         // A per-unit budget exhausting is local (every unit carries the
         // same budget); only global limits end the whole run.
-        if (out.stop == StopReason::kDeadlineExceeded ||
-            out.stop == StopReason::kCancelled) {
-          return out.stop;
-        }
+        if (out.stop && IsTimingDependent(*out.stop)) return out.stop;
         return std::nullopt;
       });
   SearchOutcome outcome = MergeUnits(results, fs.claimed, fs.stop);

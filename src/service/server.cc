@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/parallel_for.h"
@@ -10,25 +11,6 @@
 
 namespace tycos {
 namespace service {
-
-namespace {
-
-// Folds the request-level and server-level budgets (tighter wins; 0 means
-// unset) and applies the shed scale — the same downgrade semantics the
-// durable-jobs runner uses. A positive budget never scales to "unlimited".
-int64_t EffectiveBudget(int64_t request_budget, int64_t server_budget,
-                        int level) {
-  int64_t base = request_budget;
-  if (server_budget > 0 && (base <= 0 || server_budget < base)) {
-    base = server_budget;
-  }
-  if (base <= 0) return 0;
-  const double scaled =
-      static_cast<double>(base) * jobs::ShedBudgetScale(level);
-  return std::max<int64_t>(1, static_cast<int64_t>(scaled));
-}
-
-}  // namespace
 
 const char* RequestStateName(RequestState state) {
   switch (state) {
@@ -62,7 +44,6 @@ Result<std::unique_ptr<Server>> Server::Create(const ServiceOptions& opts) {
 
 Server::Server(const ServiceOptions& opts)
     : options_(opts),
-      probe_(opts.probe != nullptr ? opts.probe : jobs::LoadProbe::System()),
       cache_(opts.cache_capacity),
       scheduler_(std::make_unique<Scheduler>(opts.num_workers)) {}
 
@@ -102,11 +83,6 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
   static obs::Counter* degraded_c = obs::GetCounter("service.degraded");
   static obs::Counter* cache_hits = obs::GetCounter("service.cache.hits");
 
-  // The admission path re-validates the ladder on every request (the
-  // satellite contract for ShedPolicy::Validate): options are fixed at
-  // Create, but the check is a handful of compares.
-  if (const Status st = options_.shed.Validate(); !st.ok()) return st;
-
   // Fail malformed requests synchronously, against the data as of now.
   // A negative or NaN limit would otherwise read as "unset" below.
   if (!(req.deadline_seconds >= 0)) {
@@ -142,17 +118,16 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
     return st;
   }
 
-  // Admission ladder: the probe's reading plus our own in-flight count.
-  int level = 0;
-  if (options_.shed.enabled()) {
-    jobs::LoadSample sample = probe_->Sample();
-    {
-      MutexLock lock(&mu_);
-      sample.queue_depth += in_flight_;
-    }
-    level = jobs::ShedLevel(options_.shed, sample);
+  // The shed ladder, over the probe plus our own in-flight count.
+  int64_t in_flight = 0;
+  {
+    MutexLock lock(&mu_);
+    in_flight = in_flight_;
   }
-  if (level >= 3) {
+  const std::optional<PairAdmission> admission =
+      jobs::Admit(options_.shed, options_.probe, in_flight, req.params,
+                  options_.evaluation_budget, req.evaluation_budget);
+  if (!admission.has_value()) {
     refused->Add(1);
     return Status::Unavailable(
         "admission refused: overload at shed level 3 (tenant '" +
@@ -160,9 +135,9 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
   }
 
   record->req = req;
-  record->shed_level = level;
-  record->degraded = level > 0;
-  record->effective = jobs::DegradeParams(req.params, level);
+  record->shed_level = admission->shed_level;
+  record->degraded = admission->shed_level > 0;
+  record->effective = admission->params;
   // Workers each run one engine; size its inner fan-out so the scheduler's
   // width times the engine's width cannot oversubscribe the host. Results
   // are thread-count invariant, so this never changes an answer (and
@@ -176,44 +151,38 @@ Result<int64_t> Server::Submit(const SearchRequest& req) {
                               ? req.deadline_seconds
                               : options_.default_deadline_seconds;
   if (deadline > 0) record->ctx.SetDeadlineAfter(deadline);
-  const int64_t budget = EffectiveBudget(
-      req.evaluation_budget, options_.evaluation_budget, level);
-  if (budget > 0) record->ctx.SetEvaluationBudget(budget);
+  record->ctx.SetEvaluationBudget(admission->evaluation_budget);
 
-  const CacheKey key = KeyOf(*record);
+  // Submit-time cache probe, before the record exists: a hit completes the
+  // request without ever touching the queue. Misses are counted at
+  // dispatch, where the compute commitment is made.
+  std::optional<SearchOutcome> hit = cache_.Lookup(KeyOf(*record));
+
+  // One critical section checks shutdown_ and inserts the record done (a
+  // hit) or queued, so it completes once. Shutdown sets shutdown_ before it
+  // stops the scheduler, so this enqueue is never refused.
   int64_t id = 0;
-  Request* r = nullptr;
   {
     MutexLock lock(&mu_);
     if (shutdown_) {
       return Status::Unavailable("server is shutting down");
     }
     id = next_id_++;
-    r = record.get();
+    Request* r = record.get();
     requests_.emplace(id, std::move(record));
     ++in_flight_;
+    admitted->Add(1);
+    if (r->degraded) degraded_c->Add(1);
+    if (hit.has_value()) {
+      cache_hits->Add(1);
+      r->from_cache = true;
+      r->outcome = std::move(*hit);
+      CompleteLocked(r, RequestState::kDone);
+    } else {
+      scheduler_->Submit(req.tenant, [this, id] { RunJob(id); });
+    }
   }
-  admitted->Add(1);
-  if (level > 0) degraded_c->Add(1);
-
-  // Submit-time cache probe: a hit completes the request without ever
-  // touching the queue. Misses are counted at dispatch, where the compute
-  // commitment is made.
-  if (std::optional<SearchOutcome> hit = cache_.Lookup(key)) {
-    cache_hits->Add(1);
-    MutexLock lock(&mu_);
-    r->from_cache = true;
-    r->outcome = std::move(*hit);
-    CompleteLocked(r, RequestState::kDone);
-    return id;
-  }
-
-  if (!scheduler_->Submit(req.tenant, [this, id] { RunJob(id); })) {
-    MutexLock lock(&mu_);
-    CompleteLocked(r, RequestState::kCancelled);
-    return Status::Unavailable("server is shutting down");
-  }
-  PublishQueueDepth();
+  if (!hit.has_value()) PublishQueueDepth();
   return id;
 }
 

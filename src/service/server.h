@@ -10,8 +10,8 @@
 //
 //   Submit ── pins the data version the request answers: both channels'
 //   epochs and their common length, read under one hold of the store
-//   lock. Then the admission ladder (jobs::ShedPolicy over a LoadProbe
-//   reading RSS and the live in-flight count): level 0 runs full params,
+//   lock. Then jobs::Admit, the durable runner's ladder, over a LoadProbe
+//   reading RSS and the live in-flight count: level 0 runs full params,
 //   levels 1–2 run jobs::DegradeParams with a scaled evaluation budget,
 //   level 3 refuses with Status::Unavailable — the request never enters
 //   the queue. Admitted requests probe the result cache (service/cache.h)
@@ -69,12 +69,12 @@ struct ServiceOptions {
   size_t cache_capacity = 128;
 
   // Admission ladder (default-constructed = disabled: everything admitted
-  // at level 0). Validated by Server::Create and again on every Submit.
+  // at level 0). Validated by Server::Create.
   jobs::ShedPolicy shed;
 
   // Load readings for the ladder; the server overlays its own in-flight
-  // request count on the sample's queue_depth. nullptr = the process-wide
-  // LoadProbe::System(). Must outlive the server.
+  // request count on the sample's queue_depth. nullptr = the process's RSS
+  // (jobs::Admit's default probe). Must outlive the server.
   jobs::LoadProbe* probe = nullptr;
 
   // Deadline applied to requests that don't set their own; 0 = none. The
@@ -149,7 +149,7 @@ class Server {
   //   Unavailable      — refused by the admission ladder (level 3) or the
   //                      server is shutting down;
   //   NotFound         — an unknown channel;
-  //   InvalidArgument  — malformed params / misconfigured shed policy.
+  //   InvalidArgument  — malformed params or limits.
   Result<int64_t> Submit(const SearchRequest& req)
       TYCOS_EXCLUDES(mu_, channels_mu_);
 
@@ -214,8 +214,7 @@ class Server {
   void PublishQueueDepth();
 
   const ServiceOptions options_;
-  jobs::LoadProbe* const probe_;  // never null after Create
-  RunContext server_ctx_;         // cancelled at Shutdown
+  RunContext server_ctx_;  // cancelled at Shutdown
 
   mutable Mutex channels_mu_;
   std::unordered_map<std::string, Channel> channels_

@@ -420,6 +420,37 @@ TEST(SurvivorListTest, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
+// A survivor list that cannot be read or written says so, never
+// "checkpoint": the message is what survivors_rejected reports.
+TEST(SurvivorListTest, FileErrorsNameTheSurvivorList) {
+  const std::string dir = ::testing::TempDir() + "/survivors_as_dir";
+  std::filesystem::create_directories(dir);
+  const auto unreadable = jobs::LoadSurvivorList(dir);  // fread: EISDIR
+  ASSERT_FALSE(unreadable.ok());
+  EXPECT_EQ(unreadable.status().code(), StatusCode::kIoError);
+  EXPECT_NE(unreadable.status().message().find("survivor list"),
+            std::string::npos)
+      << unreadable.status().ToString();
+
+  const auto absent =
+      jobs::LoadSurvivorList(::testing::TempDir() + "/absent.survivors");
+  ASSERT_FALSE(absent.ok());
+  EXPECT_EQ(absent.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(absent.status().message().find("survivor list"),
+            std::string::npos)
+      << absent.status().ToString();
+
+  jobs::SurvivorData data;
+  data.identity.num_channels = 2;
+  data.pairs = {{0, 1}};
+  const Status saved = jobs::SaveSurvivorList(
+      ::testing::TempDir() + "/no_such_dir/x.survivors", data, false);
+  EXPECT_EQ(saved.code(), StatusCode::kIoError);
+  EXPECT_NE(saved.message().find("survivor list"), std::string::npos)
+      << saved.ToString();
+  std::filesystem::remove(dir);
+}
+
 // The bytes of a small valid survivor list, via the real writer.
 std::vector<uint8_t> ValidSurvivorBytes() {
   jobs::SurvivorData data;

@@ -121,8 +121,17 @@ TEST(IncrementalKsgTest, TooSmallWindowScoresZero) {
   EXPECT_EQ(inc.SetWindow(Window(0, 3, 0)), 0.0);
   EXPECT_EQ(inc.CurrentMi(), 0.0);
   // Recovers to a normal window afterwards.
-  const Window w(0, 50, 0);
-  EXPECT_EQ(inc.SetWindow(w), BatchMi(pair, w, 4));
+  const Window w(0, 59, 0);
+  const double mi = inc.SetWindow(w);
+  EXPECT_EQ(mi, BatchMi(pair, w, 4));
+  // A too-small probe scores 0 and leaves the live window alone, so the
+  // next overlapping window is an incremental move, not a rebuild.
+  EXPECT_EQ(inc.SetWindow(Window(10, 12, 0)), 0.0);
+  EXPECT_EQ(inc.CurrentMi(), mi);
+  const Window moved(5, 64, 0);
+  EXPECT_EQ(inc.SetWindow(moved), BatchMi(pair, moved, 4));
+  EXPECT_EQ(inc.stats().full_rebuilds, 1);
+  EXPECT_EQ(inc.stats().incremental_moves, 1);
 }
 
 TEST(IncrementalKsgTest, CurrentMiIsStableAcrossReads) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -645,6 +646,98 @@ TEST(AdmissionTest, DegradeParamsLadderIsDeterministic) {
   EXPECT_EQ(jobs::ShedBudgetScale(2), 0.25);
 }
 
+// A probe with a fixed reading that counts how often it is sampled.
+class CountingProbe : public jobs::LoadProbe {
+ public:
+  explicit CountingProbe(jobs::LoadSample sample) : sample_(sample) {}
+  jobs::LoadSample Sample() override {
+    ++samples_;
+    return sample_;
+  }
+  int samples() const { return samples_; }
+
+ private:
+  jobs::LoadSample sample_;
+  int samples_ = 0;
+};
+
+// The one ladder both runners admit through: the level picks the params,
+// and the unit's budget is the tighter of the runner's own and the outer
+// budget (0 = unset), scaled by the level and floored at 1.
+TEST(AdmissionTest, AdmitScalesTheTighterBudgetAndDegradesParams) {
+  jobs::ShedPolicy policy;
+  policy.rss_soft_bytes = 100;
+  policy.rss_hard_bytes = 200;  // midpoint 150
+  TycosParams params = Params();
+  params.num_restarts = 4;
+  const int64_t rss_at_level[] = {0, 120, 170, 250};
+  struct Row {
+    int64_t own;
+    int64_t outer;
+    int64_t want[3];  // the unit's budget at levels 0, 1, 2
+  };
+  const Row rows[] = {
+      {0, 0, {0, 0, 0}},
+      {100, 0, {100, 50, 25}},
+      {0, 100, {100, 50, 25}},
+      {100, 40, {40, 20, 10}},
+      {40, 100, {40, 20, 10}},
+      {1, 0, {1, 1, 1}},
+  };
+  const auto hash = [](const TycosParams& p) {
+    return jobs::HashSearchConfig(p, TycosVariant::kLMN, 42);
+  };
+  for (int level = 0; level <= 3; ++level) {
+    for (const Row& row : rows) {
+      SCOPED_TRACE("level " + std::to_string(level) + ", budgets (" +
+                   std::to_string(row.own) + ", " +
+                   std::to_string(row.outer) + ")");
+      jobs::LoadSample sample;
+      sample.rss_bytes = rss_at_level[level];
+      CountingProbe probe(sample);
+      const std::optional<PairAdmission> admission = jobs::Admit(
+          policy, &probe, /*in_flight=*/0, params, row.own, row.outer);
+      EXPECT_EQ(probe.samples(), 1);
+      if (level == 3) {
+        EXPECT_FALSE(admission.has_value());
+        continue;
+      }
+      ASSERT_TRUE(admission.has_value());
+      EXPECT_EQ(admission->shed_level, level);
+      EXPECT_EQ(admission->evaluation_budget, row.want[level]);
+      EXPECT_EQ(admission->time_slice_s, 0.0);
+      const TycosParams want = jobs::DegradeParams(params, level);
+      EXPECT_EQ(admission->params.num_restarts, want.num_restarts);
+      EXPECT_EQ(hash(admission->params), hash(want));
+    }
+  }
+
+  // A disabled policy never samples: level 0, the sweep's params, the
+  // tighter budget unscaled.
+  jobs::LoadSample overloaded;
+  overloaded.rss_bytes = 1 << 30;
+  overloaded.queue_depth = 1000;
+  CountingProbe probe(overloaded);
+  const std::optional<PairAdmission> calm =
+      jobs::Admit(jobs::ShedPolicy{}, &probe, 1000, params, 100, 40);
+  EXPECT_EQ(probe.samples(), 0);
+  ASSERT_TRUE(calm.has_value());
+  EXPECT_EQ(calm->shed_level, 0);
+  EXPECT_EQ(calm->params.num_restarts, params.num_restarts);
+  EXPECT_EQ(calm->evaluation_budget, 40);
+
+  // The caller's in-flight count adds to the probe's queue depth.
+  jobs::ShedPolicy queue;
+  queue.queue_soft = 4;
+  queue.queue_hard = 8;
+  jobs::LoadSample two_queued;
+  two_queued.queue_depth = 2;
+  CountingProbe queued(two_queued);
+  EXPECT_EQ(jobs::Admit(queue, &queued, 1, params, 0, 0)->shed_level, 0);
+  EXPECT_EQ(jobs::Admit(queue, &queued, 2, params, 0, 0)->shed_level, 1);
+  EXPECT_FALSE(jobs::Admit(queue, &queued, 6, params, 0, 0).has_value());
+}
+
 // --- Durable runner ---------------------------------------------------------
 
 TEST(DurablePairwiseTest, RequiresCheckpointPath) {
@@ -976,6 +1069,64 @@ TEST(DurablePairwiseTest, GlobalContextBudgetAppliesPerPair) {
                                       42, durable_ctx, opts);
   ASSERT_TRUE(r.ok()) << r.status().message();
   ExpectBitIdentical(r.value().result, plain.value());
+  std::remove(opts.checkpoint_path.c_str());
+}
+
+// Whether two results list the same pairs with the same windows and
+// scores, bit for bit.
+bool SameEntries(const PairwiseResult& x, const PairwiseResult& y) {
+  if (x.entries.size() != y.entries.size()) return false;
+  for (size_t i = 0; i < x.entries.size(); ++i) {
+    const PairwiseEntry& ex = x.entries[i];
+    const PairwiseEntry& ey = y.entries[i];
+    if (ex.a != ey.a || ex.b != ey.b || ex.best_score != ey.best_score ||
+        ex.windows.size() != ey.windows.size()) {
+      return false;
+    }
+    for (size_t j = 0; j < ex.windows.size(); ++j) {
+      const Window& wx = ex.windows.windows()[j];
+      const Window& wy = ey.windows.windows()[j];
+      if (wx.start != wy.start || wx.end != wy.end || wx.delay != wy.delay ||
+          wx.mi != wy.mi) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// A shed pair's level scales the caller's context budget as well as the
+// per-pair one: the service's rule, from the one ladder (jobs::Admit).
+TEST(DurablePairwiseTest, ShedLevelScalesTheCallersBudget) {
+  const auto channels = MakeChannels(1);
+  const int64_t budget = 400;
+  const TycosParams degraded = jobs::DegradeParams(Params(), 1);
+  RunContext half_ctx = RunContext::WithEvaluationBudget(budget / 2);
+  const auto want =
+      PairwiseSearch(channels, degraded, TycosVariant::kLMN, 42, half_ctx);
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  // The budget is tight enough that halving it changes the answer.
+  RunContext full_ctx = RunContext::WithEvaluationBudget(budget);
+  const auto unscaled =
+      PairwiseSearch(channels, degraded, TycosVariant::kLMN, 42, full_ctx);
+  ASSERT_TRUE(unscaled.ok()) << unscaled.status().message();
+  ASSERT_FALSE(SameEntries(unscaled.value(), want.value()));
+
+  FakeProbe probe(150);  // between soft (100) and midpoint (→ level 1)
+  DurableJobOptions opts;
+  opts.checkpoint_path = TempCheckpoint("shed_ctx_budget");
+  opts.probe = &probe;
+  opts.shed.rss_soft_bytes = 100;
+  opts.shed.rss_hard_bytes = 1000;
+  RunContext ctx = RunContext::WithEvaluationBudget(budget);
+  const auto r = ResumePairwiseSearch(channels, Params(), TycosVariant::kLMN,
+                                      42, ctx, opts);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().stats.pairs_degraded, 3);
+  ExpectBitIdentical(r.value().result, want.value());
+  for (const PairwiseEntry& e : r.value().result.entries) {
+    EXPECT_EQ(e.shed_level, 1);
+  }
   std::remove(opts.checkpoint_path.c_str());
 }
 

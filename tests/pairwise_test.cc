@@ -113,7 +113,7 @@ void ExpectIdenticalResults(const PairwiseResult& got,
   }
 }
 
-// A run_unit hook that drops one unit drops its whole pair: the pair is
+// A unit_done hook that drops one unit drops its whole pair: the pair is
 // finished with no outcome and left out as skipped, while the others are
 // reported exactly as a sweep without hooks reports them.
 TEST(PairwiseSearchTest, SweepHookDropIsolatesOnePair) {
@@ -138,10 +138,9 @@ TEST(PairwiseSearchTest, SweepHookDropIsolatesOnePair) {
     std::mutex mu;
     std::vector<std::pair<int64_t, bool>> finished;  // (pair, has outcome)
     PairSweepHooks hooks;
-    hooks.run_unit = [](int64_t pair, int unit, const PairAdmission&,
-                        const PairUnitWork& work) {
-      const Result<StopReason> reason = work(RunContext::None());
-      return reason.ok() && !(pair == 1 && unit == 0);
+    hooks.unit_done = [](int64_t pair, int unit,
+                         const Result<StopReason>& end) {
+      return end.ok() && !(pair == 1 && unit == 0);
     };
     hooks.finish = [&](int64_t pair, const PairOutcome* outcome) {
       std::lock_guard<std::mutex> lock(mu);

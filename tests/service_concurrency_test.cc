@@ -13,7 +13,7 @@
 //      starvation: a tenant flooding the queue cannot push a light
 //      tenant's jobs to the back.
 //   4. Teardown — Submit racing Shutdown leaves every admitted request in
-//      a terminal state.
+//      a terminal state, reached once.
 //   5. Nesting — requests with restarts and num_threads 0 run each
 //      engine's own unit ParallelFor inside a scheduler worker (the
 //      service's one nested loop) and still answer exactly as a 1-thread
@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/relations.h"
+#include "obs/metrics.h"
 #include "service/scheduler.h"
 #include "service/server.h"
 
@@ -342,7 +343,8 @@ TEST(ServiceConcurrencyTest, FairShareBoundsStarvation) {
 }
 
 // Submit racing Shutdown: every id that Submit returned reaches a
-// terminal state; late submits fail Unavailable instead of wedging.
+// terminal state exactly once; late submits fail Unavailable instead of
+// wedging.
 TEST(ServiceConcurrencyTest, ShutdownRacingSubmitLeavesNoOrphans) {
   const auto ds =
       ComposeDataset({SegmentSpec{RelationType::kLinear, 120, 3}},
@@ -355,6 +357,7 @@ TEST(ServiceConcurrencyTest, ShutdownRacingSubmitLeavesNoOrphans) {
   ASSERT_TRUE(server.Append("x", ds.pair.x().values()).ok());
   ASSERT_TRUE(server.Append("y", ds.pair.y().values()).ok());
 
+  const obs::MetricsSnapshot before = obs::Snapshot();
   std::mutex mu;
   std::vector<int64_t> admitted;
   std::atomic<bool> first_admitted{false};
@@ -393,6 +396,16 @@ TEST(ServiceConcurrencyTest, ShutdownRacingSubmitLeavesNoOrphans) {
                 st.value().state == RequestState::kFailed)
         << service::RequestStateName(st.value().state);
   }
+  // Each admitted request completed once: a request completed twice (a
+  // late completion after Shutdown's sweep) would count twice here.
+  const obs::MetricsSnapshot after = obs::Snapshot();
+  const auto delta = [&](const std::string& name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  EXPECT_EQ(delta("service.admitted"),
+            delta("service.completed") + delta("service.failed") +
+                delta("service.cancelled"));
+  EXPECT_LE(delta("service.partial"), delta("service.completed"));
 }
 
 }  // namespace

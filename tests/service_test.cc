@@ -188,6 +188,44 @@ TEST(ServiceTest, DegradedAdmissionRunsDegradedParams) {
                     DirectSearch(ds, jobs::DegradeParams(Params(), 1)));
 }
 
+// The shed level scales the tighter of the request's and the server's
+// budgets (jobs::Admit, the durable runner's ladder too).
+TEST(ServiceTest, ShedLevelScalesTheTighterBudget) {
+  const auto ds = Data(/*seed=*/19);
+  const TycosParams degraded = jobs::DegradeParams(Params(), 1);
+  const auto direct = [&](int64_t budget) {
+    auto engine = Tycos::Create(ds.pair, degraded, TycosVariant::kLMN, 42);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    RunContext ctx = RunContext::WithEvaluationBudget(budget);
+    return engine.value()->Run(ctx).value();
+  };
+  // min(60, 100) halved: the answer of a direct run under budget 30, which
+  // the budget cuts short and which differs from the unscaled one's.
+  const SearchOutcome want = direct(30);
+  ASSERT_EQ(want.stop_reason, StopReason::kBudgetExhausted);
+  ASSERT_FALSE(want.windows.empty());
+  const SearchOutcome unscaled = direct(60);
+  ASSERT_EQ(unscaled.windows.size(), want.windows.size());
+  ASSERT_NE(unscaled.windows.windows()[0].start,
+            want.windows.windows()[0].start);
+
+  FakeProbe probe(120);  // in [soft=100, mid=150): level 1
+  ServiceOptions opts;
+  opts.shed.rss_soft_bytes = 100;
+  opts.shed.rss_hard_bytes = 200;
+  opts.probe = &probe;
+  opts.evaluation_budget = 100;
+  auto server = MakeServer(opts, ds);
+  SearchRequest req = Request();
+  req.evaluation_budget = 60;
+  const auto done = server->Wait(server->Submit(req).value());
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done.value().state, RequestState::kDone);
+  EXPECT_EQ(done.value().shed_level, 1);
+  EXPECT_EQ(done.value().outcome.stop_reason, StopReason::kBudgetExhausted);
+  ExpectSameWindows(done.value().outcome.windows, want.windows);
+}
+
 TEST(ServiceTest, OverloadRefusesAtLevelThree) {
   const auto ds = Data();
   FakeProbe probe(5000);  // far past hard: level 3
