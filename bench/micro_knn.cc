@@ -2,12 +2,13 @@
 // Fenwick rank index — the data-structure ablation of Section 5.1's
 // complexity discussion; BM_BruteAllPoints is the per-point search every
 // incremental rebuild runs — plus the BM_Kernel* rows:
-// simd::ChebyshevToProbe and simd::KnnExtentsAll against their scalar twins
-// on the same buffers, isolating the SIMD win from the data-structure logic
-// around it (source of BENCH_kernels.json).
+// simd::ChebyshevToProbe, simd::KnnExtentsAll and simd::MarginalCountsAll
+// against their scalar twins on the same buffers, isolating the SIMD win
+// from the data-structure logic around it (source of BENCH_kernels.json).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -150,6 +151,39 @@ BENCHMARK(BM_KernelKnnExtents<&simd::KnnExtentsAll>)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_KernelKnnExtents<&simd::KnnExtentsAllScalar>)
     ->Name("BM_KernelKnnExtents/scalar")
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
+
+// Both marginal counts of n points inside their k = 4 extents: the batch
+// estimator's count pass, on the extents KnnExtentsAll gives the same
+// buffer.
+template <void (*Fn)(const double*, const double*, size_t, const double*,
+                     const double*, int64_t*, int64_t*)>
+void BM_KernelMarginalCounts(benchmark::State& state) {
+  const auto xy = MakeInterleaved(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<double> dx(n), dy(n);
+  simd::KnnExtentsAllScalar(xy.data(), xy.data() + n, n, 4, dx.data(),
+                            dy.data());
+  std::vector<int64_t> nx(n), ny(n);
+  for (auto _ : state) {
+    Fn(xy.data(), xy.data() + n, n, dx.data(), dy.data(), nx.data(),
+       ny.data());
+    benchmark::DoNotOptimize(nx.data());
+    benchmark::DoNotOptimize(ny.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelMarginalCounts<&simd::MarginalCountsAll>)
+    ->Name("BM_KernelMarginalCounts/simd")
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_KernelMarginalCounts<&simd::MarginalCountsAllScalar>)
+    ->Name("BM_KernelMarginalCounts/scalar")
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)

@@ -3,7 +3,12 @@
 // 3.1) and behind searching with brute force alone: one whole KsgMi call
 // through each backend from 16 to 4096 samples, so the rows show where the
 // k-d tree and the grid overtake brute force (BENCH_kernels.json,
-// knn_backends).
+// knn_backends, marginal_counts).
+//
+// The KsgMi rows score windows the way a search does: KsgMi(pair, w) on a
+// pool of distinct windows cut from one long series, one window per
+// iteration in turn, so neither the caches nor the branch predictor see
+// the same window twice in a row.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +17,8 @@
 
 #include "common/math.h"
 #include "common/rng.h"
+#include "core/time_series.h"
+#include "core/window.h"
 #include "mi/histogram_mi.h"
 #include "mi/ksg.h"
 #include "mi/pearson.h"
@@ -31,14 +38,41 @@ void MakeData(int64_t m, std::vector<double>* xs, std::vector<double>* ys) {
   }
 }
 
-void BM_KsgBrute(benchmark::State& state) {
-  std::vector<double> xs, ys;
-  MakeData(state.range(0), &xs, &ys);
-  KsgOptions o;
-  o.backend = KnnBackend::kBrute;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KsgMi(xs, ys, o));
+// One 65,536-sample pair (y = 0.7x + noise) shared by every KsgMi row.
+const SeriesPair& LongPair() {
+  static const SeriesPair pair = [] {
+    std::vector<double> xs, ys;
+    MakeData(int64_t{1} << 16, &xs, &ys);
+    return SeriesPair(TimeSeries(std::move(xs)), TimeSeries(std::move(ys)));
+  }();
+  return pair;
+}
+
+// 256 windows of m samples at evenly spaced starts across LongPair().
+std::vector<Window> WindowPool(int64_t m) {
+  constexpr int64_t kPool = 256;
+  const int64_t span = LongPair().size() - m;
+  std::vector<Window> pool;
+  for (int64_t i = 0; i < kPool; ++i) {
+    const int64_t start = i * span / kPool;
+    pool.emplace_back(start, start + m - 1, 0);
   }
+  return pool;
+}
+
+void RunKsgPool(benchmark::State& state, KnnBackend backend) {
+  const std::vector<Window> pool = WindowPool(state.range(0));
+  KsgOptions o;
+  o.backend = backend;
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KsgMi(LongPair(), pool[next], o));
+    next = next + 1 == pool.size() ? 0 : next + 1;
+  }
+}
+
+void BM_KsgBrute(benchmark::State& state) {
+  RunKsgPool(state, KnnBackend::kBrute);
 }
 BENCHMARK(BM_KsgBrute)
     ->Arg(16)
@@ -51,13 +85,7 @@ BENCHMARK(BM_KsgBrute)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_KsgKdTree(benchmark::State& state) {
-  std::vector<double> xs, ys;
-  MakeData(state.range(0), &xs, &ys);
-  KsgOptions o;
-  o.backend = KnnBackend::kKdTree;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KsgMi(xs, ys, o));
-  }
+  RunKsgPool(state, KnnBackend::kKdTree);
 }
 BENCHMARK(BM_KsgKdTree)
     ->Arg(64)
@@ -70,13 +98,7 @@ BENCHMARK(BM_KsgKdTree)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_KsgGrid(benchmark::State& state) {
-  std::vector<double> xs, ys;
-  MakeData(state.range(0), &xs, &ys);
-  KsgOptions o;
-  o.backend = KnnBackend::kGrid;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KsgMi(xs, ys, o));
-  }
+  RunKsgPool(state, KnnBackend::kGrid);
 }
 BENCHMARK(BM_KsgGrid)
     ->Arg(64)

@@ -109,6 +109,22 @@ void KnnExtentsAllScalar(const double* x, const double* y, size_t m, size_t k,
   }
 }
 
+void MarginalCountsAllScalar(const double* x, const double* y, size_t m,
+                             const double* dx, const double* dy, int64_t* nx,
+                             int64_t* ny) {
+  for (size_t i = 0; i < m; ++i) {
+    const double x_lo = x[i] - dx[i], x_hi = x[i] + dx[i];
+    const double y_lo = y[i] - dy[i], y_hi = y[i] + dy[i];
+    int64_t cx = 0, cy = 0;
+    for (size_t j = 0; j < m; ++j) {
+      cx += (x[j] >= x_lo) & (x[j] <= x_hi);
+      cy += (y[j] >= y_lo) & (y[j] <= y_hi);
+    }
+    nx[i] = cx - 1;  // minus self
+    ny[i] = cy - 1;
+  }
+}
+
 size_t LowerBoundScalar(const double* v, size_t n, double key) {
   return static_cast<size_t>(std::lower_bound(v, v + n, key) - v);
 }
@@ -246,6 +262,56 @@ void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
   }
 #else
   KnnExtentsAllScalar(x, y, m, k, dx, dy);
+#endif
+}
+
+void MarginalCountsAll(const double* x, const double* y, size_t m,
+                       const double* dx, const double* dy, int64_t* nx,
+                       int64_t* ny) {
+#if TYCOS_SIMD_LEVEL >= 2
+  // Lane l of a group counts for query i0 + l. A last group with fewer than
+  // four queries repeats its last query in the spare lanes and drops their
+  // counts.
+  for (size_t i0 = 0; i0 < m; i0 += 4) {
+    const size_t lanes = std::min<size_t>(4, m - i0);
+    alignas(32) double qx_in[4], qy_in[4], ex_in[4], ey_in[4];
+    for (size_t l = 0; l < 4; ++l) {
+      const size_t i = i0 + std::min(l, lanes - 1);
+      qx_in[l] = x[i];
+      qy_in[l] = y[i];
+      ex_in[l] = dx[i];
+      ey_in[l] = dy[i];
+    }
+    const __m256d qx = _mm256_load_pd(qx_in);
+    const __m256d qy = _mm256_load_pd(qy_in);
+    const __m256d ex = _mm256_load_pd(ex_in);
+    const __m256d ey = _mm256_load_pd(ey_in);
+    const __m256d x_lo = _mm256_sub_pd(qx, ex), x_hi = _mm256_add_pd(qx, ex);
+    const __m256d y_lo = _mm256_sub_pd(qy, ey), y_hi = _mm256_add_pd(qy, ey);
+    __m256i cx = _mm256_setzero_si256();
+    __m256i cy = cx;
+    for (size_t j = 0; j < m; ++j) {
+      const __m256d vx = _mm256_broadcast_sd(x + j);
+      const __m256d vy = _mm256_broadcast_sd(y + j);
+      const __m256d in_x = _mm256_and_pd(_mm256_cmp_pd(vx, x_lo, _CMP_GE_OQ),
+                                         _mm256_cmp_pd(vx, x_hi, _CMP_LE_OQ));
+      const __m256d in_y = _mm256_and_pd(_mm256_cmp_pd(vy, y_lo, _CMP_GE_OQ),
+                                         _mm256_cmp_pd(vy, y_hi, _CMP_LE_OQ));
+      // A true compare is -1 in each 64-bit lane: subtracting it counts up.
+      cx = _mm256_sub_epi64(cx, _mm256_castpd_si256(in_x));
+      cy = _mm256_sub_epi64(cy, _mm256_castpd_si256(in_y));
+    }
+    const __m256i self = _mm256_set1_epi64x(1);
+    alignas(32) int64_t nx_out[4], ny_out[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(nx_out),
+                       _mm256_sub_epi64(cx, self));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(ny_out),
+                       _mm256_sub_epi64(cy, self));
+    std::copy(nx_out, nx_out + lanes, nx + i0);
+    std::copy(ny_out, ny_out + lanes, ny + i0);
+  }
+#else
+  MarginalCountsAllScalar(x, y, m, dx, dy, nx, ny);
 #endif
 }
 

@@ -1,6 +1,6 @@
 // Portable SIMD kernels for the KSG hot loops — the per-point L∞ distance
-// row, the all-points kNN extents of a batch window, the marginal-count
-// bound searches, and the finite/min/max gate.
+// row, the all-points kNN extents and marginal counts of a batch window, the
+// rank-index bound searches, and the finite/min/max gate.
 //
 // The instruction set is selected at BUILD time (no runtime dispatch): the
 // TYCOS_SIMD_LEVEL macro is 2 (AVX2) or 0 (scalar), chosen by the
@@ -15,7 +15,8 @@
 // sign-bit mask (like std::fabs), max/min replicate the (a < b) ? b : a
 // selection of std::max/std::min including NaN behavior, and comparisons
 // use ordered predicates so NaN never counts. The kNN extents are
-// bit-exact too. The min/max REDUCTION is value-exact but may return the
+// bit-exact too, and the marginal counts are integers, exact by
+// construction. The min/max REDUCTION is value-exact but may return the
 // opposite zero sign when both +0.0 and -0.0 appear (reduction order
 // differs); no caller distinguishes zero signs. No kernel reassociates
 // floating-point sums.
@@ -28,6 +29,7 @@
 #define TYCOS_COMMON_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace tycos {
 namespace simd {
@@ -68,12 +70,32 @@ void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
 void KnnExtentsAllScalar(const double* x, const double* y, size_t m, size_t k,
                          double* dx, double* dy);
 
+// --- All-points marginal counts -------------------------------------------
+//
+// nx[i] = #{ j != i : x[i] - dx[i] <= x[j] <= x[i] + dx[i] } and ny[i] the
+// same over y and dy: the KSG marginal counts of a batch window, given its
+// kNN extents. These are the closed-interval semantics every marginal count
+// shares (RankIndex::CountInRange serves the incremental estimator): each
+// bound is computed once per query as x[i] - dx[i] and x[i] + dx[i], a
+// sample counts when it lies at or inside both (ordered compares, so NaN
+// never counts), and the query itself, which always lies inside its own
+// interval, is subtracted. One branch-free O(m²) pass; the AVX2 body
+// counts four queries per lane group, one broadcast candidate at a time.
+// Requires finite samples and extents >= 0 (+inf allowed), which every
+// kNN backend yields.
+void MarginalCountsAll(const double* x, const double* y, size_t m,
+                       const double* dx, const double* dy, int64_t* nx,
+                       int64_t* ny);
+void MarginalCountsAllScalar(const double* x, const double* y, size_t m,
+                             const double* dx, const double* dy, int64_t* nx,
+                             int64_t* ny);
+
 // --- Bound searches over sorted arrays -------------------------------------
 //
 // Bit-exact equivalents of std::lower_bound / std::upper_bound on a sorted
 // double array: binary search narrows to a small block, a vector compare
-// counts the remaining elements below the key. Used by the rank-index and
-// batch-KSG marginal counts, where two bound searches run per query point.
+// counts the remaining elements below the key. RankIndex's range counts run
+// two per query.
 
 size_t LowerBound(const double* v, size_t n, double key);
 size_t LowerBoundScalar(const double* v, size_t n, double key);

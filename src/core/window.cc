@@ -39,19 +39,23 @@ Window Concatenate(const Window& a, const Window& b) {
   return Window(a.start, b.end, a.delay);
 }
 
-void ExtractSamples(const SeriesPair& pair, const Window& w,
-                    std::vector<double>* xs, std::vector<double>* ys) {
+WindowSamples WindowSpans(const SeriesPair& pair, const Window& w) {
   TYCOS_CHECK_GE(w.start, 0);
   TYCOS_CHECK_LT(w.end, pair.size());
   TYCOS_CHECK_GE(w.y_start(), 0);
   TYCOS_CHECK_LT(w.y_end(), pair.size());
-  const int64_t m = w.size();
-  xs->resize(static_cast<size_t>(m));
-  ys->resize(static_cast<size_t>(m));
-  for (int64_t i = 0; i < m; ++i) {
-    (*xs)[static_cast<size_t>(i)] = pair.x()[w.start + i];
-    (*ys)[static_cast<size_t>(i)] = pair.y()[w.y_start() + i];
-  }
+  const size_t m = static_cast<size_t>(w.size());
+  return {std::span<const double>(pair.x().values())
+              .subspan(static_cast<size_t>(w.start), m),
+          std::span<const double>(pair.y().values())
+              .subspan(static_cast<size_t>(w.y_start()), m)};
+}
+
+void ExtractSamples(const SeriesPair& pair, const Window& w,
+                    std::vector<double>* xs, std::vector<double>* ys) {
+  const WindowSamples samples = WindowSpans(pair, w);
+  xs->assign(samples.x.begin(), samples.x.end());
+  ys->assign(samples.y.begin(), samples.y.end());
 }
 
 }  // namespace tycos

@@ -6,7 +6,9 @@
 #define TYCOS_CORE_WINDOW_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/time_series.h"
 
@@ -61,8 +63,17 @@ bool AreConsecutive(const Window& a, const Window& b);
 // re-estimate it.
 Window Concatenate(const Window& a, const Window& b);
 
-// Extracts the (X_w, Y_w) sample vectors the window selects from the pair.
-// The window must map to valid indices on both series.
+// The (X_w, Y_w) samples a window selects, as views into the pair's series.
+struct WindowSamples {
+  std::span<const double> x;
+  std::span<const double> y;
+};
+
+// The samples w selects from `pair`, read in place. The window must map to
+// valid indices on both series (CHECKed). The views live as long as `pair`.
+WindowSamples WindowSpans(const SeriesPair& pair, const Window& w);
+
+// Copies WindowSpans(pair, w) into xs and ys.
 void ExtractSamples(const SeriesPair& pair, const Window& w,
                     std::vector<double>* xs, std::vector<double>* ys);
 

@@ -39,7 +39,10 @@ class RankIndex {
   void InsertAtRank(size_t rank);
   void EraseAtRank(size_t rank);
 
-  // Number of stored values v with lo <= v <= hi (closed interval).
+  // Number of stored values v with lo <= v <= hi (closed interval). Every
+  // KSG marginal count shares these closed-interval semantics: the
+  // incremental estimator counts through here, the batch estimator through
+  // simd::MarginalCountsAll.
   int64_t CountInRange(double lo, double hi) const;
 
   // Number of stored values.

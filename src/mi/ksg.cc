@@ -47,28 +47,12 @@ void ApplyTieJitter(std::vector<double>* values, double relative_amplitude,
 
 }  // namespace internal
 
-namespace {
-
-// Closed-interval marginal count over a sorted value array, self excluded:
-// #{ j != self : center - d <= v_j <= center + d }. All call sites (batch
-// and incremental estimators) share these closed-interval semantics.
-int64_t CountClosed(const std::vector<double>& sorted, double center,
-                    double d) {
-  // SIMD bound searches are bit-exact equivalents of std::lower_bound /
-  // std::upper_bound (ClassifyInputs has ruled out NaN in the arrays).
-  const size_t lo = simd::LowerBound(sorted.data(), sorted.size(), center - d);
-  const size_t hi = simd::UpperBound(sorted.data(), sorted.size(), center + d);
-  return static_cast<int64_t>(hi) - static_cast<int64_t>(lo) - 1;  // - self
-}
-
-}  // namespace
-
 // Single pass over both marginals: detects non-finite samples and constant
 // marginals, the two inputs on which a kNN MI query is undefined.
 enum class InputHealth { kOk, kConstantMarginal, kNonFinite };
 
-InputHealth ClassifyInputs(const std::vector<double>& xs,
-                           const std::vector<double>& ys) {
+InputHealth ClassifyInputs(std::span<const double> xs,
+                           std::span<const double> ys) {
   const simd::MinMaxFiniteResult x = simd::MinMaxFinite(xs.data(), xs.size());
   const simd::MinMaxFiniteResult y = simd::MinMaxFinite(ys.data(), ys.size());
   if (!x.all_finite || !y.all_finite) return InputHealth::kNonFinite;
@@ -78,7 +62,7 @@ InputHealth ClassifyInputs(const std::vector<double>& xs,
   return InputHealth::kOk;
 }
 
-double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
+double KsgMi(std::span<const double> xs, std::span<const double> ys,
              const KsgOptions& options) {
   TYCOS_CHECK_EQ(xs.size(), ys.size());
   const int64_t m = static_cast<int64_t>(xs.size());
@@ -105,54 +89,49 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
   // Per-thread scratch: each buffer is resized, never shrunk, so a thread
   // in steady state allocates nothing; memory is bounded by the largest
   // window the thread has scored.
-  thread_local std::vector<double> sorted_x, sorted_y, extent_x, extent_y;
+  thread_local std::vector<double> extent_x, extent_y;
   thread_local std::vector<Point2> points;
   thread_local std::vector<int64_t> nxs, nys;
   thread_local DigammaTable psi;
 
   const size_t n = static_cast<size_t>(m);
-  sorted_x.assign(xs.begin(), xs.end());
-  sorted_y.assign(ys.begin(), ys.end());
-  std::sort(sorted_x.begin(), sorted_x.end());
-  std::sort(sorted_y.begin(), sorted_y.end());
-
-  // Marginal counts are collected per query and the digamma sum is batched
-  // into one table walk afterwards (DigammaTable::SumPairs, which also
-  // clamps each count to >= 1) — same addition order and grouping as the
-  // old per-query accumulation, bit-identical.
-  nxs.resize(n);
-  nys.resize(n);
-  auto accumulate = [&](size_t i, const KnnExtents& e) {
-    nxs[i] = CountClosed(sorted_x, xs[i], e.dx);
-    nys[i] = CountClosed(sorted_y, ys[i], e.dy);
-  };
+  extent_x.resize(n);
+  extent_y.resize(n);
   // Each backend answers m queries; the counter is bumped once per call
   // (outside the query loop) so the per-point kernel stays registry-free.
   if (options.backend == KnnBackend::kBrute) {
     // One kernel call answers every query of the window.
-    extent_x.resize(n);
-    extent_y.resize(n);
     simd::KnnExtentsAll(xs.data(), ys.data(), n, static_cast<size_t>(k),
                         extent_x.data(), extent_y.data());
-    for (size_t i = 0; i < n; ++i) accumulate(i, {extent_x[i], extent_y[i]});
     static obs::Counter* queries = obs::GetCounter("knn.brute.queries");
     queries->Add(m);
   } else {
     points.resize(n);
     for (size_t i = 0; i < n; ++i) points[i] = {xs[i], ys[i]};
+    const auto store = [&](size_t i, const KnnExtents& e) {
+      extent_x[i] = e.dx;
+      extent_y[i] = e.dy;
+    };
     if (options.backend == KnnBackend::kKdTree) {
       KdTree tree(points);
-      for (size_t i = 0; i < n; ++i) accumulate(i, tree.QueryExtents(i, k));
+      for (size_t i = 0; i < n; ++i) store(i, tree.QueryExtents(i, k));
       static obs::Counter* queries = obs::GetCounter("knn.kd_tree.queries");
       queries->Add(m);
     } else {
       GridIndex grid(points);
-      for (size_t i = 0; i < n; ++i) accumulate(i, grid.QueryExtents(i, k));
+      for (size_t i = 0; i < n; ++i) store(i, grid.QueryExtents(i, k));
       static obs::Counter* queries = obs::GetCounter("knn.grid.queries");
       queries->Add(m);
     }
   }
 
+  // One O(m²) pass counts both marginals inside the extents; the digamma
+  // sum is one table walk over the counts (DigammaTable::SumPairs, which
+  // also clamps each count to >= 1).
+  nxs.resize(n);
+  nys.resize(n);
+  simd::MarginalCountsAll(xs.data(), ys.data(), n, extent_x.data(),
+                          extent_y.data(), nxs.data(), nys.data());
   const double marginal_sum = psi.SumPairs(nxs.data(), nys.data(), n);
   return psi(static_cast<size_t>(k)) - 1.0 / k -
          marginal_sum / static_cast<double>(m) + psi(static_cast<size_t>(m));
@@ -160,9 +139,8 @@ double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
 
 double KsgMi(const SeriesPair& pair, const Window& w,
              const KsgOptions& options) {
-  thread_local std::vector<double> xs, ys;
-  ExtractSamples(pair, w, &xs, &ys);
-  return KsgMi(xs, ys, options);
+  const WindowSamples samples = WindowSpans(pair, w);
+  return KsgMi(samples.x, samples.y, options);
 }
 
 double NormalizeMi(double raw_mi, std::span<const double> xs,
@@ -181,9 +159,9 @@ double NormalizeMi(double raw_mi, std::span<const double> xs,
   return std::clamp(raw_mi / h, 0.0, 1.0);
 }
 
-double NormalizedMi(const std::vector<double>& xs,
-                    const std::vector<double>& ys, const KsgOptions& options,
-                    MiNormalization mode, double small_sample_penalty) {
+double NormalizedMi(std::span<const double> xs, std::span<const double> ys,
+                    const KsgOptions& options, MiNormalization mode,
+                    double small_sample_penalty) {
   return NormalizeMi(KsgMi(xs, ys, options), xs, ys, mode,
                      small_sample_penalty);
 }
@@ -191,9 +169,9 @@ double NormalizedMi(const std::vector<double>& xs,
 double NormalizedMi(const SeriesPair& pair, const Window& w,
                     const KsgOptions& options, MiNormalization mode,
                     double small_sample_penalty) {
-  std::vector<double> xs, ys;
-  ExtractSamples(pair, w, &xs, &ys);
-  return NormalizedMi(xs, ys, options, mode, small_sample_penalty);
+  const WindowSamples samples = WindowSpans(pair, w);
+  return NormalizedMi(samples.x, samples.y, options, mode,
+                      small_sample_penalty);
 }
 
 }  // namespace tycos

@@ -54,10 +54,15 @@ struct KsgOptions {
 // KsgDiagnostics) — degenerate inputs have defined behavior, never a
 // degenerate kNN query. The raw KSG estimate may be slightly negative for
 // independent data; callers that need a non-negative value clamp it.
-double KsgMi(const std::vector<double>& xs, const std::vector<double>& ys,
+//
+// The backend yields each sample's kNN extents and one
+// simd::MarginalCountsAll pass counts both marginals from them; the samples
+// are read in place, never copied.
+double KsgMi(std::span<const double> xs, std::span<const double> ys,
              const KsgOptions& options = {});
 
-// MI of the time-delay window w on `pair` (Definition 4.6).
+// MI of the time-delay window w on `pair` (Definition 4.6), read in place
+// through WindowSpans.
 double KsgMi(const SeriesPair& pair, const Window& w,
              const KsgOptions& options = {});
 
@@ -93,7 +98,7 @@ double NormalizeMi(double raw_mi, std::span<const double> xs,
 
 // Normalized MI in [0, 1] for paired samples.
 double NormalizedMi(
-    const std::vector<double>& xs, const std::vector<double>& ys,
+    std::span<const double> xs, std::span<const double> ys,
     const KsgOptions& options = {},
     MiNormalization mode = MiNormalization::kCorrelationCoefficient,
     double small_sample_penalty = kDefaultSmallSamplePenalty);

@@ -1,7 +1,5 @@
 #include "search/evaluator.h"
 
-#include <span>
-
 #include "common/hash.h"
 #include "obs/metrics.h"
 
@@ -27,19 +25,13 @@ obs::Counter* MiDegenerateCounter() {
   return c;
 }
 
-// The score of w given its raw MI: NormalizeMi over spans of the pair's
-// series, so the default mode reads no samples and the entropy ratio copies
-// none. The raw estimate came from w's samples, so w is in range.
-double NormalizeWindow(double raw_mi, const SeriesPair& pair, const Window& w,
+// The score of a window given its raw MI: NormalizeMi over the window's
+// samples, read in place, so the default mode reads no samples and the
+// entropy ratio copies none.
+double NormalizeWindow(double raw_mi, const WindowSamples& samples,
                        const TycosParams& params) {
-  const size_t m = static_cast<size_t>(w.size());
-  return NormalizeMi(
-      raw_mi,
-      std::span<const double>(pair.x().values())
-          .subspan(static_cast<size_t>(w.start), m),
-      std::span<const double>(pair.y().values())
-          .subspan(static_cast<size_t>(w.y_start()), m),
-      params.normalization, params.small_sample_penalty);
+  return NormalizeMi(raw_mi, samples.x, samples.y, params.normalization,
+                     params.small_sample_penalty);
 }
 
 KsgOptions OptionsFrom(const TycosParams& params) {
@@ -56,10 +48,11 @@ BatchEvaluator::BatchEvaluator(const SeriesPair& pair,
 
 double BatchEvaluator::Score(const Window& w) {
   ++evaluations_;
+  const WindowSamples samples = WindowSpans(pair_, w);
   KsgOptions options = OptionsFrom(params_);
   options.diagnostics = &diagnostics_;
-  const double raw = KsgMi(pair_, w, options);
-  return NormalizeWindow(raw, pair_, w, params_);
+  const double raw = KsgMi(samples.x, samples.y, options);
+  return NormalizeWindow(raw, samples, params_);
 }
 
 void BatchEvaluator::FlushObsCounters() {
@@ -74,20 +67,26 @@ IncrementalEvaluator::IncrementalEvaluator(const SeriesPair& pair,
                                            int64_t small_window_threshold)
     : pair_(pair),
       params_(params),
-      ksg_(pair, params.k),
       small_window_threshold_(small_window_threshold) {}
 
 double IncrementalEvaluator::Score(const Window& w) {
   ++evaluations_;
+  const WindowSamples samples = WindowSpans(pair_, w);
   double raw;
   if (w.size() < small_window_threshold_) {
     KsgOptions options = OptionsFrom(params_);
     options.diagnostics = &diagnostics_;
-    raw = KsgMi(pair_, w, options);
+    raw = KsgMi(samples.x, samples.y, options);
   } else {
-    raw = ksg_.SetWindow(w);
+    if (!ksg_) ksg_.emplace(pair_, params_.k);
+    raw = ksg_->SetWindow(w);
   }
-  return NormalizeWindow(raw, pair_, w, params_);
+  return NormalizeWindow(raw, samples, params_);
+}
+
+const IncrementalKsgStats& IncrementalEvaluator::incremental_stats() const {
+  static const IncrementalKsgStats kNotBuilt;
+  return ksg_ ? ksg_->stats() : kNotBuilt;
 }
 
 void IncrementalEvaluator::FlushObsCounters() {
@@ -98,7 +97,7 @@ void IncrementalEvaluator::FlushObsCounters() {
   // family only, so nothing is double counted.
   FlushCounterDelta(MiDegenerateCounter(), degenerate_windows(),
                     &flushed_degenerate_);
-  ksg_.FlushObsCounters();
+  if (ksg_) ksg_->FlushObsCounters();
 }
 
 CachingEvaluator::CachingEvaluator(std::unique_ptr<WindowEvaluator> inner,

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "core/time_series.h"
@@ -79,7 +80,10 @@ class BatchEvaluator : public WindowEvaluator {
 // `small_window_threshold` bypass the incremental state and are scored
 // statelessly: for tiny windows a fresh O(m²) estimate is cheaper than
 // maintaining IR/IMR state, and skipping them preserves the locality of the
-// large-window state across interleaved small probes.
+// large-window state across interleaved small probes. The IncrementalKsg,
+// whose rank indexes span both whole series, is built by the first window
+// at or above the threshold, so a search that never scores one never pays
+// for it.
 class IncrementalEvaluator : public WindowEvaluator {
  public:
   IncrementalEvaluator(const SeriesPair& pair, const TycosParams& params,
@@ -88,18 +92,19 @@ class IncrementalEvaluator : public WindowEvaluator {
   double Score(const Window& w) override;
   int64_t evaluations() const override { return evaluations_; }
   int64_t degenerate_windows() const override {
-    return diagnostics_.degenerate_windows + ksg_.stats().degenerate_windows;
+    return diagnostics_.degenerate_windows +
+           incremental_stats().degenerate_windows;
   }
   void FlushObsCounters() override;
 
-  const IncrementalKsgStats& incremental_stats() const {
-    return ksg_.stats();
-  }
+  // The estimator's stats; all zero until a window at or above the
+  // threshold builds it.
+  const IncrementalKsgStats& incremental_stats() const;
 
  private:
   const SeriesPair& pair_;
   const TycosParams params_;
-  IncrementalKsg ksg_;
+  std::optional<IncrementalKsg> ksg_;  // built by the first large window
   KsgDiagnostics diagnostics_;  // small-window (stateless) path counters
   int64_t small_window_threshold_;
   int64_t evaluations_ = 0;

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "datagen/relations.h"
+#include "obs/metrics.h"
 
 namespace tycos {
 namespace {
@@ -210,15 +211,52 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(IncrementalEvaluatorTest, SmallWindowsDoNotDisturbLargeState) {
   const SeriesPair pair = MakePair(800, 4, 0.5);
   const TycosParams params = Params();
+  BatchEvaluator batch(pair, params);
   IncrementalEvaluator inc(pair, params, /*small_window_threshold=*/96);
-  inc.Score(Window(100, 400, 0));
-  const int64_t rebuilds_before = inc.incremental_stats().full_rebuilds;
+  // Small windows first: they are scored statelessly and never build the
+  // incremental estimator, so it neither counts nor publishes anything.
+  const obs::MetricsSnapshot before = obs::Snapshot();
+  for (const Window& w :
+       {Window(10, 40, 0), Window(50, 80, 3), Window(200, 294, -2)}) {
+    EXPECT_EQ(inc.Score(w), batch.Score(w)) << w.ToString();
+  }
+  const IncrementalKsgStats& unbuilt = inc.incremental_stats();
+  for (const int64_t v :
+       {unbuilt.full_rebuilds, unbuilt.incremental_moves, unbuilt.points_added,
+        unbuilt.points_removed, unbuilt.knn_recomputes,
+        unbuilt.knn_list_inserts, unbuilt.marginal_updates,
+        unbuilt.degenerate_windows}) {
+    EXPECT_EQ(v, 0);
+  }
+  inc.FlushObsCounters();
+  const obs::MetricsSnapshot after = obs::Snapshot();
+  std::vector<std::string> names = {
+      "incremental.full_rebuilds",    "incremental.incremental_moves",
+      "incremental.points_added",     "incremental.points_removed",
+      "incremental.knn_recomputes",   "incremental.knn_list_inserts",
+      "incremental.marginal_updates"};
+  for (const obs::CounterSnapshot& c : after.counters) {
+    if (c.name.rfind("incremental.", 0) == 0) names.push_back(c.name);
+  }
+  for (const std::string& name : names) {
+    EXPECT_EQ(after.CounterValue(name), before.CounterValue(name)) << name;
+  }
+  EXPECT_EQ(after.CounterValue("mi.evaluations") -
+                before.CounterValue("mi.evaluations"),
+            3);
+
+  // The first large window builds the estimator with one full rebuild and
+  // scores what the batch estimator scores.
+  const Window large(100, 400, 0);
+  EXPECT_EQ(inc.Score(large), batch.Score(large));
+  EXPECT_EQ(inc.incremental_stats().full_rebuilds, 1);
+  EXPECT_EQ(inc.incremental_stats().incremental_moves, 0);
   inc.Score(Window(10, 40, 0));   // stateless
   inc.Score(Window(50, 80, 3));   // stateless
-  EXPECT_EQ(inc.incremental_stats().full_rebuilds, rebuilds_before);
+  EXPECT_EQ(inc.incremental_stats().full_rebuilds, 1);
   // Returning to an overlapping large window is an incremental move.
   inc.Score(Window(110, 410, 0));
-  EXPECT_EQ(inc.incremental_stats().full_rebuilds, rebuilds_before);
+  EXPECT_EQ(inc.incremental_stats().full_rebuilds, 1);
   EXPECT_GT(inc.incremental_stats().incremental_moves, 0);
 }
 

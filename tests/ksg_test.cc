@@ -1,13 +1,16 @@
 #include "mi/ksg.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/math.h"
 #include "common/rng.h"
 #include "datagen/energy_sim.h"
 #include "datagen/relations.h"
+#include "knn/brute_knn.h"
 #include "mi/histogram_mi.h"
 #include "mi/incremental_ksg.h"
 #include "obs/metrics.h"
@@ -295,6 +298,78 @@ TEST(KsgGoldenTest, EnergyWindowsBitExactUnderEveryBackend) {
       o.backend = backends[b];
       EXPECT_EQ(KsgMi(xs, ys, o), c.mi[b])
           << c.window.ToString() << " k=" << c.k << " backend=" << b;
+    }
+  }
+}
+
+// KsgMi counts both marginals in one simd::MarginalCountsAll pass. Before
+// that kernel it sorted a copy of each marginal and ran two bound searches
+// per query; this is that formulation, on the extents BruteKnnExtents gives
+// (every backend matches them bit for bit), with the digamma sum through
+// DigammaTable::SumPairs.
+double SortedMarginalKsg(const std::vector<double>& xs,
+                         const std::vector<double>& ys, int k) {
+  const size_t m = xs.size();
+  std::vector<Point2> points(m);
+  for (size_t i = 0; i < m; ++i) points[i] = {xs[i], ys[i]};
+  std::vector<double> sorted_x = xs, sorted_y = ys;
+  std::sort(sorted_x.begin(), sorted_x.end());
+  std::sort(sorted_y.begin(), sorted_y.end());
+  const auto count = [](const std::vector<double>& sorted, double center,
+                        double d) {
+    const auto lo = std::lower_bound(sorted.begin(), sorted.end(), center - d);
+    const auto hi = std::upper_bound(sorted.begin(), sorted.end(), center + d);
+    return static_cast<int64_t>(hi - lo) - 1;  // - self
+  };
+  std::vector<int64_t> nx(m), ny(m);
+  for (size_t i = 0; i < m; ++i) {
+    const KnnExtents e = BruteKnnExtents(points, i, k);
+    nx[i] = count(sorted_x, xs[i], e.dx);
+    ny[i] = count(sorted_y, ys[i], e.dy);
+  }
+  DigammaTable psi;
+  const double marginal_sum = psi.SumPairs(nx.data(), ny.data(), m);
+  return psi(static_cast<size_t>(k)) - 1.0 / k -
+         marginal_sum / static_cast<double>(m) + psi(m);
+}
+
+// Every backend's KsgMi equals the sorted-marginal formulation bit for bit
+// on tie-heavy (integer lattice) and energy windows. m = 32 and 33 straddle
+// the bound searches' 32-element block.
+TEST(KsgMiTest, CountPassMatchesSortedMarginals) {
+  Rng rng(29);
+  std::vector<double> lx(800), ly(800);
+  for (size_t i = 0; i < lx.size(); ++i) {
+    const int64_t v = rng.UniformInt(0, 4);
+    lx[i] = static_cast<double>(v);
+    ly[i] = static_cast<double>((v + rng.UniformInt(0, 2)) % 5);
+  }
+  const SeriesPair lattice{TimeSeries(lx), TimeSeries(ly)};
+  const SeriesPair energy =
+      GoldenSim().Pair(EnergyChannel::kKitchenLight, EnergyChannel::kMicrowave);
+  const KnnBackend backends[3] = {KnnBackend::kBrute, KnnBackend::kKdTree,
+                                  KnnBackend::kGrid};
+  for (const SeriesPair* pair : {&lattice, &energy}) {
+    for (int64_t m : {6, 16, 31, 32, 33, 64, 95, 257}) {
+      int scored = 0;
+      for (int64_t start = 100; start < 500 && scored < 3; start += 37) {
+        const Window w(start, start + m - 1, 2);
+        std::vector<double> xs, ys;
+        ExtractSamples(*pair, w, &xs, &ys);
+        const auto [x_lo, x_hi] = std::minmax_element(xs.begin(), xs.end());
+        const auto [y_lo, y_hi] = std::minmax_element(ys.begin(), ys.end());
+        if (*x_lo == *x_hi || *y_lo == *y_hi) continue;  // scores 0
+        ++scored;
+        const double want = SortedMarginalKsg(xs, ys, 4);
+        for (const KnnBackend backend : backends) {
+          KsgOptions o;
+          o.backend = backend;
+          EXPECT_EQ(KsgMi(*pair, w, o), want)
+              << w.ToString() << " backend=" << static_cast<int>(backend)
+              << (pair == &energy ? " energy" : " lattice");
+        }
+      }
+      EXPECT_EQ(scored, 3) << "m=" << m;
     }
   }
 }

@@ -1,7 +1,8 @@
 // Differential tests for the SIMD kernels (common/simd.h): each kernel is
 // run against its *Scalar twin on random, denormal-laden, and
 // NaN/±inf-laden inputs at sizes that cross every vector-width tail (the
-// kNN extents kernel on finite inputs only, its documented domain). In a
+// kNN extents and marginal count kernels on finite inputs only, their
+// documented domain). In a
 // scalar build the kernel IS the twin and the tests pin the twin alone.
 // Element-wise kernels must agree bit-for-bit (including NaN payloads); the
 // min/max reduction is value-exact with the documented zero-sign caveat.
@@ -226,6 +227,68 @@ TEST(SimdTest, KnnExtentsAllMatchesScalar) {
         for (size_t i = 0; i < m; ++i) {
           ASSERT_EQ(Bits(got_dx[i]), Bits(want_dx[i])) << "dx, query " << i;
           ASSERT_EQ(Bits(got_dy[i]), Bits(want_dy[i])) << "dy, query " << i;
+        }
+      }
+    }
+  }
+}
+
+// The count pass on every 4-lane tail from 1 to 12 points and around 32,
+// 64, 128 and 256, over the kNN clouds. Extents come from the kNN twin at
+// k = 4 (each query's strip edge then sits on a sample, so the closed
+// bounds decide the count), and are also set by hand: all 0 (only exact
+// ties count) and all +inf (every other point counts). The twin itself is
+// checked against the definition with the self index left out explicitly.
+TEST(SimdTest, MarginalCountsAllMatchesScalar) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<size_t> sizes;
+  for (size_t m = 1; m <= 12; ++m) sizes.push_back(m);
+  for (size_t base : {32, 64, 128, 256}) {
+    for (size_t m = base - 3; m <= base + (base < 256 ? 3 : 0); ++m) {
+      sizes.push_back(m);
+    }
+  }
+  enum class Extents { kKnn, kZero, kInf };
+  for (KnnMix mix :
+       {KnnMix::kUniform, KnnMix::kDenormal, KnnMix::kLattice, KnnMix::kHuge}) {
+    for (size_t m : sizes) {
+      const uint64_t seed = 500 * m + static_cast<uint64_t>(mix);
+      const std::vector<double> x = MakeKnnSamples(m, mix, seed);
+      const std::vector<double> y = MakeKnnSamples(m, mix, seed + 3);
+      for (Extents extents : {Extents::kKnn, Extents::kZero, Extents::kInf}) {
+        SCOPED_TRACE(testing::Message()
+                     << "mix=" << static_cast<int>(mix) << " m=" << m
+                     << " extents=" << static_cast<int>(extents));
+        std::vector<double> dx(m, 0.0), dy(m, 0.0);
+        if (extents == Extents::kKnn) {
+          if (m < 5) continue;  // k = 4 needs m >= k + 1
+          simd::KnnExtentsAllScalar(x.data(), y.data(), m, 4, dx.data(),
+                                    dy.data());
+        } else if (extents == Extents::kInf) {
+          dx.assign(m, kInf);
+          dy.assign(m, kInf);
+        }
+        std::vector<int64_t> got_nx(m, -1), got_ny(m, -1);
+        std::vector<int64_t> want_nx(m, -2), want_ny(m, -2);
+        simd::MarginalCountsAll(x.data(), y.data(), m, dx.data(), dy.data(),
+                                got_nx.data(), got_ny.data());
+        simd::MarginalCountsAllScalar(x.data(), y.data(), m, dx.data(),
+                                      dy.data(), want_nx.data(),
+                                      want_ny.data());
+        for (size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(got_nx[i], want_nx[i]) << "nx, query " << i;
+          ASSERT_EQ(got_ny[i], want_ny[i]) << "ny, query " << i;
+          int64_t def_nx = 0, def_ny = 0;
+          for (size_t j = 0; j < m; ++j) {
+            if (j == i) continue;
+            def_nx += x[i] - dx[i] <= x[j] && x[j] <= x[i] + dx[i];
+            def_ny += y[i] - dy[i] <= y[j] && y[j] <= y[i] + dy[i];
+          }
+          ASSERT_EQ(want_nx[i], def_nx) << "nx, query " << i;
+          ASSERT_EQ(want_ny[i], def_ny) << "ny, query " << i;
+          if (extents == Extents::kInf) {
+            ASSERT_EQ(want_nx[i], static_cast<int64_t>(m) - 1);
+          }
         }
       }
     }

@@ -116,5 +116,19 @@ TEST(ExtractSamplesTest, NegativeDelayShiftsYBackwards) {
   EXPECT_EQ(ys, (std::vector<double>{10, 11, 12}));
 }
 
+TEST(WindowSpansTest, ViewsTheSeriesInPlace) {
+  SeriesPair pair(TimeSeries({0, 1, 2, 3, 4, 5}),
+                  TimeSeries({10, 11, 12, 13, 14, 15}));
+  const WindowSamples s = WindowSpans(pair, Window(3, 5, -3));
+  EXPECT_EQ(s.x.data(), pair.x().values().data() + 3);
+  EXPECT_EQ(s.y.data(), pair.y().values().data());
+  EXPECT_EQ(s.x.size(), 3u);
+  EXPECT_EQ(s.y.size(), 3u);
+  std::vector<double> xs, ys;
+  ExtractSamples(pair, Window(3, 5, -3), &xs, &ys);
+  EXPECT_EQ(xs, std::vector<double>(s.x.begin(), s.x.end()));
+  EXPECT_EQ(ys, std::vector<double>(s.y.begin(), s.y.end()));
+}
+
 }  // namespace
 }  // namespace tycos
