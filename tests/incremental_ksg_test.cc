@@ -1,6 +1,7 @@
 #include "mi/incremental_ksg.h"
 
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -132,6 +133,53 @@ TEST(IncrementalKsgTest, TooSmallWindowScoresZero) {
   EXPECT_EQ(inc.SetWindow(moved), BatchMi(pair, moved, 4));
   EXPECT_EQ(inc.stats().full_rebuilds, 1);
   EXPECT_EQ(inc.stats().incremental_moves, 1);
+}
+
+// Degenerate windows (a constant marginal or a non-finite sample) score 0
+// on both estimators and count once on each, and a window one sample off
+// such a patch is scored as usual. The constant patches alternate +0.0 and
+// -0.0, which compare equal; the non-finite samples sit on a window's first
+// or last sample.
+TEST(IncrementalKsgTest, DegenerateWindowsMatchBatchClassification) {
+  const SeriesPair random = RandomPair(300, 12, 0.7);
+  std::vector<double> x = random.x().values();
+  std::vector<double> y = random.y().values();
+  for (size_t i = 100; i < 140; ++i) x[i] = i % 2 ? -0.0 : 0.0;
+  for (size_t i = 150; i < 190; ++i) y[i] = i % 2 ? 0.0 : -0.0;
+  x[60] = std::numeric_limits<double>::quiet_NaN();
+  y[230] = std::numeric_limits<double>::infinity();
+  const SeriesPair pair(TimeSeries(std::move(x)), TimeSeries(std::move(y)));
+
+  struct Case {
+    Window w;
+    bool degenerate;
+  };
+  const Case cases[] = {
+      {Window(99, 139, 0), false},   {Window(100, 139, 0), true},
+      {Window(100, 140, 0), false},  {Window(110, 149, 40), true},
+      {Window(111, 150, 40), false}, {Window(61, 100, 0), false},
+      {Window(60, 99, 0), true},     {Window(21, 60, 0), true},
+      {Window(20, 59, 0), false},    {Window(200, 239, -10), false},
+      {Window(200, 240, -10), true}, {Window(201, 240, -10), true},
+  };
+  IncrementalKsg inc(pair, 4);
+  KsgDiagnostics diagnostics;
+  KsgOptions options;
+  options.diagnostics = &diagnostics;
+  int64_t degenerate = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.w.ToString());
+    const double got = inc.SetWindow(c.w);
+    const double want = KsgMi(pair, c.w, options);
+    EXPECT_EQ(got, want);
+    if (c.degenerate) {
+      EXPECT_EQ(got, 0.0);
+      ++degenerate;
+    }
+    EXPECT_EQ(inc.stats().degenerate_windows, degenerate);
+    EXPECT_EQ(diagnostics.degenerate_windows, degenerate);
+  }
+  EXPECT_EQ(diagnostics.non_finite_inputs, 4);
 }
 
 TEST(IncrementalKsgTest, CurrentMiIsStableAcrossReads) {
