@@ -3,13 +3,20 @@
 // actually generates (grow by δ, slide by δ). This is the ablation behind
 // the TYCOS_LM speedups of Fig. 9.
 //
-// Every row times the same 16 windows per iteration. The incremental rows
-// build their estimator once, outside the timed region, and move it to a
-// disjoint window with timing paused before each iteration, so the first
-// window is a full rebuild (as it is from scratch) and the other 15 are
-// incremental edits.
+// The grow and slide rows time the same 16 windows per iteration. The
+// incremental rows build their estimator once, outside the timed region,
+// and move it to a disjoint window with timing paused before each
+// iteration, so the first window is a full rebuild (as it is from scratch)
+// and the other 15 are incremental edits.
+//
+// The neighbourhood rows replay one climb step: the 26 neighbours of an
+// m-sample window at δ = 4, sorted by delay as Tycos::GenerateNeighbors
+// sorts them, so each of the three delays costs the incremental estimator
+// one rebuild followed by same-delay moves.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "common/rng.h"
 #include "mi/incremental_ksg.h"
@@ -94,6 +101,57 @@ void BM_SlideIncremental(benchmark::State& state) {
 BENCHMARK(BM_SlideIncremental)
     ->Arg(256)
     ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+// The 26 neighbours of Window(1000, 1000 + m - 1, 0) at δ = 4 in
+// Tycos::GenerateNeighbors' order: by delay, then start, then end.
+std::vector<Window> Neighbourhood(int64_t m) {
+  constexpr int64_t kStart = 1000;
+  const int64_t offsets[3] = {-4, 0, 4};
+  std::vector<Window> out;
+  for (int64_t dt : offsets) {
+    for (int64_t ds : offsets) {
+      for (int64_t de : offsets) {
+        if (ds == 0 && de == 0 && dt == 0) continue;
+        out.emplace_back(kStart + ds, kStart + m - 1 + de, dt);
+      }
+    }
+  }
+  return out;
+}
+
+void BM_NeighbourhoodScratch(benchmark::State& state) {
+  static const SeriesPair pair = MakePair(20000);
+  const std::vector<Window> windows = Neighbourhood(state.range(0));
+  KsgOptions o;
+  for (auto _ : state) {
+    for (const Window& w : windows) {
+      benchmark::DoNotOptimize(KsgMi(pair, w, o));
+    }
+  }
+}
+BENCHMARK(BM_NeighbourhoodScratch)
+    ->Arg(96)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_NeighbourhoodIncremental(benchmark::State& state) {
+  static const SeriesPair pair = MakePair(20000);
+  const std::vector<Window> windows = Neighbourhood(state.range(0));
+  IncrementalKsg inc(pair, 4);
+  for (auto _ : state) {
+    state.PauseTiming();
+    inc.SetWindow(
+        Window(kResetStart, kResetStart + state.range(0) - 1, 0));
+    state.ResumeTiming();
+    for (const Window& w : windows) {
+      benchmark::DoNotOptimize(inc.SetWindow(w));
+    }
+  }
+}
+BENCHMARK(BM_NeighbourhoodIncremental)
+    ->Arg(96)
+    ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

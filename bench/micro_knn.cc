@@ -1,10 +1,11 @@
-// Micro-benchmark: kNN backends (brute scan vs k-d tree vs grid) and the
-// Fenwick rank index — the data-structure ablation of Section 5.1's
-// complexity discussion; BM_BruteAllPoints is the per-point search every
-// incremental rebuild runs — plus the BM_Kernel* rows:
-// simd::ChebyshevToProbe, simd::KnnExtentsAll and simd::MarginalCountsAll
-// against their scalar twins on the same buffers, isolating the SIMD win
-// from the data-structure logic around it (source of BENCH_kernels.json).
+// Micro-benchmark: kNN backends (brute scan vs k-d tree vs grid) — the
+// data-structure ablation of Section 5.1's complexity discussion;
+// BM_BruteAllPoints is the per-point search every incremental re-search
+// runs — plus the BM_Kernel* rows: simd::ChebyshevToProbe,
+// simd::KnnExtentsAll (with and without neighbour lists) and
+// simd::MarginalCountsAll against their scalar twins on the same buffers,
+// isolating the SIMD win from the data-structure logic around it (source
+// of BENCH_kernels.json).
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +17,6 @@
 #include "knn/brute_knn.h"
 #include "knn/grid_index.h"
 #include "knn/kd_tree.h"
-#include "knn/rank_index.h"
 
 namespace {
 
@@ -84,21 +84,6 @@ BENCHMARK(BM_GridBuildAndQueryAll)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_RankIndexOps(benchmark::State& state) {
-  Rng rng(9);
-  std::vector<double> universe(static_cast<size_t>(state.range(0)));
-  for (auto& v : universe) v = rng.Normal();
-  RankIndex index(universe);
-  size_t i = 0;
-  for (auto _ : state) {
-    index.Insert(universe[i % universe.size()]);
-    benchmark::DoNotOptimize(index.CountInRange(-0.5, 0.5));
-    index.Erase(universe[i % universe.size()]);
-    ++i;
-  }
-}
-BENCHMARK(BM_RankIndexOps)->Arg(1024)->Arg(65536)->Unit(benchmark::kNanosecond);
-
 // --- Kernel rows: vectorized tycos::simd entry point vs scalar twin. ---
 
 std::vector<double> MakeInterleaved(int64_t m) {
@@ -128,16 +113,18 @@ BENCHMARK(BM_KernelChebyshevToProbe<&simd::ChebyshevToProbeScalar>)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
+using KnnKernel = void (*)(const double*, const double*, size_t, size_t,
+                           double*, double*, KnnEntry*);
+
 // All-points k = 4 extents of n points: the batch estimator's brute path.
-template <void (*Fn)(const double*, const double*, size_t, size_t, double*,
-                     double*)>
+template <KnnKernel Fn>
 void BM_KernelKnnExtents(benchmark::State& state) {
   // 2n normal draws: x is the first half, y the second.
   const auto xy = MakeInterleaved(state.range(0));
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<double> dx(n), dy(n);
   for (auto _ : state) {
-    Fn(xy.data(), xy.data() + n, n, 4, dx.data(), dy.data());
+    Fn(xy.data(), xy.data() + n, n, 4, dx.data(), dy.data(), nullptr);
     benchmark::DoNotOptimize(dx.data());
     benchmark::DoNotOptimize(dy.data());
     benchmark::ClobberMemory();
@@ -154,6 +141,55 @@ BENCHMARK(BM_KernelKnnExtents<&simd::KnnExtentsAllScalar>)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
+
+// All-points k = 4 extents and neighbour lists of n points: the
+// incremental estimator's rebuild. Each iteration takes the next of 256
+// windows cut at evenly spaced starts from one 65,536-sample series (one
+// repeated window under-reports the kernel about twice over). The
+// /simd_extents row is the same kernel without lists on the same pool, so
+// its difference from /simd is what the lists cost.
+template <KnnKernel Fn, bool kLists>
+void BM_KernelKnnLists(benchmark::State& state) {
+  constexpr size_t kSeries = size_t{1} << 16;
+  constexpr size_t kPool = 256;
+  // 2 * kSeries normal draws: x is the first half, y the second.
+  static const std::vector<double> xy =
+      MakeInterleaved(static_cast<int64_t>(kSeries));
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<double> dx(n), dy(n);
+  std::vector<KnnEntry> lists(n * 4);
+  size_t next = 0;
+  for (auto _ : state) {
+    const size_t start = next * (kSeries - n) / kPool;
+    Fn(xy.data() + start, xy.data() + kSeries + start, n, 4, dx.data(),
+       dy.data(), kLists ? lists.data() : nullptr);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(lists.data());
+    benchmark::ClobberMemory();
+    next = next + 1 == kPool ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_KernelKnnLists<&simd::KnnExtentsAll, true>)
+    ->Name("BM_KernelKnnLists/simd")
+    ->Arg(64)
+    ->Arg(96)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_KernelKnnLists<&simd::KnnExtentsAllScalar, true>)
+    ->Name("BM_KernelKnnLists/scalar")
+    ->Arg(64)
+    ->Arg(96)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_KernelKnnLists<&simd::KnnExtentsAll, false>)
+    ->Name("BM_KernelKnnLists/simd_extents")
+    ->Arg(64)
+    ->Arg(96)
+    ->Arg(256)
+    ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 // Both marginal counts of n points inside their k = 4 extents: the batch

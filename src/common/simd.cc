@@ -23,10 +23,6 @@ namespace simd {
 
 namespace {
 
-// Binary search narrows a bound search to a block this size, then a vector
-// compare counts the remainder. Covers one or two cache lines of doubles.
-constexpr size_t kBoundBlock = 32;
-
 inline __m256d Abs256(__m256d v) {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);  // clear sign, like fabs
 }
@@ -44,10 +40,6 @@ inline __m256d MinStd256(__m256d a, __m256d b) {
   return _mm256_min_pd(b, a);
 }
 
-inline size_t Popcount4(int mask) {
-  return static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
-}
-
 // One value per query lane of a KnnExtentsAll lane group.
 struct alignas(32) Lane4 {
   double v[4];
@@ -63,123 +55,10 @@ inline __m256d LaneDistance(const double* x, const double* y, size_t j,
   return MaxStd256(*ax, *ay);
 }
 
-}  // namespace
-
-#endif  // TYCOS_SIMD_LEVEL >= 2
-
-// --- Scalar twins (always compiled; the test reference) -------------------
-
-void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
-                            double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = std::max(std::fabs(xy[2 * i] - px), std::fabs(xy[2 * i + 1] - py));
-  }
-}
-
-void KnnExtentsAllScalar(const double* x, const double* y, size_t m, size_t k,
-                         double* dx, double* dy) {
-  // KnnSelector's OfferAscending and InsertSorted, with |Δx| and |Δy| in
-  // place of the index.
-  struct Slot {
-    double d, ax, ay;
-  };
-  thread_local std::vector<Slot> slots;
-  if (slots.size() < k) slots.resize(k);
-  for (size_t i = 0; i < m; ++i) {
-    size_t filled = 0;
-    for (size_t j = 0; j < m; ++j) {
-      if (j == i) continue;
-      const double ax = std::fabs(x[j] - x[i]);
-      const double ay = std::fabs(y[j] - y[i]);
-      const double d = std::max(ax, ay);
-      if (filled == k && !(d < slots[k - 1].d)) continue;
-      size_t pos = filled < k ? filled++ : k - 1;
-      for (; pos > 0 && d < slots[pos - 1].d; --pos) {
-        slots[pos] = slots[pos - 1];
-      }
-      slots[pos] = {d, ax, ay};
-    }
-    double ex = 0.0, ey = 0.0;
-    for (size_t t = 0; t < k; ++t) {
-      ex = std::max(ex, slots[t].ax);
-      ey = std::max(ey, slots[t].ay);
-    }
-    dx[i] = ex;
-    dy[i] = ey;
-  }
-}
-
-void MarginalCountsAllScalar(const double* x, const double* y, size_t m,
-                             const double* dx, const double* dy, int64_t* nx,
-                             int64_t* ny) {
-  for (size_t i = 0; i < m; ++i) {
-    const double x_lo = x[i] - dx[i], x_hi = x[i] + dx[i];
-    const double y_lo = y[i] - dy[i], y_hi = y[i] + dy[i];
-    int64_t cx = 0, cy = 0;
-    for (size_t j = 0; j < m; ++j) {
-      cx += (x[j] >= x_lo) & (x[j] <= x_hi);
-      cy += (y[j] >= y_lo) & (y[j] <= y_hi);
-    }
-    nx[i] = cx - 1;  // minus self
-    ny[i] = cy - 1;
-  }
-}
-
-size_t LowerBoundScalar(const double* v, size_t n, double key) {
-  return static_cast<size_t>(std::lower_bound(v, v + n, key) - v);
-}
-
-size_t UpperBoundScalar(const double* v, size_t n, double key) {
-  return static_cast<size_t>(std::upper_bound(v, v + n, key) - v);
-}
-
-MinMaxFiniteResult MinMaxFiniteScalar(const double* v, size_t n) {
-  MinMaxFiniteResult r{v[0], v[0], true};
-  for (size_t i = 0; i < n; ++i) {
-    // |v| <= DBL_MAX is exactly std::isfinite for doubles (false on NaN).
-    r.all_finite = r.all_finite && std::fabs(v[i]) <= DBL_MAX;
-    r.min = std::min(r.min, v[i]);
-    r.max = std::max(r.max, v[i]);
-  }
-  return r;
-}
-
-// --- Kernels: the AVX2 body (__m256d, 4 doubles per op) or the twin --------
-
-const char* InstructionSet() {
-#if TYCOS_SIMD_LEVEL >= 2
-  return "avx2";
-#else
-  return "scalar";
-#endif
-}
-
-void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
-                      double* out) {
-#if TYCOS_SIMD_LEVEL >= 2
-  const __m256d probe = _mm256_setr_pd(px, py, px, py);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(xy + 2 * i);      // x0 y0 x1 y1
-    const __m256d b = _mm256_loadu_pd(xy + 2 * i + 4);  // x2 y2 x3 y3
-    const __m256d da = Abs256(_mm256_sub_pd(a, probe));
-    const __m256d db = Abs256(_mm256_sub_pd(b, probe));
-    // Swap x/y within each point and take the std::max blend; the even
-    // slots then hold max(|dx|, |dy|) with the scalar operand order.
-    const __m256d ma = MaxStd256(da, _mm256_permute_pd(da, 0x5));
-    const __m256d mb = MaxStd256(db, _mm256_permute_pd(db, 0x5));
-    const __m256d packed = _mm256_unpacklo_pd(ma, mb);  // d0 d2 d1 d3
-    _mm256_storeu_pd(out + i, _mm256_permute4x64_pd(packed, 0xD8));
-  }
-  if (i < n) ChebyshevToProbeScalar(xy + 2 * i, n - i, px, py, out + i);
-#else
-  ChebyshevToProbeScalar(xy, n, px, py, out);
-#endif
-}
-
-void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
-                   double* dx, double* dy) {
-#if TYCOS_SIMD_LEVEL >= 2
+// KnnExtentsAll's AVX2 body; with kLists the rescan also fills `lists`.
+template <bool kLists>
+void KnnExtentsAllAvx2(const double* x, const double* y, size_t m, size_t k,
+                       double* dx, double* dy, KnnEntry* lists) {
   // slots[t] holds each lane's (t+1)-th smallest distance so far.
   thread_local std::vector<Lane4> slots;
   if (slots.size() < k) slots.resize(k);
@@ -236,6 +115,7 @@ void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
     __m256i ties_seen = _mm256_setzero_si256();
     __m256d ex = _mm256_setzero_pd();
     __m256d ey = ex;
+    size_t listed[4] = {0, 0, 0, 0};
     for (size_t j = 0; j < m; ++j) {
       const __m256d d = LaneDistance(x, y, j, qx, qy, &ax, &ay);
       __m256d below = _mm256_cmp_pd(d, r, _CMP_LT_OQ);
@@ -253,6 +133,24 @@ void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
       // A lane that does not take j sees +0, which never raises a max.
       ex = MaxStd256(ex, _mm256_and_pd(take, ax));
       ey = MaxStd256(ey, _mm256_and_pd(take, ay));
+      if constexpr (kLists) {
+        // Each real lane takes exactly k candidates, in index order, so a
+        // strict-less insertion leaves its list in the KnnBefore order.
+        unsigned taken = static_cast<unsigned>(_mm256_movemask_pd(take)) &
+                         ((1u << lanes) - 1u);
+        if (taken == 0) continue;
+        alignas(32) double d_out[4];
+        _mm256_store_pd(d_out, d);
+        for (; taken != 0; taken &= taken - 1) {
+          const size_t l = static_cast<size_t>(__builtin_ctz(taken));
+          KnnEntry* list = lists + (i0 + l) * k;
+          size_t pos = listed[l]++;
+          for (; pos > 0 && d_out[l] < list[pos - 1].d; --pos) {
+            list[pos] = list[pos - 1];
+          }
+          list[pos] = {d_out[l], j};
+        }
+      }
     }
     alignas(32) double ex_out[4], ey_out[4];
     _mm256_store_pd(ex_out, ex);
@@ -260,8 +158,133 @@ void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
     std::copy(ex_out, ex_out + lanes, dx + i0);
     std::copy(ey_out, ey_out + lanes, dy + i0);
   }
+}
+
+}  // namespace
+
+#endif  // TYCOS_SIMD_LEVEL >= 2
+
+// --- Scalar twins (always compiled; the test reference) -------------------
+
+void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
+                            double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = std::max(std::fabs(xy[2 * i] - px), std::fabs(xy[2 * i + 1] - py));
+  }
+}
+
+void KnnExtentsAllScalar(const double* x, const double* y, size_t m, size_t k,
+                         double* dx, double* dy, KnnEntry* lists) {
+  // KnnSelector's OfferAscending and InsertSorted, carrying |Δx| and |Δy|
+  // beside each entry.
+  struct Slot {
+    double d, ax, ay;
+    size_t index;
+  };
+  thread_local std::vector<Slot> slots;
+  if (slots.size() < k) slots.resize(k);
+  for (size_t i = 0; i < m; ++i) {
+    size_t filled = 0;
+    for (size_t j = 0; j < m; ++j) {
+      if (j == i) continue;
+      const double ax = std::fabs(x[j] - x[i]);
+      const double ay = std::fabs(y[j] - y[i]);
+      const double d = std::max(ax, ay);
+      if (filled == k && !(d < slots[k - 1].d)) continue;
+      size_t pos = filled < k ? filled++ : k - 1;
+      for (; pos > 0 && d < slots[pos - 1].d; --pos) {
+        slots[pos] = slots[pos - 1];
+      }
+      slots[pos] = {d, ax, ay, j};
+    }
+    double ex = 0.0, ey = 0.0;
+    for (size_t t = 0; t < k; ++t) {
+      ex = std::max(ex, slots[t].ax);
+      ey = std::max(ey, slots[t].ay);
+      if (lists) lists[i * k + t] = {slots[t].d, slots[t].index};
+    }
+    dx[i] = ex;
+    dy[i] = ey;
+  }
+}
+
+void MarginalCountsAllScalar(const double* x, const double* y, size_t m,
+                             const double* dx, const double* dy, int64_t* nx,
+                             int64_t* ny) {
+  for (size_t i = 0; i < m; ++i) {
+    const double x_lo = x[i] - dx[i], x_hi = x[i] + dx[i];
+    const double y_lo = y[i] - dy[i], y_hi = y[i] + dy[i];
+    int64_t cx = 0, cy = 0;
+    for (size_t j = 0; j < m; ++j) {
+      cx += (x[j] >= x_lo) & (x[j] <= x_hi);
+      cy += (y[j] >= y_lo) & (y[j] <= y_hi);
+    }
+    nx[i] = cx - 1;  // minus self
+    ny[i] = cy - 1;
+  }
+}
+
+int64_t CountInStripScalar(const double* v, size_t n, double c, double e) {
+  const double lo = c - e, hi = c + e;
+  int64_t count = 0;
+  for (size_t i = 0; i < n; ++i) count += (v[i] >= lo) & (v[i] <= hi);
+  return count;
+}
+
+MinMaxFiniteResult MinMaxFiniteScalar(const double* v, size_t n) {
+  MinMaxFiniteResult r{v[0], v[0], true};
+  for (size_t i = 0; i < n; ++i) {
+    // |v| <= DBL_MAX is exactly std::isfinite for doubles (false on NaN).
+    r.all_finite = r.all_finite && std::fabs(v[i]) <= DBL_MAX;
+    r.min = std::min(r.min, v[i]);
+    r.max = std::max(r.max, v[i]);
+  }
+  return r;
+}
+
+// --- Kernels: the AVX2 body (__m256d, 4 doubles per op) or the twin --------
+
+const char* InstructionSet() {
+#if TYCOS_SIMD_LEVEL >= 2
+  return "avx2";
 #else
-  KnnExtentsAllScalar(x, y, m, k, dx, dy);
+  return "scalar";
+#endif
+}
+
+void ChebyshevToProbe(const double* xy, size_t n, double px, double py,
+                      double* out) {
+#if TYCOS_SIMD_LEVEL >= 2
+  const __m256d probe = _mm256_setr_pd(px, py, px, py);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_loadu_pd(xy + 2 * i);      // x0 y0 x1 y1
+    const __m256d b = _mm256_loadu_pd(xy + 2 * i + 4);  // x2 y2 x3 y3
+    const __m256d da = Abs256(_mm256_sub_pd(a, probe));
+    const __m256d db = Abs256(_mm256_sub_pd(b, probe));
+    // Swap x/y within each point and take the std::max blend; the even
+    // slots then hold max(|dx|, |dy|) with the scalar operand order.
+    const __m256d ma = MaxStd256(da, _mm256_permute_pd(da, 0x5));
+    const __m256d mb = MaxStd256(db, _mm256_permute_pd(db, 0x5));
+    const __m256d packed = _mm256_unpacklo_pd(ma, mb);  // d0 d2 d1 d3
+    _mm256_storeu_pd(out + i, _mm256_permute4x64_pd(packed, 0xD8));
+  }
+  if (i < n) ChebyshevToProbeScalar(xy + 2 * i, n - i, px, py, out + i);
+#else
+  ChebyshevToProbeScalar(xy, n, px, py, out);
+#endif
+}
+
+void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
+                   double* dx, double* dy, KnnEntry* lists) {
+#if TYCOS_SIMD_LEVEL >= 2
+  if (lists) {
+    KnnExtentsAllAvx2<true>(x, y, m, k, dx, dy, lists);
+  } else {
+    KnnExtentsAllAvx2<false>(x, y, m, k, dx, dy, nullptr);
+  }
+#else
+  KnnExtentsAllScalar(x, y, m, k, dx, dy, lists);
 #endif
 }
 
@@ -315,58 +338,27 @@ void MarginalCountsAll(const double* x, const double* y, size_t m,
 #endif
 }
 
-size_t LowerBound(const double* v, size_t n, double key) {
+int64_t CountInStrip(const double* v, size_t n, double c, double e) {
 #if TYCOS_SIMD_LEVEL >= 2
-  size_t lo = 0, hi = n;
-  while (hi - lo > kBoundBlock) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (v[mid] < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const __m256d k4 = _mm256_set1_pd(key);
-  size_t i = lo;
-  size_t below = 0;
-  for (; i + 4 <= hi; i += 4) {
+  const double lo = c - e, hi = c + e;
+  const __m256d lo4 = _mm256_set1_pd(lo), hi4 = _mm256_set1_pd(hi);
+  __m256i counts = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
     const __m256d a = _mm256_loadu_pd(v + i);
-    below += Popcount4(_mm256_movemask_pd(_mm256_cmp_pd(a, k4, _CMP_LT_OQ)));
+    const __m256d in = _mm256_and_pd(_mm256_cmp_pd(a, lo4, _CMP_GE_OQ),
+                                     _mm256_cmp_pd(a, hi4, _CMP_LE_OQ));
+    // A true compare is -1 in each 64-bit lane: subtracting it counts up.
+    counts = _mm256_sub_epi64(counts, _mm256_castpd_si256(in));
   }
-  for (; i < hi; ++i) {
-    if (v[i] < key) ++below;
-  }
-  return lo + below;
+  alignas(32) int64_t lane_counts[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_counts), counts);
+  int64_t count = lane_counts[0] + lane_counts[1] + lane_counts[2] +
+                  lane_counts[3];
+  for (; i < n; ++i) count += (v[i] >= lo) & (v[i] <= hi);
+  return count;
 #else
-  return LowerBoundScalar(v, n, key);
-#endif
-}
-
-size_t UpperBound(const double* v, size_t n, double key) {
-#if TYCOS_SIMD_LEVEL >= 2
-  size_t lo = 0, hi = n;
-  while (hi - lo > kBoundBlock) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (!(key < v[mid])) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const __m256d k4 = _mm256_set1_pd(key);
-  size_t i = lo;
-  size_t at_or_below = 0;
-  for (; i + 4 <= hi; i += 4) {
-    const __m256d a = _mm256_loadu_pd(v + i);
-    at_or_below +=
-        Popcount4(_mm256_movemask_pd(_mm256_cmp_pd(a, k4, _CMP_LE_OQ)));
-  }
-  for (; i < hi; ++i) {
-    if (!(key < v[i])) ++at_or_below;
-  }
-  return lo + at_or_below;
-#else
-  return UpperBoundScalar(v, n, key);
+  return CountInStripScalar(v, n, c, e);
 #endif
 }
 

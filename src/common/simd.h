@@ -1,6 +1,7 @@
 // Portable SIMD kernels for the KSG hot loops — the per-point L∞ distance
-// row, the all-points kNN extents and marginal counts of a batch window, the
-// rank-index bound searches, and the finite/min/max gate.
+// row, the all-points kNN extents (and neighbour lists) and marginal counts
+// of a window, the one-strip count of an incremental recount, and the
+// finite/min/max gate.
 //
 // The instruction set is selected at BUILD time (no runtime dispatch): the
 // TYCOS_SIMD_LEVEL macro is 2 (AVX2) or 0 (scalar), chosen by the
@@ -11,15 +12,14 @@
 // runs the whole suite on the twins.
 //
 // Exactness policy (see DESIGN.md "SIMD kernels"): element-wise kernels
-// (distances, bounds) are BIT-EXACT against the scalar twin — abs is a
-// sign-bit mask (like std::fabs), max/min replicate the (a < b) ? b : a
-// selection of std::max/std::min including NaN behavior, and comparisons
-// use ordered predicates so NaN never counts. The kNN extents are
-// bit-exact too, and the marginal counts are integers, exact by
-// construction. The min/max REDUCTION is value-exact but may return the
-// opposite zero sign when both +0.0 and -0.0 appear (reduction order
-// differs); no caller distinguishes zero signs. No kernel reassociates
-// floating-point sums.
+// (distances) are BIT-EXACT against the scalar twin — abs is a sign-bit
+// mask (like std::fabs), max/min replicate the (a < b) ? b : a selection
+// of std::max/std::min including NaN behavior, and comparisons use ordered
+// predicates so NaN never counts. The kNN extents and neighbour lists are
+// bit-exact too, and the counts are integers, exact by construction. The
+// min/max REDUCTION is value-exact but may return the opposite zero sign
+// when both +0.0 and -0.0 appear (reduction order differs); no caller
+// distinguishes zero signs. No kernel reassociates floating-point sums.
 //
 // All intrinsics live in src/common/simd.cc — tools/lint.py --simd-hygiene
 // rejects them anywhere else, so the baseline-ISA guarantee of the rest of
@@ -32,6 +32,15 @@
 #include <cstdint>
 
 namespace tycos {
+
+// One kNN candidate: its L∞ distance to the probe and its index. It lives
+// here, below knn/, because KnnExtentsAll emits lists of them; knn/point.h
+// orders them (KnnBefore) and selects them (KnnSelector).
+struct KnnEntry {
+  double d;
+  size_t index;
+};
+
 namespace simd {
 
 // Name of the compiled-in instruction set: "avx2" or "scalar".
@@ -54,29 +63,33 @@ void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
 // |y_j - y_i|) of the k nearest neighbours of point i, under L∞ and self
 // excluded, among the m points (x[j], y[j]): the set KnnSelector keeps when
 // offered every j != i in index order, so a distance tie keeps the earlier
-// index, and the extents BruteKnnExtents reports. No index is stored. The
-// twin runs KnnSelector's insertion with |Δx| and |Δy| in place of the
-// index. The AVX2 body answers four queries per pass over the candidates
-// and makes two passes: a sorted min/max network over distances alone
-// finds each query's k-th distance r, then a rescan takes every candidate
-// below r and, in index order, as many at r as fill k. Scratch is
-// thread_local, k slots. Requires k >= 1, m >= k + 1 and finite samples:
-// KsgMi's ClassifyInputs rules out NaN and ±inf before any kNN query, so
-// the kernels are specified (and tested) on finite inputs only. A
-// difference of finite samples may still overflow to +inf; that is a
-// distance like any other.
+// index, and the extents BruteKnnExtents reports. When `lists` is not
+// null, lists[i * k, i * k + k) also receives that set as (distance, index)
+// entries in the KnnBefore order, which is how the incremental estimator
+// rebuilds its stored neighbour lists. The twin runs KnnSelector's
+// insertion over (distance, |Δx|, |Δy|, index). The AVX2 body answers four
+// queries per pass over the candidates and makes two passes: a sorted
+// min/max network over distances alone finds each query's k-th distance r,
+// then a rescan takes every candidate below r and, in index order, as many
+// at r as fill k; with `lists` the rescan also inserts each taken candidate
+// into its query's list (one body, compiled with and without that step, so
+// a call without lists pays nothing for them). Scratch is thread_local, k
+// slots. Requires k >= 1, m >= k + 1 and finite samples: ClassifyInputs
+// (mi/ksg.h) rules out NaN and ±inf before any kNN query, so the kernels
+// are specified (and tested) on finite inputs only. A difference of finite
+// samples may still overflow to +inf; that is a distance like any other.
 void KnnExtentsAll(const double* x, const double* y, size_t m, size_t k,
-                   double* dx, double* dy);
+                   double* dx, double* dy, KnnEntry* lists = nullptr);
 void KnnExtentsAllScalar(const double* x, const double* y, size_t m, size_t k,
-                         double* dx, double* dy);
+                         double* dx, double* dy, KnnEntry* lists = nullptr);
 
 // --- All-points marginal counts -------------------------------------------
 //
 // nx[i] = #{ j != i : x[i] - dx[i] <= x[j] <= x[i] + dx[i] } and ny[i] the
-// same over y and dy: the KSG marginal counts of a batch window, given its
-// kNN extents. These are the closed-interval semantics every marginal count
-// shares (RankIndex::CountInRange serves the incremental estimator): each
-// bound is computed once per query as x[i] - dx[i] and x[i] + dx[i], a
+// same over y and dy: the KSG marginal counts of a window, given its kNN
+// extents. These are the closed-interval semantics every marginal count
+// shares (CountInStrip recounts one point of the incremental estimator):
+// each bound is computed once per query as x[i] - dx[i] and x[i] + dx[i], a
 // sample counts when it lies at or inside both (ordered compares, so NaN
 // never counts), and the query itself, which always lies inside its own
 // interval, is subtracted. One branch-free O(m²) pass; the AVX2 body
@@ -90,18 +103,15 @@ void MarginalCountsAllScalar(const double* x, const double* y, size_t m,
                              const double* dx, const double* dy, int64_t* nx,
                              int64_t* ny);
 
-// --- Bound searches over sorted arrays -------------------------------------
+// --- One-strip count -------------------------------------------------------
 //
-// Bit-exact equivalents of std::lower_bound / std::upper_bound on a sorted
-// double array: binary search narrows to a small block, a vector compare
-// counts the remaining elements below the key. RankIndex's range counts run
-// two per query.
-
-size_t LowerBound(const double* v, size_t n, double key);
-size_t LowerBoundScalar(const double* v, size_t n, double key);
-
-size_t UpperBound(const double* v, size_t n, double key);
-size_t UpperBoundScalar(const double* v, size_t n, double key);
+// #{ i : c - e <= v[i] <= c + e }, with MarginalCountsAll's arithmetic:
+// both bounds computed once, ordered compares (NaN never counts). A point's
+// marginal count is this over its window's series span minus one (itself):
+// the incremental estimator's recount after an edit changes its extents.
+// One branch-free O(n) pass, four samples per AVX2 compare.
+int64_t CountInStrip(const double* v, size_t n, double c, double e);
+int64_t CountInStripScalar(const double* v, size_t n, double c, double e);
 
 // --- Min/max reduction -----------------------------------------------------
 

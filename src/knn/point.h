@@ -12,6 +12,8 @@
 #include <span>
 #include <vector>
 
+#include "common/simd.h"  // KnnEntry
+
 namespace tycos {
 
 struct Point2 {
@@ -34,12 +36,6 @@ struct KnnExtents {
 
   // Radius of the influenced region (Definition 7.1): d = max(dx, dy).
   double radius() const { return dx > dy ? dx : dy; }
-};
-
-// One kNN candidate: its L∞ distance to the probe and its index.
-struct KnnEntry {
-  double d;
-  size_t index;
 };
 
 // The kNN tie order — by distance, then by index: true when a sorts before b.

@@ -1,47 +1,19 @@
 #include "mi/incremental_ksg.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <span>
+#include <vector>
 
+#include "common/math.h"
 #include "common/simd.h"
 #include "knn/brute_knn.h"
+#include "mi/ksg.h"
 #include "obs/metrics.h"
 
 namespace tycos {
 
 namespace {
-
-// Universe values for the rank indexes. Non-finite samples are mapped to 0
-// so the sorted universe keeps a strict weak order; they can never be
-// *inserted* (windows touching them are rejected as degenerate), so the
-// substitution only affects construction.
-std::vector<double> FiniteUniverse(const std::vector<double>& values) {
-  std::vector<double> out = values;
-  for (double& v : out) {
-    if (!std::isfinite(v)) v = 0.0;
-  }
-  return out;
-}
-
-void BuildHostileTables(const std::vector<double>& values,
-                        std::vector<int64_t>* run_start,
-                        std::vector<int64_t>* nonfinite_prefix) {
-  const int64_t n = static_cast<int64_t>(values.size());
-  run_start->resize(static_cast<size_t>(n));
-  nonfinite_prefix->assign(static_cast<size_t>(n) + 1, 0);
-  for (int64_t i = 0; i < n; ++i) {
-    (*run_start)[static_cast<size_t>(i)] =
-        (i > 0 && values[static_cast<size_t>(i)] ==
-                      values[static_cast<size_t>(i - 1)])
-            ? (*run_start)[static_cast<size_t>(i - 1)]
-            : i;
-    (*nonfinite_prefix)[static_cast<size_t>(i) + 1] =
-        (*nonfinite_prefix)[static_cast<size_t>(i)] +
-        (std::isfinite(values[static_cast<size_t>(i)]) ? 0 : 1);
-  }
-}
 
 // Moves `count` slots of `stride` elements from slot `from` to slot `to`
 // (the ranges may overlap), first growing the buffer to exactly `cap`
@@ -74,57 +46,18 @@ const double* DistanceRow(const Point2* window, size_t m,
 }  // namespace
 
 IncrementalKsg::IncrementalKsg(const SeriesPair& pair, int k)
-    : pair_(pair),
-      k_(k),
-      x_index_(FiniteUniverse(pair.x().values())),
-      y_index_(FiniteUniverse(pair.y().values())) {
+    : pair_(pair), k_(k) {
   TYCOS_CHECK_GE(k_, 1);
-  BuildHostileTables(pair.x().values(), &run_start_x_, &nonfinite_prefix_x_);
-  BuildHostileTables(pair.y().values(), &run_start_y_, &nonfinite_prefix_y_);
-  // Precompute every sample's universe rank once, so the per-edit hot path
-  // below inserts/erases by rank with no binary search. Non-finite samples
-  // rank their 0.0 substitute; they can never be inserted (degenerate
-  // windows are rejected), so the entry is just never read.
-  const std::vector<double> fx = FiniteUniverse(pair.x().values());
-  const std::vector<double> fy = FiniteUniverse(pair.y().values());
-  rank_x_.resize(fx.size());
-  rank_y_.resize(fy.size());
-  for (size_t i = 0; i < fx.size(); ++i) rank_x_[i] = x_index_.Rank(fx[i]);
-  for (size_t i = 0; i < fy.size(); ++i) rank_y_[i] = y_index_.Rank(fy[i]);
-}
-
-bool IncrementalKsg::DegenerateWindow(const Window& w) const {
-  const size_t xe = static_cast<size_t>(w.end);
-  const size_t ye = static_cast<size_t>(w.y_end());
-  if (run_start_x_[xe] <= w.start) return true;            // constant X
-  if (run_start_y_[ye] <= w.y_start()) return true;        // constant Y
-  if (nonfinite_prefix_x_[xe + 1] -
-          nonfinite_prefix_x_[static_cast<size_t>(w.start)] > 0) {
-    return true;
-  }
-  if (nonfinite_prefix_y_[ye + 1] -
-          nonfinite_prefix_y_[static_cast<size_t>(w.y_start())] > 0) {
-    return true;
-  }
-  return false;
 }
 
 Point2 IncrementalKsg::PointAt(int64_t global_index, int64_t delay) const {
   return {pair_.x()[global_index], pair_.y()[global_index + delay]};
 }
 
-int64_t IncrementalKsg::CountMarginalX(double x, double dx) const {
-  return x_index_.CountInRange(x - dx, x + dx) - 1;  // minus self
-}
-
-int64_t IncrementalKsg::CountMarginalY(double y, double dy) const {
-  return y_index_.CountInRange(y - dy, y + dy) - 1;
-}
-
 int64_t IncrementalKsg::BumpMarginals(size_t slot, const Point2& q,
                                       int64_t delta) {
   // Branch-free: whether q falls in a strip is data-dependent and
-  // unpredictable. The bounds are the ones CountMarginalX/Y count with.
+  // unpredictable. The bounds are the ones simd::CountInStrip counts with.
   const Point2& p = pts_[slot];
   const KnnExtents& e = ext_[slot];
   const int64_t in_x = int64_t{q.x >= p.x - e.dx} & int64_t{q.x <= p.x + e.dx};
@@ -152,8 +85,11 @@ void IncrementalKsg::RefreshFromNeighbours(size_t slot) {
         return pts_[Slot(static_cast<int64_t>(g))];
       });
   ext_[slot] = e;
-  nx_[slot] = CountMarginalX(p.x, e.dx);
-  ny_[slot] = CountMarginalY(p.y, e.dy);
+  const size_t m = static_cast<size_t>(WindowSizeNow());
+  const double* xs = pair_.x().values().data() + start_;
+  const double* ys = pair_.y().values().data() + start_ + delay_;
+  nx_[slot] = simd::CountInStrip(xs, m, p.x, e.dx) - 1;  // minus self
+  ny_[slot] = simd::CountInStrip(ys, m, p.y, e.dy) - 1;
 }
 
 void IncrementalKsg::Place(int64_t lo, int64_t hi, bool keep_live) {
@@ -174,38 +110,37 @@ void IncrementalKsg::Place(int64_t lo, int64_t hi, bool keep_live) {
   base_ = base;
 }
 
-void IncrementalKsg::Rebuild(const Window& w) {
-  if (has_window_) {
-    for (int64_t g = start_; g <= end_; ++g) {
-      x_index_.EraseAtRank(rank_x_[static_cast<size_t>(g)]);
-      y_index_.EraseAtRank(rank_y_[static_cast<size_t>(g + delay_)]);
-    }
-  }
+void IncrementalKsg::Rebuild(const Window& w, const WindowSamples& samples) {
   start_ = w.start;
   end_ = w.end;
   delay_ = w.delay;
-  const int64_t m = w.size();
+  const size_t m = samples.x.size();
   has_window_ = true;
 
   Place(start_, end_, /*keep_live=*/false);
   const size_t first = Slot(start_);
-  for (int64_t i = 0; i < m; ++i) {
-    pts_[first + static_cast<size_t>(i)] = PointAt(start_ + i, delay_);
-    x_index_.InsertAtRank(rank_x_[static_cast<size_t>(start_ + i)]);
-    y_index_.InsertAtRank(rank_y_[static_cast<size_t>(start_ + i + delay_)]);
+  for (size_t i = 0; i < m; ++i) {
+    pts_[first + i] = {samples.x[i], samples.y[i]};
   }
-  const std::span<const Point2> window(pts_.data() + first,
-                                       static_cast<size_t>(m));
-  for (size_t i = 0; i < window.size(); ++i) {
-    KnnSelector selector(k_);
-    BruteKnnSelect(window, window[i], i, &selector);
-    StoreNeighbours(first + i, selector, start_);
+  thread_local std::vector<double> dx, dy;
+  dx.resize(m);
+  dy.resize(m);
+  KnnEntry* lists = Neighbours(first);
+  simd::KnnExtentsAll(samples.x.data(), samples.y.data(), m,
+                      static_cast<size_t>(k_), dx.data(), dy.data(), lists);
+  // The kernel indexes the window from 0; stored lists hold global X
+  // indices.
+  for (size_t e = 0; e < m * static_cast<size_t>(k_); ++e) {
+    lists[e].index += static_cast<size_t>(start_);
   }
+  simd::MarginalCountsAll(samples.x.data(), samples.y.data(), m, dx.data(),
+                          dy.data(), &nx_[first], &ny_[first]);
+  for (size_t i = 0; i < m; ++i) ext_[first + i] = {dx[i], dy[i]};
   ++stats_.full_rebuilds;
   // One registry write per rebuild (not per query): m brute-force kNN
   // queries rebuilt the window state.
   static obs::Counter* queries = obs::GetCounter("knn.brute.queries");
-  queries->Add(m);
+  queries->Add(static_cast<int64_t>(m));
 }
 
 void IncrementalKsg::AddPoint(bool at_front) {
@@ -218,13 +153,19 @@ void IncrementalKsg::AddPoint(bool at_front) {
   const Point2 o = PointAt(global_index, delay_);
   const size_t own_slot = Slot(global_index);
   pts_[own_slot] = o;
-  x_index_.InsertAtRank(rank_x_[static_cast<size_t>(global_index)]);
-  y_index_.InsertAtRank(rank_y_[static_cast<size_t>(global_index + delay_)]);
+  // The window before o: the points the pass below visits and the
+  // candidates of o's own selection.
+  const int64_t old_start = start_;
+  const size_t first = Slot(start_);
+  const size_t m = static_cast<size_t>(WindowSizeNow());
+  if (at_front) {
+    start_ = global_index;
+  } else {
+    end_ = global_index;
+  }
 
   // One distance row from o to the window feeds the IR/IMR pass and o's own
   // kNN selection.
-  const size_t first = Slot(start_);
-  const size_t m = static_cast<size_t>(WindowSizeNow());
   const double* row = DistanceRow(&pts_[first], m, o);
   const size_t k = static_cast<size_t>(k_);
   for (size_t j = 0; j < m; ++j) {
@@ -250,20 +191,13 @@ void IncrementalKsg::AddPoint(bool at_front) {
 
   KnnSelector selector(k_);
   for (size_t j = 0; j < m; ++j) selector.OfferAscending(row[j], j);
-  StoreNeighbours(own_slot, selector, start_);
-  if (at_front) {
-    start_ = global_index;
-  } else {
-    end_ = global_index;
-  }
+  StoreNeighbours(own_slot, selector, old_start);
   ++stats_.points_added;
 }
 
 void IncrementalKsg::RemovePoint(bool at_front) {
   const int64_t global_index = at_front ? start_ : end_;
   const Point2 r = pts_[Slot(global_index)];
-  x_index_.EraseAtRank(rank_x_[static_cast<size_t>(global_index)]);
-  y_index_.EraseAtRank(rank_y_[static_cast<size_t>(global_index + delay_)]);
   if (at_front) {
     ++start_;
   } else {
@@ -294,17 +228,14 @@ void IncrementalKsg::RemovePoint(bool at_front) {
 }
 
 double IncrementalKsg::SetWindow(const Window& w) {
-  TYCOS_CHECK_GE(w.start, 0);
-  TYCOS_CHECK_LT(w.end, pair_.size());
-  TYCOS_CHECK_GE(w.y_start(), 0);
-  TYCOS_CHECK_LT(w.y_end(), pair_.size());
+  const WindowSamples samples = WindowSpans(pair_, w);
 
   // Too small for k, or hostile (constant marginals, non-finite samples):
   // a defined 0 that never reaches a kNN query. State is left on the
   // previous (healthy) window so an interleaved probe does not destroy
   // incremental locality.
   if (w.size() < k_ + 2) return 0.0;
-  if (DegenerateWindow(w)) {
+  if (ClassifyInputs(samples.x, samples.y) != InputHealth::kOk) {
     ++stats_.degenerate_windows;
     return 0.0;
   }
@@ -322,7 +253,7 @@ double IncrementalKsg::SetWindow(const Window& w) {
   }
 
   if (!incremental) {
-    Rebuild(w);
+    Rebuild(w, samples);
     return CurrentMi();
   }
 
@@ -375,13 +306,16 @@ void IncrementalKsg::FlushObsCounters() {
 
 double IncrementalKsg::CurrentMi() const {
   if (!has_window_) return 0.0;
-  // The batch estimator's exact expression and summation order.
+  // The batch estimator's exact expression and summation order. Every
+  // table holds the same values, so the thread's one serves every
+  // estimator on it.
+  thread_local DigammaTable psi;
   const int64_t m = WindowSizeNow();
   const size_t first = Slot(start_);
-  const double marginal_sum = psi_.SumPairs(
+  const double marginal_sum = psi.SumPairs(
       nx_.data() + first, ny_.data() + first, static_cast<size_t>(m));
-  return psi_(static_cast<size_t>(k_)) - 1.0 / k_ -
-         marginal_sum / static_cast<double>(m) + psi_(static_cast<size_t>(m));
+  return psi(static_cast<size_t>(k_)) - 1.0 / k_ -
+         marginal_sum / static_cast<double>(m) + psi(static_cast<size_t>(m));
 }
 
 }  // namespace tycos

@@ -47,10 +47,6 @@ void ApplyTieJitter(std::vector<double>* values, double relative_amplitude,
 
 }  // namespace internal
 
-// Single pass over both marginals: detects non-finite samples and constant
-// marginals, the two inputs on which a kNN MI query is undefined.
-enum class InputHealth { kOk, kConstantMarginal, kNonFinite };
-
 InputHealth ClassifyInputs(std::span<const double> xs,
                            std::span<const double> ys) {
   const simd::MinMaxFiniteResult x = simd::MinMaxFinite(xs.data(), xs.size());

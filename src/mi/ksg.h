@@ -48,6 +48,15 @@ struct KsgOptions {
   KsgDiagnostics* diagnostics = nullptr;
 };
 
+// The two inputs on which a kNN MI query is undefined, found in one
+// simd::MinMaxFinite pass per marginal: a non-finite sample, or a constant
+// marginal (every sample equal; +0.0 and -0.0 compare equal). Both KSG
+// estimators score either as 0 and count it as a degenerate window.
+enum class InputHealth { kOk, kConstantMarginal, kNonFinite };
+
+InputHealth ClassifyInputs(std::span<const double> xs,
+                           std::span<const double> ys);
+
 // MI estimate for paired samples xs/ys (equal lengths). Returns 0 when the
 // sample count is too small for the requested k (m < k + 2), when either
 // marginal is constant, or when any sample is non-finite (see

@@ -67,6 +67,7 @@ IncrementalEvaluator::IncrementalEvaluator(const SeriesPair& pair,
                                            int64_t small_window_threshold)
     : pair_(pair),
       params_(params),
+      ksg_(pair, params.k),
       small_window_threshold_(small_window_threshold) {}
 
 double IncrementalEvaluator::Score(const Window& w) {
@@ -78,15 +79,9 @@ double IncrementalEvaluator::Score(const Window& w) {
     options.diagnostics = &diagnostics_;
     raw = KsgMi(samples.x, samples.y, options);
   } else {
-    if (!ksg_) ksg_.emplace(pair_, params_.k);
-    raw = ksg_->SetWindow(w);
+    raw = ksg_.SetWindow(w);
   }
   return NormalizeWindow(raw, samples, params_);
-}
-
-const IncrementalKsgStats& IncrementalEvaluator::incremental_stats() const {
-  static const IncrementalKsgStats kNotBuilt;
-  return ksg_ ? ksg_->stats() : kNotBuilt;
 }
 
 void IncrementalEvaluator::FlushObsCounters() {
@@ -97,7 +92,7 @@ void IncrementalEvaluator::FlushObsCounters() {
   // family only, so nothing is double counted.
   FlushCounterDelta(MiDegenerateCounter(), degenerate_windows(),
                     &flushed_degenerate_);
-  if (ksg_) ksg_->FlushObsCounters();
+  ksg_.FlushObsCounters();
 }
 
 CachingEvaluator::CachingEvaluator(std::unique_ptr<WindowEvaluator> inner,

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "core/time_series.h"
@@ -80,10 +79,10 @@ class BatchEvaluator : public WindowEvaluator {
 // `small_window_threshold` bypass the incremental state and are scored
 // statelessly: for tiny windows a fresh O(m²) estimate is cheaper than
 // maintaining IR/IMR state, and skipping them preserves the locality of the
-// large-window state across interleaved small probes. The IncrementalKsg,
-// whose rank indexes span both whole series, is built by the first window
-// at or above the threshold, so a search that never scores one never pays
-// for it.
+// large-window state across interleaved small probes. The IncrementalKsg
+// holds window-local state only: it allocates on the first window at or
+// above the threshold, so a search that never scores one never pays for
+// it.
 class IncrementalEvaluator : public WindowEvaluator {
  public:
   IncrementalEvaluator(const SeriesPair& pair, const TycosParams& params,
@@ -98,13 +97,15 @@ class IncrementalEvaluator : public WindowEvaluator {
   void FlushObsCounters() override;
 
   // The estimator's stats; all zero until a window at or above the
-  // threshold builds it.
-  const IncrementalKsgStats& incremental_stats() const;
+  // threshold arrives.
+  const IncrementalKsgStats& incremental_stats() const {
+    return ksg_.stats();
+  }
 
  private:
   const SeriesPair& pair_;
   const TycosParams params_;
-  std::optional<IncrementalKsg> ksg_;  // built by the first large window
+  IncrementalKsg ksg_;
   KsgDiagnostics diagnostics_;  // small-window (stateless) path counters
   int64_t small_window_threshold_;
   int64_t evaluations_ = 0;

@@ -13,7 +13,6 @@
 #include "knn/brute_knn.h"
 #include "knn/grid_index.h"
 #include "knn/kd_tree.h"
-#include "knn/rank_index.h"
 #include "mi/incremental_ksg.h"
 
 namespace tycos {
@@ -162,97 +161,6 @@ TEST(GridIndexTest, AllPointsIdentical) {
   const KnnExtents e = grid.QueryExtents(0, 3);
   EXPECT_DOUBLE_EQ(e.dx, 0.0);
   EXPECT_DOUBLE_EQ(e.dy, 0.0);
-}
-
-TEST(RankIndexTest, InsertEraseCount) {
-  RankIndex idx({1.0, 2.0, 3.0, 4.0, 5.0});
-  EXPECT_EQ(idx.size(), 0);
-  idx.Insert(2.0);
-  idx.Insert(3.0);
-  idx.Insert(3.0);  // duplicates allowed
-  EXPECT_EQ(idx.size(), 3);
-  EXPECT_EQ(idx.CountInRange(2.0, 3.0), 3);
-  EXPECT_EQ(idx.CountInRange(2.5, 10.0), 2);
-  idx.Erase(3.0);
-  EXPECT_EQ(idx.CountInRange(2.0, 3.0), 2);
-  EXPECT_EQ(idx.size(), 2);
-}
-
-TEST(RankIndexTest, ClosedIntervalSemantics) {
-  RankIndex idx({1.0, 2.0, 3.0});
-  idx.Insert(1.0);
-  idx.Insert(3.0);
-  EXPECT_EQ(idx.CountInRange(1.0, 3.0), 2);  // endpoints included
-  EXPECT_EQ(idx.CountInRange(1.0001, 2.9999), 0);
-  EXPECT_EQ(idx.CountInRange(3.0, 1.0), 0);  // inverted interval
-}
-
-TEST(RankIndexTest, RangeOutsideUniverse) {
-  RankIndex idx({5.0, 6.0});
-  idx.Insert(5.0);
-  EXPECT_EQ(idx.CountInRange(-100.0, 100.0), 1);
-  EXPECT_EQ(idx.CountInRange(7.0, 9.0), 0);
-  EXPECT_EQ(idx.CountInRange(-9.0, 4.0), 0);
-}
-
-TEST(RankIndexTest, EmptyRangeCounts) {
-  // A degenerate query interval must count 0 whether the index is empty,
-  // the interval is inverted, or it falls between stored values.
-  RankIndex idx({1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(idx.CountInRange(1.0, 4.0), 0);  // index is empty
-  idx.Insert(1.0);
-  idx.Insert(4.0);
-  EXPECT_EQ(idx.CountInRange(2.0, 3.0), 0);   // gap between stored values
-  EXPECT_EQ(idx.CountInRange(4.0, 1.0), 0);   // inverted interval
-  EXPECT_EQ(idx.CountInRange(1.5, 1.5), 0);   // point query, no occupant
-  EXPECT_EQ(idx.CountInRange(4.0, 4.0), 1);   // point query, occupied
-}
-
-TEST(RankIndexTest, FullRangeCountsEqualSize) {
-  // A closed interval covering the whole universe must count exactly
-  // size(), with duplicates multiplicity-counted — the incremental KSG's
-  // "count minus self" arithmetic depends on this.
-  RankIndex idx({-2.0, 0.0, 3.5});
-  idx.Insert(-2.0);
-  idx.Insert(0.0);
-  idx.Insert(0.0);
-  idx.Insert(3.5);
-  EXPECT_EQ(idx.size(), 4);
-  EXPECT_EQ(idx.CountInRange(-2.0, 3.5), 4);      // exact hull
-  EXPECT_EQ(idx.CountInRange(-1e300, 1e300), 4);  // unbounded hull
-  idx.Erase(0.0);
-  EXPECT_EQ(idx.CountInRange(-2.0, 3.5), 3);      // multiplicity respected
-  EXPECT_EQ(idx.CountInRange(-2.0, 3.5), idx.size());
-}
-
-TEST(RankIndexTest, MatchesNaiveCountingUnderRandomOps) {
-  Rng rng(17);
-  std::vector<double> universe;
-  for (int i = 0; i < 200; ++i) universe.push_back(rng.Uniform(-10, 10));
-  RankIndex idx(universe);
-  std::vector<double> present;
-  for (int op = 0; op < 2000; ++op) {
-    if (present.empty() || rng.Bernoulli(0.6)) {
-      const double v =
-          universe[static_cast<size_t>(rng.UniformInt(0, 199))];
-      idx.Insert(v);
-      present.push_back(v);
-    } else {
-      const size_t pos = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(present.size()) - 1));
-      idx.Erase(present[pos]);
-      present.erase(present.begin() + static_cast<long>(pos));
-    }
-    if (op % 50 == 0) {
-      const double lo = rng.Uniform(-12, 12);
-      const double hi = lo + rng.Uniform(0, 8);
-      int64_t naive = 0;
-      for (double v : present) {
-        if (v >= lo && v <= hi) ++naive;
-      }
-      ASSERT_EQ(idx.CountInRange(lo, hi), naive) << "op " << op;
-    }
-  }
 }
 
 // --- Reference model -------------------------------------------------------

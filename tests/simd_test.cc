@@ -1,8 +1,8 @@
 // Differential tests for the SIMD kernels (common/simd.h): each kernel is
 // run against its *Scalar twin on random, denormal-laden, and
 // NaN/±inf-laden inputs at sizes that cross every vector-width tail (the
-// kNN extents and marginal count kernels on finite inputs only, their
-// documented domain). In a
+// kNN extents, neighbour list and marginal count kernels on finite inputs
+// only, their documented domain). In a
 // scalar build the kernel IS the twin and the tests pin the twin alone.
 // Element-wise kernels must agree bit-for-bit (including NaN payloads); the
 // min/max reduction is value-exact with the documented zero-sign caveat.
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "knn/point.h"
 
 namespace tycos {
 namespace {
@@ -77,7 +78,7 @@ std::vector<double> MakeArray(size_t len, Mix mix, uint64_t seed) {
   return v;
 }
 
-// Sizes crossing the 4-lane tails and the bound-search block.
+// Sizes crossing the 4-lane tails.
 const size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100};
 
 TEST(SimdTest, InstructionSetMatchesCompiledLevel) {
@@ -103,40 +104,6 @@ TEST(SimdTest, ChebyshevToProbeBitExact) {
       simd::ChebyshevToProbeScalar(xy.data(), n, px, py, want.data());
       for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(Bits(got[i]), Bits(want[i])) << "i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SimdTest, BoundSearchesMatchStd) {
-  for (Mix mix : {Mix::kUniform, Mix::kDenormal}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{5}, size_t{31},
-                     size_t{32}, size_t{33}, size_t{100}, size_t{1000}}) {
-      SCOPED_TRACE(testing::Message()
-                   << "mix=" << static_cast<int>(mix) << " n=" << n);
-      // Sorted, NaN-free (the documented precondition); ±inf allowed.
-      std::vector<double> v =
-          MakeArray(n, mix, 13 * n + static_cast<size_t>(mix));
-      if (n >= 2) {
-        v[0] = -std::numeric_limits<double>::infinity();
-        v[1] = std::numeric_limits<double>::infinity();
-      }
-      std::sort(v.begin(), v.end());
-      std::mt19937_64 rng(31 + n);
-      std::vector<double> keys;
-      for (int rep = 0; rep < 8; ++rep) {
-        double key = Draw(rng, mix);
-        if (std::isnan(key)) key = 0.0;
-        keys.push_back(key);
-      }
-      for (double x : v) keys.push_back(x);  // exact hits force ties
-      for (double key : keys) {
-        EXPECT_EQ(simd::LowerBound(v.data(), n, key),
-                  simd::LowerBoundScalar(v.data(), n, key))
-            << "key=" << key;
-        EXPECT_EQ(simd::UpperBound(v.data(), n, key),
-                  simd::UpperBoundScalar(v.data(), n, key))
-            << "key=" << key;
       }
     }
   }
@@ -233,6 +200,64 @@ TEST(SimdTest, KnnExtentsAllMatchesScalar) {
   }
 }
 
+// The neighbour lists of the incremental estimator's rebuild: the AVX2 body
+// against its twin (lists and extents bit for bit, and the extents equal to
+// a call without lists), and the twin against KnnSelector offered every
+// other point in index order (indices, distances and order).
+TEST(SimdTest, KnnListsMatchScalarAndSelector) {
+  std::vector<size_t> sizes;
+  for (size_t base : {8, 32, 64, 128}) {
+    for (size_t m = base - 3; m <= base + 3 + (base == 8 ? 1 : 0); ++m) {
+      sizes.push_back(m);
+    }
+  }
+  for (KnnMix mix :
+       {KnnMix::kUniform, KnnMix::kDenormal, KnnMix::kLattice, KnnMix::kHuge}) {
+    for (size_t k : {1, 4, 7}) {
+      for (size_t m : sizes) {
+        if (m < k + 1) continue;
+        SCOPED_TRACE(testing::Message() << "mix=" << static_cast<int>(mix)
+                                        << " k=" << k << " m=" << m);
+        const uint64_t seed = 700 * m + 10 * k + static_cast<uint64_t>(mix);
+        const std::vector<double> x = MakeKnnSamples(m, mix, seed);
+        const std::vector<double> y = MakeKnnSamples(m, mix, seed + 5);
+        std::vector<double> got_dx(m), got_dy(m), want_dx(m), want_dy(m);
+        std::vector<double> bare_dx(m), bare_dy(m);
+        std::vector<KnnEntry> got(m * k, {-1.0, m});
+        std::vector<KnnEntry> want(m * k, {-2.0, m});
+        simd::KnnExtentsAll(x.data(), y.data(), m, k, got_dx.data(),
+                            got_dy.data(), got.data());
+        simd::KnnExtentsAllScalar(x.data(), y.data(), m, k, want_dx.data(),
+                                  want_dy.data(), want.data());
+        simd::KnnExtentsAll(x.data(), y.data(), m, k, bare_dx.data(),
+                            bare_dy.data());
+        for (size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(Bits(got_dx[i]), Bits(want_dx[i])) << "dx, query " << i;
+          ASSERT_EQ(Bits(got_dy[i]), Bits(want_dy[i])) << "dy, query " << i;
+          ASSERT_EQ(Bits(got_dx[i]), Bits(bare_dx[i])) << "dx, query " << i;
+          ASSERT_EQ(Bits(got_dy[i]), Bits(bare_dy[i])) << "dy, query " << i;
+          KnnSelector selector(static_cast<int>(k));
+          for (size_t j = 0; j < m; ++j) {
+            if (j == i) continue;
+            selector.OfferAscending(
+                std::max(std::fabs(x[j] - x[i]), std::fabs(y[j] - y[i])), j);
+          }
+          ASSERT_EQ(selector.size(), k);
+          for (size_t t = 0; t < k; ++t) {
+            const KnnEntry& g = got[i * k + t];
+            const KnnEntry& w = want[i * k + t];
+            const KnnEntry& s = selector.selected()[t];
+            ASSERT_EQ(g.index, w.index) << "query " << i << " slot " << t;
+            ASSERT_EQ(Bits(g.d), Bits(w.d)) << "query " << i << " slot " << t;
+            ASSERT_EQ(w.index, s.index) << "query " << i << " slot " << t;
+            ASSERT_EQ(Bits(w.d), Bits(s.d)) << "query " << i << " slot " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The count pass on every 4-lane tail from 1 to 12 points and around 32,
 // 64, 128 and 256, over the kNN clouds. Extents come from the kNN twin at
 // k = 4 (each query's strip edge then sits on a sample, so the closed
@@ -293,6 +318,58 @@ TEST(SimdTest, MarginalCountsAllMatchesScalar) {
       }
     }
   }
+}
+
+// The one-strip recount against a count written here, on every 4-lane
+// tail: centres on and between samples, extents 0 (only exact ties count),
+// +inf (every sample but NaN counts), the distance to another sample (a
+// bound lands on it) and random, over the finite clouds and the hostile
+// mix. Signed zeros compare equal, so a ±0.0 strip of extent 0 holds every
+// zero of either sign.
+TEST(SimdTest, CountInStripMatchesDirectCount) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto direct = [](const std::vector<double>& v, double c, double e) {
+    int64_t count = 0;
+    for (double s : v) count += c - e <= s && s <= c + e;
+    return count;
+  };
+  std::vector<std::vector<double>> arrays;
+  for (size_t n : kSizes) {
+    for (KnnMix mix : {KnnMix::kUniform, KnnMix::kDenormal, KnnMix::kLattice,
+                       KnnMix::kHuge}) {
+      arrays.push_back(
+          MakeKnnSamples(n, mix, 40 * n + static_cast<size_t>(mix)));
+    }
+    arrays.push_back(MakeArray(n, Mix::kHostile, 41 * n));
+  }
+  for (const std::vector<double>& v : arrays) {
+    const size_t n = v.size();
+    std::mt19937_64 rng(n + 3);
+    std::vector<double> centres = {0.0, -0.0, 1.5, -DBL_MAX};
+    for (size_t i = 0; i < n; i += 3) centres.push_back(v[i]);
+    for (double c : centres) {
+      std::vector<double> extents = {0.0, kInf,
+                                     std::fabs(Draw(rng, Mix::kUniform))};
+      if (n > 0) extents.push_back(std::fabs(v[rng() % n] - c));
+      for (double e : extents) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " c=" << c
+                                        << " e=" << e);
+        const int64_t want = direct(v, c, e);
+        ASSERT_EQ(simd::CountInStrip(v.data(), n, c, e), want);
+        ASSERT_EQ(simd::CountInStripScalar(v.data(), n, c, e), want);
+      }
+    }
+  }
+  // Empty strips: no sample, a gap between samples, one occupied point.
+  const std::vector<double> v = {1.0,  4.0, 4.0,  9.0, 0.0,
+                                 -0.0, 0.0, -0.0, 2.0};
+  EXPECT_EQ(simd::CountInStrip(v.data(), 0, 0.0, kInf), 0);
+  EXPECT_EQ(simd::CountInStrip(v.data(), v.size(), 6.5, 2.0), 0);
+  EXPECT_EQ(simd::CountInStrip(v.data(), v.size(), 4.0, 0.0), 2);
+  EXPECT_EQ(simd::CountInStrip(v.data(), v.size(), 0.0, 0.0), 4);
+  EXPECT_EQ(simd::CountInStrip(v.data(), v.size(), -0.0, 0.0), 4);
+  EXPECT_EQ(simd::CountInStrip(v.data(), v.size(), 0.0, kInf), 9);
+  EXPECT_EQ(simd::CountInStrip(v.data(), v.size(), 2.5, 1.5), 4);
 }
 
 }  // namespace
