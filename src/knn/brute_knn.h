@@ -1,7 +1,7 @@
 // Brute-force k-nearest-neighbour queries under the L∞ norm. O(m) per query;
 // the reference backend against which the k-d tree is property-tested, and
-// the incremental estimator's one per-point search (every rebuild and every
-// re-search after a removal). The batch estimator answers all queries of a
+// the incremental estimator's per-point re-search after a removal. The
+// batch estimator and the incremental rebuild answer all queries of a
 // window in one simd::KnnExtentsAll call instead (common/simd.h).
 
 #ifndef TYCOS_KNN_BRUTE_KNN_H_

@@ -213,19 +213,18 @@ TEST(IncrementalEvaluatorTest, SmallWindowsDoNotDisturbLargeState) {
   const TycosParams params = Params();
   BatchEvaluator batch(pair, params);
   IncrementalEvaluator inc(pair, params, /*small_window_threshold=*/96);
-  // Small windows first: they are scored statelessly and never build the
+  // Small windows first: they are scored statelessly and never reach the
   // incremental estimator, so it neither counts nor publishes anything.
   const obs::MetricsSnapshot before = obs::Snapshot();
   for (const Window& w :
        {Window(10, 40, 0), Window(50, 80, 3), Window(200, 294, -2)}) {
     EXPECT_EQ(inc.Score(w), batch.Score(w)) << w.ToString();
   }
-  const IncrementalKsgStats& unbuilt = inc.incremental_stats();
+  const IncrementalKsgStats& idle = inc.incremental_stats();
   for (const int64_t v :
-       {unbuilt.full_rebuilds, unbuilt.incremental_moves, unbuilt.points_added,
-        unbuilt.points_removed, unbuilt.knn_recomputes,
-        unbuilt.knn_list_inserts, unbuilt.marginal_updates,
-        unbuilt.degenerate_windows}) {
+       {idle.full_rebuilds, idle.incremental_moves, idle.points_added,
+        idle.points_removed, idle.knn_recomputes, idle.knn_list_inserts,
+        idle.marginal_updates, idle.degenerate_windows}) {
     EXPECT_EQ(v, 0);
   }
   inc.FlushObsCounters();
