@@ -116,41 +116,14 @@ BENCHMARK(BM_KernelChebyshevToProbe<&simd::ChebyshevToProbeScalar>)
 using KnnKernel = void (*)(const double*, const double*, size_t, size_t,
                            double*, double*, KnnEntry*);
 
-// All-points k = 4 extents of n points: the batch estimator's brute path.
-template <KnnKernel Fn>
-void BM_KernelKnnExtents(benchmark::State& state) {
-  // 2n normal draws: x is the first half, y the second.
-  const auto xy = MakeInterleaved(state.range(0));
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> dx(n), dy(n);
-  for (auto _ : state) {
-    Fn(xy.data(), xy.data() + n, n, 4, dx.data(), dy.data(), nullptr);
-    benchmark::DoNotOptimize(dx.data());
-    benchmark::DoNotOptimize(dy.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_KernelKnnExtents<&simd::KnnExtentsAll>)
-    ->Name("BM_KernelKnnExtents/simd")
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_KernelKnnExtents<&simd::KnnExtentsAllScalar>)
-    ->Name("BM_KernelKnnExtents/scalar")
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-
-// All-points k = 4 extents and neighbour lists of n points: the
-// incremental estimator's rebuild. Each iteration takes the next of 256
-// windows cut at evenly spaced starts from one 65,536-sample series (one
-// repeated window under-reports the kernel about twice over). The
-// /simd_extents row is the same kernel without lists on the same pool, so
-// its difference from /simd is what the lists cost.
+// All-points k = 4 extents of n points (the batch estimator's brute path)
+// and, with kLists, their neighbour lists too (the incremental estimator's
+// rebuild). Each iteration takes the next of 256 windows cut at evenly
+// spaced starts from one 65,536-sample series, as a search meets windows:
+// on one repeated window the branch predictor learns the kernel's
+// data-dependent branches and the rows read up to about twice as fast.
 template <KnnKernel Fn, bool kLists>
-void BM_KernelKnnLists(benchmark::State& state) {
+void BM_KernelKnn(benchmark::State& state) {
   constexpr size_t kSeries = size_t{1} << 16;
   constexpr size_t kPool = 256;
   // 2 * kSeries normal draws: x is the first half, y the second.
@@ -165,32 +138,31 @@ void BM_KernelKnnLists(benchmark::State& state) {
     Fn(xy.data() + start, xy.data() + kSeries + start, n, 4, dx.data(),
        dy.data(), kLists ? lists.data() : nullptr);
     benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(dy.data());
     benchmark::DoNotOptimize(lists.data());
     benchmark::ClobberMemory();
     next = next + 1 == kPool ? 0 : next + 1;
   }
 }
-BENCHMARK(BM_KernelKnnLists<&simd::KnnExtentsAll, true>)
+
+// The search's window sizes (16-96 on pairwise_short, 64-512 on
+// pairwise_long) and the AVX2 pass-1 warm-up's end at 16k = 64.
+void KnnSizes(benchmark::internal::Benchmark* b) {
+  for (int64_t n : {16, 32, 64, 96, 128, 256, 512, 1024}) b->Arg(n);
+  b->Unit(benchmark::kMicrosecond);
+}
+BENCHMARK(BM_KernelKnn<&simd::KnnExtentsAll, false>)
+    ->Name("BM_KernelKnnExtents/simd")
+    ->Apply(KnnSizes);
+BENCHMARK(BM_KernelKnn<&simd::KnnExtentsAllScalar, false>)
+    ->Name("BM_KernelKnnExtents/scalar")
+    ->Apply(KnnSizes);
+BENCHMARK(BM_KernelKnn<&simd::KnnExtentsAll, true>)
     ->Name("BM_KernelKnnLists/simd")
-    ->Arg(64)
-    ->Arg(96)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_KernelKnnLists<&simd::KnnExtentsAllScalar, true>)
+    ->Apply(KnnSizes);
+BENCHMARK(BM_KernelKnn<&simd::KnnExtentsAllScalar, true>)
     ->Name("BM_KernelKnnLists/scalar")
-    ->Arg(64)
-    ->Arg(96)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_KernelKnnLists<&simd::KnnExtentsAll, false>)
-    ->Name("BM_KernelKnnLists/simd_extents")
-    ->Arg(64)
-    ->Arg(96)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
+    ->Apply(KnnSizes);
 
 // Both marginal counts of n points inside their k = 4 extents: the batch
 // estimator's count pass, on the extents KnnExtentsAll gives the same

@@ -81,8 +81,13 @@ void KnnExtentsAllAvx2(const double* x, const double* y, size_t m, size_t k,
 
     // Pass 1: the k smallest distances per lane through a sorted min/max
     // network; the query's own distance enters as +inf, which never
-    // displaces a real candidate's (there are m - 1 >= k of them). A
-    // candidate no lane admits skips the network.
+    // displaces a real candidate's (there are m - 1 >= k of them). Some
+    // lane admits candidate j with probability about 4k/j, so a branch
+    // that lets a candidate no lane admits skip the network mispredicts
+    // about as often as not until j nears 16k. The first `warm` candidates
+    // therefore all go through the network (one that no lane admits leaves
+    // every slot as it was); only later ones may skip it.
+    const size_t warm = 16 * k;
     for (size_t t = 0; t < k; ++t) _mm256_store_pd(slots[t].v, inf);
     for (size_t j = 0; j < m; ++j) {
       __m256d d = LaneDistance(x, y, j, qx, qy, &ax, &ay);
@@ -91,9 +96,11 @@ void KnnExtentsAllAvx2(const double* x, const double* y, size_t m, size_t k,
             lane, _mm256_set1_pd(static_cast<double>(j - i0)), _CMP_EQ_OQ);
         d = _mm256_blendv_pd(d, inf, self);
       }
-      const __m256d admits =
-          _mm256_cmp_pd(d, _mm256_load_pd(slots[k - 1].v), _CMP_LT_OQ);
-      if (_mm256_movemask_pd(admits) == 0) continue;
+      if (j >= warm) {
+        const __m256d admits =
+            _mm256_cmp_pd(d, _mm256_load_pd(slots[k - 1].v), _CMP_LT_OQ);
+        if (_mm256_movemask_pd(admits) == 0) continue;
+      }
       for (size_t t = 0; t < k; ++t) {
         const __m256d s = _mm256_load_pd(slots[t].v);
         _mm256_store_pd(slots[t].v, _mm256_min_pd(s, d));

@@ -73,7 +73,10 @@ void ChebyshevToProbeScalar(const double* xy, size_t n, double px, double py,
 // then a rescan takes every candidate below r and, in index order, as many
 // at r as fill k; with `lists` the rescan also inserts each taken candidate
 // into its query's list (one body, compiled with and without that step, so
-// a call without lists pays nothing for them). Scratch is thread_local, k
+// a call without lists pays nothing for them). The first 16k candidates of
+// the network pass all go through it, branch-free; only after them are the
+// candidates some query admits rare enough for the branch that lets the
+// others skip the network to predict well. Scratch is thread_local, k
 // slots. Requires k >= 1, m >= k + 1 and finite samples: ClassifyInputs
 // (mi/ksg.h) rules out NaN and ±inf before any kNN query, so the kernels
 // are specified (and tested) on finite inputs only. A difference of finite

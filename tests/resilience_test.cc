@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -473,8 +474,24 @@ TEST(PairwiseResilienceTest, RejectsHostileChannels) {
                    .ok());
 }
 
+// Four channels cut from BigDataset(): the halves of its x and of its y. A
+// single pair of them searches far longer than the sweep deadline below, so
+// the sweep cannot start all six pairs before it, however fast the host.
+std::vector<TimeSeries> BigChannels() {
+  const SeriesPair& pair = BigDataset().pair;
+  const auto half = static_cast<std::ptrdiff_t>(pair.size() / 2);
+  auto cut = [half](const TimeSeries& s, std::ptrdiff_t from,
+                    const char* name) {
+    std::vector<double> v(s.values().begin() + from,
+                          s.values().begin() + from + half);
+    return TimeSeries(std::move(v), name);
+  };
+  return {cut(pair.x(), 0, "x0"), cut(pair.y(), 0, "y0"),
+          cut(pair.x(), half, "x1"), cut(pair.y(), half, "y1")};
+}
+
 TEST(PairwiseResilienceTest, DeadlineSkipsRemainingPairs) {
-  std::vector<TimeSeries> channels = TestChannels();
+  std::vector<TimeSeries> channels = BigChannels();
   const RunContext ctx = RunContext::WithDeadline(0.02);
   Result<PairwiseResult> r = PairwiseSearch(channels, TestParams(),
                                             TycosVariant::kLMN, 42, ctx);

@@ -9,6 +9,7 @@
 
 #include "common/simd.h"
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -165,6 +166,24 @@ std::vector<double> MakeKnnSamples(size_t m, KnnMix mix, uint64_t seed) {
   return v;
 }
 
+// Window sizes around the AVX2 body's pass-1 warm-up, which runs the first
+// J = 16k candidates of a lane group through the network and lets only later
+// ones skip it: m from J - 1 to J + 5 for k in {1, 4, 7, 16}, and 512 and
+// 1,024 at k in {1, 4}, where the skip decides nearly every candidate. On the
+// lattice mix the k-th distance ties on both sides of J. Merged into `sizes`
+// (sorted, no repeats).
+void AddWarmUpSizes(size_t k, std::vector<size_t>* sizes) {
+  if (k == 1 || k == 4 || k == 7 || k == 16) {
+    for (size_t m = 16 * k - 1; m <= 16 * k + 5; ++m) sizes->push_back(m);
+  }
+  if (k == 1 || k == 4) {
+    sizes->push_back(512);
+    sizes->push_back(1024);
+  }
+  std::sort(sizes->begin(), sizes->end());
+  sizes->erase(std::unique(sizes->begin(), sizes->end()), sizes->end());
+}
+
 TEST(SimdTest, KnnExtentsAllMatchesScalar) {
   std::vector<size_t> ks;
   for (size_t k = 1; k <= 16; ++k) ks.push_back(k);
@@ -172,13 +191,14 @@ TEST(SimdTest, KnnExtentsAllMatchesScalar) {
   for (KnnMix mix :
        {KnnMix::kUniform, KnnMix::kDenormal, KnnMix::kLattice, KnnMix::kHuge}) {
     for (size_t k : ks) {
-      // Every 4-lane tail at the smallest legal sizes, then around 64 and up
-      // to 256, the largest window the batch estimator sends to brute force.
+      // Every 4-lane tail at the smallest legal sizes, around 64 and 256,
+      // and around the warm-up's end.
       std::vector<size_t> sizes;
       for (size_t m = k + 1; m <= k + 8; ++m) sizes.push_back(m);
       for (size_t m : {61, 62, 63, 64, 253, 254, 255, 256}) {
         if (m > k + 8) sizes.push_back(m);
       }
+      AddWarmUpSizes(k, &sizes);
       for (size_t m : sizes) {
         SCOPED_TRACE(testing::Message() << "mix=" << static_cast<int>(mix)
                                         << " k=" << k << " m=" << m);
@@ -203,17 +223,20 @@ TEST(SimdTest, KnnExtentsAllMatchesScalar) {
 // The neighbour lists of the incremental estimator's rebuild: the AVX2 body
 // against its twin (lists and extents bit for bit, and the extents equal to
 // a call without lists), and the twin against KnnSelector offered every
-// other point in index order (indices, distances and order).
+// other point in index order (indices, distances and order), around 8, 32,
+// 64 and 128 points and the pass-1 warm-up's end.
 TEST(SimdTest, KnnListsMatchScalarAndSelector) {
-  std::vector<size_t> sizes;
+  std::vector<size_t> base_sizes;
   for (size_t base : {8, 32, 64, 128}) {
     for (size_t m = base - 3; m <= base + 3 + (base == 8 ? 1 : 0); ++m) {
-      sizes.push_back(m);
+      base_sizes.push_back(m);
     }
   }
   for (KnnMix mix :
        {KnnMix::kUniform, KnnMix::kDenormal, KnnMix::kLattice, KnnMix::kHuge}) {
-    for (size_t k : {1, 4, 7}) {
+    for (size_t k : {1, 4, 7, 16}) {
+      std::vector<size_t> sizes = base_sizes;
+      AddWarmUpSizes(k, &sizes);
       for (size_t m : sizes) {
         if (m < k + 1) continue;
         SCOPED_TRACE(testing::Message() << "mix=" << static_cast<int>(mix)
