@@ -1,11 +1,18 @@
 #include "search/prefilter.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "datagen/clusters.h"
@@ -218,6 +225,88 @@ TEST(PrefilterTest, SurvivorsAreBitIdenticalAcrossThreadCounts) {
                 base.value().survivors[i].best_pearson)
           << "at " << threads << " threads, survivor " << i;
     }
+  }
+}
+
+// FNV-1a over the bits of every survivor's best_pearson, in survivor order.
+uint64_t EvidenceDigest(const PrefilterOutcome& out) {
+  uint64_t h = kFnv1aBasis;
+  for (const PrefilterSurvivor& s : out.survivors) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &s.best_pearson, sizeof(bits));
+    h = Fnv1a(&bits, sizeof(bits), h);
+  }
+  return h;
+}
+
+// The pair list as a C++ literal, so a failure message can be pasted back.
+std::string PairLiteral(const std::vector<std::pair<int, int>>& pairs) {
+  std::string s = "{";
+  for (const auto& [a, b] : pairs) {
+    s += "{" + std::to_string(a) + ", " + std::to_string(b) + "}, ";
+  }
+  return s + "}";
+}
+
+// Stage 2's output pinned across commits. The tests above compare the
+// cascade with an oracle (to 1e-6) and with itself; these literals catch a
+// change that moves a survivor, or a best_pearson by one ulp. td_max 0, 6
+// and 8 give bands of 1, 7/13 and 9/17 alignments, all on the direct
+// branch; td_max 40 gives 41 at the series ends (direct) and 73-81
+// elsewhere (MASS). A change that moves stage 2's arithmetic on purpose
+// re-records the digests and says so; the survivor pairs move only with
+// recall.
+TEST(PrefilterPinTest, StageTwoMatchesRecordedSurvivorsAndEvidence) {
+  struct PinCase {
+    uint64_t seed;
+    int64_t td_max;
+    std::vector<std::pair<int, int>> survivors;
+    uint64_t evidence_digest;
+  };
+  const PinCase cases[] = {
+      {37, 0, {{0, 4}, {0, 6}, {0, 8}, {1, 4}, {1, 6}, {1, 7}, {1, 8}, {1, 11},
+               {4, 6}, {4, 8}, {4, 11}, {6, 11}, {8, 11}},
+       0x7070c8e59bd512e9ull},
+      {37, 6, {{0, 1}, {0, 4}, {0, 6}, {0, 8}, {0, 11}, {1, 3}, {1, 4}, {1, 6},
+               {1, 7}, {1, 8}, {1, 11}, {3, 6}, {4, 6}, {4, 8}, {4, 11}, {6, 7},
+               {6, 8}, {6, 11}, {7, 11}, {8, 11}},
+       0x6b64bc5e1fba0673ull},
+      {37, 8, {{0, 1}, {0, 4}, {0, 6}, {0, 8}, {0, 11}, {1, 2}, {1, 3}, {1, 4},
+               {1, 6}, {1, 7}, {1, 8}, {1, 11}, {2, 6}, {3, 6}, {4, 6}, {4, 8},
+               {4, 9}, {4, 11}, {5, 11}, {6, 7}, {6, 8}, {6, 11}, {7, 11},
+               {8, 11}},
+       0xa96adb200708ea62ull},
+      {37, 40, {{0, 1}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 8}, {0, 9}, {0, 11},
+                {1, 2}, {1, 3}, {1, 4}, {1, 6}, {1, 7}, {1, 8}, {1, 9}, {1, 11},
+                {2, 6}, {2, 11}, {3, 4}, {3, 6}, {3, 8}, {3, 11}, {4, 5},
+                {4, 6}, {4, 8}, {4, 9}, {4, 11}, {5, 8}, {5, 11}, {6, 7},
+                {6, 8}, {6, 11}, {7, 11}, {8, 10}, {8, 11}, {9, 11}, {10, 11}},
+       0x4e48a1d06a008ef8ull},
+      {41, 0, {{3, 5}, {3, 7}, {3, 8}, {3, 10}, {3, 11}, {5, 7}, {5, 10},
+               {5, 11}, {7, 8}, {7, 10}, {7, 11}, {8, 10}, {8, 11}, {10, 11}},
+       0xc08ad932ad142cc3ull},
+      {41, 6, {{0, 3}, {3, 5}, {3, 7}, {3, 8}, {3, 10}, {3, 11}, {5, 7}, {5, 8},
+               {5, 10}, {5, 11}, {7, 8}, {7, 10}, {7, 11}, {8, 10}, {8, 11},
+               {10, 11}},
+       0xd2d933b659a144dcull},
+  };
+  for (const PinCase& c : cases) {
+    const ClusteredDataset ds =
+        MakeDataset(c.seed, /*channels=*/12, /*clusters=*/2, /*members=*/3);
+    PrefilterParams p = SmallParams();
+    p.td_max = c.td_max;
+    const auto out = RunPrefilter(ds.channels, p, 0.5, RunContext());
+    ASSERT_TRUE(out.ok()) << out.status().message();
+    ASSERT_FALSE(out.value().stop.has_value());
+    const auto pairs = out.value().PairList();
+    EXPECT_EQ(pairs, c.survivors)
+        << "seed " << c.seed << " td_max " << c.td_max << ": "
+        << PairLiteral(pairs);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull",
+                  EvidenceDigest(out.value()));
+    EXPECT_EQ(EvidenceDigest(out.value()), c.evidence_digest)
+        << "seed " << c.seed << " td_max " << c.td_max << ": " << hex;
   }
 }
 
