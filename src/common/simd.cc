@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #if TYCOS_SIMD_LEVEL >= 2
@@ -167,6 +168,25 @@ void KnnExtentsAllAvx2(const double* x, const double* y, size_t m, size_t k,
   }
 }
 
+// The dots at band positions at[v] .. at[v] + 3 for each vector v of the
+// group: one accumulator per vector, and per lane the twin's sum (+0.0,
+// then q[j] · t[i + j] added in ascending j, multiply and add apart). The
+// folds expand per vector, so the accumulators stay in registers.
+template <size_t... V>
+void SlidingDotsGroup(const double* q, size_t m, const double* t,
+                      const size_t* at, double* out,
+                      std::index_sequence<V...>) {
+  const double* const base[] = {(t + at[V])...};
+  __m256d acc[] = {(static_cast<void>(V), _mm256_setzero_pd())...};
+  for (size_t j = 0; j < m; ++j) {
+    const __m256d qj = _mm256_broadcast_sd(q + j);
+    ((acc[V] = _mm256_add_pd(
+          acc[V], _mm256_mul_pd(qj, _mm256_loadu_pd(base[V] + j)))),
+     ...);
+  }
+  (_mm256_storeu_pd(out + at[V], acc[V]), ...);
+}
+
 }  // namespace
 
 #endif  // TYCOS_SIMD_LEVEL >= 2
@@ -236,6 +256,15 @@ int64_t CountInStripScalar(const double* v, size_t n, double c, double e) {
   int64_t count = 0;
   for (size_t i = 0; i < n; ++i) count += (v[i] >= lo) & (v[i] <= hi);
   return count;
+}
+
+void SlidingDotsScalar(const double* q, size_t m, const double* t,
+                       size_t band, double* out) {
+  for (size_t i = 0; i < band; ++i) {
+    double dot = 0.0;
+    for (size_t j = 0; j < m; ++j) dot += q[j] * t[i + j];
+    out[i] = dot;
+  }
 }
 
 MinMaxFiniteResult MinMaxFiniteScalar(const double* v, size_t n) {
@@ -366,6 +395,59 @@ int64_t CountInStrip(const double* v, size_t n, double c, double e) {
   return count;
 #else
   return CountInStripScalar(v, n, c, e);
+#endif
+}
+
+void SlidingDots(const double* q, size_t m, const double* t, size_t band,
+                 double* out) {
+#if TYCOS_SIMD_LEVEL >= 2
+  if (band < 4) {
+    SlidingDotsScalar(q, m, t, band, out);
+    return;
+  }
+  // Vector u covers positions 4u .. 4u + 3, and a band that is not a
+  // multiple of four adds one at band - 4. A group of k vectors runs k
+  // independent chains: four keep the multiply and add ports busy for a
+  // chain's add latency, and up to seven just fill them, so every group
+  // but the last takes four and the last takes the four to seven left
+  // (fewer only in a band of under 16 positions).
+  const size_t whole = band / 4;
+  const size_t vecs = whole + (band % 4 != 0 ? 1 : 0);
+  size_t at[7];
+  size_t u = 0;
+  for (; vecs - u >= 8; u += 4) {
+    for (size_t v = 0; v < 4; ++v) at[v] = 4 * (u + v);
+    SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<4>());
+  }
+  const size_t left = vecs - u;
+  for (size_t v = 0; v < left; ++v) {
+    at[v] = u + v < whole ? 4 * (u + v) : band - 4;
+  }
+  switch (left) {
+    case 1:
+      SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<1>());
+      break;
+    case 2:
+      SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<2>());
+      break;
+    case 3:
+      SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<3>());
+      break;
+    case 4:
+      SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<4>());
+      break;
+    case 5:
+      SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<5>());
+      break;
+    case 6:
+      SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<6>());
+      break;
+    default:
+      SlidingDotsGroup(q, m, t, at, out, std::make_index_sequence<7>());
+      break;
+  }
+#else
+  SlidingDotsScalar(q, m, t, band, out);
 #endif
 }
 

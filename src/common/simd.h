@@ -1,7 +1,7 @@
 // Portable SIMD kernels for the KSG hot loops — the per-point L∞ distance
 // row, the all-points kNN extents (and neighbour lists) and marginal counts
 // of a window, the one-strip count of an incremental recount, and the
-// finite/min/max gate.
+// finite/min/max gate — and for the prefilter's sliding dot products.
 //
 // The instruction set is selected at BUILD time (no runtime dispatch): the
 // TYCOS_SIMD_LEVEL macro is 2 (AVX2) or 0 (scalar), chosen by the
@@ -17,9 +17,11 @@
 // of std::max/std::min including NaN behavior, and comparisons use ordered
 // predicates so NaN never counts. The kNN extents and neighbour lists are
 // bit-exact too, and the counts are integers, exact by construction. The
-// min/max REDUCTION is value-exact but may return the opposite zero sign
-// when both +0.0 and -0.0 appear (reduction order differs); no caller
-// distinguishes zero signs. No kernel reassociates floating-point sums.
+// sliding dot products keep each sum's order, so they are bit-exact on
+// finite inputs. The min/max REDUCTION is value-exact but may return the
+// opposite zero sign when both +0.0 and -0.0 appear (reduction order
+// differs); no caller distinguishes zero signs. No kernel reassociates
+// floating-point sums.
 //
 // All intrinsics live in src/common/simd.cc — tools/lint.py --simd-hygiene
 // rejects them anywhere else, so the baseline-ISA guarantee of the rest of
@@ -115,6 +117,24 @@ void MarginalCountsAllScalar(const double* x, const double* y, size_t m,
 // One branch-free O(n) pass, four samples per AVX2 compare.
 int64_t CountInStrip(const double* v, size_t n, double c, double e);
 int64_t CountInStripScalar(const double* v, size_t n, double c, double e);
+
+// --- Sliding dot products --------------------------------------------------
+//
+// out[i] = Σ_{j<m} q[j] · t[i + j] for i in [0, band): the dot products of
+// a length-m query with the `band` length-m windows of t that start at
+// t[0] .. t[band - 1] (t holds band + m - 1 samples). Each sum starts at
+// +0.0 and runs in ascending j with a separate multiply and add (no FMA),
+// so every dot is the plain scalar loop's value bit for bit. The AVX2 body
+// spans band positions with its lanes, sixteen at a time (four vectors,
+// each a chain of its own); a band that is not a multiple of four ends
+// with one vector that overlaps the previous one (its lanes recompute
+// equal values), and a band under four runs the twin. The prefilter's
+// stage 2 scores every thin delay band through it. Requires m >= 1 and
+// band >= 1.
+void SlidingDots(const double* q, size_t m, const double* t, size_t band,
+                 double* out);
+void SlidingDotsScalar(const double* q, size_t m, const double* t,
+                       size_t band, double* out);
 
 // --- Min/max reduction -----------------------------------------------------
 

@@ -9,8 +9,9 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/stopwatch.h"
 #include "common/parallel_for.h"
+#include "common/simd.h"
+#include "common/stopwatch.h"
 #include "fft/sliding_dot.h"
 #include "obs/metrics.h"
 #include "search/pairwise.h"
@@ -203,58 +204,43 @@ std::vector<double> PrincipalBasis(const std::vector<double>& gram, int k,
   return basis;
 }
 
-// Band width (alignment count) below which the stage-2 profile is
-// evaluated directly instead of through the FFT. MASS costs
-// O((m + band) log(m + band)) regardless of band width; a direct scan is
-// O(m · band). For the typical td_max of a delay search (tens of samples)
-// the band is far too thin to amortize an FFT.
+// Band width (alignment count) below which stage 2 scores a band directly
+// instead of through the FFT. MASS costs O((m + band) log(m + band))
+// regardless of band width; a direct scan is O(m · band). For the typical
+// td_max of a delay search (tens of samples) the band is far too thin to
+// amortize an FFT.
 constexpr int64_t kDirectBandLimit = 64;
 
-// z-normalized Euclidean distance profile of `query` against every
-// length-|query| window of `slice` — the same quantity MassDistanceProfile
-// computes (constant windows score sqrt(2m), i.e. r = 0), chosen by band
-// width: direct evaluation for thin bands, FFT/MASS for wide ones. The two
-// paths agree up to rounding, which kPearsonGuard absorbs; the choice
-// depends only on sizes, never on thread count, so determinism holds.
-std::vector<double> BandDistanceProfile(const std::vector<double>& query,
-                                        const std::vector<double>& slice) {
-  const size_t m = query.size();
-  const size_t band = slice.size() - m + 1;
-  if (band >= static_cast<size_t>(kDirectBandLimit)) {
-    return MassDistanceProfile(query, slice);
+// Mean and population standard deviation of one length-n window, summed
+// in ascending order: the statistics the direct branch scores with.
+struct WindowStats {
+  double mean;
+  double std;
+};
+
+WindowStats StatsAt(const double* w, int64_t n) {
+  const double dm = static_cast<double>(n);
+  double sum = 0.0;
+  double sq = 0.0;
+  for (int64_t j = 0; j < n; ++j) {
+    sum += w[j];
+    sq += w[j] * w[j];
   }
-  const double dm = static_cast<double>(m);
-  double q_sum = 0.0;
-  double q_sq = 0.0;
-  for (const double v : query) {
-    q_sum += v;
-    q_sq += v * v;
-  }
-  const double q_mean = q_sum / dm;
-  const double q_var = std::max(0.0, q_sq / dm - q_mean * q_mean);
-  const double q_std = std::sqrt(q_var);
-  std::vector<double> out(band);
-  for (size_t i = 0; i < band; ++i) {
-    double w_sum = 0.0;
-    double w_sq = 0.0;
-    double dot = 0.0;
-    for (size_t j = 0; j < m; ++j) {
-      const double w = slice[i + j];
-      w_sum += w;
-      w_sq += w * w;
-      dot += query[j] * w;
-    }
-    const double w_mean = w_sum / dm;
-    const double w_var = std::max(0.0, w_sq / dm - w_mean * w_mean);
-    const double w_std = std::sqrt(w_var);
-    if (q_std < 1e-12 || w_std < 1e-12) {
-      out[i] = std::sqrt(2.0 * dm);
-      continue;
-    }
-    const double r = (dot - dm * q_mean * w_mean) / (dm * q_std * w_std);
-    out[i] = std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - r)));
-  }
-  return out;
+  const double mean = sum / dm;
+  return {mean, std::sqrt(std::max(0.0, sq / dm - mean * mean))};
+}
+
+// z-normalized Euclidean distance of a length-n query and window from
+// their dot product and statistics — the quantity MassDistanceProfile
+// computes (a constant window scores sqrt(2n), i.e. r = 0). The direct
+// branch and MASS agree up to rounding, which kPearsonGuard absorbs; the
+// branch depends only on sizes, never on thread count, so determinism
+// holds.
+double DirectDistance(double dot, const WindowStats& q, const WindowStats& w,
+                      double dm) {
+  if (q.std < 1e-12 || w.std < 1e-12) return std::sqrt(2.0 * dm);
+  const double r = (dot - dm * q.mean * w.mean) / (dm * q.std * w.std);
+  return std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - r)));
 }
 
 }  // namespace
@@ -550,6 +536,10 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
     return outcome;
   }
 
+  // The prefix sums served stage 1's sketches only; stage 2 reads the
+  // series.
+  prefixes.clear();
+
   std::vector<uint64_t> candidate_keys;
   for (const std::vector<uint64_t>& part : found_per_channel) {
     candidate_keys.insert(candidate_keys.end(), part.begin(), part.end());
@@ -569,16 +559,46 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
 
   // --- Stage 2: exact MASS/Pearson prescreen over the candidates --------
   // For each candidate pair, the max |r| over (hop-grid start on either
-  // channel) × (every |delay| <= td) is evaluated from MASS distance
-  // profiles; the scan stops as soon as the threshold is crossed. Each
-  // pair's scan is a pure function, so slots merge deterministically.
+  // channel) × (every |delay| <= td) is evaluated from z-normalized
+  // distance profiles; the scan stops as soon as the threshold is crossed.
+  // Each pair's scan is a pure function, so slots merge deterministically.
   Stopwatch stage2_watch;
+
+  // Stage 2a: every window a thin band scores starts at a probe start (a
+  // grid start and its ±td band), so each channel's window statistics are
+  // computed once, there, instead of once per pair. slot[s] indexes start
+  // s in probe_starts; the starts of one band are consecutive slots.
+  const size_t num_slots = probe_starts.size();
+  std::vector<int64_t> slot(static_cast<size_t>(last_start) + 1, -1);
+  for (size_t k = 0; k < num_slots; ++k) {
+    slot[static_cast<size_t>(probe_starts[k])] = static_cast<int64_t>(k);
+  }
+  std::vector<WindowStats> window_stats(static_cast<size_t>(num_channels) *
+                                        num_slots);
+  fs = ParallelFor(
+      threads, num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
+        const double* x = channels[static_cast<size_t>(c)].values().data();
+        WindowStats* out =
+            window_stats.data() + static_cast<size_t>(c) * num_slots;
+        for (size_t k = 0; k < num_slots; ++k) {
+          out[k] = StatsAt(x + probe_starts[k], n_win);
+        }
+        return std::nullopt;
+      });
+  if (fs.stop.has_value()) {
+    outcome.stop = fs.stop;
+    return outcome;
+  }
+
+  // Stage 2b: scan each candidate pair's bands.
   struct PairVerdict {
     double best = 0.0;
     bool pass = false;
   };
   std::vector<PairVerdict> verdicts(candidate_keys.size());
   const double accept = threshold - kPearsonGuard;
+  const double dm = static_cast<double>(n_win);
+  const double two_n = 2.0 * dm;
   const int64_t num_candidates = static_cast<int64_t>(candidate_keys.size());
   fs = ParallelFor(
       threads, num_candidates, ctx,
@@ -588,34 +608,51 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
             static_cast<int>(key / static_cast<uint64_t>(num_channels));
         const int b =
             static_cast<int>(key % static_cast<uint64_t>(num_channels));
-        PairVerdict& v = verdicts[static_cast<size_t>(idx)];
-        const double two_n = 2.0 * static_cast<double>(n_win);
+        // Built locally and stored once: neighbouring verdicts share cache
+        // lines with other threads' pairs.
+        PairVerdict v;
+        // Folds one alignment's distance into the verdict; true once the
+        // pair passes.
+        const auto offer = [&](double dist) {
+          const double r = 1.0 - dist * dist / two_n;
+          const double abs_r = std::fabs(r);
+          if (abs_r > v.best) v.best = abs_r;
+          v.pass = v.best >= accept;
+          return v.pass;
+        };
+        double dots[kDirectBandLimit] = {};
         for (int dir = 0; dir < 2 && !v.pass; ++dir) {
-          const TimeSeries& qs = channels[static_cast<size_t>(
-              dir == 0 ? a : b)];
-          const TimeSeries& ts = channels[static_cast<size_t>(
-              dir == 0 ? b : a)];
+          const size_t qc = static_cast<size_t>(dir == 0 ? a : b);
+          const size_t tc = static_cast<size_t>(dir == 0 ? b : a);
+          const double* qx = channels[qc].values().data();
+          const double* tx = channels[tc].values().data();
+          const WindowStats* q_stats = window_stats.data() + qc * num_slots;
+          const WindowStats* t_stats = window_stats.data() + tc * num_slots;
           for (int64_t g = 0; g < num_grid && !v.pass; ++g) {
             const int64_t qstart = g * hop;
             const int64_t lo = std::max<int64_t>(qstart - td, 0);
             const int64_t hi = std::min<int64_t>(qstart + td, last_start);
             if (lo > hi) continue;
-            const std::vector<double> query =
-                qs.Slice(qstart, qstart + n_win - 1);
-            const std::vector<double> slice = ts.Slice(lo, hi + n_win - 1);
-            const std::vector<double> profile =
-                BandDistanceProfile(query, slice);
-            for (const double dist : profile) {
-              const double r = 1.0 - dist * dist / two_n;
-              const double abs_r = std::fabs(r);
-              if (abs_r > v.best) v.best = abs_r;
-              if (v.best >= accept) {
-                v.pass = true;
-                break;
+            const int64_t band = hi - lo + 1;
+            if (band >= kDirectBandLimit) {
+              const std::vector<double> profile = MassDistanceProfile(
+                  channels[qc].Slice(qstart, qstart + n_win - 1),
+                  channels[tc].Slice(lo, hi + n_win - 1));
+              for (const double dist : profile) {
+                if (offer(dist)) break;
               }
+              continue;
+            }
+            simd::SlidingDots(qx + qstart, static_cast<size_t>(n_win),
+                              tx + lo, static_cast<size_t>(band), dots);
+            const WindowStats& q = q_stats[slot[static_cast<size_t>(qstart)]];
+            const WindowStats* w = t_stats + slot[static_cast<size_t>(lo)];
+            for (int64_t i = 0; i < band; ++i) {
+              if (offer(DirectDistance(dots[i], q, w[i], dm))) break;
             }
           }
         }
+        verdicts[static_cast<size_t>(idx)] = v;
         return std::nullopt;
       });
   stats.stage2_seconds = stage2_watch.ElapsedSeconds();

@@ -395,5 +395,66 @@ TEST(SimdTest, CountInStripMatchesDirectCount) {
   EXPECT_EQ(simd::CountInStrip(v.data(), v.size(), 2.5, 1.5), 4);
 }
 
+// The sliding dot products against their twin at every band from 1 to 70
+// (the twin path, whole 16-position groups, one to three whole vectors
+// and the overlapping last vector) and query lengths around the AVX2
+// widths and the prefilter's 128. Inputs: Gaussian, Gaussian on a 1e8
+// offset, denormals, signed zeros among ±1, and magnitudes from 1e-300 to
+// 1e300 whose products overflow to ±inf and whose sums then go NaN. The
+// series is sized exactly, so an overread is a sanitizer error, and the
+// slots past the band must keep their sentinel.
+TEST(SimdTest, SlidingDotsMatchesScalar) {
+  enum class DotMix { kGaussian, kOffset, kDenormal, kSignedZero, kMixed };
+  const auto make = [](size_t len, DotMix mix, uint64_t seed) {
+    if (mix == DotMix::kDenormal) return MakeArray(len, Mix::kDenormal, seed);
+    std::mt19937_64 rng(seed);
+    std::normal_distribution<double> normal;
+    std::vector<double> v(len);
+    for (double& x : v) {
+      switch (mix) {
+        case DotMix::kGaussian:
+          x = normal(rng);
+          break;
+        case DotMix::kOffset:
+          x = 1e8 + normal(rng);
+          break;
+        case DotMix::kSignedZero: {
+          static const double pool[] = {0.0, -0.0, 1.0, -1.0};
+          x = pool[rng() % 4];
+          break;
+        }
+        case DotMix::kMixed:
+          x = (rng() % 2 ? 1.0 : -1.0) *
+              std::pow(10.0, static_cast<double>(rng() % 601) - 300.0);
+          break;
+        case DotMix::kDenormal:
+          break;
+      }
+    }
+    return v;
+  };
+  constexpr double kSentinel = -12345.0;
+  for (DotMix mix : {DotMix::kGaussian, DotMix::kOffset, DotMix::kDenormal,
+                     DotMix::kSignedZero, DotMix::kMixed}) {
+    for (size_t m : {1, 2, 3, 64, 127, 128, 129, 256}) {
+      for (size_t band = 1; band <= 70; ++band) {
+        SCOPED_TRACE(testing::Message() << "mix=" << static_cast<int>(mix)
+                                        << " m=" << m << " band=" << band);
+        const uint64_t seed = 1000 * m + band + static_cast<uint64_t>(mix);
+        const std::vector<double> q = make(m, mix, seed);
+        const std::vector<double> t = make(band + m - 1, mix, seed + 7);
+        std::vector<double> got(band + 4, kSentinel);
+        std::vector<double> want(band + 4, kSentinel);
+        simd::SlidingDots(q.data(), m, t.data(), band, got.data());
+        simd::SlidingDotsScalar(q.data(), m, t.data(), band, want.data());
+        for (size_t i = 0; i < band + 4; ++i) {
+          ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "i=" << i;
+        }
+        for (size_t i = band; i < band + 4; ++i) ASSERT_EQ(got[i], kSentinel);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tycos
