@@ -211,8 +211,9 @@ std::vector<double> PrincipalBasis(const std::vector<double>& gram, int k,
 // amortize an FFT.
 constexpr int64_t kDirectBandLimit = 64;
 
-// Mean and population standard deviation of one length-n window, summed
-// in ascending order: the statistics the direct branch scores with.
+// Mean and population standard deviation of one length-n window, in two
+// passes (the sum, then the squared deviations from the mean), so an
+// offset far beyond the window's spread cannot cancel the variance away.
 struct WindowStats {
   double mean;
   double std;
@@ -221,18 +222,26 @@ struct WindowStats {
 WindowStats StatsAt(const double* w, int64_t n) {
   const double dm = static_cast<double>(n);
   double sum = 0.0;
-  double sq = 0.0;
-  for (int64_t j = 0; j < n; ++j) {
-    sum += w[j];
-    sq += w[j] * w[j];
-  }
+  for (int64_t j = 0; j < n; ++j) sum += w[j];
   const double mean = sum / dm;
-  return {mean, std::sqrt(std::max(0.0, sq / dm - mean * mean))};
+  double sq = 0.0;
+  for (int64_t j = 0; j < n; ++j) sq += (w[j] - mean) * (w[j] - mean);
+  return {mean, std::sqrt(sq / dm)};
+}
+
+// Subtracts the vector's mean from every element.
+void Centre(std::vector<double>* v) {
+  double sum = 0.0;
+  for (const double x : *v) sum += x;
+  const double mean = sum / static_cast<double>(v->size());
+  for (double& x : *v) x -= mean;
 }
 
 // z-normalized Euclidean distance of a length-n query and window from
 // their dot product and statistics — the quantity MassDistanceProfile
-// computes (a constant window scores sqrt(2n), i.e. r = 0). The direct
+// computes (a constant window scores sqrt(2n), i.e. r = 0). Stage 2
+// passes the dot product of the centred query and that query's mean (zero
+// but for rounding), so dot - n·μq·μw subtracts no large terms. The direct
 // branch and MASS agree up to rounding, which kPearsonGuard absorbs; the
 // branch depends only on sizes, never on thread count, so determinism
 // holds.
@@ -567,14 +576,19 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   // Stage 2a: every window a thin band scores starts at a probe start (a
   // grid start and its ±td band), so each channel's window statistics are
   // computed once, there, instead of once per pair. slot[s] indexes start
-  // s in probe_starts; the starts of one band are consecutive slots.
+  // s in probe_starts; the starts of one band are consecutive slots. Each
+  // grid window also gets the mean of its centred copy (the query stage 2
+  // correlates), which is zero but for rounding.
   const size_t num_slots = probe_starts.size();
   std::vector<int64_t> slot(static_cast<size_t>(last_start) + 1, -1);
   for (size_t k = 0; k < num_slots; ++k) {
     slot[static_cast<size_t>(probe_starts[k])] = static_cast<int64_t>(k);
   }
+  const double dm = static_cast<double>(n_win);
   std::vector<WindowStats> window_stats(static_cast<size_t>(num_channels) *
                                         num_slots);
+  std::vector<double> centred_means(static_cast<size_t>(num_channels) *
+                                    static_cast<size_t>(num_grid));
   fs = ParallelFor(
       threads, num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
         const double* x = channels[static_cast<size_t>(c)].values().data();
@@ -582,6 +596,15 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
             window_stats.data() + static_cast<size_t>(c) * num_slots;
         for (size_t k = 0; k < num_slots; ++k) {
           out[k] = StatsAt(x + probe_starts[k], n_win);
+        }
+        double* centred_mean = centred_means.data() +
+                               static_cast<size_t>(c * num_grid);
+        for (int64_t g = 0; g < num_grid; ++g) {
+          const double* q = x + g * hop;
+          const double mean = out[slot[static_cast<size_t>(g * hop)]].mean;
+          double sum = 0.0;
+          for (int64_t j = 0; j < n_win; ++j) sum += q[j] - mean;
+          centred_mean[g] = sum / dm;
         }
         return std::nullopt;
       });
@@ -597,7 +620,6 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   };
   std::vector<PairVerdict> verdicts(candidate_keys.size());
   const double accept = threshold - kPearsonGuard;
-  const double dm = static_cast<double>(n_win);
   const double two_n = 2.0 * dm;
   const int64_t num_candidates = static_cast<int64_t>(candidate_keys.size());
   fs = ParallelFor(
@@ -621,6 +643,7 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
           return v.pass;
         };
         double dots[kDirectBandLimit] = {};
+        std::vector<double> centred(static_cast<size_t>(n_win));
         for (int dir = 0; dir < 2 && !v.pass; ++dir) {
           const size_t qc = static_cast<size_t>(dir == 0 ? a : b);
           const size_t tc = static_cast<size_t>(dir == 0 ? b : a);
@@ -634,21 +657,36 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
             const int64_t hi = std::min<int64_t>(qstart + td, last_start);
             if (lo > hi) continue;
             const int64_t band = hi - lo + 1;
+            // Both branches correlate centred series: Pearson r ignores a
+            // shift, and without one the sums cancel catastrophically once
+            // the offset dwarfs the windows' spread.
             if (band >= kDirectBandLimit) {
-              const std::vector<double> profile = MassDistanceProfile(
-                  channels[qc].Slice(qstart, qstart + n_win - 1),
-                  channels[tc].Slice(lo, hi + n_win - 1));
+              std::vector<double> query =
+                  channels[qc].Slice(qstart, qstart + n_win - 1);
+              std::vector<double> slice =
+                  channels[tc].Slice(lo, hi + n_win - 1);
+              Centre(&query);
+              Centre(&slice);
+              const std::vector<double> profile =
+                  MassDistanceProfile(query, slice);
               for (const double dist : profile) {
                 if (offer(dist)) break;
               }
               continue;
             }
-            simd::SlidingDots(qx + qstart, static_cast<size_t>(n_win),
-                              tx + lo, static_cast<size_t>(band), dots);
             const WindowStats& q = q_stats[slot[static_cast<size_t>(qstart)]];
+            for (int64_t j = 0; j < n_win; ++j) {
+              centred[static_cast<size_t>(j)] = qx[qstart + j] - q.mean;
+            }
+            simd::SlidingDots(centred.data(), centred.size(), tx + lo,
+                              static_cast<size_t>(band), dots);
+            const WindowStats centred_q = {
+                centred_means[qc * static_cast<size_t>(num_grid) +
+                              static_cast<size_t>(g)],
+                q.std};
             const WindowStats* w = t_stats + slot[static_cast<size_t>(lo)];
             for (int64_t i = 0; i < band; ++i) {
-              if (offer(DirectDistance(dots[i], q, w[i], dm))) break;
+              if (offer(DirectDistance(dots[i], centred_q, w[i], dm))) break;
             }
           }
         }

@@ -85,51 +85,91 @@ bool Survived(const PrefilterOutcome& out, int a, int b) {
   return false;
 }
 
-// The tentpole property: across seeds, the cascade NEVER prunes a pair
-// whose best guarantee-family window has |Pearson r| >= T. (Satellite:
-// prefilter recall property test.)
+// The channels with `offset` added to every sample. Pearson r does not
+// change under a shift, so neither may the cascade's recall.
+std::vector<TimeSeries> Shifted(const std::vector<TimeSeries>& channels,
+                                double offset) {
+  std::vector<TimeSeries> out;
+  for (const TimeSeries& ts : channels) {
+    std::vector<double> v = ts.values();
+    for (double& x : v) x += offset;
+    out.emplace_back(std::move(v), ts.name());
+  }
+  return out;
+}
+
+// Offsets from none to far beyond each window's spread (about 1 here),
+// where one-pass variances and uncentred dot products cancel.
+const double kOffsets[] = {0.0, 1e4, 1e6, 1e8};
+
+// The pairs (a < b) whose best guarantee-family window has |r| >= T.
+std::vector<std::pair<int, int>> QualifyingPairs(
+    const std::vector<TimeSeries>& channels, const PrefilterParams& p,
+    double threshold) {
+  std::vector<std::pair<int, int>> out;
+  const int n = static_cast<int>(channels.size());
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      if (BestFamilyPearson(channels, a, b, p) >= threshold) {
+        out.emplace_back(a, b);
+      }
+    }
+  }
+  return out;
+}
+
+// The tentpole property: across seeds and constant offsets, the cascade
+// NEVER prunes a pair whose best guarantee-family window has
+// |Pearson r| >= T. The oracle scores the unshifted channels.
 TEST(PrefilterRecallTest, NeverPrunesAPairAboveThreshold) {
   const double threshold = 0.4;
   for (uint64_t seed : {1u, 2u, 3u}) {
     const ClusteredDataset ds = MakeDataset(seed);
     const PrefilterParams p = SmallParams();
-    const auto out = RunPrefilter(ds.channels, p, threshold, RunContext());
-    ASSERT_TRUE(out.ok()) << out.status().message();
-    ASSERT_FALSE(out.value().stop.has_value());
-    const int n = static_cast<int>(ds.channels.size());
-    for (int a = 0; a < n; ++a) {
-      for (int b = a + 1; b < n; ++b) {
-        const double best = BestFamilyPearson(ds.channels, a, b, p);
-        if (best >= threshold) {
-          EXPECT_TRUE(Survived(out.value(), a, b))
-              << "seed " << seed << ": pair (" << a << ", " << b
-              << ") with family |r| = " << best << " was pruned at T = "
-              << threshold;
-        }
+    const auto qualifying = QualifyingPairs(ds.channels, p, threshold);
+    ASSERT_FALSE(qualifying.empty());
+    for (const double offset : kOffsets) {
+      const auto out = RunPrefilter(Shifted(ds.channels, offset), p,
+                                    threshold, RunContext());
+      ASSERT_TRUE(out.ok()) << out.status().message();
+      ASSERT_FALSE(out.value().stop.has_value());
+      for (const auto& [a, b] : qualifying) {
+        EXPECT_TRUE(Survived(out.value(), a, b))
+            << "seed " << seed << ", offset " << offset << ": pair (" << a
+            << ", " << b << ") was pruned at T = " << threshold;
       }
     }
   }
 }
 
 // A delay range wide enough to flip stage 2 onto the FFT/MASS path
-// (band >= 64 alignments) must uphold the same recall guarantee.
+// (band >= 64 alignments) must uphold the same recall guarantee, at every
+// offset. The second dataset lost qualifying pairs at offset 1e6 while
+// MASS took its series uncentred.
 TEST(PrefilterRecallTest, WideDelayBandUsesFftPathAndStillRecalls) {
-  const double threshold = 0.4;
-  const ClusteredDataset ds =
-      MakeDataset(31, /*channels=*/10, /*clusters=*/2, /*members=*/2,
-                  /*length=*/384, /*max_delay=*/6);
+  struct WideCase {
+    ClusteredDataset ds;
+    double threshold;
+  };
+  const WideCase cases[] = {
+      {MakeDataset(31, /*channels=*/10, /*clusters=*/2, /*members=*/2,
+                   /*length=*/384, /*max_delay=*/6),
+       0.4},
+      {MakeDataset(1), 0.5},
+  };
   PrefilterParams p = SmallParams();
   p.td_max = 40;  // band = 81 alignments: the MASS branch
-  const auto out = RunPrefilter(ds.channels, p, threshold, RunContext());
-  ASSERT_TRUE(out.ok()) << out.status().message();
-  const int n = static_cast<int>(ds.channels.size());
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      const double best = BestFamilyPearson(ds.channels, a, b, p);
-      if (best >= threshold) {
+  for (const WideCase& c : cases) {
+    const auto qualifying = QualifyingPairs(c.ds.channels, p, c.threshold);
+    ASSERT_FALSE(qualifying.empty());
+    for (const double offset : kOffsets) {
+      const auto out = RunPrefilter(Shifted(c.ds.channels, offset), p,
+                                    c.threshold, RunContext());
+      ASSERT_TRUE(out.ok()) << out.status().message();
+      for (const auto& [a, b] : qualifying) {
         EXPECT_TRUE(Survived(out.value(), a, b))
-            << "pair (" << a << ", " << b << ") with family |r| = " << best
-            << " was pruned at T = " << threshold;
+            << "offset " << offset << ": pair (" << a << ", " << b
+            << ") was pruned at T = " << c.threshold;
       }
     }
   }
@@ -255,7 +295,9 @@ std::string PairLiteral(const std::vector<std::pair<int, int>>& pairs) {
 // branch; td_max 40 gives 41 at the series ends (direct) and 73-81
 // elsewhere (MASS). A change that moves stage 2's arithmetic on purpose
 // re-records the digests and says so; the survivor pairs move only with
-// recall.
+// recall. The digests were re-recorded once, when stage 2 began centring
+// its series, which moves best_pearson by rounding only; the pairs were
+// kept.
 TEST(PrefilterPinTest, StageTwoMatchesRecordedSurvivorsAndEvidence) {
   struct PinCase {
     uint64_t seed;
@@ -266,29 +308,29 @@ TEST(PrefilterPinTest, StageTwoMatchesRecordedSurvivorsAndEvidence) {
   const PinCase cases[] = {
       {37, 0, {{0, 4}, {0, 6}, {0, 8}, {1, 4}, {1, 6}, {1, 7}, {1, 8}, {1, 11},
                {4, 6}, {4, 8}, {4, 11}, {6, 11}, {8, 11}},
-       0x7070c8e59bd512e9ull},
+       0x891b534f9e52f9a6ull},
       {37, 6, {{0, 1}, {0, 4}, {0, 6}, {0, 8}, {0, 11}, {1, 3}, {1, 4}, {1, 6},
                {1, 7}, {1, 8}, {1, 11}, {3, 6}, {4, 6}, {4, 8}, {4, 11}, {6, 7},
                {6, 8}, {6, 11}, {7, 11}, {8, 11}},
-       0x6b64bc5e1fba0673ull},
+       0xa9954883a4db96efull},
       {37, 8, {{0, 1}, {0, 4}, {0, 6}, {0, 8}, {0, 11}, {1, 2}, {1, 3}, {1, 4},
                {1, 6}, {1, 7}, {1, 8}, {1, 11}, {2, 6}, {3, 6}, {4, 6}, {4, 8},
                {4, 9}, {4, 11}, {5, 11}, {6, 7}, {6, 8}, {6, 11}, {7, 11},
                {8, 11}},
-       0xa96adb200708ea62ull},
+       0xdad822e0d240322aull},
       {37, 40, {{0, 1}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 8}, {0, 9}, {0, 11},
                 {1, 2}, {1, 3}, {1, 4}, {1, 6}, {1, 7}, {1, 8}, {1, 9}, {1, 11},
                 {2, 6}, {2, 11}, {3, 4}, {3, 6}, {3, 8}, {3, 11}, {4, 5},
                 {4, 6}, {4, 8}, {4, 9}, {4, 11}, {5, 8}, {5, 11}, {6, 7},
                 {6, 8}, {6, 11}, {7, 11}, {8, 10}, {8, 11}, {9, 11}, {10, 11}},
-       0x4e48a1d06a008ef8ull},
+       0x98335747e88105e6ull},
       {41, 0, {{3, 5}, {3, 7}, {3, 8}, {3, 10}, {3, 11}, {5, 7}, {5, 10},
                {5, 11}, {7, 8}, {7, 10}, {7, 11}, {8, 10}, {8, 11}, {10, 11}},
-       0xc08ad932ad142cc3ull},
+       0x706d79a3f473f3b6ull},
       {41, 6, {{0, 3}, {3, 5}, {3, 7}, {3, 8}, {3, 10}, {3, 11}, {5, 7}, {5, 8},
                {5, 10}, {5, 11}, {7, 8}, {7, 10}, {7, 11}, {8, 10}, {8, 11},
                {10, 11}},
-       0xd2d933b659a144dcull},
+       0x0124406f6dfbd7d7ull},
   };
   for (const PinCase& c : cases) {
     const ClusteredDataset ds =
