@@ -125,12 +125,12 @@ int64_t CountInStripScalar(const double* v, size_t n, double c, double e);
 // t[0] .. t[band - 1] (t holds band + m - 1 samples). Each sum starts at
 // +0.0 and runs in ascending j with a separate multiply and add (no FMA),
 // so every dot is the plain scalar loop's value bit for bit. The AVX2 body
-// spans band positions with its lanes, sixteen at a time (four vectors,
-// each a chain of its own); a band that is not a multiple of four ends
-// with one vector that overlaps the previous one (its lanes recompute
-// equal values), and a band under four runs the twin. The prefilter's
-// stage 2 scores every thin delay band through it. Requires m >= 1 and
-// band >= 1.
+// spans band positions with its lanes, four per vector, and runs its
+// vectors in groups of four, each vector a chain of its own, the last group
+// taking the four to seven left (fewer in a band under 16); a band that is
+// not a multiple of four ends with one vector that overlaps the one before
+// (its lanes recompute equal values), and a band under four runs the twin.
+// The prefilter's stage 2 scores every thin delay band through it.
 void SlidingDots(const double* q, size_t m, const double* t, size_t band,
                  double* out);
 void SlidingDotsScalar(const double* q, size_t m, const double* t,

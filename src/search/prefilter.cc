@@ -578,33 +578,36 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   // computed once, there, instead of once per pair. slot[s] indexes start
   // s in probe_starts; the starts of one band are consecutive slots. Each
   // grid window also gets the mean of its centred copy (the query stage 2
-  // correlates), which is zero but for rounding.
+  // correlates), which is zero but for rounding. One small allocation per
+  // channel, like stage 1's, reuses the heap the prefix sums freed where
+  // one block for all channels would map new pages.
   const size_t num_slots = probe_starts.size();
-  std::vector<int64_t> slot(static_cast<size_t>(last_start) + 1, -1);
+  std::vector<size_t> slot(static_cast<size_t>(last_start) + 1);
   for (size_t k = 0; k < num_slots; ++k) {
-    slot[static_cast<size_t>(probe_starts[k])] = static_cast<int64_t>(k);
+    slot[static_cast<size_t>(probe_starts[k])] = k;
   }
   const double dm = static_cast<double>(n_win);
-  std::vector<WindowStats> window_stats(static_cast<size_t>(num_channels) *
-                                        num_slots);
-  std::vector<double> centred_means(static_cast<size_t>(num_channels) *
-                                    static_cast<size_t>(num_grid));
+  struct ChannelStats {
+    std::vector<WindowStats> windows;   // by slot
+    std::vector<double> centred_means;  // by grid start
+  };
+  std::vector<ChannelStats> channel_stats(static_cast<size_t>(num_channels));
   fs = ParallelFor(
       threads, num_channels, ctx, [&](int64_t c) -> std::optional<StopReason> {
         const double* x = channels[static_cast<size_t>(c)].values().data();
-        WindowStats* out =
-            window_stats.data() + static_cast<size_t>(c) * num_slots;
+        ChannelStats& cs = channel_stats[static_cast<size_t>(c)];
+        cs.windows.resize(num_slots);
         for (size_t k = 0; k < num_slots; ++k) {
-          out[k] = StatsAt(x + probe_starts[k], n_win);
+          cs.windows[k] = StatsAt(x + probe_starts[k], n_win);
         }
-        double* centred_mean = centred_means.data() +
-                               static_cast<size_t>(c * num_grid);
+        cs.centred_means.resize(static_cast<size_t>(num_grid));
         for (int64_t g = 0; g < num_grid; ++g) {
-          const double* q = x + g * hop;
-          const double mean = out[slot[static_cast<size_t>(g * hop)]].mean;
+          const size_t start = static_cast<size_t>(g * hop);
+          const double* q = x + start;
+          const double mean = cs.windows[slot[start]].mean;
           double sum = 0.0;
           for (int64_t j = 0; j < n_win; ++j) sum += q[j] - mean;
-          centred_mean[g] = sum / dm;
+          cs.centred_means[static_cast<size_t>(g)] = sum / dm;
         }
         return std::nullopt;
       });
@@ -649,8 +652,8 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
           const size_t tc = static_cast<size_t>(dir == 0 ? b : a);
           const double* qx = channels[qc].values().data();
           const double* tx = channels[tc].values().data();
-          const WindowStats* q_stats = window_stats.data() + qc * num_slots;
-          const WindowStats* t_stats = window_stats.data() + tc * num_slots;
+          const ChannelStats& q_stats = channel_stats[qc];
+          const ChannelStats& t_stats = channel_stats[tc];
           for (int64_t g = 0; g < num_grid && !v.pass; ++g) {
             const int64_t qstart = g * hop;
             const int64_t lo = std::max<int64_t>(qstart - td, 0);
@@ -674,17 +677,17 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
               }
               continue;
             }
-            const WindowStats& q = q_stats[slot[static_cast<size_t>(qstart)]];
+            const WindowStats& q =
+                q_stats.windows[slot[static_cast<size_t>(qstart)]];
             for (int64_t j = 0; j < n_win; ++j) {
               centred[static_cast<size_t>(j)] = qx[qstart + j] - q.mean;
             }
             simd::SlidingDots(centred.data(), centred.size(), tx + lo,
                               static_cast<size_t>(band), dots);
             const WindowStats centred_q = {
-                centred_means[qc * static_cast<size_t>(num_grid) +
-                              static_cast<size_t>(g)],
-                q.std};
-            const WindowStats* w = t_stats + slot[static_cast<size_t>(lo)];
+                q_stats.centred_means[static_cast<size_t>(g)], q.std};
+            const WindowStats* w =
+                t_stats.windows.data() + slot[static_cast<size_t>(lo)];
             for (int64_t i = 0; i < band; ++i) {
               if (offer(DirectDistance(dots[i], centred_q, w[i], dm))) break;
             }
