@@ -410,10 +410,10 @@ void SlidingDots(const double* q, size_t m, const double* t, size_t band,
   // independent chains: four keep the multiply and add ports busy for a
   // chain's add latency, and up to seven just fill them, so every group
   // but the last takes four and the last takes the four to seven left
-  // (fewer only in a band of under 16 positions).
+  // (fewer only in a band of 12 positions or fewer).
   const size_t whole = band / 4;
   const size_t vecs = whole + (band % 4 != 0 ? 1 : 0);
-  size_t at[7];
+  size_t at[7] = {};
   size_t u = 0;
   for (; vecs - u >= 8; u += 4) {
     for (size_t v = 0; v < 4; ++v) at[v] = 4 * (u + v);

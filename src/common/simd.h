@@ -127,7 +127,7 @@ int64_t CountInStripScalar(const double* v, size_t n, double c, double e);
 // so every dot is the plain scalar loop's value bit for bit. The AVX2 body
 // spans band positions with its lanes, four per vector, and runs its
 // vectors in groups of four, each vector a chain of its own, the last group
-// taking the four to seven left (fewer in a band under 16); a band that is
+// taking the four to seven left (fewer in a band under 13); a band that is
 // not a multiple of four ends with one vector that overlaps the one before
 // (its lanes recompute equal values), and a band under four runs the twin.
 // The prefilter's stage 2 scores every thin delay band through it.
