@@ -206,9 +206,11 @@ std::vector<double> PrincipalBasis(const std::vector<double>& gram, int k,
 
 // Band width (alignment count) below which stage 2 scores a band directly
 // instead of through the FFT. MASS costs O((m + band) log(m + band))
-// regardless of band width; a direct scan is O(m · band). For the typical
-// td_max of a delay search (tens of samples) the band is far too thin to
-// amortize an FFT.
+// regardless of band width; a direct scan is O(m · band). For a 128-sample
+// window the direct kernel is faster at every band measured, up to 257
+// alignments (BENCH_kernels.json, sliding_dots), so this limit sits below
+// the crossover. It stays because moving it changes best_pearson for every
+// td_max >= 32.
 constexpr int64_t kDirectBandLimit = 64;
 
 // Mean and population standard deviation of one length-n window, in two
