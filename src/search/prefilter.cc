@@ -580,8 +580,8 @@ Result<PrefilterOutcome> RunPrefilter(const std::vector<TimeSeries>& channels,
   // computed once, there, instead of once per pair. slot[s] indexes start
   // s in probe_starts; the starts of one band are consecutive slots. Each
   // grid window also gets the mean of its centred copy (the query stage 2
-  // correlates), which is zero but for rounding. One small allocation per
-  // channel, like stage 1's, reuses the heap the prefix sums freed where
+  // correlates), which is zero but for rounding. Small vectors per
+  // channel, like stage 1's, reuse the heap the prefix sums freed where
   // one block for all channels would map new pages.
   const size_t num_slots = probe_starts.size();
   std::vector<size_t> slot(static_cast<size_t>(last_start) + 1);
