@@ -451,8 +451,11 @@ TEST(SurvivorListTest, FileErrorsNameTheSurvivorList) {
   std::filesystem::remove(dir);
 }
 
-// The bytes of a small valid survivor list, via the real writer.
-std::vector<uint8_t> ValidSurvivorBytes() {
+// The bytes of a small valid survivor list, via the real writer. Each test
+// writes its own file, named after it: ctest runs every test as its own
+// process, so callers sharing one file would race. A failed save or read
+// stops the calling test (wrap the call in ASSERT_NO_FATAL_FAILURE).
+void ValidSurvivorBytes(std::vector<uint8_t>* bytes) {
   jobs::SurvivorData data;
   data.identity.config_hash = 0x1234;
   data.identity.data_fingerprint = 0x5678;
@@ -460,19 +463,20 @@ std::vector<uint8_t> ValidSurvivorBytes() {
   data.identity.num_channels = 10;
   data.identity.series_length = 512;
   data.pairs = {{0, 1}, {0, 5}, {3, 9}};
-  const std::string path = ::testing::TempDir() + "/seed.survivors";
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + "/" +
+                           test->test_suite_name() + "." + test->name() +
+                           ".survivors";
   std::remove(path.c_str());
-  EXPECT_TRUE(jobs::SaveSurvivorList(path, data, false).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[4096];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + got);
-  }
-  std::fclose(f);
-  return bytes;
+  ASSERT_TRUE(jobs::SaveSurvivorList(path, data, false).ok());
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  bytes->assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  in.close();
+  std::remove(path.c_str());
+  ASSERT_FALSE(bytes->empty()) << path;
 }
 
 // Mirrors the checkpoint torn-tail suite, with the survivor list's stricter
@@ -480,8 +484,8 @@ std::vector<uint8_t> ValidSurvivorBytes() {
 // every proper prefix must be rejected with a typed IoError, never loaded
 // as a shorter (silently pair-dropping) list.
 TEST(SurvivorListTest, EveryTruncationIsRejectedWithATypedError) {
-  const std::vector<uint8_t> bytes = ValidSurvivorBytes();
-  ASSERT_FALSE(bytes.empty());
+  std::vector<uint8_t> bytes;
+  ASSERT_NO_FATAL_FAILURE(ValidSurvivorBytes(&bytes));
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     const auto parsed = jobs::ParseSurvivorBytes(bytes.data(), cut, "<test>");
     ASSERT_FALSE(parsed.ok()) << "prefix of " << cut << " bytes was accepted";
@@ -490,7 +494,8 @@ TEST(SurvivorListTest, EveryTruncationIsRejectedWithATypedError) {
 }
 
 TEST(SurvivorListTest, EveryBitFlipIsRejected) {
-  const std::vector<uint8_t> bytes = ValidSurvivorBytes();
+  std::vector<uint8_t> bytes;
+  ASSERT_NO_FATAL_FAILURE(ValidSurvivorBytes(&bytes));
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::vector<uint8_t> bad = bytes;
     bad[i] ^= 0xFF;
@@ -508,7 +513,8 @@ TEST(SurvivorListTest, HugePairCountIsRejectedWithoutAllocating) {
   // byte length) and re-seal the file so only the count check can catch
   // it. A multiply-based length check would pass and hand reserve() an
   // exabyte. Regression for the overflow fixed alongside the fuzzers.
-  std::vector<uint8_t> bytes = ValidSurvivorBytes();
+  std::vector<uint8_t> bytes;
+  ASSERT_NO_FATAL_FAILURE(ValidSurvivorBytes(&bytes));
   constexpr size_t kCountOffset = 8 + 4 + 4 + 8 + 8 + 8 + 8;
   uint64_t count = 0;
   std::memcpy(&count, bytes.data() + kCountOffset, sizeof(count));
