@@ -1,8 +1,8 @@
 // Micro-benchmark: FFT substrate (radix-2 vs Bluestein sizes), the
 // sliding-dot-product kernel that powers MASS / MatrixProfile, and the
-// prefilter's direct stage-2 kernel (simd::SlidingDots) against its scalar
-// twin and against MASS around the direct/MASS crossover (source of
-// BENCH_kernels.json's sliding_dots block).
+// prefilter's stage-2 kernel (simd::SlidingDots) against its scalar twin
+// (source of BENCH_kernels.json's sliding_dots block, whose MASS rows
+// timed stage 2's former MASS branch on the same placements).
 
 #include <benchmark/benchmark.h>
 
@@ -116,29 +116,6 @@ BENCHMARK(BM_KernelSlidingDots<&simd::SlidingDotsScalar>)
     ->Arg(17)
     ->Arg(33)
     ->Arg(63)
-    ->Unit(benchmark::kMicrosecond);
-
-// The MASS branch's call for the same placement: query and band copied
-// out of the series, then the FFT distance profile.
-void BM_BandMass(benchmark::State& state) {
-  const std::vector<double>& series = StageTwoSeries();
-  const size_t band = static_cast<size_t>(state.range(0));
-  size_t k = 0;
-  for (auto _ : state) {
-    const size_t at = Placement(k++);
-    const auto first = series.begin() + static_cast<std::ptrdiff_t>(at);
-    const std::vector<double> query(first, first + kQuery);
-    const std::vector<double> slice(
-        first + 2 * kQuery,
-        first + static_cast<std::ptrdiff_t>(3 * kQuery + band - 1));
-    benchmark::DoNotOptimize(MassDistanceProfile(query, slice));
-  }
-}
-BENCHMARK(BM_BandMass)
-    ->Arg(17)
-    ->Arg(65)
-    ->Arg(129)
-    ->Arg(257)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
