@@ -130,7 +130,7 @@ int64_t CountInStripScalar(const double* v, size_t n, double c, double e);
 // taking the four to seven left (fewer in a band under 13); a band that is
 // not a multiple of four ends with one vector that overlaps the one before
 // (its lanes recompute equal values), and a band under four runs the twin.
-// The prefilter's stage 2 scores every thin delay band through it.
+// The prefilter's stage 2 scores every delay band through it.
 void SlidingDots(const double* q, size_t m, const double* t, size_t band,
                  double* out);
 void SlidingDotsScalar(const double* q, size_t m, const double* t,
